@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-hostile race-obs fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-json bench-cluster bench-sessions bench-alerts
+.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-json bench-cluster bench-sessions bench-alerts
 
-ci: fmt vet build test race race-hostile race-obs fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke
+ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -28,27 +28,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused race pass over the fault-injection middleware and the
-# supervision machinery: the packages where budget panics, backoff
-# burns and meter accounting interleave.
-race-hostile:
-	$(GO) test -race ./internal/faultinject/... ./internal/syncproto/...
-
-# Focused race pass over the observability layer and its biggest
-# consumers: the registry and tracer are the shared mutable state every
-# other package writes through, the channel package's word-at-a-time
-# fast path must stay equivalent to the observed per-use path, and the
-# cluster router races hedges against primaries by design.
-race-obs:
-	$(GO) test -race ./internal/obs/... ./internal/capserver/... ./internal/channel/... ./internal/cluster/... ./internal/session/... ./internal/health/... ./cmd/capstat/... ./cmd/capwatch/...
-
-# 30 seconds per native fuzz target: the Definition 1 trace invariants
-# and the fault-spec grammar. Regressions the unit corpus misses show
-# up here first.
+# 30 seconds per native fuzz target: the Definition 1 trace invariants,
+# the fault-spec grammar, the session NDJSON decoder, and the decoder's
+# canonical-subset scanner against its encoding/json reference.
+# Regressions the unit corpus misses show up here first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 30s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/faultinject
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 30s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 30s ./internal/session
 
 # One iteration of the serial/parallel batch benchmarks, as a smoke
 # test that the benchmark harness itself still runs; then a smoke run of
@@ -66,6 +54,7 @@ bench-smoke:
 	$(GO) run ./cmd/sessload -mode check -min-sessions 400 "$$tmp" && \
 	$(GO) run ./cmd/sessload -mode check BENCH_sessions.json
 	$(GO) test -run '^TestOwnedFastPathZeroAlloc$$' -v ./internal/cluster
+	$(GO) test -run '^TestDecodeLineZeroAlloc$$' -v ./internal/session
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/capwatch -mode bench -rules 120 -series 12 -ticks 150 -bench-out "$$tmp" && \
 	$(GO) run ./cmd/capwatch -mode check "$$tmp" && \

@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -170,4 +171,71 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeLineZeroAlloc pins the scanner's cost contract: a
+// canonical line of any kind decodes without a heap allocation.
+func TestDecodeLineZeroAlloc(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeEvents(&buf, []Event{
+		{Use: 1, Kind: channel.EventTransmit, Sent: 9, Received: 9},
+		{Use: 2, Kind: channel.EventSubstitute, Sent: 4, Received: 5},
+		{Use: 3, Kind: channel.EventDelete, Sent: 4, Injected: true},
+		{Use: 4, Kind: channel.EventInsert, Received: 15},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var err error
+		allocs := testing.AllocsPerRun(1000, func() {
+			_, err = decodeLine(line)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: %.1f allocations per line, want 0", line, allocs)
+		}
+	}
+}
+
+var decodeSink []Event
+
+// BenchmarkDecodeBatch times one 256-event batch through the fast
+// decoder and through the encoding/json reference.
+func BenchmarkDecodeBatch(b *testing.B) {
+	events := make([]Event, 256)
+	for i := range events {
+		ev := Event{Use: int64(i + 1), Kind: channel.EventKind(i%4 + 1), Sent: uint32(i % 7), Received: uint32(i % 7)}
+		switch ev.Kind {
+		case channel.EventSubstitute:
+			ev.Received = ev.Sent + 1
+		case channel.EventDelete:
+			ev.Received = 0
+		case channel.EventInsert:
+			ev.Sent = 0
+		}
+		events[i] = ev
+	}
+	var buf bytes.Buffer
+	if err := EncodeEvents(&buf, events); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	for _, bc := range []struct {
+		name   string
+		decode func(io.Reader, int64, int) ([]Event, error)
+	}{{"fast", DecodeBatch}, {"reference", decodeBatchReference}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				got, err := bc.decode(bytes.NewReader(body), 0, 0)
+				if err != nil || len(got) != len(events) {
+					b.Fatalf("decoded %d events: %v", len(got), err)
+				}
+				decodeSink = got
+			}
+		})
+	}
 }

@@ -165,11 +165,11 @@ func (s *Store) Ingest(id string, r io.Reader) (int, Snapshot, error) {
 	return s.IngestEvents(id, events)
 }
 
-// IngestEvents applies pre-decoded, intra-batch-ordered events (the
-// loadgen's fast path: at 10^5 sessions the JSON round trip would
-// dominate the benchmark). Ordering against the session cursor is
-// enforced here; a stale batch is rejected whole with ErrOutOfOrder
-// and no mutation.
+// IngestEvents applies pre-decoded, intra-batch-ordered events: the
+// apply half of Ingest, called directly by the in-process loadgen,
+// which generates Events and so has nothing to decode. Ordering
+// against the session cursor is enforced here; a stale batch is
+// rejected whole with ErrOutOfOrder and no mutation.
 func (s *Store) IngestEvents(id string, events []Event) (int, Snapshot, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
