@@ -55,6 +55,7 @@ bench-smoke:
 	$(GO) run ./cmd/sessload -mode check BENCH_sessions.json
 	$(GO) test -run '^TestOwnedFastPathZeroAlloc$$' -v ./internal/cluster
 	$(GO) test -run '^TestDecodeLineZeroAlloc$$' -v ./internal/session
+	$(GO) test -run '^TestMonteCarloZeroAlloc$$' -v ./internal/delcap
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/capwatch -mode bench -rules 120 -series 12 -ticks 150 -bench-out "$$tmp" && \
 	$(GO) run ./cmd/capwatch -mode check "$$tmp" && \

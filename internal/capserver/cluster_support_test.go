@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -349,17 +351,28 @@ func TestShutdownDrainsInflightBatch(t *testing.T) {
 	}()
 
 	// New work must be rejected while the batch drains: the listener
-	// closes, so fresh connections fail.
+	// closes, so fresh connections are refused. The probe is
+	// /v1/healthz, which never enters the worker pool, so a probe
+	// accepted just before the listener closes answers at once instead
+	// of queuing behind the blocked worker. Every probe dials anew, and
+	// only a refused dial ends the loop: a reset or timed-out probe
+	// proves nothing and is retried.
+	probe := &http.Client{
+		Timeout:   2 * time.Second,
+		Transport: &http.Transport{DisableKeepAlives: true},
+	}
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("listener still accepting new connections during drain")
 		}
-		resp, err := http.Get(base + "/v1/bounds?n=4&pd=0.2")
-		if err != nil {
+		resp, err := probe.Get(base + "/v1/healthz")
+		if errors.Is(err, syscall.ECONNREFUSED) {
 			break // refused: drain is rejecting new work
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	select {

@@ -1,5 +1,7 @@
 package channel
 
+import "repro/internal/rng"
+
 // This file implements the packed-bit transmit engine behind
 // BinaryDI.Transmit: bit sequences live in []uint64 bitsets (LSB-first
 // within each word) and clean transmission runs move through the
@@ -57,11 +59,11 @@ func copyBits(dst []uint64, dstPos int, src []uint64, srcPos, n int) {
 func (c *DeletionInsertion) transmitPackedBits(in []uint64, nbits int) ([]uint64, int) {
 	var (
 		src     = c.src
-		tDel    = probThreshold(c.params.Pd)
-		tDelIns = probThreshold(c.params.Pd + c.params.Pi)
+		tDel    = rng.ProbThreshold(c.params.Pd)
+		tDelIns = rng.ProbThreshold(c.params.Pd + c.params.Pi)
 		psZero  = c.params.Ps <= 0
 		psOne   = c.params.Ps >= 1
-		tSub    = probThreshold(c.params.Ps)
+		tSub    = rng.ProbThreshold(c.params.Ps)
 	)
 	out := make([]uint64, (nbits+63)>>6)
 	outBits := 0

@@ -170,7 +170,7 @@ func (c *DeletionInsertion) use(queued uint32) Use {
 //
 // With no observer installed, Transmit runs an integer-threshold fast
 // path that draws the identical random stream as the per-use path (see
-// probThreshold), so received symbols, traces and subsequent RNG state
+// rng.ProbThreshold), so received symbols, traces and subsequent RNG state
 // are byte-identical to TransmitReference at any seed. With an
 // observer, every use goes through Use so the hook sees the same
 // per-use stream as before.
@@ -204,33 +204,17 @@ func (c *DeletionInsertion) TransmitReference(input []uint32) (received []uint32
 	return received, trace
 }
 
-// probThreshold maps a probability to the integer threshold T such that
-// for m = Uint64()>>11 (the 53-bit draw behind rng's Float64),
-// m < T  ⟺  Float64() < p, exactly: Float64() < p ⟺ m < p·2^53, and
-// since p·2^53 is an exact float (scaling by a power of two) and m an
-// integer, that is m < ceil(p·2^53). Comparing integers lets the hot
-// loop skip the int→float conversion and float divide per use.
-func probThreshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1 << 53
-	}
-	return uint64(math.Ceil(p * (1 << 53)))
-}
-
 // transmitFast is Transmit without the observer indirection: one
 // integer compare per Definition 1 event, drawing exactly the same
 // random variates in the same order as the per-use path.
 func (c *DeletionInsertion) transmitFast(input []uint32) (received []uint32, trace []EventKind) {
 	var (
 		src     = c.src
-		tDel    = probThreshold(c.params.Pd)
-		tDelIns = probThreshold(c.params.Pd + c.params.Pi)
+		tDel    = rng.ProbThreshold(c.params.Pd)
+		tDelIns = rng.ProbThreshold(c.params.Pd + c.params.Pi)
 		psZero  = c.params.Ps <= 0
 		psOne   = c.params.Ps >= 1
-		tSub    = probThreshold(c.params.Ps)
+		tSub    = rng.ProbThreshold(c.params.Ps)
 		m       = uint64(c.params.M())
 		mask    = uint32(c.params.M() - 1)
 		shift   = 64 - uint(c.params.N)

@@ -146,27 +146,6 @@ func TestObserverStillSeesEveryUse(t *testing.T) {
 	}
 }
 
-// TestProbThreshold pins the exact integer-threshold equivalence on
-// boundary values.
-func TestProbThreshold(t *testing.T) {
-	cases := []struct {
-		p    float64
-		want uint64
-	}{
-		{0, 0},
-		{-1, 0},
-		{1, 1 << 53},
-		{2, 1 << 53},
-		{0.5, 1 << 52},
-		{1.0 / (1 << 53), 1}, // smallest draw-distinguishable probability
-	}
-	for _, tc := range cases {
-		if got := probThreshold(tc.p); got != tc.want {
-			t.Errorf("probThreshold(%v) = %d, want %d", tc.p, got, tc.want)
-		}
-	}
-}
-
 // TestCopyBits exercises the blit helper across alignments.
 func TestCopyBits(t *testing.T) {
 	gen := rng.New(3)

@@ -49,6 +49,9 @@ func TestEmbeddingCountErrors(t *testing.T) {
 	if _, err := EmbeddingCount(0, 1, 0, -1); err == nil {
 		t.Error("expected length error")
 	}
+	if _, err := EmbeddingCount(0, 20, 0, 21); err == nil {
+		t.Error("expected length error")
+	}
 }
 
 func TestEmbeddingCountTotalMass(t *testing.T) {

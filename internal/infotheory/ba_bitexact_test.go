@@ -222,3 +222,80 @@ func TestBuildClassesFallback(t *testing.T) {
 		t.Errorf("random 16x16 channel: want fallback (nil classes), got %d classes", len(big.vals))
 	}
 }
+
+// TestMSCMatchesNewDMC checks MSC's in-place construction against
+// NewDMC over the same rows: identical slab, value dictionary and class
+// table, bit for bit. The error rates include e = 0 (a zero-valued
+// class), e = (m-1)/m (the diagonal can equal the off-diagonal value, a
+// one-class dictionary) and e = 1 (a zero diagonal).
+func TestMSCMatchesNewDMC(t *testing.T) {
+	var oneClass, zeroValue int
+	for _, m := range []int{2, 3, 16, 256} {
+		for _, e := range []float64{0, 0.0123, 0.5, float64(m-1) / float64(m), 1} {
+			got, err := MSC(m, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := make([][]float64, m)
+			for x := range w {
+				w[x] = make([]float64, m)
+				for y := range w[x] {
+					if x == y {
+						w[x][y] = 1 - e
+					} else {
+						w[x][y] = e / float64(m-1)
+					}
+				}
+			}
+			want, err := NewDMC(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits := func(what string, a, b []float64) {
+				t.Helper()
+				if len(a) != len(b) {
+					t.Fatalf("MSC(%d, %v) %s: %d entries, NewDMC %d", m, e, what, len(a), len(b))
+				}
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("MSC(%d, %v) %s[%d] = %v, NewDMC %v", m, e, what, i, a[i], b[i])
+					}
+				}
+			}
+			sameBits("flat", got.flat, want.flat)
+			sameBits("vals", got.vals, want.vals)
+			if len(got.cls) != len(want.cls) {
+				t.Fatalf("MSC(%d, %v): %d classes, NewDMC %d", m, e, len(got.cls), len(want.cls))
+			}
+			for i := range got.cls {
+				if got.cls[i] != want.cls[i] {
+					t.Fatalf("MSC(%d, %v) cls[%d] = %d, NewDMC %d", m, e, i, got.cls[i], want.cls[i])
+				}
+			}
+			for x := 0; x < m; x++ {
+				sameBits("row", got.w[x], want.w[x])
+			}
+			if len(want.vals) == 1 {
+				oneClass++
+			}
+			for _, v := range want.vals {
+				if v == 0 {
+					zeroValue++
+				}
+			}
+		}
+	}
+	if oneClass == 0 || zeroValue == 0 {
+		t.Fatalf("sweep missed a dictionary shape: %d one-class, %d zero-valued", oneClass, zeroValue)
+	}
+}
+
+// BenchmarkMSC times building the cold-grid's largest converted channel.
+func BenchmarkMSC(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := MSC(256, 0.1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

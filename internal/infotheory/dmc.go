@@ -38,13 +38,20 @@ func NewDMC(w [][]float64) (*DMC, error) {
 		}
 		flat = append(flat, row...)
 	}
-	rows := make([][]float64, len(w))
+	vals, cls := buildClasses(flat)
+	return newDMC(flat, len(w), vals, cls), nil
+}
+
+// newDMC wraps an nx-row flat matrix slab whose rows already passed
+// validateDist, together with its value dictionary (see buildClasses),
+// without copying either.
+func newDMC(flat []float64, nx int, vals []float64, cls []uint16) *DMC {
+	ny := len(flat) / nx
+	rows := make([][]float64, nx)
 	for x := range rows {
 		rows[x] = flat[x*ny : x*ny+ny : x*ny+ny]
 	}
-	c := &DMC{w: rows, flat: flat}
-	c.vals, c.cls = buildClasses(flat)
-	return c, nil
+	return &DMC{w: rows, flat: flat, vals: vals, cls: cls}
 }
 
 // NumInputs returns the input alphabet size.
@@ -206,6 +213,12 @@ func ZChannel(p float64) (*DMC, error) {
 // symbol is received correctly with probability 1-e and otherwise is
 // replaced by one of the m-1 other symbols uniformly. This is the
 // "converted channel" of the paper's Figure 5.
+//
+// The matrix is built in place: MSC writes the flat slab and its class
+// table directly, and they are exactly what NewDMC would copy and
+// buildClasses would derive from the same rows — cell (0,0) holds the
+// diagonal value, so it is class 0, and the off-diagonal value is
+// class 1 unless it equals the diagonal bit for bit.
 func MSC(m int, e float64) (*DMC, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("infotheory: MSC needs m >= 2, got %d", m)
@@ -213,21 +226,30 @@ func MSC(m int, e float64) (*DMC, error) {
 	if math.IsNaN(e) || e < 0 || e > 1 {
 		return nil, fmt.Errorf("infotheory: MSC error rate %v out of [0,1]", e)
 	}
-	w := make([][]float64, m)
-	slab := make([]float64, m*m)
-	off := e / float64(m-1)
-	for x := range w {
-		row := slab[x*m : x*m+m : x*m+m]
-		for y := range row {
-			if x == y {
-				row[y] = 1 - e
-			} else {
-				row[y] = off
-			}
-		}
-		w[x] = row
+	diag, off := 1-e, e/float64(m-1)
+	vals := []float64{diag, off}
+	var offCls uint16 = 1
+	if off == diag {
+		vals, offCls = vals[:1], 0
 	}
-	return NewDMC(w)
+	// Every row is the all-off-diagonal row with its diagonal cell
+	// patched in: fill row 0, copy it down, then patch and validate.
+	flat := make([]float64, m*m)
+	cls := make([]uint16, m*m)
+	for y := 0; y < m; y++ {
+		flat[y], cls[y] = off, offCls
+	}
+	for x := 1; x < m; x++ {
+		copy(flat[x*m:x*m+m], flat[:m])
+		copy(cls[x*m:x*m+m], cls[:m])
+	}
+	for x := 0; x < m; x++ {
+		flat[x*m+x], cls[x*m+x] = diag, 0
+		if err := validateDist(flat[x*m : x*m+m]); err != nil {
+			return nil, fmt.Errorf("infotheory: DMC row %d: %w", x, err)
+		}
+	}
+	return newDMC(flat, m, vals, cls), nil
 }
 
 // BSCCapacity returns 1 - H(p), the closed-form BSC capacity.

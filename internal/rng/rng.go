@@ -96,6 +96,25 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// ProbThreshold maps a probability to the integer threshold T such that
+// for m = Uint64()>>11 (the 53-bit draw behind Float64),
+// m < T  ⟺  Float64() < p, exactly: Float64() < p ⟺ m < p·2^53, and
+// since p·2^53 is an exact float (scaling by a power of two) and m an
+// integer, that is m < ceil(p·2^53). For p in (0, 1), Bool(p) is
+// therefore Uint64()>>11 < ProbThreshold(p) on the same single draw;
+// hot loops compare integers and skip the int→float conversion and
+// divide. Bool draws nothing at p <= 0 or p >= 1, so callers that must
+// stay in step with it skip the draw there too.
+func ProbThreshold(p float64) uint64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
 // Bit returns a uniform bit (0 or 1).
 func (r *Source) Bit() byte {
 	return byte(r.Uint64() >> 63)

@@ -126,6 +126,46 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// TestProbThreshold pins the exact integer-threshold equivalence on
+// boundary values.
+func TestProbThreshold(t *testing.T) {
+	cases := []struct {
+		p    float64
+		want uint64
+	}{
+		{0, 0},
+		{-1, 0},
+		{1, 1 << 53},
+		{2, 1 << 53},
+		{0.5, 1 << 52},
+		{1.0 / (1 << 53), 1}, // smallest draw-distinguishable probability
+	}
+	for _, tc := range cases {
+		if got := ProbThreshold(tc.p); got != tc.want {
+			t.Errorf("ProbThreshold(%v) = %d, want %d", tc.p, got, tc.want)
+		}
+	}
+}
+
+// TestProbThresholdMatchesBool checks the integer compare against Bool
+// on the same draw, for probabilities equal to the draw's value and one
+// ulp either side of it, where Float64() < p is decided by the last bit.
+func TestProbThresholdMatchesBool(t *testing.T) {
+	gen := New(53)
+	for i := uint64(0); i < 5000; i++ {
+		v := float64(New(i).Uint64()>>11) / (1 << 53)
+		for _, p := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, 1), gen.Float64()} {
+			if p <= 0 || p >= 1 {
+				continue
+			}
+			got := New(i).Uint64()>>11 < ProbThreshold(p)
+			if want := New(i).Bool(p); got != want {
+				t.Fatalf("seed %d p=%v: threshold compare %v, Bool %v", i, p, got, want)
+			}
+		}
+	}
+}
+
 func TestBitBalance(t *testing.T) {
 	r := New(13)
 	const trials = 100000
