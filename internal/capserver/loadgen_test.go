@@ -75,7 +75,7 @@ func TestRunLoadMixedWorkload(t *testing.T) {
 
 // TestBenchCacheSpeedup is the acceptance gate in miniature: cached
 // /v1/bounds requests must be at least 10x faster at the median than
-// cold computations of the same points. exact_n=8 costs ~50ms cold
+// cold computations of the same points. exact_n=8 costs ~10ms cold
 // while hits are typically tens of microseconds, so the margin is wide.
 func TestBenchCacheSpeedup(t *testing.T) {
 	if testing.Short() {

@@ -179,9 +179,9 @@ func TestExperimentsRunAndCatalog(t *testing.T) {
 func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	const clients = 24
-	// exact_n=8 keeps the computation slow enough (~50ms) that every
+	// exact_n=9 keeps the computation slow enough (~50ms) that every
 	// client arrives while it is in flight or freshly cached.
-	const path = "/v1/bounds?n=6&pd=0.2&pi=0.05&exact_n=8"
+	const path = "/v1/bounds?n=6&pd=0.2&pi=0.05&exact_n=9"
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -258,7 +258,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 			defer wg.Done()
 			// Distinct pd per client: no two requests share a cache
 			// line or a flight, so each needs its own pool slot.
-			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=8", 10+i)
+			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=9", 10+i)
 			status, hdr, _ := get(t, ts.URL, path)
 			mu.Lock()
 			counts[status]++
@@ -310,7 +310,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(base + "/v1/bounds?n=6&pd=0.15&exact_n=9")
+		resp, err := http.Get(base + "/v1/bounds?n=6&pd=0.15&exact_n=10")
 		if err != nil {
 			inflight <- result{err: err}
 			return
@@ -319,8 +319,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		body, err := io.ReadAll(resp.Body)
 		inflight <- result{status: resp.StatusCode, body: body, err: err}
 	}()
-	// Let the request reach the server before shutting down (~exact_n=9
-	// computes for ~100ms+, so it is still in flight).
+	// Let the request reach the server before shutting down (exact_n=10
+	// computes for ~200ms, so it is still in flight).
 	time.Sleep(30 * time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
