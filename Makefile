@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-json bench-cluster bench-sessions bench-alerts
+.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-json bench-sessions bench-alerts
 
 ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke
 
@@ -41,14 +41,15 @@ fuzz-smoke:
 # One iteration of the serial/parallel batch benchmarks, as a smoke
 # test that the benchmark harness itself still runs; then a smoke run of
 # the kernel trajectory tool, validating both its fresh output and the
-# committed BENCH_kernels.json parse with the expected metric keys.
+# committed BENCH_kernels.json parse with the expected metric keys; and
+# the bench/ module, a separate Go module that `./...` never builds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/kernelbench -smoke -out "$$tmp" && \
 	$(GO) run ./cmd/kernelbench -check "$$tmp" && \
 	$(GO) run ./cmd/kernelbench -check BENCH_kernels.json
-	$(GO) run ./cmd/capload -mode cluster-check BENCH_cluster.json
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/sessload -mode run -sessions 400 -seed 7 -bench-out "$$tmp" -assert && \
 	$(GO) run ./cmd/sessload -mode check -min-sessions 400 "$$tmp" && \
@@ -135,14 +136,6 @@ bench:
 # their retained reference implementations.
 bench-json:
 	$(GO) run ./cmd/kernelbench -out BENCH_kernels.json
-
-# Full cluster fault run: rewrites BENCH_cluster.json, the committed
-# record of the 3-node kill/restart harness (routing counters, oracle
-# byte identity, post-restart convergence).
-bench-cluster:
-	$(GO) run ./cmd/capload -mode cluster -cluster n1,n2,n3 \
-		-requests 240 -unique 12 -exact-n 8 -assert \
-		-bench-out BENCH_cluster.json
 
 # Full session load run: rewrites BENCH_sessions.json, the committed
 # record of the 10^5-concurrent-session acceptance run (throughput,

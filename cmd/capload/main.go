@@ -14,8 +14,7 @@
 //	capload -addr http://127.0.0.1:8080 -mode load -requests 2000 -c 16
 //
 //	capload -mode cluster -cluster n1,n2,n3 \
-//	        -kill-after 60 -restart-after 130 -assert \
-//	        -bench-out BENCH_cluster.json
+//	        -kill-after 60 -restart-after 130 -assert
 //	                                     # stand up an in-process
 //	                                     # 3-node cluster over a shared
 //	                                     # result store, kill and
@@ -23,9 +22,6 @@
 //	                                     # assert byte identity vs a
 //	                                     # single-node oracle and
 //	                                     # post-restart convergence
-//	capload -mode cluster-check BENCH_cluster.json
-//	                                     # validate a committed
-//	                                     # trajectory file
 //	capload -mode cluster -cluster n1,n2,n3 -trace-dir /tmp/run -assert
 //	                                     # same fault run with request
 //	                                     # tracing on: per-node span
@@ -89,7 +85,6 @@ func run(args []string, out *os.File) error {
 		killNode    = fs.String("kill-node", "", "cluster mode: member to kill (default: middle of sorted names)")
 		hedge       = fs.Duration("hedge", 0, "cluster mode: hedge delay (0 = 5ms, negative = no hedging)")
 		storeDir    = fs.String("store", "", "cluster mode: shared result-store directory (default: fresh temp dir)")
-		benchOut    = fs.String("bench-out", "", "cluster mode: write a BENCH_cluster.json trajectory here")
 		assert      = fs.Bool("assert", false, "cluster mode: fail on any harness assertion (byte identity, convergence, fault counters)")
 		trace       = fs.Bool("trace", false, "cluster mode: trace every request and reconcile spans against routing counters")
 		traceDir    = fs.String("trace-dir", "", "cluster mode: write per-node trace JSONL and counters.json here for capstat (implies -trace)")
@@ -100,38 +95,23 @@ func run(args []string, out *os.File) error {
 
 	switch *mode {
 	case "cluster":
-		return runCluster(clusterOptions{
-			names:        strings.Split(*clusterFlag, ","),
-			requests:     *requests,
-			seed:         *seed,
-			unique:       *unique,
-			exactN:       *exactN,
-			killAfter:    *killAfter,
-			restartAfter: *restart,
-			killNode:     *killNode,
-			hedge:        *hedge,
-			storeDir:     *storeDir,
-			workers:      *workers,
-			queue:        *queue,
-			cacheSz:      *cacheSz,
-			benchOut:     *benchOut,
-			assert:       *assert,
-			trace:        *trace,
-			traceDir:     *traceDir,
-		}, out)
-	case "cluster-check":
-		path := *benchOut
-		if fs.NArg() > 0 {
-			path = fs.Arg(0)
-		}
-		if path == "" {
-			return fmt.Errorf("cluster-check needs a trajectory file (positional or -bench-out)")
-		}
-		if err := cluster.CheckTrajectory(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "cluster-check: %s ok\n", path)
-		return nil
+		return runCluster(*clusterFlag, cluster.HarnessOptions{
+			Requests:     *requests,
+			Seed:         *seed,
+			Unique:       *unique,
+			ExactN:       *exactN,
+			KillNode:     *killNode,
+			KillAfter:    *killAfter,
+			RestartAfter: *restart,
+			HedgeDelay:   *hedge,
+			StoreDir:     *storeDir,
+			Workers:      *workers,
+			QueueDepth:   *queue,
+			CacheEntries: *cacheSz,
+			Trace:        *trace,
+			TraceDir:     *traceDir,
+			Out:          out,
+		}, *assert, out)
 	}
 
 	base := strings.TrimRight(*addr, "/")
@@ -139,18 +119,22 @@ func run(args []string, out *os.File) error {
 		if base != "" {
 			return fmt.Errorf("-selfhost and -addr are mutually exclusive")
 		}
-		srv := capserver.New(capserver.Config{Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheSz})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
-		go func() { _ = srv.Serve(l) }()
+		p, err := cluster.StartProc(l, cluster.ProcConfig{
+			Server: capserver.Config{Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheSz},
+		})
+		if err != nil {
+			return err
+		}
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			_ = srv.Shutdown(ctx)
+			_ = p.Shutdown(ctx)
 		}()
-		base = "http://" + l.Addr().String()
+		base = p.URL()
 		fmt.Fprintf(out, "selfhost server on %s\n", base)
 	}
 	if base == "" {
@@ -194,73 +178,27 @@ func run(args []string, out *os.File) error {
 		report.Format(out)
 		return nil
 	default:
-		return fmt.Errorf("unknown mode %q (want load, smoke, bench-cache, cluster or cluster-check)", *mode)
+		return fmt.Errorf("unknown mode %q (want load, smoke, bench-cache or cluster)", *mode)
 	}
 }
 
-// clusterOptions carries the cluster-mode flag values.
-type clusterOptions struct {
-	names                   []string
-	requests                int
-	seed                    uint64
-	unique, exactN          int
-	killAfter, restartAfter int
-	killNode                string
-	hedge                   time.Duration
-	storeDir                string
-	workers, queue, cacheSz int
-	benchOut                string
-	assert                  bool
-	trace                   bool
-	traceDir                string
-}
-
-// runCluster drives the multi-node fault harness and optionally writes
-// the trajectory file.
-func runCluster(o clusterOptions, out *os.File) error {
-	names := make([]string, 0, len(o.names))
-	for _, n := range o.names {
+// runCluster drives the multi-node fault harness over the
+// comma-separated member names.
+func runCluster(members string, o cluster.HarnessOptions, assert bool, out *os.File) error {
+	for _, n := range strings.Split(members, ",") {
 		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
+			o.Nodes = append(o.Nodes, n)
 		}
 	}
-	if len(names) < 2 {
-		return fmt.Errorf("-cluster %q names fewer than 2 members", strings.Join(o.names, ","))
+	if len(o.Nodes) < 2 {
+		return fmt.Errorf("-cluster %q names fewer than 2 members", members)
 	}
-	ho := cluster.HarnessOptions{
-		Nodes:        names,
-		Requests:     o.requests,
-		Seed:         o.seed,
-		Unique:       o.unique,
-		ExactN:       o.exactN,
-		KillNode:     o.killNode,
-		KillAfter:    o.killAfter,
-		RestartAfter: o.restartAfter,
-		HedgeDelay:   o.hedge,
-		StoreDir:     o.storeDir,
-		Workers:      o.workers,
-		QueueDepth:   o.queue,
-		CacheEntries: o.cacheSz,
-		Trace:        o.trace,
-		TraceDir:     o.traceDir,
-		Out:          out,
-	}
-	rep, err := cluster.RunHarness(ho)
+	rep, err := cluster.RunHarness(o)
 	if err != nil {
 		return err
 	}
 	rep.Format(out)
-	if o.benchOut != "" {
-		mode := "full"
-		if o.requests < 200 {
-			mode = "smoke"
-		}
-		if err := cluster.WriteTrajectory(o.benchOut, cluster.BuildTrajectory(mode, ho, rep)); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", o.benchOut)
-	}
-	if o.assert {
+	if assert {
 		if err := rep.Assert(); err != nil {
 			return err
 		}

@@ -86,13 +86,12 @@ func TestClusterModeKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fault harness")
 	}
-	bench := t.TempDir() + "/BENCH_cluster.json"
 	out, err := captureOut(t, func(f *os.File) error {
 		return run([]string{
 			"-mode", "cluster", "-cluster", "n1,n2,n3",
 			"-requests", "90", "-unique", "8", "-exact-n", "8",
 			"-kill-after", "30", "-restart-after", "60",
-			"-store", t.TempDir(), "-bench-out", bench, "-assert",
+			"-store", t.TempDir(), "-assert",
 		}, f)
 	})
 	if err != nil {
@@ -100,22 +99,11 @@ func TestClusterModeKillRestart(t *testing.T) {
 	}
 	for _, want := range []string{
 		"killed n2", "restarted n2", "0 mismatches",
-		"convergence:", "cluster-assert:", "wrote " + bench,
+		"convergence:", "cluster-assert:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster output missing %q:\n%s", want, out)
 		}
-	}
-
-	// The file the run just wrote passes cluster-check.
-	out, err = captureOut(t, func(f *os.File) error {
-		return run([]string{"-mode", "cluster-check", bench}, f)
-	})
-	if err != nil {
-		t.Fatalf("cluster-check: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "ok") {
-		t.Errorf("cluster-check output: %s", out)
 	}
 }
 
@@ -125,8 +113,6 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"-mode", "cluster", "-kill-node", "ghost"}, // unknown kill target
 		{"-mode", "cluster", "-kill-after", "50", // restart before kill
 			"-restart-after", "10"},
-		{"-mode", "cluster-check"},                            // no file
-		{"-mode", "cluster-check", "/nonexistent/bench.json"}, // missing file
 	}
 	for _, args := range cases {
 		if _, err := captureOut(t, func(f *os.File) error { return run(args, f) }); err == nil {

@@ -28,11 +28,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,7 +38,6 @@ import (
 
 	"repro/internal/capserver"
 	"repro/internal/cluster"
-	"repro/internal/cluster/casstore"
 	"repro/internal/health"
 	"repro/internal/obs"
 )
@@ -125,36 +122,26 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		fmt.Fprintf(logw, "capserverd: %d alert rules from %s\n", len(rules), *healthRules)
 	}
 
-	reg := obs.NewRegistry()
-	cfg := capserver.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cache,
-		RequestTimeout: *timeout,
-		MaxSymbols:     *maxSym,
-		Metrics:        reg,
+	cfg := cluster.ProcConfig{
+		Server: capserver.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			CacheEntries:   *cache,
+			RequestTimeout: *timeout,
+			MaxSymbols:     *maxSym,
 
-		SessionTTL:      *sessTTL,
-		MaxSessions:     *maxSess,
-		MaxSessionBatch: *sessBat,
+			SessionTTL:      *sessTTL,
+			MaxSessions:     *maxSess,
+			MaxSessionBatch: *sessBat,
 
-		HealthTick:      *healthTick,
-		HealthRules:     rules,
-		HealthRetention: *healthKeep,
+			HealthTick:      *healthTick,
+			HealthRules:     rules,
+			HealthRetention: *healthKeep,
+		},
+		StoreDir: *storeDir,
 	}
-	if *storeDir != "" {
-		st, err := casstore.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		cfg.Store = st
-		fmt.Fprintf(logw, "capserverd: result store at %s\n", st.Dir())
-	}
-	srv := capserver.New(cfg)
-
-	// In cluster mode an outer http.Server carries the node router in
-	// front of the capserver mux; standalone, capserver serves itself.
-	handler := srv.Handler()
+	// In cluster mode the node router sits in front of the capserver
+	// mux; standalone, capserver serves itself.
 	if *clusterFlag != "" {
 		mem, err := cluster.ParseMembership(*clusterFlag)
 		if err != nil {
@@ -171,57 +158,44 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			defer tracer.Close()
 			fmt.Fprintf(logw, "capserverd: tracing requests to %s (seed %d)\n", *traceFile, *traceSeed)
 		}
-		node, err := cluster.NewNode(srv, cluster.Config{
+		cfg.Cluster = cluster.Config{
 			Self:         *self,
 			Membership:   mem,
 			VirtualNodes: *vnodes,
 			HedgeDelay:   *hedgeDelay,
 			PeerAttempts: *peerRetries,
 			PeerBackoff:  *peerBackoff,
-			Metrics:      cluster.NewMetrics(reg),
 			Tracer:       tracer,
 			TraceSeed:    *traceSeed,
-		})
-		if err != nil {
-			return err
 		}
-		handler = node.Handler()
-		fmt.Fprintf(logw, "capserverd: cluster member %s of %v\n", *self, mem.Names())
 	}
-	outer := &http.Server{Handler: handler}
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
+	}
+	p, err := cluster.StartProc(l, cfg)
+	if err != nil {
+		return err
+	}
+	if p.Store != nil {
+		fmt.Fprintf(logw, "capserverd: result store at %s\n", p.Store.Dir())
+	}
+	if p.Node != nil {
+		fmt.Fprintf(logw, "capserverd: cluster member %s of %v\n", *self, cfg.Cluster.Membership.Names())
 	}
 	fmt.Fprintf(logw, "capserverd: listening on http://%s\n", l.Addr())
 	if onListen != nil {
 		onListen(l.Addr())
 	}
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- outer.Serve(l) }()
+	// A Serve failure before the signal ends the run with its error.
 	select {
-	case err := <-serveErr:
-		return err
+	case <-p.Done():
 	case <-ctx.Done():
+		fmt.Fprintf(logw, "capserverd: shutting down (draining up to %v)\n", *drain)
 	}
-	fmt.Fprintf(logw, "capserverd: shutting down (draining up to %v)\n", *drain)
-	// Drain order: flip readiness first so balancers stop sending,
-	// then drain the outer listener's in-flight requests, then the
-	// worker pool (srv.Shutdown also closes capserver's own unserved
-	// http server, a no-op here).
-	srv.StartDrain()
 	sctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if err := outer.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return p.Shutdown(sctx)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -9,40 +8,26 @@ import (
 
 	"repro/internal/capserver"
 	"repro/internal/cluster"
-	"repro/internal/obs"
 )
 
 // TestWatchOnce renders one page against a real single-member cluster
 // and checks the deterministic parts of the layout.
 func TestWatchOnce(t *testing.T) {
-	// Listener first: the member's own URL appears in the membership, so
-	// the address must exist before the node does.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + l.Addr().String()
-
-	reg := obs.NewRegistry()
-	srv := capserver.New(capserver.Config{Workers: 2, QueueDepth: 16, Metrics: reg, SessionSweep: -1})
-	node, err := cluster.NewNode(srv, cluster.Config{
-		Membership: cluster.Membership{Members: []cluster.Member{{Name: "solo", URL: base}}},
-		Self:       "solo",
-		Metrics:    cluster.NewMetrics(reg),
+	tb, err := cluster.StartTestbed([]string{"solo"}, func(string, int) cluster.ProcConfig {
+		return cluster.ProcConfig{Server: capserver.Config{Workers: 2, QueueDepth: 16, SessionSweep: -1}}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: node.Handler()}
-	go func() { _ = hs.Serve(l) }()
-	defer hs.Close()
+	defer tb.Close()
+	base := tb.URL("solo")
 
 	if resp, err := http.Get(base + "/v1/bounds?n=4&pd=0.2&pi=0.1"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
 	}
-	srv.TickHealth()
+	tb.Proc("solo").Server.TickHealth()
 
 	var b strings.Builder
 	if err := run([]string{"-target", base, "-once"}, &b); err != nil {

@@ -19,10 +19,10 @@
 //     bounded deterministic retry/backoff on node loss, and graceful
 //     degradation to local compute (with an X-Capserver-Degraded
 //     response header) when the owning shard is unreachable;
-//   - Harness: the multi-node kill/restart fault harness behind
-//     `capload -mode cluster`, asserting byte-identical responses
-//     against a single-node oracle and cache-hit convergence after
-//     recovery.
+//   - StartProc and Testbed: the one member constructor, shared with
+//     cmd/capserverd, and the in-process kill/restart cluster that the
+//     compute-oracle, session-drain and alert-timeline fault harnesses
+//     run on as workloads.
 //
 // Everything that decides placement or retry timing is deterministic:
 // the ring hashes only static names, the hedge delay and backoff

@@ -3,14 +3,12 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/capserver"
-	"repro/internal/obs"
 )
 
 // Exposition lint: one full node's /metrics page — serving core,
@@ -167,18 +165,14 @@ func checkEscapes(s string, labelValue bool) error {
 }
 
 func TestExpositionLintFullNode(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv := capserver.New(capserver.Config{Metrics: reg, SessionSweep: -1})
-	node, err := NewNode(srv, Config{
-		Membership: Membership{Members: []Member{{Name: "n1", URL: "http://unused"}}},
-		Self:       "n1",
-		Metrics:    NewMetrics(reg),
+	tb, err := StartTestbed([]string{"n1"}, func(string, int) ProcConfig {
+		return ProcConfig{Server: capserver.Config{SessionSweep: -1}}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(node.Handler())
-	defer ts.Close()
+	defer tb.Close()
+	p := tb.Proc("n1")
 
 	// Materialize labeled families across all three subsystems: serving
 	// counters and latency, session stream stats, alert state.
@@ -187,23 +181,23 @@ func TestExpositionLintFullNode(t *testing.T) {
 		"/v1/exact?n=4&pd=0.2&pi=0.1",
 		"/v1/nosuch",
 	} {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(p.URL() + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Post(ts.URL+"/v1/sessions/lint-a/events", "application/x-ndjson",
+	resp, err := http.Post(p.URL()+"/v1/sessions/lint-a/events", "application/x-ndjson",
 		strings.NewReader(`{"u":1,"k":"T","s":1,"r":1}`+"\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	srv.TickHealth()
+	p.Server.TickHealth()
 	// A family with hostile label values must still render lintably.
-	reg.CounterVec("lint_hostile_total", "path").With("C:\\tmp\n\"q\",x=").Inc()
+	p.Node.Metrics().Registry().CounterVec("lint_hostile_total", "path").With("C:\\tmp\n\"q\",x=").Inc()
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(p.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

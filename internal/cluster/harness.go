@@ -15,18 +15,16 @@ import (
 	"time"
 
 	"repro/internal/capserver"
-	"repro/internal/cluster/casstore"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
 // This file is the multi-node fault harness behind `capload -mode
-// cluster` and `make cluster-smoke`: it stands up an N-node cluster of
-// real capserver processes-in-miniature (each with its own listener,
-// LRU, worker pool and cluster router, all sharing one casstore
-// directory), replays a seeded workload against it while killing and
-// restarting a node mid-run, and checks the two properties the cluster
-// design promises:
+// cluster` and `make cluster-smoke`: it boots an N-node Testbed (every
+// member wired by StartProc, as capserverd wires one, all sharing one
+// casstore directory), replays a seeded workload against it while
+// killing and restarting a node mid-run, and checks the two properties
+// the cluster design promises:
 //
 //   - byte identity: every response body equals what a single plain
 //     capserver (the oracle) produces for the same path, regardless of
@@ -69,17 +67,15 @@ type HarnessOptions struct {
 	// HedgeDelay for every node (default 5ms: far below a cold exact
 	// compute, so forwarded cold computes always hedge — but above the
 	// primary's full retry budget against a dead peer (sub-ms refusals
-	// plus PeerBackoff), so a dead owner deterministically degrades to
-	// local compute instead of being absorbed by the hedge). Negative
-	// disables hedging.
+	// plus the 1ms peer backoff), so a dead owner deterministically
+	// degrades to local compute instead of being absorbed by the
+	// hedge). Negative disables hedging.
 	HedgeDelay time.Duration
-	// PeerBackoff for every node (default 1ms; see HedgeDelay).
-	PeerBackoff time.Duration
 	// StoreDir is the shared result-store directory (default: a fresh
 	// temp directory, removed when the run ends).
 	StoreDir string
 	// Workers, QueueDepth, CacheEntries configure each node's
-	// capserver (defaults: 2, 64, 1024).
+	// capserver (defaults: 2, then capserver's 64 and 1024).
 	Workers, QueueDepth, CacheEntries int
 	// Trace turns on request tracing: every incarnation gets its own
 	// tracer (seeded with its generation number, so a restart cannot
@@ -110,26 +106,11 @@ func (o HarnessOptions) withDefaults() HarnessOptions {
 	if o.ExactN == 0 {
 		o.ExactN = 8
 	}
-	if o.KillAfter == 0 {
-		o.KillAfter = o.Requests / 3
-	}
-	if o.RestartAfter == 0 {
-		o.RestartAfter = 2 * o.Requests / 3
-	}
 	if o.HedgeDelay == 0 {
 		o.HedgeDelay = 5 * time.Millisecond
 	}
-	if o.PeerBackoff <= 0 {
-		o.PeerBackoff = time.Millisecond
-	}
 	if o.Workers <= 0 {
 		o.Workers = 2
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 1024
 	}
 	if o.TraceDir != "" {
 		o.Trace = true
@@ -191,14 +172,6 @@ type HarnessReport struct {
 	Wall         time.Duration `json:"-"`
 }
 
-// Throughput returns requests per second over the run.
-func (r *HarnessReport) Throughput() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Requests) / r.Wall.Seconds()
-}
-
 // Totals sums the per-node counters.
 func (r *HarnessReport) Totals() NodeCounters {
 	t := NodeCounters{Name: "total"}
@@ -226,8 +199,8 @@ func (r *HarnessReport) CountersByName() map[string]NodeCounters {
 
 // Format renders the report for humans.
 func (r *HarnessReport) Format(w io.Writer) {
-	fmt.Fprintf(w, "requests:   %d in %v (%.1f req/s), %d failovers, %d mismatches\n",
-		r.Requests, r.Wall.Round(time.Millisecond), r.Throughput(), r.Failovers, r.Mismatches)
+	fmt.Fprintf(w, "requests:   %d in %v, %d failovers, %d mismatches\n",
+		r.Requests, r.Wall.Round(time.Millisecond), r.Failovers, r.Mismatches)
 	codes := make([]int, 0, len(r.Status))
 	for c := range r.Status {
 		codes = append(codes, c)
@@ -311,34 +284,19 @@ func (r *HarnessReport) Assert() error {
 	return nil
 }
 
-// incarnation is the observable state of one member generation: its
-// routing counters and, on traced runs, its tracer and span buffer. A
-// killed-and-restarted member has two; the report sums and merges all
-// of them.
-type incarnation struct {
-	metrics *Metrics
-	tracer  *obs.Tracer
-	buf     *bytes.Buffer
+// traceBuf is one incarnation's tracer and the buffer it writes to.
+type traceBuf struct {
+	tracer *obs.Tracer
+	buf    *bytes.Buffer
 }
 
-// proc is one running node incarnation.
-type proc struct {
-	name  string
-	addr  string
-	lis   net.Listener
-	hsrv  *http.Server
-	srv   *capserver.Server
-	node  *Node
-	store *casstore.Store
-	dead  bool
-}
+// peerBackoff is every harness member's retry backoff base (see
+// HarnessOptions.HedgeDelay).
+const peerBackoff = time.Millisecond
 
 // RunHarness executes a cluster fault-harness run.
 func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	o = o.withDefaults()
-	if o.KillAfter >= 0 && o.RestartAfter >= 0 && o.RestartAfter <= o.KillAfter {
-		return nil, fmt.Errorf("cluster: -restart-after (%d) must exceed -kill-after (%d)", o.RestartAfter, o.KillAfter)
-	}
 	storeDir := o.StoreDir
 	if storeDir == "" {
 		dir, err := os.MkdirTemp("", "capcluster-*")
@@ -348,112 +306,62 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		defer os.RemoveAll(dir)
 		storeDir = dir
 	}
-
-	// Bind every listener first: the membership needs real addresses
-	// before any node can route.
-	sortedNames := append([]string(nil), o.Nodes...)
-	sort.Strings(sortedNames)
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(sortedNames))
-	for _, name := range sortedNames {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer l.Close() // no-op once a server owns it
-		listeners[name] = l
-		mem.Members = append(mem.Members, Member{Name: name, URL: "http://" + l.Addr().String()})
-	}
-
 	srvCfg := capserver.Config{
 		Workers:      o.Workers,
 		QueueDepth:   o.QueueDepth,
 		CacheEntries: o.CacheEntries,
 	}
-	nodeCfg := Config{
-		Membership:  mem,
-		HedgeDelay:  o.HedgeDelay,
-		PeerBackoff: o.PeerBackoff,
-		PeerTimeout: 30 * time.Second,
-	}
-
-	// incarnations collects every generation of every member — current
-	// and replaced — so the report sums a member's whole history.
-	incarnations := make(map[string][]*incarnation)
-	startNode := func(name string, l net.Listener) (*proc, error) {
-		st, err := casstore.Open(storeDir)
-		if err != nil {
-			return nil, err
-		}
-		cfg := srvCfg
-		cfg.Store = st
-		srv := capserver.New(cfg)
-		ncfg := nodeCfg
-		ncfg.Self = name
-		ncfg.Metrics = nil // fresh counters per incarnation
-		inc := &incarnation{}
-		if o.Trace {
-			// The generation number seeds the incarnation's trace IDs: a
-			// restart resets the per-node sequence, and a distinct seed is
-			// what keeps the new incarnation's IDs disjoint from the old.
-			inc.buf = &bytes.Buffer{}
-			inc.tracer = obs.NewTracer(inc.buf)
-			ncfg.Tracer = inc.tracer
-			ncfg.TraceSeed = uint64(len(incarnations[name]) + 1)
-		}
-		node, err := NewNode(srv, ncfg)
-		if err != nil {
-			return nil, err
-		}
-		inc.metrics = node.Metrics()
-		incarnations[name] = append(incarnations[name], inc)
-		p := &proc{
-			name:  name,
-			addr:  l.Addr().String(),
-			lis:   l,
-			hsrv:  &http.Server{Handler: node.Handler()},
-			srv:   srv,
-			node:  node,
-			store: st,
-		}
-		go func() { _ = p.hsrv.Serve(l) }()
-		return p, nil
-	}
-
-	procs := make(map[string]*proc, len(sortedNames))
-	for _, name := range sortedNames {
-		p, err := startNode(name, listeners[name])
-		if err != nil {
-			return nil, err
-		}
-		procs[name] = p
-	}
-	defer func() {
-		for _, p := range procs {
-			if !p.dead {
-				_ = p.hsrv.Close()
-			}
-		}
-	}()
 
 	// The oracle: one plain capserver, no cluster, no store. Its
 	// bodies are the ground truth every cluster response must match.
-	oracleSrv := capserver.New(srvCfg)
+	// Started first so it shuts down after the testbed has closed the
+	// client side's idle connections.
 	oracleLis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = oracleSrv.Serve(oracleLis) }()
-	defer func() { _ = oracleLis.Close() }()
-	oracleBase := "http://" + oracleLis.Addr().String()
+	oracle, err := StartProc(oracleLis, ProcConfig{Server: srvCfg})
+	if err != nil {
+		return nil, err
+	}
+	defer oracle.Shutdown(context.Background())
 
-	client := &http.Client{Timeout: 60 * time.Second}
+	// traces holds every incarnation's span buffer, in incarnation
+	// order, so the report merges a member's whole history.
+	traces := make(map[string][]traceBuf)
+	tb, err := StartTestbed(o.Nodes, func(name string, incarnation int) ProcConfig {
+		cfg := ProcConfig{
+			Server:   srvCfg,
+			StoreDir: storeDir,
+			Cluster:  Config{HedgeDelay: o.HedgeDelay, PeerBackoff: peerBackoff},
+		}
+		if o.Trace {
+			// The incarnation number seeds its trace IDs: a restart
+			// resets the per-node sequence, and a distinct seed is what
+			// keeps the new incarnation's IDs disjoint from the old.
+			t := traceBuf{buf: &bytes.Buffer{}}
+			t.tracer = obs.NewTracer(t.buf)
+			traces[name] = append(traces[name], t)
+			cfg.Cluster.Tracer = t.tracer
+			cfg.Cluster.TraceSeed = uint64(incarnation + 1)
+		}
+		return cfg
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer tb.Close()
+	fault, err := Fault{Node: o.KillNode, KillAt: o.KillAfter, RestartAt: o.RestartAfter}.resolve(tb.Names, o.Requests)
+	if err != nil {
+		return nil, err
+	}
+
 	oracleBodies := make(map[string][]byte)
 	oracleBody := func(path string) ([]byte, error) {
 		if b, ok := oracleBodies[path]; ok {
 			return b, nil
 		}
-		resp, err := client.Get(oracleBase + path)
+		resp, err := tb.Client.Get(oracle.URL() + path)
 		if err != nil {
 			return nil, fmt.Errorf("oracle %s: %v", path, err)
 		}
@@ -476,14 +384,6 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		ExactN:   o.ExactN,
 	})
 
-	killName := o.KillNode
-	if killName == "" {
-		killName = sortedNames[len(sortedNames)/2]
-	}
-	if _, ok := procs[killName]; !ok {
-		return nil, fmt.Errorf("cluster: kill node %q is not a member", killName)
-	}
-
 	report := &HarnessReport{Requests: len(plan), Status: make(map[int]int)}
 	dispatch := rng.NewStream(o.Seed, 0xd15)
 	var servedPaths []string
@@ -491,45 +391,24 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 
 	start := time.Now()
 	for i, req := range plan {
-		if o.KillAfter >= 0 && i == o.KillAfter {
-			p := procs[killName]
-			_ = p.hsrv.Close()
-			p.dead = true
-			report.Killed = killName
-			fmt.Fprintf(o.Out, "request %d: killed %s (%s)\n", i, killName, p.addr)
+		if fault.killsAt(i) {
+			tb.Kill(fault.Node)
+			report.Killed = fault.Node
+			fmt.Fprintf(o.Out, "request %d: killed %s (%s)\n", i, fault.Node, tb.Proc(fault.Node).Addr)
 		}
-		if o.KillAfter >= 0 && o.RestartAfter >= 0 && i == o.RestartAfter {
-			old := procs[killName]
-			l, err := net.Listen("tcp", old.addr)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: restart %s on %s: %v", killName, old.addr, err)
-			}
-			p, err := startNode(killName, l)
-			if err != nil {
+		if fault.restartsAt(i) {
+			if err := tb.Restart(fault.Node); err != nil {
 				return nil, err
 			}
-			procs[killName] = p
 			report.Restarted = true
-			fmt.Fprintf(o.Out, "request %d: restarted %s (%s) cold over the shared store\n", i, killName, p.addr)
+			fmt.Fprintf(o.Out, "request %d: restarted %s (%s) cold over the shared store\n", i, fault.Node, tb.Proc(fault.Node).Addr)
 		}
 
-		// Client-side dispatch: a seeded pick over all members, with
-		// failover rotation on transport errors (the client does not
-		// know which node is dead — it discovers it).
-		pick := dispatch.Intn(len(sortedNames))
-		var resp *http.Response
-		var lastErr error
-		for attempt := 0; attempt < len(sortedNames); attempt++ {
-			p := procs[sortedNames[(pick+attempt)%len(sortedNames)]]
-			resp, lastErr = client.Get("http://" + p.addr + req.Path)
-			if lastErr == nil {
-				break
-			}
-			report.Failovers++
-		}
-		if lastErr != nil {
+		resp, failovers, err := tb.Send(dispatch, http.MethodGet, req.Path, nil)
+		report.Failovers += failovers
+		if err != nil {
 			report.Mismatches++
-			fmt.Fprintf(o.Out, "request %d: every node refused %s: %v\n", i, req.Path, lastErr)
+			fmt.Fprintf(o.Out, "request %d: every node refused %s: %v\n", i, req.Path, err)
 			continue
 		}
 		body, err := io.ReadAll(resp.Body)
@@ -568,15 +447,14 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	// it cannot forward), must serve every path the run computed from
 	// its LRU or the shared store — never by recomputing.
 	if report.Restarted {
-		p := procs[killName]
 		report.Convergence.Paths = len(servedPaths)
 		for _, path := range servedPaths {
-			hreq, err := http.NewRequest(http.MethodGet, "http://"+p.addr+path, nil)
+			hreq, err := http.NewRequest(http.MethodGet, tb.URL(fault.Node)+path, nil)
 			if err != nil {
 				return nil, err
 			}
 			hreq.Header.Set(ForwardedHeader, "harness")
-			resp, err := client.Do(hreq)
+			resp, err := tb.Client.Do(hreq)
 			if err != nil {
 				report.Convergence.Errors++
 				continue
@@ -598,31 +476,26 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		}
 	}
 
-	// On traced runs, quiesce before reading counters and spans: a
-	// hedge loser or backoff-waiting retry goroutine can increment its
-	// counter and emit its span microseconds after the client already
-	// has the response, and reconciliation demands both sides of every
-	// such pair land in the snapshot. The settle bounds those
-	// stragglers (their contexts are canceled; backoffs are
-	// milliseconds), and the graceful shutdown then drains every
+	// Quiesce before reading counters and spans: a hedge loser or
+	// backoff-waiting retry goroutine can increment its counter and
+	// emit its span microseconds after the client already has the
+	// response, and trace reconciliation demands both sides of every
+	// such pair land in the snapshot. On traced runs the settle bounds
+	// those stragglers (their contexts are canceled; backoffs are
+	// milliseconds); the graceful shutdown then drains every
 	// still-running handler so nothing races the collection.
 	if o.Trace {
 		time.Sleep(300 * time.Millisecond)
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		for _, name := range sortedNames {
-			if p := procs[name]; !p.dead {
-				_ = p.hsrv.Shutdown(sctx)
-				p.dead = true
-			}
-		}
-		cancel()
+	}
+	if err := tb.Close(); err != nil {
+		return nil, err
 	}
 
 	// Per-member counters across every incarnation.
-	for _, name := range sortedNames {
+	for _, name := range tb.Names {
 		c := NodeCounters{Name: name}
-		for _, inc := range incarnations[name] {
-			m := inc.metrics
+		for _, p := range tb.Incarnations(name) {
+			m := p.Node.Metrics()
 			c.OwnedLocal += m.OwnedLocal()
 			c.Forwards += m.Forwards()
 			c.Hedges += m.Hedges()
@@ -638,18 +511,18 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	// Merge each member's incarnation traces, analyze, and reconcile
 	// against the counters just read.
 	if o.Trace {
-		traces := make(map[string][]byte, len(sortedNames))
+		merged := make(map[string][]byte, len(tb.Names))
 		var allSpans []obs.ReqSpan
-		for _, name := range sortedNames {
-			var merged bytes.Buffer
-			for _, inc := range incarnations[name] {
-				if err := inc.tracer.Flush(); err != nil {
+		for _, name := range tb.Names {
+			var buf bytes.Buffer
+			for _, t := range traces[name] {
+				if err := t.tracer.Flush(); err != nil {
 					return nil, fmt.Errorf("cluster: flushing %s trace: %v", name, err)
 				}
-				merged.Write(inc.buf.Bytes())
+				buf.Write(t.buf.Bytes())
 			}
-			traces[name] = append([]byte(nil), merged.Bytes()...)
-			spans, err := obs.ReadReqSpans(&merged)
+			merged[name] = append([]byte(nil), buf.Bytes()...)
+			spans, err := obs.ReadReqSpans(&buf)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: parsing %s trace: %v", name, err)
 			}
@@ -659,17 +532,15 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		report.Trace = &check
 		report.TraceMismatches = check.Reconcile(report.CountersByName())
 		if o.TraceDir != "" {
-			if err := writeTraceDir(o.TraceDir, traces, report.CountersByName()); err != nil {
+			if err := writeTraceDir(o.TraceDir, merged, report.CountersByName()); err != nil {
 				return nil, err
 			}
-			fmt.Fprintf(o.Out, "trace: wrote %d per-node files and counters.json to %s\n", len(traces), o.TraceDir)
+			fmt.Fprintf(o.Out, "trace: wrote %d per-node files and counters.json to %s\n", len(merged), o.TraceDir)
 		}
 	}
 
-	if st, err := casstore.Open(storeDir); err == nil {
-		if n, err := st.Len(); err == nil {
-			report.StoreEntries = n
-		}
+	if n, err := tb.Proc(tb.Names[0]).Store.Len(); err == nil {
+		report.StoreEntries = n
 	}
 	return report, nil
 }

@@ -55,16 +55,6 @@ func TestHarnessKillRestartRun(t *testing.T) {
 	if rep.StoreEntries == 0 {
 		t.Fatal("shared store is empty after the run")
 	}
-
-	// The trajectory round-trips through disk and passes validation.
-	path := filepath.Join(t.TempDir(), "BENCH_cluster.json")
-	traj := BuildTrajectory("test", o, rep)
-	if err := WriteTrajectory(path, traj); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckTrajectory(path); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestHarnessNoFaultRun(t *testing.T) {
@@ -93,52 +83,6 @@ func TestHarnessNoFaultRun(t *testing.T) {
 	}
 	if rep.Totals().Degraded != 0 {
 		t.Fatal("degraded responses on a healthy cluster")
-	}
-}
-
-func TestCheckTrajectoryRejectsBadFiles(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, traj Trajectory) string {
-		path := filepath.Join(dir, name)
-		if err := WriteTrajectory(path, &traj); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	good := Trajectory{
-		Schema: BenchSchema, Nodes: []string{"n1", "n2", "n3"}, Requests: 10,
-		Killed: "n2", Totals: NodeCounters{Hedges: 1, Retries: 1, Degraded: 1}, Passed: true,
-	}
-	if err := CheckTrajectory(write("good.json", good)); err != nil {
-		t.Fatal(err)
-	}
-	bad := good
-	bad.Schema = "capest/bench-cluster/v0"
-	if err := CheckTrajectory(write("schema.json", bad)); err == nil {
-		t.Fatal("wrong schema accepted")
-	}
-	bad = good
-	bad.Mismatches = 3
-	if err := CheckTrajectory(write("mismatch.json", bad)); err == nil {
-		t.Fatal("mismatches accepted")
-	}
-	bad = good
-	bad.Passed = false
-	if err := CheckTrajectory(write("failed.json", bad)); err == nil {
-		t.Fatal("failed run accepted")
-	}
-	bad = good
-	bad.Totals.Degraded = 0
-	if err := CheckTrajectory(write("idle.json", bad)); err == nil {
-		t.Fatal("idle fault machinery accepted")
-	}
-	bad = good
-	bad.Nodes = []string{"n1"}
-	if err := CheckTrajectory(write("single.json", bad)); err == nil {
-		t.Fatal("single-node file accepted")
-	}
-	if err := CheckTrajectory(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

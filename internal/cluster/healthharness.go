@@ -3,9 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -16,8 +14,8 @@ import (
 )
 
 // This file is the alert-lifecycle fault harness behind `capwatch -mode
-// harness` and `make alerts-smoke`: it stands up a small cluster whose
-// members run the health engine on explicit ticks (no wall-clock
+// harness` and `make alerts-smoke`: it boots a three-member Testbed
+// whose members run the health engine on explicit ticks (no wall-clock
 // ticker), kills the node that owns the probe path, and checks the
 // full verdict lifecycle the health layer promises:
 //
@@ -33,8 +31,6 @@ import (
 
 // HealthHarnessOptions configures an alert-lifecycle harness run.
 type HealthHarnessOptions struct {
-	// Nodes are the member names (default h1, h2, h3).
-	Nodes []string
 	// Seed varies the probe path, and with it which member owns the
 	// path and gets killed (default 1).
 	Seed uint64
@@ -45,18 +41,11 @@ type HealthHarnessOptions struct {
 	// RequestsPerTick is the per-tick workload (default 12), spread
 	// round-robin over the live members.
 	RequestsPerTick int
-	// WarmTicks, DeadTicks and RecoveryTicks are the phase lengths in
-	// health ticks (defaults 4, 6, 10): all-healthy baseline, owner
-	// down, owner restarted.
-	WarmTicks, DeadTicks, RecoveryTicks int
 	// Out receives progress lines (default: discard).
 	Out io.Writer
 }
 
 func (o HealthHarnessOptions) withDefaults() HealthHarnessOptions {
-	if len(o.Nodes) == 0 {
-		o.Nodes = []string{"h1", "h2", "h3"}
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -66,20 +55,19 @@ func (o HealthHarnessOptions) withDefaults() HealthHarnessOptions {
 	if o.RequestsPerTick <= 0 {
 		o.RequestsPerTick = 12
 	}
-	if o.WarmTicks <= 0 {
-		o.WarmTicks = 4
-	}
-	if o.DeadTicks <= 0 {
-		o.DeadTicks = 6
-	}
-	if o.RecoveryTicks <= 0 {
-		o.RecoveryTicks = 10
-	}
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
 	return o
 }
+
+// The phase lengths in health ticks: all-healthy baseline, owner
+// down, owner restarted.
+const (
+	warmTicks     = 4
+	deadTicks     = 6
+	recoveryTicks = 10
+)
 
 // harnessRules is the member-side rule set: one rule, so the expected
 // timeline is exact. At the engine's default 5s tick the 10s window is
@@ -171,15 +159,6 @@ func (r *HealthReport) Assert(survivors []string) error {
 	return nil
 }
 
-// healthProc is one running member of the health harness.
-type healthProc struct {
-	name string
-	addr string
-	hsrv *http.Server
-	srv  *capserver.Server
-	dead bool
-}
-
 // RunHealthHarness executes one alert-lifecycle harness run and
 // returns the report plus the surviving member names (Assert's input).
 func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
@@ -193,69 +172,21 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 		return nil, nil, err
 	}
 
-	sortedNames := append([]string(nil), o.Nodes...)
-	sort.Strings(sortedNames)
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(sortedNames))
-	for _, name := range sortedNames {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		defer l.Close() // no-op once a server owns it
-		listeners[name] = l
-		mem.Members = append(mem.Members, Member{Name: name, URL: "http://" + l.Addr().String()})
-	}
-
 	// Every member runs the engine on explicit ticks (HealthTick 0: no
-	// wall-clock ticker) over a registry shared between the capserver
-	// and its cluster router, so the degraded-routing rule can see the
-	// routing counters. Hedging is off: a hedge racing a retry would
-	// make the per-tick degraded count depend on timing.
-	startNode := func(name string, l net.Listener) (*healthProc, error) {
-		reg := obs.NewRegistry()
-		srv := capserver.New(capserver.Config{
-			Workers:     2,
-			QueueDepth:  64,
-			Metrics:     reg,
-			HealthRules: rules,
-		})
-		node, err := NewNode(srv, Config{
-			Membership:  mem,
-			Self:        name,
-			Metrics:     NewMetrics(reg),
-			HedgeDelay:  -1,
-			PeerBackoff: time.Millisecond,
-			PeerTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			return nil, err
+	// wall-clock ticker) over the registry its capserver shares with
+	// its router, so the degraded-routing rule can see the routing
+	// counters. Hedging is off: a hedge racing a retry would make the
+	// per-tick degraded count depend on timing.
+	tb, err := StartTestbed([]string{"h1", "h2", "h3"}, func(string, int) ProcConfig {
+		return ProcConfig{
+			Server:  capserver.Config{Workers: 2, QueueDepth: 64, HealthRules: rules},
+			Cluster: Config{HedgeDelay: -1, PeerBackoff: peerBackoff},
 		}
-		p := &healthProc{
-			name: name,
-			addr: l.Addr().String(),
-			hsrv: &http.Server{Handler: node.Handler()},
-			srv:  srv,
-		}
-		go func() { _ = p.hsrv.Serve(l) }()
-		return p, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-
-	procs := make(map[string]*healthProc, len(sortedNames))
-	for _, name := range sortedNames {
-		p, err := startNode(name, listeners[name])
-		if err != nil {
-			return nil, nil, err
-		}
-		procs[name] = p
-	}
-	defer func() {
-		for _, p := range procs {
-			if !p.dead {
-				_ = p.hsrv.Close()
-			}
-		}
-	}()
+	defer tb.Close()
 
 	// The probe path: every request in the run hits it, so its ring
 	// owner is the member whose death degrades everyone else. The seed
@@ -265,18 +196,17 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	anyProc := procs[sortedNames[0]]
-	key, ok := anyProc.srv.Canonicalize(req)
+	key, ok := tb.Proc(tb.Names[0]).Server.Canonicalize(req)
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: probe path %s is not canonicalizable", path)
 	}
-	ring, err := NewRing(sortedNames, 0)
+	ring, err := NewRing(tb.Names, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	killName := ring.Owner(key)
 	var survivors []string
-	for _, name := range sortedNames {
+	for _, name := range tb.Names {
 		if name != killName {
 			survivors = append(survivors, name)
 		}
@@ -290,30 +220,29 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	client := &http.Client{Timeout: 30 * time.Second}
 
 	// sendTick spreads the tick's requests round-robin over the live
 	// members, o.Jobs at a time. Which member gets how many requests is
 	// a pure function of the live set, so per-tick counter increments —
 	// and therefore the whole timeline — do not depend on Jobs.
 	sendTick := func() {
-		var live []*healthProc
-		for _, name := range sortedNames {
-			if p := procs[name]; !p.dead {
-				live = append(live, p)
+		var live []string
+		for _, name := range tb.Names {
+			if !tb.down[name] {
+				live = append(live, name)
 			}
 		}
 		sem := make(chan struct{}, o.Jobs)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		for i := 0; i < o.RequestsPerTick; i++ {
-			p := live[i%len(live)]
+			url := tb.URL(live[i%len(live)]) + path
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(p *healthProc) {
+			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				resp, err := client.Get("http://" + p.addr + path)
+				resp, err := tb.Client.Get(url)
 				if err == nil {
 					_, _ = io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
@@ -327,7 +256,7 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 					report.Errors++
 				}
 				mu.Unlock()
-			}(p)
+			}()
 		}
 		wg.Wait()
 	}
@@ -338,7 +267,7 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	var lastOwned int64
 	monitorTick := func(tick int) {
 		var snap obs.RegistrySnapshot
-		resp, err := client.Get("http://" + procs[killName].addr + "/metrics")
+		resp, err := tb.Client.Get(tb.URL(killName) + "/metrics")
 		if err == nil {
 			body, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
@@ -362,37 +291,28 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 		}
 	}
 
-	total := o.WarmTicks + o.DeadTicks + o.RecoveryTicks
+	fault := Fault{Node: killName, KillAt: warmTicks, RestartAt: warmTicks + deadTicks}
+	total := warmTicks + deadTicks + recoveryTicks
 	start := time.Now()
 	for tick := 0; tick < total; tick++ {
-		if tick == o.WarmTicks {
-			p := procs[killName]
+		if fault.killsAt(tick) {
 			report.PreKillOwned = lastOwned
-			_ = p.hsrv.Close()
-			p.dead = true
-			fmt.Fprintf(o.Out, "tick %d: killed %s (%s), owner of %s\n", tick, killName, p.addr, path)
+			tb.Kill(killName)
+			fmt.Fprintf(o.Out, "tick %d: killed %s (%s), owner of %s\n", tick, killName, tb.Proc(killName).Addr, path)
 		}
-		if tick == o.WarmTicks+o.DeadTicks {
-			old := procs[killName]
-			l, err := net.Listen("tcp", old.addr)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cluster: restart %s on %s: %v", killName, old.addr, err)
-			}
-			p, err := startNode(killName, l)
-			if err != nil {
+		if fault.restartsAt(tick) {
+			if err := tb.Restart(killName); err != nil {
 				return nil, nil, err
 			}
-			procs[killName] = p
 			report.Restarted = true
-			fmt.Fprintf(o.Out, "tick %d: restarted %s (%s) with fresh counters\n", tick, killName, p.addr)
+			fmt.Fprintf(o.Out, "tick %d: restarted %s (%s) with fresh counters\n", tick, killName, tb.Proc(killName).Addr)
 		}
 		sendTick()
-		for _, name := range sortedNames {
-			p := procs[name]
-			if p.dead {
+		for _, name := range tb.Names {
+			if tb.down[name] {
 				continue
 			}
-			for _, tr := range p.srv.TickHealth() {
+			for _, tr := range tb.Proc(name).Server.TickHealth() {
 				report.Timeline = append(report.Timeline,
 					fmt.Sprintf("tick=%02d node=%s rule=%s %s->%s value=%s", tick, name, tr.Rule, tr.From, tr.To, tr.Value))
 			}

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -19,7 +17,7 @@ import (
 
 // This file is the session-sharded counterpart of the fault harness in
 // harness.go, behind `sessload -mode cluster` and `make
-// sessions-smoke`: it stands up an N-node cluster, streams per-session
+// sessions-smoke`: it boots an N-node Testbed, streams per-session
 // event batches through whichever node the seeded client picks (the
 // routers forward each batch to the session's ring owner), kills and
 // restarts the owner of a slice of the sessions mid-run, and checks
@@ -84,12 +82,6 @@ func (o SessionHarnessOptions) withDefaults() SessionHarnessOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.KillAfter == 0 {
-		o.KillAfter = o.Rounds / 3
-	}
-	if o.RestartAfter == 0 {
-		o.RestartAfter = 2 * o.Rounds / 3
 	}
 	if o.Out == nil {
 		o.Out = io.Discard
@@ -220,76 +212,23 @@ func sessionPlanEvents(seed uint64, i, total int) []session.Event {
 // RunSessionHarness executes a session-sharded cluster fault run.
 func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 	o = o.withDefaults()
-	if o.KillAfter >= 0 && o.RestartAfter >= 0 && o.RestartAfter <= o.KillAfter {
-		return nil, fmt.Errorf("cluster: restart round (%d) must exceed kill round (%d)", o.RestartAfter, o.KillAfter)
-	}
-
-	sortedNames := append([]string(nil), o.Nodes...)
-	sort.Strings(sortedNames)
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(sortedNames))
-	for _, name := range sortedNames {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
+	tb, err := StartTestbed(o.Nodes, func(string, int) ProcConfig {
+		return ProcConfig{
+			Server: capserver.Config{Workers: 2, SessionSweep: -1},
+			// Sessions never hedge; compute traffic is absent here.
+			Cluster: Config{HedgeDelay: -1, PeerBackoff: peerBackoff},
 		}
-		defer l.Close() // no-op once a server owns it
-		listeners[name] = l
-		mem.Members = append(mem.Members, Member{Name: name, URL: "http://" + l.Addr().String()})
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	incarnations := make(map[string][]*Metrics)
-	startNode := func(name string, l net.Listener) (*proc, error) {
-		srv := capserver.New(capserver.Config{Workers: 2, SessionSweep: -1})
-		node, err := NewNode(srv, Config{
-			Self:        name,
-			Membership:  mem,
-			HedgeDelay:  -1, // sessions never hedge; compute traffic is absent here
-			PeerBackoff: time.Millisecond,
-			PeerTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
-		incarnations[name] = append(incarnations[name], node.Metrics())
-		p := &proc{
-			name: name,
-			addr: l.Addr().String(),
-			lis:  l,
-			hsrv: &http.Server{Handler: node.Handler()},
-			srv:  srv,
-			node: node,
-		}
-		go func() { _ = p.hsrv.Serve(l) }()
-		return p, nil
-	}
-
-	procs := make(map[string]*proc, len(sortedNames))
-	for _, name := range sortedNames {
-		p, err := startNode(name, listeners[name])
-		if err != nil {
-			return nil, err
-		}
-		procs[name] = p
-	}
-	defer func() {
-		for _, p := range procs {
-			if !p.dead {
-				_ = p.hsrv.Close()
-			}
-		}
-	}()
-
-	killName := o.KillNode
-	if killName == "" {
-		killName = sortedNames[len(sortedNames)/2]
-	}
-	if _, ok := procs[killName]; !ok {
-		return nil, fmt.Errorf("cluster: kill node %q is not a member", killName)
+	defer tb.Close()
+	fault, err := Fault{Node: o.KillNode, KillAt: o.KillAfter, RestartAt: o.RestartAfter}.resolve(tb.Names, o.Rounds)
+	if err != nil {
+		return nil, err
 	}
 
 	report := &SessionHarnessReport{Sessions: o.Sessions, Rounds: o.Rounds, EventsPerBatch: o.EventsPerBatch}
-	client := &http.Client{Timeout: 30 * time.Second}
 	dispatch := rng.NewStream(o.Seed, 0x5d15)
 
 	total := o.Rounds * o.EventsPerBatch
@@ -318,19 +257,8 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 		if err := session.EncodeEvents(&buf, plans[i][cursors[i]:end]); err != nil {
 			return false, err
 		}
-		pick := dispatch.Intn(len(sortedNames))
-		var resp *http.Response
-		var lastErr error
-		for attempt := 0; attempt < len(sortedNames); attempt++ {
-			p := procs[sortedNames[(pick+attempt)%len(sortedNames)]]
-			resp, lastErr = client.Post(
-				"http://"+p.addr+"/v1/sessions/"+ids[i]+"/events",
-				"application/x-ndjson", bytes.NewReader(buf.Bytes()))
-			if lastErr == nil {
-				break
-			}
-		}
-		if lastErr != nil {
+		resp, _, err := tb.Send(dispatch, http.MethodPost, "/v1/sessions/"+ids[i]+"/events", buf.Bytes())
+		if err != nil {
 			report.Unavailable++
 			return false, nil
 		}
@@ -365,26 +293,17 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 
 	start := time.Now()
 	for round := 0; round < o.Rounds; round++ {
-		if o.KillAfter >= 0 && round == o.KillAfter {
-			p := procs[killName]
-			_ = p.hsrv.Close()
-			p.dead = true
-			report.Killed = killName
-			fmt.Fprintf(o.Out, "round %d: killed %s (%s)\n", round, killName, p.addr)
+		if fault.killsAt(round) {
+			tb.Kill(fault.Node)
+			report.Killed = fault.Node
+			fmt.Fprintf(o.Out, "round %d: killed %s (%s)\n", round, fault.Node, tb.Proc(fault.Node).Addr)
 		}
-		if o.KillAfter >= 0 && o.RestartAfter >= 0 && round == o.RestartAfter {
-			old := procs[killName]
-			l, err := net.Listen("tcp", old.addr)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: restart %s on %s: %v", killName, old.addr, err)
-			}
-			p, err := startNode(killName, l)
-			if err != nil {
+		if fault.restartsAt(round) {
+			if err := tb.Restart(fault.Node); err != nil {
 				return nil, err
 			}
-			procs[killName] = p
 			report.Restarted = true
-			fmt.Fprintf(o.Out, "round %d: restarted %s (%s)\n", round, killName, p.addr)
+			fmt.Fprintf(o.Out, "round %d: restarted %s (%s)\n", round, fault.Node, tb.Proc(fault.Node).Addr)
 		}
 		for i := range plans {
 			if _, err := postBatch(i); err != nil {
@@ -422,8 +341,7 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 	// legitimately differs between a cache miss and the hit it seeds),
 	// and the owner's cursor must sit at the end of the planned stream.
 	readVia := func(nodeIdx, sessIdx int) (map[string]json.RawMessage, error) {
-		p := procs[sortedNames[nodeIdx%len(sortedNames)]]
-		resp, err := client.Get("http://" + p.addr + "/v1/sessions/" + ids[sessIdx])
+		resp, err := tb.Client.Get(tb.URL(tb.Names[nodeIdx%len(tb.Names)]) + "/v1/sessions/" + ids[sessIdx])
 		if err != nil {
 			return nil, err
 		}
@@ -461,9 +379,10 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 		}
 	}
 
-	for _, name := range sortedNames {
+	for _, name := range tb.Names {
 		c := SessionNodeCounters{Name: name}
-		for _, m := range incarnations[name] {
+		for _, p := range tb.Incarnations(name) {
+			m := p.Node.Metrics()
 			c.Owned += m.SessionOwned()
 			c.Forwards += m.SessionForwards()
 			c.Retries += m.SessionRetries()

@@ -4,55 +4,32 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/capserver"
-	"repro/internal/obs"
 )
 
-// statusTestCluster stands up three real capservers (registry, mux,
+// statusTestCluster boots three real members (registry, mux,
 // /metrics, /v1/healthz) behind cluster routers on real listeners —
 // the federation endpoint probes members over HTTP, so fakes without
 // a /metrics page cannot exercise it.
-func statusTestCluster(t *testing.T) (map[string]string, func(name string)) {
+func statusTestCluster(t *testing.T) *Testbed {
 	t.Helper()
-	names := []string{"n1", "n2", "n3"}
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(names))
-	bases := make(map[string]string, len(names))
-	for _, name := range names {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	tb, err := StartTestbed([]string{"n1", "n2", "n3"}, func(string, int) ProcConfig {
+		return ProcConfig{
+			Server: capserver.Config{Workers: 2, QueueDepth: 16},
+			// No hedging keeps post-request counter state deterministic.
+			Cluster: Config{HedgeDelay: -1},
 		}
-		listeners[name] = l
-		bases[name] = "http://" + l.Addr().String()
-		mem.Members = append(mem.Members, Member{Name: name, URL: bases[name]})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	servers := make(map[string]*http.Server, len(names))
-	for _, name := range names {
-		reg := obs.NewRegistry()
-		srv := capserver.New(capserver.Config{Workers: 2, QueueDepth: 16, Metrics: reg})
-		node, err := NewNode(srv, Config{
-			Self:       name,
-			Membership: mem,
-			HedgeDelay: -1, // keep post-request counter state deterministic
-			Metrics:    NewMetrics(reg),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := &http.Server{Handler: node.Handler()}
-		servers[name] = hs
-		go func(l net.Listener) { _ = hs.Serve(l) }(listeners[name])
-		t.Cleanup(func() { _ = hs.Close() })
-	}
-	kill := func(name string) { _ = servers[name].Close() }
-	return bases, kill
+	t.Cleanup(func() { _ = tb.Close() })
+	return tb
 }
 
 func getBody(t *testing.T, url string) (int, []byte) {
@@ -75,21 +52,21 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // assembled it, modulo the self marker — the probes' own side effects
 // (healthz counters, runtime gauges) are excluded by construction.
 func TestClusterStatusByteIdentical(t *testing.T) {
-	bases, _ := statusTestCluster(t)
+	tb := statusTestCluster(t)
 
 	// A small deterministic workload through one door: forwards and
 	// owned serves land wherever the ring says, identically for every
 	// later snapshot.
 	for i := 0; i < 8; i++ {
-		code, _ := getBody(t, bases["n1"]+fmt.Sprintf("/v1/bounds?n=%d&pd=0.2", 4+i))
+		code, _ := getBody(t, tb.URL("n1")+fmt.Sprintf("/v1/bounds?n=%d&pd=0.2", 4+i))
 		if code != http.StatusOK {
 			t.Fatalf("warm request %d: status %d", i, code)
 		}
 	}
 
-	normalized := make(map[string]string, len(bases))
-	for _, name := range []string{"n1", "n2", "n3"} {
-		code, body := getBody(t, bases[name]+StatusPath)
+	normalized := make(map[string]string, len(tb.Names))
+	for _, name := range tb.Names {
+		code, body := getBody(t, tb.URL(name)+StatusPath)
 		if code != http.StatusOK {
 			t.Fatalf("status via %s: %d", name, code)
 		}
@@ -163,10 +140,10 @@ func TestClusterStatusByteIdentical(t *testing.T) {
 // TestClusterStatusPartialOnDeadMember: a dead member makes the
 // snapshot partial, never an error.
 func TestClusterStatusPartialOnDeadMember(t *testing.T) {
-	bases, kill := statusTestCluster(t)
-	kill("n2")
+	tb := statusTestCluster(t)
+	tb.Kill("n2")
 
-	code, body := getBody(t, bases["n1"]+StatusPath)
+	code, body := getBody(t, tb.URL("n1")+StatusPath)
 	if code != http.StatusOK {
 		t.Fatalf("status with a dead member answered %d, want 200", code)
 	}

@@ -15,10 +15,9 @@ const BenchSchema = "capest/bench-sessions/v1"
 // Trajectory is the BENCH_sessions.json document: one sessload run's
 // configuration, throughput and estimation-quality outcome, written by
 // `sessload -bench-out` and validated by `sessload -mode check` in the
-// bench-smoke gate. Like BENCH_kernels.json and BENCH_cluster.json it
-// is a committed, machine-checkable record of where the subsystem's
-// scale stands: the committed file must describe a passing 10^5+
-// session run.
+// bench-smoke gate. Like BENCH_kernels.json it is a committed,
+// machine-checkable record of where the subsystem's scale stands: the
+// committed file must describe a passing 10^5+ session run.
 type Trajectory struct {
 	Schema string `json:"schema"`
 	Go     string `json:"go"`
