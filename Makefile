@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-json bench-sessions bench-alerts
+.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-sessions
 
 ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke
 
@@ -38,29 +38,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 30s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 30s ./internal/session
 
-# One iteration of the serial/parallel batch benchmarks, as a smoke
-# test that the benchmark harness itself still runs; then a smoke run of
-# the kernel trajectory tool, validating both its fresh output and the
-# committed BENCH_kernels.json parse with the expected metric keys; and
-# the bench/ module, a separate Go module that `./...` never builds.
+# One iteration of the serial/parallel batch benchmarks and of every
+# kernel's {kernel,reference} benchmark set, as a smoke test that the
+# benchmarks themselves still run; the bench/ module, a separate Go
+# module that `./...` never builds; the session acceptance run at smoke
+# scale; and the zero-allocation gates.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
-	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) run ./cmd/kernelbench -smoke -out "$$tmp" && \
-	$(GO) run ./cmd/kernelbench -check "$$tmp" && \
-	$(GO) run ./cmd/kernelbench -check BENCH_kernels.json
+	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC64|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch)$$' -benchtime 1x \
+		./internal/infotheory ./internal/coding/conv ./internal/channel ./internal/delcap ./internal/session
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) run ./cmd/sessload -mode run -sessions 400 -seed 7 -bench-out "$$tmp" -assert && \
-	$(GO) run ./cmd/sessload -mode check -min-sessions 400 "$$tmp" && \
-	$(GO) run ./cmd/sessload -mode check BENCH_sessions.json
+	$(GO) run ./cmd/sessload -mode run -sessions 400 -seed 7 -assert
 	$(GO) test -run '^TestOwnedFastPathZeroAlloc$$' -v ./internal/cluster
 	$(GO) test -run '^TestDecodeLineZeroAlloc$$' -v ./internal/session
 	$(GO) test -run '^TestMonteCarloZeroAlloc$$' -v ./internal/delcap
-	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) run ./cmd/capwatch -mode bench -rules 120 -series 12 -ticks 150 -bench-out "$$tmp" && \
-	$(GO) run ./cmd/capwatch -mode check "$$tmp" && \
-	$(GO) run ./cmd/capwatch -mode check BENCH_alerts.json
 
 # Serving gate: boot a capserver in-process on an ephemeral port, hit
 # every endpoint, assert 200 + well-formed JSON, shut down cleanly.
@@ -131,21 +122,8 @@ trace-cluster-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Full kernel before/after measurement: rewrites BENCH_kernels.json,
-# the machine-readable perf trajectory of the optimized hot paths vs.
-# their retained reference implementations.
-bench-json:
-	$(GO) run ./cmd/kernelbench -out BENCH_kernels.json
-
-# Full session load run: rewrites BENCH_sessions.json, the committed
-# record of the 10^5-concurrent-session acceptance run (throughput,
-# convergence, drift-detection delay).
+# The 10^5-concurrent-session acceptance run: -assert fails unless the
+# convergence, drift-detection and false-alarm bounds hold; the timing:
+# line reports events/s.
 bench-sessions:
-	$(GO) run ./cmd/sessload -mode run -sessions 100000 -assert \
-		-bench-out BENCH_sessions.json
-
-# Full rule-engine measurement: rewrites BENCH_alerts.json, the
-# committed throughput trajectory of the alert evaluator (400 rules x
-# 600 ticks over 24 series).
-bench-alerts:
-	$(GO) run ./cmd/capwatch -mode bench -bench-out BENCH_alerts.json
+	$(GO) run ./cmd/sessload -mode run -sessions 100000 -assert

@@ -1,7 +1,7 @@
 // Command capload is the deterministic load harness for capserverd
 // (see internal/capserver): a seeded request generator with mixed
 // endpoint workloads, reporting throughput, latency percentiles and
-// cache hit rate. It anchors the repository's serving benchmarks.
+// cache hit rate.
 //
 // Modes:
 //
@@ -9,8 +9,6 @@
 //	                                     # hit every endpoint, assert
 //	                                     # 200 + valid JSON, shut down
 //	capload -selfhost -mode load         # seeded mixed-workload run
-//	capload -selfhost -mode bench-cache  # cache-hit vs cache-miss
-//	                                     # median latency benchmark
 //	capload -addr http://127.0.0.1:8080 -mode load -requests 2000 -c 16
 //
 //	capload -mode cluster -cluster n1,n2,n3 \
@@ -64,17 +62,13 @@ func run(args []string, out *os.File) error {
 	var (
 		addr     = fs.String("addr", "", "base URL of a running capserverd (e.g. http://127.0.0.1:8080)")
 		selfhost = fs.Bool("selfhost", false, "start a capserver in-process on an ephemeral port")
-		mode     = fs.String("mode", "load", "mode: load | smoke | bench-cache")
+		mode     = fs.String("mode", "load", "mode: load | smoke | cluster")
 		requests = fs.Int("requests", 400, "total requests (load mode)")
 		conc     = fs.Int("c", 8, "concurrent client workers (load mode)")
 		seed     = fs.Uint64("seed", 1, "request-sequence seed")
 		unique   = fs.Int("unique", 16, "distinct parameter points per endpoint (load mode)")
 		mixFlag  = fs.String("mix", "bounds=0.7,predict=0.2,simulate=0.1", "endpoint weights (load mode)")
 		exactN   = fs.Int("exact-n", 0, "bounds requests carry exact_n=<v> so misses pay real compute (load mode)")
-		benchN   = fs.Int("bench-exact-n", 9, "exact_n of the bench-cache computation")
-		points   = fs.Int("bench-points", 3, "distinct cold points measured in bench-cache")
-		hits     = fs.Int("bench-hits", 30, "cache-hit requests measured in bench-cache")
-		minRatio = fs.Float64("min-speedup", 0, "fail bench-cache below this hit-vs-miss speedup (0 = report only)")
 		workers  = fs.Int("workers", 0, "selfhost: compute workers (0 = GOMAXPROCS)")
 		queue    = fs.Int("queue", 64, "selfhost: compute queue depth")
 		cacheSz  = fs.Int("cache", 1024, "selfhost: LRU cache entries")
@@ -148,16 +142,6 @@ func run(args []string, out *os.File) error {
 		}
 		fmt.Fprintln(out, "smoke: every endpoint returned 200 with valid JSON")
 		return nil
-	case "bench-cache":
-		res, err := capserver.BenchCache(base, *benchN, *points, *hits, nil)
-		if err != nil {
-			return err
-		}
-		res.Format(out)
-		if *minRatio > 0 && res.Speedup < *minRatio {
-			return fmt.Errorf("cache speedup %.1fx below required %.1fx", res.Speedup, *minRatio)
-		}
-		return nil
 	case "load":
 		mix, err := parseMix(*mixFlag)
 		if err != nil {
@@ -178,7 +162,7 @@ func run(args []string, out *os.File) error {
 		report.Format(out)
 		return nil
 	default:
-		return fmt.Errorf("unknown mode %q (want load, smoke, bench-cache or cluster)", *mode)
+		return fmt.Errorf("unknown mode %q (want load, smoke or cluster)", *mode)
 	}
 }
 

@@ -3,7 +3,7 @@
 // member's /v1/cluster/status and renders a deterministic one-page
 // view of the fleet — per-member alert state, session pressure, cache
 // effectiveness and route latency — or drives the alert-lifecycle
-// fault harness and the rule-engine benchmark.
+// fault harness.
 //
 // Modes:
 //
@@ -17,11 +17,6 @@
 //	                                             # resolved timeline,
 //	                                             # byte-identical at
 //	                                             # -jobs 1 and -jobs 8
-//	capwatch -mode bench -bench-out BENCH_alerts.json
-//	                                             # rule-engine throughput
-//	                                             # trajectory
-//	capwatch -mode check BENCH_alerts.json       # validate a committed
-//	                                             # trajectory
 //
 // The harness timeline and the rendered page are pure functions of
 // their inputs: wall-clock timing goes to separate "timing:" lines so
@@ -40,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/health"
 )
 
 func main() {
@@ -53,7 +47,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("capwatch", flag.ContinueOnError)
 	var (
-		mode     = fs.String("mode", "watch", "mode: watch | harness | bench | check")
+		mode     = fs.String("mode", "watch", "mode: watch | harness")
 		target   = fs.String("target", "http://127.0.0.1:8080", "watch mode: any cluster member's base URL")
 		interval = fs.Duration("interval", 5*time.Second, "watch mode: repaint interval")
 		once     = fs.Bool("once", false, "watch mode: render one page and exit")
@@ -63,11 +57,6 @@ func run(args []string, out io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "harness mode: scenario seed (probe path, and with it the kill target)")
 		reqTick = fs.Int("requests-per-tick", 0, "harness mode: per-tick workload (0 = default 12)")
 		assert  = fs.Bool("assert", false, "harness mode: fail unless the full alert lifecycle and jobs-invariance hold")
-
-		rules    = fs.Int("rules", 400, "bench mode: rule count")
-		series   = fs.Int("series", 24, "bench mode: counter series count")
-		ticks    = fs.Int("ticks", 600, "bench mode: evaluation ticks")
-		benchOut = fs.String("bench-out", "", "bench mode: write the BENCH_alerts.json trajectory here")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -118,43 +107,8 @@ func run(args []string, out io.Writer) error {
 			opts.Jobs, alt.Jobs)
 		return nil
 
-	case "bench":
-		start := time.Now()
-		res, err := health.RunBench(*rules, *series, *ticks)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "bench: %d rules x %d ticks over %d series: %d transitions, %.0f evals/s, ring %d bytes\n",
-			res.Rules, res.Ticks, res.Series, res.Transitions, res.EvalsPerSec, res.RingBytes)
-		fmt.Fprintf(out, "timing: wall=%v\n", time.Since(start).Round(time.Millisecond))
-		if *benchOut != "" {
-			body, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchOut, append(body, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *benchOut)
-		}
-		return nil
-
-	case "check":
-		path := *benchOut
-		if fs.NArg() > 0 {
-			path = fs.Arg(0)
-		}
-		if path == "" {
-			return fmt.Errorf("check needs a trajectory file (positional or -bench-out)")
-		}
-		if err := health.CheckBench(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "check: %s ok\n", path)
-		return nil
-
 	default:
-		return fmt.Errorf("unknown mode %q (want watch, harness, bench or check)", *mode)
+		return fmt.Errorf("unknown mode %q (want watch or harness)", *mode)
 	}
 }
 

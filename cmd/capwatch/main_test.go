@@ -2,7 +2,6 @@ package main
 
 import (
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,25 +51,6 @@ func TestWatchOnce(t *testing.T) {
 	}
 	if b2.String() != page {
 		t.Errorf("quiesced pages differ:\n--- a\n%s\n--- b\n%s", page, b2.String())
-	}
-}
-
-// TestBenchCheckRoundTrip writes a trajectory and validates it.
-func TestBenchCheckRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_alerts.json")
-	var b strings.Builder
-	if err := run([]string{"-mode", "bench", "-rules", "120", "-series", "12", "-ticks", "150", "-bench-out", path}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "wrote "+path) {
-		t.Fatalf("bench output: %s", b.String())
-	}
-	var c strings.Builder
-	if err := run([]string{"-mode", "check", path}, &c); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(c.String(), "ok") {
-		t.Fatalf("check output: %s", c.String())
 	}
 }
 

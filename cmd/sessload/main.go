@@ -8,16 +8,10 @@
 //
 // Modes:
 //
-//	sessload -mode run -sessions 100000 -assert \
-//	         -bench-out BENCH_sessions.json
+//	sessload -mode run -sessions 100000 -assert
 //	                                  # simulate 10^5 sessions, drift a
 //	                                  # tenth of them, assert
-//	                                  # convergence/detection, write the
-//	                                  # throughput trajectory
-//	sessload -mode check BENCH_sessions.json
-//	                                  # validate a committed trajectory
-//	                                  # (schema, 10^5-session floor,
-//	                                  # clean detection record)
+//	                                  # convergence/detection
 //	sessload -mode cluster -assert    # 3-node sharded cluster: ingest
 //	                                  # through every node, kill and
 //	                                  # restart a session owner
@@ -54,19 +48,17 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("sessload", flag.ContinueOnError)
 	var (
-		mode      = fs.String("mode", "run", "mode: run | check | cluster")
+		mode      = fs.String("mode", "run", "mode: run | cluster")
 		sessions  = fs.Int("sessions", 1000, "concurrent simulated sessions (run mode)")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
 		jobs      = fs.Int("jobs", 0, "worker goroutines (0 = GOMAXPROCS); any value yields byte-identical output")
 		cleanUses = fs.Int("clean-uses", 0, "uses per session before drift onset (0 = default 1200)")
 		driftUses = fs.Int("drift-uses", 0, "uses per drifted session after onset (0 = default 1200)")
-		driftEvr  = fs.Int("drift-every", 0, "every k-th session drifts (0 = default 10)")
+		driftEvr  = fs.Int("drift-every", 0, "every k-th session drifts (0 = default 10, negative = no drift)")
 		inject    = fs.String("inject", "", "faultinject spec for the drift regime (default drift=0.25)")
 		batch     = fs.Int("batch", 0, "events per ingest batch (0 = default 400)")
 		maxDelay  = fs.Int64("max-delay", 0, "assert: max allowed detection delay in uses (0 = drift window)")
-		benchOut  = fs.String("bench-out", "", "write a BENCH_sessions.json trajectory here (run mode)")
 		assert    = fs.Bool("assert", false, "fail on any acceptance bound (convergence, detection, false alarms)")
-		minSess   = fs.Int("min-sessions", 100000, "check mode: session floor the trajectory must meet")
 
 		clusterFlag = fs.String("cluster", "n1,n2,n3", "cluster mode: comma-separated member names")
 		rounds      = fs.Int("rounds", 0, "cluster mode: batch rounds per session (0 = default 9)")
@@ -101,33 +93,12 @@ func run(args []string, out *os.File) error {
 		rep.Format(out)
 		fmt.Fprintf(out, "timing: wall=%v events/s=%.0f\n",
 			wall.Round(time.Millisecond), float64(rep.EventsTotal)/wall.Seconds())
-		if *benchOut != "" {
-			traj := session.BuildTrajectory(cfg, rep, wall)
-			if err := session.WriteTrajectory(*benchOut, traj); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *benchOut)
-		}
 		if *assert {
 			if err := rep.Assert(); err != nil {
 				return err
 			}
 			fmt.Fprintln(out, "sessload-assert: convergence, drift detection and false-alarm bounds all hold")
 		}
-		return nil
-
-	case "check":
-		path := *benchOut
-		if fs.NArg() > 0 {
-			path = fs.Arg(0)
-		}
-		if path == "" {
-			return fmt.Errorf("check needs a trajectory file (positional or -bench-out)")
-		}
-		if err := session.CheckTrajectory(path, *minSess); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "check: %s ok\n", path)
 		return nil
 
 	case "cluster":
@@ -164,6 +135,6 @@ func run(args []string, out *os.File) error {
 		return nil
 
 	default:
-		return fmt.Errorf("unknown mode %q (want run, check or cluster)", *mode)
+		return fmt.Errorf("unknown mode %q (want run or cluster)", *mode)
 	}
 }

@@ -172,6 +172,12 @@ func TestBatchValidationRejects(t *testing.T) {
 // rejected by the queue, so the whole batch is a 429 with Retry-After.
 func TestBatchBackpressure(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	// A point computed before the pool saturates is served from the
+	// cache while fresh points are rejected: hits never wait on the pool.
+	const cached = "/v1/bounds?n=4&pd=0.44"
+	if status, _, body := get(t, ts.URL, cached); status != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", status, body)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -192,6 +198,10 @@ func TestBatchBackpressure(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("429 batch carried no Retry-After header")
+	}
+	if status, hdr, body := get(t, ts.URL, cached); status != http.StatusOK || hdr.Get("X-Capserver-Cache") != "hit" {
+		t.Errorf("cached point under saturation: status %d, cache %q, want 200 hit (body %s)",
+			status, hdr.Get("X-Capserver-Cache"), body)
 	}
 	wg.Wait()
 

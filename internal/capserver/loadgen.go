@@ -14,10 +14,10 @@ import (
 )
 
 // This file is the load harness: a deterministic request generator
-// plus latency accounting, used by cmd/capload and by the serving
-// benchmarks in this package's tests. "Deterministic" means the
-// request *sequence* — endpoints, parameter points, ordering — is a
-// pure function of the seed; wall-clock latencies obviously are not.
+// plus latency accounting, used by cmd/capload and the cluster fault
+// harness. "Deterministic" means the request *sequence* — endpoints,
+// parameter points, ordering — is a pure function of the seed;
+// wall-clock latencies obviously are not.
 
 // LoadOptions configures a load run.
 type LoadOptions struct {
@@ -319,89 +319,6 @@ func RunLoad(o LoadOptions) (*LoadReport, error) {
 	wg.Wait()
 	report.Wall = time.Since(start)
 	return report, nil
-}
-
-// BenchCacheResult is the cache-hit-vs-miss serving benchmark.
-type BenchCacheResult struct {
-	// MissMedian and HitMedian are the median latencies of cold
-	// (compute) and cached /v1/bounds requests at the same points.
-	MissMedian, HitMedian time.Duration
-	Misses, Hits          int
-	// Speedup is MissMedian / HitMedian.
-	Speedup float64
-}
-
-// Format renders the benchmark result.
-func (r BenchCacheResult) Format(w io.Writer) {
-	fmt.Fprintf(w, "cache-miss median: %v (n=%d)\n", r.MissMedian, r.Misses)
-	fmt.Fprintf(w, "cache-hit  median: %v (n=%d)\n", r.HitMedian, r.Hits)
-	fmt.Fprintf(w, "speedup:           %.1fx\n", r.Speedup)
-}
-
-// BenchCache measures the serving benefit of the result cache: it
-// issues sequential /v1/bounds requests at `points` distinct expensive
-// parameter points (exact_n = exactN) — all cold, so each is a miss —
-// then `hits` more requests cycling the same points, all cache hits,
-// and compares median latencies. Sequential issue keeps every request
-// unambiguously a miss or a hit (no singleflight "shared" class).
-func BenchCache(baseURL string, exactN, points, hits int, client *http.Client) (BenchCacheResult, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	if exactN <= 0 {
-		exactN = 9
-	}
-	if points <= 0 {
-		points = 3
-	}
-	if hits <= 0 {
-		hits = 30
-	}
-	urls := make([]string, points)
-	for i := range urls {
-		urls[i] = fmt.Sprintf("%s/v1/bounds?n=6&pd=%g&pi=0.05&exact_n=%d", baseURL, 0.1+0.05*float64(i), exactN)
-	}
-	var res BenchCacheResult
-	get := func(u, wantClass string) (time.Duration, error) {
-		t0 := time.Now()
-		resp, err := client.Get(u)
-		lat := time.Since(t0)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return 0, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("capserver: bench request %s: status %d", u, resp.StatusCode)
-		}
-		if class := resp.Header.Get("X-Capserver-Cache"); class != wantClass {
-			return 0, fmt.Errorf("capserver: bench request %s: cache class %q, want %q", u, class, wantClass)
-		}
-		return lat, nil
-	}
-	missDist, hitDist := &Dist{}, &Dist{}
-	for _, u := range urls {
-		lat, err := get(u, "miss")
-		if err != nil {
-			return res, err
-		}
-		missDist.add(lat)
-	}
-	for i := 0; i < hits; i++ {
-		lat, err := get(urls[i%len(urls)], "hit")
-		if err != nil {
-			return res, err
-		}
-		hitDist.add(lat)
-	}
-	res.MissMedian, res.HitMedian = missDist.Median(), hitDist.Median()
-	res.Misses, res.Hits = missDist.Count(), hitDist.Count()
-	if res.HitMedian > 0 {
-		res.Speedup = float64(res.MissMedian) / float64(res.HitMedian)
-	}
-	return res, nil
 }
 
 // Smoke exercises every endpoint once and verifies a 200 status and a

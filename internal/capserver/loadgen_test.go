@@ -73,28 +73,6 @@ func TestRunLoadMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestBenchCacheSpeedup is the acceptance gate in miniature: cached
-// /v1/bounds requests must be at least 10x faster at the median than
-// cold computations of the same points. exact_n=8 costs ~10ms cold
-// while hits are typically tens of microseconds, so the margin is wide.
-func TestBenchCacheSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compute-bound benchmark")
-	}
-	_, ts := newTestServer(t, Config{})
-	res, err := BenchCache(ts.URL, 8, 2, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Misses != 2 || res.Hits != 10 {
-		t.Fatalf("sample counts misses=%d hits=%d, want 2/10", res.Misses, res.Hits)
-	}
-	if res.Speedup < 10 {
-		t.Errorf("cache speedup %.1fx (miss %v / hit %v), want >= 10x",
-			res.Speedup, res.MissMedian, res.HitMedian)
-	}
-}
-
 func TestSmokeAgainstLiveServer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if err := Smoke(ts.URL, nil); err != nil {

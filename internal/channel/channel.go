@@ -183,8 +183,8 @@ func (c *DeletionInsertion) Transmit(input []uint32) (received []uint32, trace [
 
 // TransmitReference is the original per-use scalar transmit loop. It is
 // the ground truth for the fast paths: differential tests assert
-// identical outputs and RNG state, and cmd/kernelbench times it for the
-// "before" column of BENCH_kernels.json.
+// identical outputs and RNG state, and BenchmarkTransmit and
+// BenchmarkBinaryTransmit time it as their "reference" variant.
 func (c *DeletionInsertion) TransmitReference(input []uint32) (received []uint32, trace []EventKind) {
 	received = make([]uint32, 0, len(input))
 	trace = make([]EventKind, 0, len(input)+4)

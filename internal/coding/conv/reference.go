@@ -9,8 +9,8 @@ import (
 // This file retains the pre-optimization decoders verbatim. They are
 // the ground truth for the pooled/memoized decoders in drift.go and
 // sequential.go: differential tests assert identical messages,
-// expansion counts and errors, and cmd/kernelbench times them for the
-// "before" column of BENCH_kernels.json.
+// expansion counts and errors, and the "reference" variants of
+// BenchmarkDriftViterbi and BenchmarkSequentialStack time them.
 
 // refSeqNode is one partial path in the reference decoding tree.
 type refSeqNode struct {

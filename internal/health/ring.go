@@ -233,21 +233,3 @@ func (r *Ring) Quantile(name string, window int, q float64) (float64, bool) {
 	}
 	return obs.QuantileFromCounts(counts, total, q), true
 }
-
-// MemoryBytes estimates the retained snapshots' memory footprint:
-// per-series name bytes plus sample, per-histogram name bytes plus
-// bucket array. A deterministic arithmetic estimate (map overhead
-// excluded), for the bench artifact's ring-memory figure.
-func (r *Ring) MemoryBytes() int64 {
-	var b int64
-	for i := 0; i < r.Len(); i++ {
-		s, _ := r.Back(i)
-		for name := range s.series {
-			b += int64(len(name)) + 8
-		}
-		for name, h := range s.hists {
-			b += int64(len(name)) + 8 + int64(len(h.Counts))*8
-		}
-	}
-	return b
-}

@@ -5,9 +5,9 @@ import "math"
 // This file retains the pre-optimization scalar Blahut–Arimoto kernels.
 // They are the ground truth the optimized kernels in ba.go are measured
 // against: differential tests assert bit-identical results, and
-// cmd/kernelbench times them to produce the "before" numbers in
-// BENCH_kernels.json. Keep them dumb and per-cell — their value is
-// being obviously equivalent to the textbook iteration.
+// BenchmarkBlahutArimotoMSC64/reference times them. Keep them dumb and
+// per-cell — their value is being obviously equivalent to the textbook
+// iteration.
 
 // CapacityReference computes the channel capacity with the original
 // per-cell scalar Blahut–Arimoto loop (one math.Log2 per positive

@@ -20,7 +20,7 @@ import (
 // detection (drift phase).
 type LoadConfig struct {
 	// Sessions is the number of concurrent simulated sessions
-	// (default 1000; the bench run uses 10^5+).
+	// (default 1000; make bench-sessions uses 10^5).
 	Sessions int
 	// Seed drives every random choice; a fixed seed makes the whole
 	// run byte-identical at any Jobs count.
@@ -33,30 +33,26 @@ type LoadConfig struct {
 	// clean and (for drift sessions) injected phases (defaults 1200).
 	CleanUses, DriftUses int
 	// DriftEvery marks every k-th session (index % k == 0) as a drift
-	// session (default 10; 0 disables drift).
+	// session (0 means the default 10; a negative value disables
+	// drift).
 	DriftEvery int
 	// Inject is the faultinject spec wrapped around drift sessions'
 	// channels for the drift phase (default "drift=0.25").
 	Inject string
 	// Batch is the events-per-ingest batch size (default 400).
 	Batch int
-	// N is the symbol width in bits (default 4).
-	N int
-	// Detector tunes the per-session change-point detector.
-	Detector DetectorConfig
 	// MaxDetectDelay bounds the accepted drift-detection delay in uses
 	// (default DriftUses: detection must land inside the drift window,
 	// i.e. before an offline analysis of that window would even close).
 	MaxDetectDelay int64
 	// Ingest and Fetch override the sink; both or neither. The default
-	// sink is Store (built internally when nil). The cluster harness
-	// substitutes HTTP calls here.
+	// sink is a Store that Run builds.
 	Ingest func(id string, events []Event) (Snapshot, error)
 	Fetch  func(id string) (Snapshot, error)
-	// Store receives sessions when Ingest is nil (built internally
-	// when also nil; exposed so callers can inspect it afterwards).
-	Store *Store
 }
+
+// loadN is the simulated channels' symbol width in bits.
+const loadN = 4
 
 // withDefaults fills unset fields.
 func (c LoadConfig) withDefaults() LoadConfig {
@@ -83,9 +79,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Batch == 0 {
 		c.Batch = 400
-	}
-	if c.N == 0 {
-		c.N = 4
 	}
 	if c.MaxDetectDelay == 0 {
 		c.MaxDetectDelay = int64(c.DriftUses)
@@ -150,11 +143,14 @@ type Report struct {
 }
 
 // Run executes the load. Results are deterministic for a fixed
-// (Seed, Sessions, CleanUses, DriftUses, DriftEvery, Inject, Batch, N,
-// Detector) tuple regardless of Jobs: every session derives its own
-// rng streams from (Seed, index) and outcomes aggregate in index
-// order.
+// (Seed, Sessions, CleanUses, DriftUses, DriftEvery, Inject, Batch)
+// tuple regardless of Jobs: every session derives its own rng streams
+// from (Seed, index) and outcomes aggregate in index order.
 func Run(cfg LoadConfig) (*Report, error) {
+	if cfg.Sessions < 0 || cfg.CleanUses < 0 || cfg.DriftUses < 0 || cfg.Batch < 0 {
+		return nil, fmt.Errorf("session: negative load size (sessions %d, clean uses %d, drift uses %d, batch %d)",
+			cfg.Sessions, cfg.CleanUses, cfg.DriftUses, cfg.Batch)
+	}
 	cfg = cfg.withDefaults()
 	spec, err := faultinject.ParseSpec(cfg.Inject)
 	if err != nil {
@@ -164,16 +160,12 @@ func Run(cfg LoadConfig) (*Report, error) {
 		return nil, fmt.Errorf("session: Ingest and Fetch must be overridden together")
 	}
 	if cfg.Ingest == nil {
-		store := cfg.Store
-		if store == nil {
-			store, err = NewStore(StoreConfig{
-				Session:     Config{N: cfg.N, Detector: cfg.Detector},
-				MaxSessions: cfg.Sessions + 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cfg.Store = store
+		store, err := NewStore(StoreConfig{
+			Session:     Config{N: loadN},
+			MaxSessions: cfg.Sessions + 1,
+		})
+		if err != nil {
+			return nil, err
 		}
 		cfg.Ingest = func(id string, events []Event) (Snapshot, error) {
 			_, snap, err := store.IngestEvents(id, events)
@@ -210,14 +202,14 @@ func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 	// sources. Nothing here touches global state, so sessions are
 	// order- and concurrency-independent.
 	src := rng.NewStream(cfg.Seed, uint64(i))
-	out.Planted = plantParams(cfg.N, src)
+	out.Planted = plantParams(src)
 	chSrc, symSrc, faultSrc := src.Split(), src.Split(), src.Split()
 	ch, err := channel.NewDeletionInsertion(out.Planted, chSrc)
 	if err != nil {
 		out.Err = err.Error()
 		return out
 	}
-	f := &feeder{ch: ch, symSrc: symSrc, n: cfg.N, batch: cfg.Batch}
+	f := &feeder{ch: ch, symSrc: symSrc, batch: cfg.Batch}
 
 	// Clean phase: feed, then check convergence to the planted truth.
 	snap, err := f.feed(cfg.Ingest, out.ID, cfg.CleanUses, nil)
@@ -237,7 +229,7 @@ func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 	// for the change point. onDetect sees every post-batch snapshot, so
 	// the recorded delay is the detector's actual firing use, not a
 	// batch boundary.
-	stack, err := spec.Build(ch, cfg.N, faultSrc)
+	stack, err := spec.Build(ch, loadN, faultSrc)
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -263,10 +255,10 @@ func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 // plantParams draws a session's true channel parameters from ranges
 // that keep every rate estimable within a ~10^3-use clean phase while
 // spanning the paper's regime of interest.
-func plantParams(n int, src *rng.Source) channel.Params {
+func plantParams(src *rng.Source) channel.Params {
 	in := func(lo, hi float64) float64 { return lo + (hi-lo)*src.Float64() }
 	return channel.Params{
-		N:  n,
+		N:  loadN,
 		Pd: in(0.02, 0.12),
 		Pi: in(0.02, 0.10),
 		Ps: in(0.01, 0.08),
@@ -282,7 +274,6 @@ type feeder struct {
 	injected   func() int64
 	lastInj    int64
 	symSrc     *rng.Source
-	n          int
 	queued     uint32
 	haveQueued bool
 	use        int64
@@ -293,7 +284,7 @@ type feeder struct {
 // next generates one event.
 func (f *feeder) next() Event {
 	if !f.haveQueued {
-		f.queued = f.symSrc.Symbol(f.n)
+		f.queued = f.symSrc.Symbol(loadN)
 		f.haveQueued = true
 	}
 	u := f.ch.Use(f.queued)
@@ -419,8 +410,9 @@ func ratio(k, n int) float64 {
 
 // Assert applies the smoke-gate acceptance bounds: no failed sessions,
 // ≥80% joint-CI convergence (three simultaneous 95% intervals give
-// ~86% expected joint coverage), injected drift detected within
-// MaxDetectDelay uses of onset, and clean-phase false alarms under 2%.
+// ~86% expected joint coverage), at least one drift session, injected
+// drift detected within MaxDetectDelay uses of onset, and clean-phase
+// false alarms under 2%.
 // Misses get a 0.1% budget, symmetric with the false-alarm budget: the
 // drift layer is a reflected random walk, and across 10^4+ sessions a
 // handful of walks wander back to baseline before the detector can
@@ -434,11 +426,14 @@ func (r *Report) Assert() error {
 	if got := ratio(r.Converged, r.Sessions); got < 0.80 {
 		return fmt.Errorf("sessload: converged fraction %.4f < 0.80", got)
 	}
+	if r.DriftSessions == 0 {
+		return fmt.Errorf("sessload: run had no drift sessions, detection unexercised")
+	}
 	if budget := r.DriftSessions / 1000; r.Missed > budget {
 		return fmt.Errorf("sessload: %d/%d drift sessions undetected (budget %d)",
 			r.Missed, r.DriftSessions, budget)
 	}
-	if r.DriftSessions > 0 && r.MaxDelay > r.MaxDetectDelay {
+	if r.MaxDelay > r.MaxDetectDelay {
 		return fmt.Errorf("sessload: max detection delay %d uses exceeds bound %d", r.MaxDelay, r.MaxDetectDelay)
 	}
 	if got := ratio(r.FalsePositives, r.Sessions); got > 0.02 {

@@ -3,13 +3,11 @@ package session
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 // smokeLoad is the small-but-meaningful configuration the package
-// tests and the sessload -smoke mode share: enough sessions and uses
-// for the convergence and detection assertions to bite, small enough
-// for CI.
+// tests share: enough sessions and uses for the convergence and
+// detection assertions to bite, small enough for CI.
 func smokeLoad() LoadConfig {
 	return LoadConfig{Sessions: 400, Seed: 1}
 }
@@ -85,29 +83,6 @@ func TestLoadRunSeedSensitivity(t *testing.T) {
 	b.Format(&bb)
 	if bytes.Equal(ba.Bytes(), bb.Bytes()) {
 		t.Fatal("different seeds produced identical reports")
-	}
-}
-
-func TestTrajectoryRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke load")
-	}
-	cfg := smokeLoad()
-	cfg.Sessions = 120
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj := BuildTrajectory(cfg, rep, 250*time.Millisecond)
-	path := t.TempDir() + "/BENCH_sessions.json"
-	if err := WriteTrajectory(path, traj); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := CheckTrajectory(path, 120); err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	if err := CheckTrajectory(path, 100000); err == nil {
-		t.Fatal("smoke-sized trajectory passed the 10^5 floor")
 	}
 }
 
