@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-sessions
+.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-sessions
 
-ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke
+ci: fmt vet build test race fuzz-smoke bench-smoke trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -40,48 +40,24 @@ fuzz-smoke:
 
 # One iteration of the serial/parallel batch benchmarks and of every
 # kernel's {kernel,reference} benchmark set, as a smoke test that the
-# benchmarks themselves still run; the bench/ module, a separate Go
-# module that `./...` never builds; the session acceptance run at smoke
-# scale; and the zero-allocation gates.
+# benchmarks themselves still run, and the bench/ module, a separate Go
+# module that `./...` never builds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC64|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch)$$' -benchtime 1x \
 		./internal/infotheory ./internal/coding/conv ./internal/channel ./internal/delcap ./internal/session
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) run ./cmd/sessload -mode run -sessions 400 -seed 7 -assert
-	$(GO) test -run '^TestOwnedFastPathZeroAlloc$$' -v ./internal/cluster
-	$(GO) test -run '^TestDecodeLineZeroAlloc$$' -v ./internal/session
-	$(GO) test -run '^TestMonteCarloZeroAlloc$$' -v ./internal/delcap
 
-# Serving gate: boot a capserver in-process on an ephemeral port, hit
-# every endpoint, assert 200 + well-formed JSON, shut down cleanly.
-serve-smoke:
-	$(GO) run ./cmd/capload -selfhost -mode smoke
-
-# Cluster gate: a seeded 3-node kill/restart fault run over a shared
-# result store. -assert fails the run unless every response is
-# byte-identical to a single-node oracle, the restarted node serves the
-# run's unique points as pure cache traffic (LRU or store, never a
-# recompute), and the fault machinery actually engaged (hedge, retry
-# and degraded counters all nonzero).
-cluster-smoke:
-	$(GO) run ./cmd/capload -mode cluster -cluster n1,n2,n3 \
-		-requests 90 -unique 8 -exact-n 8 \
-		-kill-after 30 -restart-after 60 -assert
-
-# Session gate, two legs. First a seeded in-process drift run: 2000
-# streaming sessions, every tenth switching to an injected drift regime
-# halfway through; -assert fails unless the online estimators converge
-# to the planted parameters, the change-point detector flags the drift
-# inside the drift window (i.e. before the equivalent offline analysis
-# window closes), and clean-phase false alarms stay under 2%. Then the
-# cluster leg: sessions sharded across a 3-node ring with an owner
-# killed and restarted mid-run, asserting single ownership, honest 502s
-# during the outage, full drain afterwards, and cross-node read
-# identity.
+# Session gate: a seeded in-process drift run, 2000 streaming
+# sessions, every tenth switching to an injected drift regime halfway
+# through; -assert fails unless the online estimators converge to the
+# planted parameters, the change-point detector flags the drift inside
+# the drift window (i.e. before the equivalent offline analysis window
+# closes), and clean-phase false alarms stay under 2%. The cluster leg
+# (an owner killed and restarted mid-run) is cmd/sessload's
+# TestClusterModeKillRestart under `make test`.
 sessions-smoke:
 	$(GO) run ./cmd/sessload -mode run -sessions 2000 -seed 11 -assert
-	$(GO) run ./cmd/sessload -mode cluster -cluster n1,n2,n3 -assert
 
 # Alert gate: a seeded 3-node kill/restart run under the health verdict
 # layer. -assert fails unless the surviving members walk the exact
@@ -102,10 +78,15 @@ trace-smoke:
 		| tee "$$tmp/analysis.txt" && \
 	grep -q "agrees with the assumed point" "$$tmp/analysis.txt"
 
-# Tracing gate: the cluster fault run again, with request tracing on
-# and per-node trace files written out, then the capstat analyzer over
-# those files. The grep is the point of the gate: capstat only prints
-# that line when every chain invariant holds AND the trace-derived
+# Tracing gate: a seeded 3-node kill/restart fault run over a shared
+# result store, with request tracing on and per-node trace files
+# written out, then the capstat analyzer over those files. -assert
+# fails the run unless every response is byte-identical to a
+# single-node oracle, the restarted node serves the run's unique points
+# as pure cache traffic (LRU or store, never a recompute), and the fault
+# machinery actually engaged (hedge, retry and degraded counters all
+# nonzero). The grep is the point of the gate: capstat only prints that
+# line when every chain invariant holds AND the trace-derived
 # accounting equals the routing counters exactly, across the kill and
 # the restart.
 trace-cluster-smoke:

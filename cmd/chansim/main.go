@@ -12,9 +12,10 @@
 //	chansim -proto counter -n 4 -pd 0.1 -trace run.jsonl
 //
 // With -inject the channel is wrapped in the given fault-injection
-// stack and the protocol runs under syncproto.Supervisor (per-attempt
-// deadlines, bounded backoff, Counter resync); the report then carries
-// a supervision block. Injection applies to the channel-backed
+// stack and the protocol runs under syncproto.RunSupervised, the
+// supervision policy /v1/simulate and E13 share (per-attempt deadlines,
+// bounded backoff, Counter resync); the report then carries a
+// supervision block. Injection applies to the channel-backed
 // protocols (arq, counter, naive, delayed); syncvar and event have no
 // channel to inject into.
 //
@@ -57,22 +58,6 @@ type obsSink struct {
 	metrics   string // exposition output path; "" = disabled
 	proto     string
 	start     time.Time
-}
-
-// attach wraps or observes the run's channel so its uses are recorded.
-// For channels driven directly by a protocol constructor the observer
-// hook is installed; the injected path wraps explicitly instead.
-func (s *obsSink) attach(ch *channel.DeletionInsertion) error {
-	if s == nil || (s.tracer == nil && s.metrics == "") {
-		return nil
-	}
-	rec, err := obs.NewChannelRecorder(ch, s.tracer, nil)
-	if err != nil {
-		return err
-	}
-	s.rec = rec
-	ch.SetObserver(rec.Observe)
-	return nil
 }
 
 // close flushes the trace, writes the metrics exposition and reports
@@ -171,48 +156,66 @@ func run(args []string) (err error) {
 		sink.traceFile = f
 	}
 
+	if *inject != "" && (*proto == "syncvar" || *proto == "event") {
+		return fmt.Errorf("-inject applies to channel-backed protocols (arq, counter, naive, delayed); %q has no channel to inject into", *proto)
+	}
 	msg := make([]uint32, *symbols)
 	src := rng.New(*seed + 1)
 	for i := range msg {
 		msg[i] = src.Symbol(*n)
 	}
 
-	if *inject != "" {
-		if rerr := runInjected(*proto, *n, *pd, *pi, *delay, *seed, *inject, msg, sink); rerr != nil {
-			return rerr
-		}
-		return sink.close()
-	}
-
 	var (
 		res    syncproto.Result
 		params = channel.Params{N: *n, Pd: *pd, Pi: *pi, Ps: *ps}
 	)
-	// The ARQ analyses assume a deletion-only channel.
-	chParams := params
-	if *proto == "arq" || *proto == "delayed" {
-		chParams.Pi, chParams.Ps = 0, 0
-	}
 	switch *proto {
 	case "arq", "counter", "naive", "delayed":
+		if *inject == "" && *pd == 1 && *proto != "naive" {
+			return fmt.Errorf("-pd 1 deletes every use, so unsupervised %s never delivers a symbol and never returns; add -inject to run it under supervision", *proto)
+		}
+		// The ARQ analyses assume a deletion-only, noiseless channel;
+		// hostility is injected on top of it.
+		chParams := params
+		if *proto == "arq" || *proto == "delayed" {
+			chParams.Pi, chParams.Ps = 0, 0
+		}
 		ch, cerr := channel.NewDeletionInsertion(chParams, rng.New(*seed))
 		if cerr != nil {
 			return cerr
 		}
-		if cerr := sink.attach(ch); cerr != nil {
-			return cerr
+		var (
+			use      syncproto.UseChannel = ch
+			spec     faultinject.Spec
+			stack    *faultinject.Stack
+			injected func() int64
+		)
+		if *inject != "" {
+			if spec, cerr = faultinject.ParseSpec(*inject); cerr != nil {
+				return cerr
+			}
+			if stack, cerr = spec.Build(ch, *n, rng.NewStream(*seed, 2)); cerr != nil {
+				return cerr
+			}
+			use, injected = stack, stack.Injected
 		}
-		var p syncproto.Protocol
-		switch *proto {
-		case "arq":
-			p, cerr = syncproto.NewARQ(ch)
-		case "counter":
-			p, cerr = syncproto.NewCounter(ch)
-		case "naive":
-			p, cerr = syncproto.NewNaive(ch)
-		case "delayed":
-			p, cerr = syncproto.NewDelayedARQ(ch, *delay)
+		if sink.tracer != nil || sink.metrics != "" {
+			if sink.rec, cerr = obs.NewChannelRecorder(use, sink.tracer, injected); cerr != nil {
+				return cerr
+			}
+			use = sink.rec
 		}
+		if stack != nil {
+			policy := syncproto.Supervision(0, sink.tracer)
+			sres, rerr := syncproto.RunSupervised(*proto, use, *n, chParams.Pd, *delay, policy, msg)
+			if rerr != nil {
+				return rerr
+			}
+			stack.EmitSummary(sink.tracer)
+			printSupervised(*proto, spec, *n, sres, stack.Injected())
+			return sink.close()
+		}
+		p, cerr := syncproto.NewProtocol(*proto, use, *n, chParams.Pd, *delay)
 		if cerr != nil {
 			return cerr
 		}
@@ -266,90 +269,12 @@ func run(args []string) (err error) {
 	return sink.close()
 }
 
-// runInjected runs a channel-backed protocol over a fault-injected
-// channel under supervision: base channel -> fault stack -> use meter,
-// with a Counter resync fallback and per-attempt use deadlines. With
-// tracing enabled an obs.ChannelRecorder sits between the stack and
-// the meter and the supervisor emits its state machine to the tracer.
-func runInjected(proto string, n int, pd, pi float64, delay int, seed uint64, spec string, msg []uint32, sink *obsSink) error {
-	parsed, err := faultinject.ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	params := channel.Params{N: n, Pd: pd, Pi: pi}
-	if proto == "arq" || proto == "delayed" {
-		// The ARQ analyses assume a deletion-only channel; hostility is
-		// injected on top of it, same as the plain -proto paths.
-		params.Pi = 0
-	}
-	base, err := channel.NewDeletionInsertion(params, rng.New(seed))
-	if err != nil {
-		return err
-	}
-	stack, err := parsed.Build(base, n, rng.NewStream(seed, 2))
-	if err != nil {
-		return err
-	}
-	var metered syncproto.UseChannel = stack
-	if sink.tracer != nil || sink.metrics != "" {
-		rec, rerr := obs.NewChannelRecorder(stack, sink.tracer, stack.Injected)
-		if rerr != nil {
-			return rerr
-		}
-		sink.rec = rec
-		metered = rec
-	}
-	meter, err := syncproto.NewUseMeter(metered)
-	if err != nil {
-		return err
-	}
-	var active syncproto.Protocol
-	switch proto {
-	case "arq":
-		active, err = syncproto.NewARQOver(meter, n)
-	case "counter":
-		active, err = syncproto.NewCounterOver(meter, n)
-	case "naive":
-		active, err = syncproto.NewNaiveOver(meter, n)
-	case "delayed":
-		active, err = syncproto.NewDelayedARQOver(meter, n, params.Pd, delay)
-	case "syncvar", "event":
-		return fmt.Errorf("-inject applies to channel-backed protocols (arq, counter, naive, delayed); %q has no channel to inject into", proto)
-	default:
-		return fmt.Errorf("unknown protocol %q (want arq, counter, naive or delayed with -inject)", proto)
-	}
-	if err != nil {
-		return err
-	}
-	resync, err := syncproto.NewCounterOver(meter, n)
-	if err != nil {
-		return err
-	}
-	scfg := syncproto.SupervisorConfig{
-		ChunkSymbols:   256,
-		MaxAttempts:    4,
-		BackoffBase:    32,
-		ErrorThreshold: 0.25,
-		Tracer:         sink.tracer,
-	}
-	scfg.AttemptUses = 8 * scfg.ChunkSymbols
-	if proto == "delayed" {
-		scfg.AttemptUses *= 1 + delay
-	}
-	sup, err := syncproto.NewSupervisor(active, resync, meter, scfg)
-	if err != nil {
-		return err
-	}
-	res, err := sup.Run(msg)
-	if err != nil {
-		return err
-	}
-	stack.EmitSummary(sink.tracer)
-
+// printSupervised reports a supervised run (-inject).
+func printSupervised(proto string, spec faultinject.Spec, n int, res syncproto.SupervisedResult, injected int64) {
 	fmt.Printf("protocol:            %s (supervised)\n", proto)
-	fmt.Printf("fault spec:          %s\n", parsed.String())
+	fmt.Printf("fault spec:          %s\n", spec)
 	fmt.Printf("message symbols:     %d (N = %d bits)\n", res.MessageSymbols, n)
-	fmt.Printf("channel uses:        %d (injected faults: %d)\n", res.Uses, stack.Injected())
+	fmt.Printf("channel uses:        %d (injected faults: %d)\n", res.Uses, injected)
 	fmt.Printf("delivered slots:     %d\n", res.Delivered)
 	fmt.Printf("slot errors:         %d (rate %.4f)\n", res.SymbolErrors, res.ErrorRate())
 	fmt.Printf("measured rate:       %.4f bits/use\n", res.InfoRatePerUse())
@@ -358,5 +283,4 @@ func runInjected(proto string, n int, pd, pi float64, delay int, seed uint64, sp
 	fmt.Printf("attempts:            %d (retries: %d, backoff uses: %d)\n",
 		res.Attempts, res.Retries, res.BackoffUses)
 	fmt.Printf("resyncs:             %d (recoveries: %d)\n", res.Resyncs, res.Recoveries)
-	return nil
 }

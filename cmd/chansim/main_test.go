@@ -2,11 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/capserver"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/syncproto"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it wrote.
@@ -104,6 +112,13 @@ func TestRunInjected(t *testing.T) {
 			want: []string{"fault spec:          stuck=0.1;drift=0.05", "resyncs:"},
 		},
 		{
+			// The attempt deadline ends a run over a dead channel.
+			name: "counter dead channel",
+			args: []string{"-proto", "counter", "-n", "4", "-pd", "1", "-symbols", "10",
+				"-inject", "outage=0.1"},
+			want: []string{"supervision status:  failed"},
+		},
+		{
 			name: "delayed drift",
 			args: []string{"-proto", "delayed", "-n", "4", "-pd", "0.1", "-delay", "1",
 				"-symbols", "2000", "-inject", "drift=0.1"},
@@ -138,6 +153,11 @@ func TestRunErrors(t *testing.T) {
 		{"-proto", "syncvar", "-inject", "outage=0.1"},
 		{"-proto", "counter", "-inject", "outage=1.5"},
 		{"-proto", "counter", "-inject", "gremlins=0.1"},
+		// Unsupervised over a channel that deletes every use, these
+		// would never deliver a symbol and never return.
+		{"-proto", "arq", "-n", "4", "-pd", "1", "-symbols", "10"},
+		{"-proto", "counter", "-n", "4", "-pd", "1", "-symbols", "10"},
+		{"-proto", "delayed", "-n", "4", "-pd", "1", "-symbols", "10"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {
@@ -278,4 +298,101 @@ func TestRunTraceDeterministic(t *testing.T) {
 	if a, b := runTrace("a.jsonl"), runTrace("b.jsonl"); !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different traces")
 	}
+}
+
+// TestRunInjectedHonoursPs checks that -inject runs over the channel
+// the flags describe, substitutions included.
+func TestRunInjectedHonoursPs(t *testing.T) {
+	trace := t.TempDir() + "/ps.jsonl"
+	if _, err := capture(t, func() error {
+		return run([]string{"-proto", "counter", "-n", "4", "-pd", "0.1", "-pi", "0.05", "-ps", "0.3",
+			"-symbols", "4000", "-seed", "3", "-inject", "outage=0.2", "-trace", trace})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
+	sum, err := obs.ReadTrace(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Substitutes == 0 {
+		t.Errorf("-ps 0.3 observed no substitutions: %+v", sum.UseCounts)
+	}
+}
+
+// TestRunInjectedMatchesSimulate holds chansim -inject and /v1/simulate
+// to one run: the same parameters give the same report, rendered from
+// the served body, for every protocol and several fault stacks. Each
+// side derives its message, channel and fault seeds itself.
+func TestRunInjectedMatchesSimulate(t *testing.T) {
+	srv := capserver.New(capserver.Config{Workers: 1})
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	for _, proto := range []string{"arq", "counter", "naive", "delayed"} {
+		pi := "0.05"
+		if proto == "arq" || proto == "delayed" {
+			pi = "0"
+		}
+		for _, spec := range []string{"outage=0.2", "jam=0.1", "drift=0.1;stuck=0.3"} {
+			q := url.Values{"proto": {proto}, "n": {"4"}, "pd": {"0.1"}, "pi": {pi}, "delay": {"2"},
+				"symbols": {"2000"}, "seed": {"3"}, "inject": {spec}}
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/simulate?"+q.Encode(), nil))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", proto, spec, w.Code, w.Body)
+			}
+			var resp capserver.SimulateResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			parsed, err := faultinject.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := supervisedFrom(t, resp)
+			want, _ := capture(t, func() error {
+				printSupervised(proto, parsed, 4, served, resp.InjectedFaults)
+				return nil
+			})
+			got, err := capture(t, func() error {
+				return run([]string{"-proto", proto, "-n", "4", "-pd", "0.1", "-pi", pi, "-delay", "2",
+					"-symbols", "2000", "-seed", "3", "-inject", spec})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s %s: chansim -inject reports\n%s\n/v1/simulate serves\n%s", proto, spec, got, want)
+			}
+		}
+	}
+}
+
+// supervisedFrom rebuilds the supervised result a /v1/simulate body
+// reports.
+func supervisedFrom(t *testing.T, r capserver.SimulateResponse) syncproto.SupervisedResult {
+	t.Helper()
+	res := syncproto.SupervisedResult{
+		Result: syncproto.Result{
+			MessageSymbols: r.Symbols, Uses: r.Uses, SenderOps: r.SenderOps, Delivered: r.Delivered,
+			SymbolErrors: r.SymbolErrors, SkippedSymbols: r.SkippedSymbols, MutualInfoPerSlot: r.MutualInfoPerSlot,
+		},
+		Chunks: r.Chunks, Attempts: r.Attempts, Retries: r.Retries, Resyncs: r.Resyncs,
+		Recoveries: r.Recoveries, FailedChunks: r.FailedChunks, BackoffUses: r.BackoffUses,
+	}
+	for _, st := range []syncproto.Status{syncproto.StatusOK, syncproto.StatusDegraded, syncproto.StatusFailed} {
+		if st.String() == r.Status {
+			res.Status = st
+			return res
+		}
+	}
+	t.Fatalf("unknown status %q", r.Status)
+	return res
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/delcap"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/syncproto"
 )
@@ -216,120 +217,120 @@ func (s *Server) buildPredict(q queryValues) (string, func() ([]byte, error), er
 	return key, compute, nil
 }
 
-// buildSimulate serves /v1/simulate: a seeded supervised protocol run
-// over a fault-injected channel, mirroring `chansim -inject` exactly
-// (same seed derivation, same supervisor configuration), so any
-// server-side run is reproducible offline from its echoed parameters.
-func (s *Server) buildSimulate(q queryValues) (string, func() ([]byte, error), error) {
-	proto := q.Get("proto")
-	switch proto {
+// simRun is one seeded supervised protocol run over a fault-injected
+// channel: the parameters /v1/simulate and /v1/trace share.
+type simRun struct {
+	proto          string
+	params         channel.Params // Ps is set by /v1/trace only
+	delay, symbols int
+	seed           uint64
+	spec           faultinject.Spec
+}
+
+// parseSimRun validates the shared run parameters in one order, so both
+// endpoints report the same error for the same bad request. withPs
+// reads /v1/trace's substitution probability; /v1/simulate ignores ps,
+// since reading it would change its canonical key.
+func (s *Server) parseSimRun(q queryValues, withPs bool) (simRun, error) {
+	r := simRun{proto: q.Get("proto")}
+	switch r.proto {
 	case "arq", "counter", "naive", "delayed":
 	case "":
-		return "", nil, fmt.Errorf("parameter proto is required (arq, counter, naive or delayed)")
+		return r, fmt.Errorf("parameter proto is required (arq, counter, naive or delayed)")
 	default:
-		return "", nil, fmt.Errorf("parameter proto=%q unknown (want arq, counter, naive or delayed)", proto)
+		return r, fmt.Errorf("parameter proto=%q unknown (want arq, counter, naive or delayed)", r.proto)
 	}
-	n, err := q.intParam("n", 4, 1, 16)
-	if err != nil {
-		return "", nil, err
+	var err error
+	if r.params.N, err = q.intParam("n", 4, 1, 16); err != nil {
+		return r, err
 	}
-	pd, err := q.floatParam("pd", 0.2)
-	if err != nil {
-		return "", nil, err
+	if r.params.Pd, err = q.floatParam("pd", 0.2); err != nil {
+		return r, err
 	}
-	pi, err := q.floatParam("pi", 0)
-	if err != nil {
-		return "", nil, err
+	if r.params.Pi, err = q.floatParam("pi", 0); err != nil {
+		return r, err
 	}
-	delay, err := q.intParam("delay", 1, 0, 64)
-	if err != nil {
-		return "", nil, err
+	if withPs {
+		if r.params.Ps, err = q.floatParam("ps", 0); err != nil {
+			return r, err
+		}
 	}
-	symbols, err := q.intParam("symbols", 20000, 1, s.cfg.MaxSymbols)
-	if err != nil {
-		return "", nil, err
+	if r.delay, err = q.intParam("delay", 1, 0, 64); err != nil {
+		return r, err
 	}
-	seed, err := q.uint64Param("seed", 1)
-	if err != nil {
-		return "", nil, err
+	if r.symbols, err = q.intParam("symbols", 20000, 1, s.cfg.MaxSymbols); err != nil {
+		return r, err
 	}
-	params := channel.Params{N: n, Pd: pd, Pi: pi}
-	if err := params.Validate(); err != nil {
-		return "", nil, err
+	if r.seed, err = q.uint64Param("seed", 1); err != nil {
+		return r, err
 	}
-	if (proto == "arq" || proto == "delayed") && pi != 0 {
-		return "", nil, fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", proto, pi)
+	if err := r.params.Validate(); err != nil {
+		return r, err
 	}
-	parsed, err := faultinject.ParseSpec(q.Get("inject"))
-	if err != nil {
-		return "", nil, err
+	if (r.proto == "arq" || r.proto == "delayed") && r.params.Pi != 0 {
+		return r, fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", r.proto, r.params.Pi)
 	}
-	inject := parsed.String()
+	r.spec, err = faultinject.ParseSpec(q.Get("inject"))
+	return r, err
+}
 
+// run executes the run with the seed derivation of `chansim -inject`:
+// the message from seed+1, the channel from seed and the fault stack
+// from Stream(seed, 2). A non-nil tracer records every use (through a
+// recorder between the stack and the supervisor), the supervision state
+// machine and the fault layers' final counts. Alongside the result it
+// returns the stack's override count.
+func (r simRun) run(tr *obs.Tracer) (syncproto.SupervisedResult, int64, error) {
+	n := r.params.N
+	msg := make([]uint32, r.symbols)
+	msgSrc := rng.New(r.seed + 1)
+	for i := range msg {
+		msg[i] = msgSrc.Symbol(n)
+	}
+	base, err := channel.NewDeletionInsertion(r.params, rng.New(r.seed))
+	if err != nil {
+		return syncproto.SupervisedResult{}, 0, err
+	}
+	stack, err := r.spec.Build(base, n, rng.NewStream(r.seed, 2))
+	if err != nil {
+		return syncproto.SupervisedResult{}, 0, err
+	}
+	var ch syncproto.UseChannel = stack
+	if tr != nil {
+		if ch, err = obs.NewChannelRecorder(stack, tr, stack.Injected); err != nil {
+			return syncproto.SupervisedResult{}, 0, err
+		}
+	}
+	res, err := syncproto.RunSupervised(r.proto, ch, n, r.params.Pd, r.delay, syncproto.Supervision(0, tr), msg)
+	if err != nil {
+		return syncproto.SupervisedResult{}, 0, err
+	}
+	stack.EmitSummary(tr)
+	return res, stack.Injected(), nil
+}
+
+// buildSimulate serves /v1/simulate: the accounting of one seeded
+// supervised run, reproducible offline as `chansim -inject` on the
+// echoed parameters.
+func (s *Server) buildSimulate(q queryValues) (string, func() ([]byte, error), error) {
+	r, err := s.parseSimRun(q, false)
+	if err != nil {
+		return "", nil, err
+	}
+	p, inject := r.params, r.spec.String()
 	key := fmt.Sprintf("proto=%s&n=%d&pd=%v&pi=%v&delay=%d&symbols=%d&seed=%d&inject=%s",
-		proto, n, pd, pi, delay, symbols, seed, inject)
+		r.proto, p.N, p.Pd, p.Pi, r.delay, r.symbols, r.seed, inject)
 	compute := func() ([]byte, error) {
-		// Seed derivation mirrors cmd/chansim: message from seed+1,
-		// channel from seed, fault stack from Stream(seed, 2).
-		msg := make([]uint32, symbols)
-		msgSrc := rng.New(seed + 1)
-		for i := range msg {
-			msg[i] = msgSrc.Symbol(n)
-		}
-		base, err := channel.NewDeletionInsertion(params, rng.New(seed))
-		if err != nil {
-			return nil, err
-		}
-		stack, err := parsed.Build(base, n, rng.NewStream(seed, 2))
-		if err != nil {
-			return nil, err
-		}
-		meter, err := syncproto.NewUseMeter(stack)
-		if err != nil {
-			return nil, err
-		}
-		var active syncproto.Protocol
-		switch proto {
-		case "arq":
-			active, err = syncproto.NewARQOver(meter, n)
-		case "counter":
-			active, err = syncproto.NewCounterOver(meter, n)
-		case "naive":
-			active, err = syncproto.NewNaiveOver(meter, n)
-		case "delayed":
-			active, err = syncproto.NewDelayedARQOver(meter, n, params.Pd, delay)
-		}
-		if err != nil {
-			return nil, err
-		}
-		resync, err := syncproto.NewCounterOver(meter, n)
-		if err != nil {
-			return nil, err
-		}
-		scfg := syncproto.SupervisorConfig{
-			ChunkSymbols:   256,
-			MaxAttempts:    4,
-			BackoffBase:    32,
-			ErrorThreshold: 0.25,
-		}
-		scfg.AttemptUses = 8 * scfg.ChunkSymbols
-		if proto == "delayed" {
-			scfg.AttemptUses *= 1 + delay
-		}
-		sup, err := syncproto.NewSupervisor(active, resync, meter, scfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sup.Run(msg)
+		res, injected, err := r.run(nil)
 		if err != nil {
 			return nil, err
 		}
 		return marshalBody(SimulateResponse{
-			Proto: proto, N: n, Pd: pd, Pi: pi, Delay: delay,
-			Symbols: symbols, Seed: seed, Inject: inject,
+			Proto: r.proto, N: p.N, Pd: p.Pd, Pi: p.Pi, Delay: r.delay,
+			Symbols: r.symbols, Seed: r.seed, Inject: inject,
 			Status:            res.Status.String(),
 			Uses:              res.Uses,
-			InjectedFaults:    stack.Injected(),
+			InjectedFaults:    injected,
 			SenderOps:         res.SenderOps,
 			Delivered:         res.Delivered,
 			SymbolErrors:      res.SymbolErrors,

@@ -322,7 +322,8 @@ func RunLoad(o LoadOptions) (*LoadReport, error) {
 }
 
 // Smoke exercises every endpoint once and verifies a 200 status and a
-// well-formed JSON body (the `make serve-smoke` gate).
+// well-formed JSON body (`capload -selfhost -mode smoke`, run by
+// cmd/capload's TestSelfhostSmoke).
 func Smoke(baseURL string, client *http.Client) error {
 	if client == nil {
 		client = &http.Client{Timeout: 60 * time.Second}

@@ -6,10 +6,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/rng"
-	"repro/internal/syncproto"
 )
 
 // buildTrace serves /v1/trace: the same seeded supervised run as
@@ -21,121 +18,20 @@ import (
 // pure function of the echoed parameters, so it caches like every
 // other endpoint.
 func (s *Server) buildTrace(q queryValues) (string, func() ([]byte, error), error) {
-	proto := q.Get("proto")
-	switch proto {
-	case "arq", "counter", "naive", "delayed":
-	case "":
-		return "", nil, fmt.Errorf("parameter proto is required (arq, counter, naive or delayed)")
-	default:
-		return "", nil, fmt.Errorf("parameter proto=%q unknown (want arq, counter, naive or delayed)", proto)
-	}
-	n, err := q.intParam("n", 4, 1, 16)
+	r, err := s.parseSimRun(q, true)
 	if err != nil {
 		return "", nil, err
 	}
-	pd, err := q.floatParam("pd", 0.2)
-	if err != nil {
-		return "", nil, err
-	}
-	pi, err := q.floatParam("pi", 0)
-	if err != nil {
-		return "", nil, err
-	}
-	ps, err := q.floatParam("ps", 0)
-	if err != nil {
-		return "", nil, err
-	}
-	delay, err := q.intParam("delay", 1, 0, 64)
-	if err != nil {
-		return "", nil, err
-	}
-	symbols, err := q.intParam("symbols", 20000, 1, s.cfg.MaxSymbols)
-	if err != nil {
-		return "", nil, err
-	}
-	seed, err := q.uint64Param("seed", 1)
-	if err != nil {
-		return "", nil, err
-	}
-	params := channel.Params{N: n, Pd: pd, Pi: pi, Ps: ps}
-	if err := params.Validate(); err != nil {
-		return "", nil, err
-	}
-	if (proto == "arq" || proto == "delayed") && pi != 0 {
-		return "", nil, fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", proto, pi)
-	}
-	parsed, err := faultinject.ParseSpec(q.Get("inject"))
-	if err != nil {
-		return "", nil, err
-	}
-	inject := parsed.String()
-
+	p, inject := r.params, r.spec.String()
 	key := fmt.Sprintf("proto=%s&n=%d&pd=%v&pi=%v&ps=%v&delay=%d&symbols=%d&seed=%d&inject=%s",
-		proto, n, pd, pi, ps, delay, symbols, seed, inject)
+		r.proto, p.N, p.Pd, p.Pi, p.Ps, r.delay, r.symbols, r.seed, inject)
 	compute := func() ([]byte, error) {
-		// Seed derivation mirrors /v1/simulate (and cmd/chansim), so a
-		// traced run observes exactly the run /v1/simulate reports.
-		msg := make([]uint32, symbols)
-		msgSrc := rng.New(seed + 1)
-		for i := range msg {
-			msg[i] = msgSrc.Symbol(n)
-		}
-		base, err := channel.NewDeletionInsertion(params, rng.New(seed))
-		if err != nil {
-			return nil, err
-		}
-		stack, err := parsed.Build(base, n, rng.NewStream(seed, 2))
-		if err != nil {
-			return nil, err
-		}
 		var traceBuf bytes.Buffer
 		tr := obs.NewTracer(&traceBuf)
-		rec, err := obs.NewChannelRecorder(stack, tr, stack.Injected)
+		res, _, err := r.run(tr)
 		if err != nil {
 			return nil, err
 		}
-		meter, err := syncproto.NewUseMeter(rec)
-		if err != nil {
-			return nil, err
-		}
-		var active syncproto.Protocol
-		switch proto {
-		case "arq":
-			active, err = syncproto.NewARQOver(meter, n)
-		case "counter":
-			active, err = syncproto.NewCounterOver(meter, n)
-		case "naive":
-			active, err = syncproto.NewNaiveOver(meter, n)
-		case "delayed":
-			active, err = syncproto.NewDelayedARQOver(meter, n, params.Pd, delay)
-		}
-		if err != nil {
-			return nil, err
-		}
-		resync, err := syncproto.NewCounterOver(meter, n)
-		if err != nil {
-			return nil, err
-		}
-		scfg := syncproto.SupervisorConfig{
-			ChunkSymbols:   256,
-			MaxAttempts:    4,
-			BackoffBase:    32,
-			ErrorThreshold: 0.25,
-			Tracer:         tr,
-		}
-		scfg.AttemptUses = 8 * scfg.ChunkSymbols
-		if proto == "delayed" {
-			scfg.AttemptUses *= 1 + delay
-		}
-		sup, err := syncproto.NewSupervisor(active, resync, meter, scfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sup.Run(msg)
-		if err != nil {
-			return nil, err
-		}
-		stack.EmitSummary(tr)
 		if err := tr.Close(); err != nil {
 			return nil, err
 		}
@@ -145,20 +41,20 @@ func (s *Server) buildTrace(q queryValues) (string, func() ([]byte, error), erro
 		}
 		est := sum.Estimate()
 
-		assumed, err := core.ComputeBounds(params)
+		assumed, err := core.ComputeBounds(p)
 		if err != nil {
 			return nil, err
 		}
 		resp := TraceResponse{
-			Proto: proto, N: n, Pd: pd, Pi: pi, Ps: ps, Delay: delay,
-			Symbols: symbols, Seed: seed, Inject: inject,
+			Proto: r.proto, N: p.N, Pd: p.Pd, Pi: p.Pi, Ps: p.Ps, Delay: r.delay,
+			Symbols: r.symbols, Seed: r.seed, Inject: inject,
 			Status:         res.Status.String(),
 			Events:         sum.Events,
 			Uses:           res.Uses,
 			InfoRatePerUse: res.InfoRatePerUse(),
 			Estimate:       fromEstimate(est, sum.UseCounts),
 			Assumed:        FromBounds(assumed),
-			AssumedAgrees:  est.Contains(pd, pi, ps),
+			AssumedAgrees:  est.Contains(p.Pd, p.Pi, p.Ps),
 			Chunks:         sum.Chunks,
 			Attempts:       sum.Attempts,
 			Retries:        sum.Retries,
@@ -171,7 +67,7 @@ func (s *Server) buildTrace(q queryValues) (string, func() ([]byte, error), erro
 		// injection can push the empirical point outside the analytic
 		// domain (an outage-heavy trace may observe Pd + Pi near 1);
 		// in that case the observed bounds are honestly omitted.
-		obsParams := channel.Params{N: n, Pd: est.Pd, Pi: est.Pi, Ps: est.Ps}
+		obsParams := channel.Params{N: p.N, Pd: est.Pd, Pi: est.Pi, Ps: est.Ps}
 		if obsParams.Validate() == nil {
 			observed, err := core.ComputeBounds(obsParams)
 			if err == nil {

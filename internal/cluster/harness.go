@@ -20,9 +20,9 @@ import (
 )
 
 // This file is the multi-node fault harness behind `capload -mode
-// cluster` and `make cluster-smoke`: it boots an N-node Testbed (every
-// member wired by StartProc, as capserverd wires one, all sharing one
-// casstore directory), replays a seeded workload against it while
+// cluster` and `make trace-cluster-smoke`: it boots an N-node Testbed
+// (every member wired by StartProc, as capserverd wires one, all sharing
+// one casstore directory), replays a seeded workload against it while
 // killing and restarting a node mid-run, and checks the two properties
 // the cluster design promises:
 //
@@ -230,9 +230,9 @@ func (r *HarnessReport) Format(w io.Writer) {
 	fmt.Fprintf(w, "store:      %d entries\n", r.StoreEntries)
 }
 
-// Assert is the acceptance gate for `make cluster-smoke`: byte
-// identity must hold for every response, the restarted node must be
-// pure cache traffic, and when a node was killed the fault machinery
+// Assert is the acceptance gate for `capload -mode cluster -assert`:
+// byte identity must hold for every response, the restarted node must
+// be pure cache traffic, and when a node was killed the fault machinery
 // must actually have engaged (hedge, retry and degraded counters all
 // nonzero).
 func (r *HarnessReport) Assert() error {

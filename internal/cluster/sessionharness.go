@@ -16,12 +16,12 @@ import (
 )
 
 // This file is the session-sharded counterpart of the fault harness in
-// harness.go, behind `sessload -mode cluster` and `make
-// sessions-smoke`: it boots an N-node Testbed, streams per-session
-// event batches through whichever node the seeded client picks (the
-// routers forward each batch to the session's ring owner), kills and
-// restarts the owner of a slice of the sessions mid-run, and checks
-// the properties session sharding promises:
+// harness.go, behind `sessload -mode cluster` (cmd/sessload's
+// TestClusterModeKillRestart): it boots an N-node Testbed, streams
+// per-session event batches through whichever node the seeded client
+// picks (the routers forward each batch to the session's ring owner),
+// kills and restarts the owner of a slice of the sessions mid-run, and
+// checks the properties session sharding promises:
 //
 //   - single ownership: every batch for a session lands on exactly one
 //     node, wherever the client sent it, and reads through any node
@@ -155,8 +155,7 @@ func (r *SessionHarnessReport) Format(w io.Writer) {
 	}
 }
 
-// Assert is the acceptance gate for the cluster leg of `make
-// sessions-smoke`.
+// Assert is the acceptance gate for `sessload -mode cluster -assert`.
 func (r *SessionHarnessReport) Assert() error {
 	var fails []string
 	t := r.Totals()

@@ -91,11 +91,11 @@ func E13HostileRegimes(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// runHostileCell runs one (protocol, regime) cell under supervision.
-// cleanRate is the clean calibration information rate (bits per use);
-// a hostile run achieving less than 90% of it is reported Degraded
-// even if it needed no retries — honest reporting of a quietly
-// degraded channel. It is 0 for the calibration run itself.
+// runHostileCell runs one (protocol, regime) cell under the shared
+// supervision policy. cleanRate is the clean calibration information
+// rate (bits per use); a hostile run achieving less than 90% of it is
+// reported Degraded even if it needed no retries — honest reporting of
+// a quietly degraded channel. It is 0 for the calibration run itself.
 func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.Source) (syncproto.SupervisedResult, error) {
 	const (
 		n     = 4
@@ -106,14 +106,7 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	for i := range msg {
 		msg[i] = msgSrc.Symbol(n)
 	}
-	scfg := syncproto.SupervisorConfig{
-		ChunkSymbols:      256,
-		MaxAttempts:       4,
-		BackoffBase:       32,
-		ErrorThreshold:    0.25,
-		DegradedRateFloor: 0.9 * cleanRate,
-		Tracer:            cfg.Tracer,
-	}
+	scfg := syncproto.Supervision(0.9*cleanRate, cfg.Tracer)
 
 	parsed, err := faultinject.ParseSpec(spec)
 	if err != nil {
@@ -123,7 +116,8 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	// The common-event mechanism has no channel to inject faults into:
 	// its non-synchrony lives in the per-tick miss probabilities. An
 	// outage (neither party scheduled) or drift of magnitude m maps to
-	// an extra per-tick miss of the regime's total magnitude.
+	// an extra per-tick miss of the regime's total magnitude. Without a
+	// channel there is no meter, so no attempt deadline either.
 	if proto == "event" {
 		miss := 0.05
 		for _, item := range parsed {
@@ -141,8 +135,12 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	}
 
 	// Channel-backed protocols: base channel -> fault stack -> meter.
+	// The table labels delayed ARQ "delayedarq".
+	if proto == "delayedarq" {
+		proto = "delayed"
+	}
 	params := channel.Params{N: n, Pd: 0.05, Pi: 0.02}
-	if proto == "arq" || proto == "delayedarq" {
+	if proto == "arq" || proto == "delayed" {
 		// The ARQ analysis assumes a deletion-only channel; hostility
 		// is then injected on top of it.
 		params.Pi = 0
@@ -159,53 +157,13 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	// meter, attributing each use to the stack's injected-override
 	// count. The recorder is wrapped in only when tracing, so the
 	// disabled hot path is the bare stack.
-	var metered syncproto.UseChannel = stack
+	var ch syncproto.UseChannel = stack
 	if cfg.Tracer != nil {
-		rec, err := obs.NewChannelRecorder(stack, cfg.Tracer, stack.Injected)
-		if err != nil {
+		if ch, err = obs.NewChannelRecorder(stack, cfg.Tracer, stack.Injected); err != nil {
 			return syncproto.SupervisedResult{}, err
 		}
-		metered = rec
 	}
-	meter, err := syncproto.NewUseMeter(metered)
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-
-	var active syncproto.Protocol
-	switch proto {
-	case "naive":
-		active, err = syncproto.NewNaiveOver(meter, n)
-	case "arq":
-		active, err = syncproto.NewARQOver(meter, n)
-	case "delayedarq":
-		active, err = syncproto.NewDelayedARQOver(meter, n, params.Pd, delay)
-	case "counter":
-		active, err = syncproto.NewCounterOver(meter, n)
-	default:
-		err = fmt.Errorf("unknown protocol %q", proto)
-	}
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-	resync, err := syncproto.NewCounterOver(meter, n)
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-	// Attempt deadline: a generous multiple of the clean per-chunk
-	// cost, so only genuinely wedged attempts (a long outage window,
-	// a drift excursion) are aborted and retried. DelayedARQ pays
-	// (1+delay) uses per send, so its budget scales up.
-	attempt := 8 * scfg.ChunkSymbols
-	if proto == "delayedarq" {
-		attempt *= 1 + delay
-	}
-	scfg.AttemptUses = attempt
-	sup, err := syncproto.NewSupervisor(active, resync, meter, scfg)
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-	res, err := sup.Run(msg)
+	res, err := syncproto.RunSupervised(proto, ch, n, params.Pd, delay, scfg, msg)
 	if err != nil {
 		return res, err
 	}

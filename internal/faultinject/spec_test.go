@@ -1,10 +1,12 @@
 package faultinject
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -57,6 +59,43 @@ func TestSpecBuildComposesInOrder(t *testing.T) {
 	}
 	if st.Injected() == 0 {
 		t.Error("full stack injected nothing in 50000 uses")
+	}
+}
+
+// TestRecorderCountsOverriddenUses checks that a recorder over a stack
+// whose layers can override the same use counts uses, not overrides:
+// its live Injected tally equals the count ReadTrace recovers from the
+// per-use flags, while the layers' own override counts sum higher.
+func TestRecorderCountsOverriddenUses(t *testing.T) {
+	spec, err := ParseSpec("drift=0.1;stuck=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := spec.Build(cleanChannel(t, 3), 4, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	rec, err := obs.NewChannelRecorder(st, tr, st.Injected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		rec.Use(uint32(i % 16))
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.Counts().Injected, sum.Injected; got != want {
+		t.Errorf("recorder counts %d injected uses, trace flags %d", got, want)
+	}
+	if sum.Injected >= st.Injected() {
+		t.Errorf("no use overridden twice (%d flagged uses, %d overrides): the check is vacuous", sum.Injected, st.Injected())
 	}
 }
 

@@ -97,9 +97,11 @@ func (r *ChannelRecorder) record(queued uint32, u channel.Use) {
 	}
 	inj := false
 	if r.injected != nil {
+		// One per overridden use, however many layers overrode it:
+		// the count ReadTrace recovers from the per-use flags.
 		if cur := r.injected(); cur != r.lastInj {
 			inj = true
-			r.counts.Injected += cur - r.lastInj
+			r.counts.Injected++
 			r.lastInj = cur
 		}
 	}

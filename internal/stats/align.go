@@ -70,22 +70,51 @@ func (c EditCounts) Rates() (pd, pi, ps float64) {
 // deletion and insertion) between sent and received symbol sequences and
 // returns the operation counts. Ties are broken in favour of matches,
 // then substitutions, then deletions.
+//
+// The counts are those of the path AlignOps traces back, computed in
+// O(len(received)) memory: the traceback's choice at a cell depends only
+// on that cell, its diagonal and its upper neighbour, so two DP rows can
+// carry the insertion count along the path next to the distance.
+// Deletions − insertions = len(sent) − len(received) on every path, so
+// the distance and the insertion count fix all four counts.
 func Align(sent, received []uint32) EditCounts {
-	ops := AlignOps(sent, received)
-	var c EditCounts
-	for _, op := range ops {
-		switch op {
-		case OpMatch:
-			c.Matches++
-		case OpSubstitute:
-			c.Substitutions++
-		case OpDelete:
-			c.Deletions++
-		case OpInsert:
-			c.Insertions++
-		}
+	type cell struct{ dist, ins int }
+	n, m := len(sent), len(received)
+	prev, cur := make([]cell, m+1), make([]cell, m+1)
+	for j := range prev {
+		prev[j] = cell{j, j}
 	}
-	return c
+	for i := 1; i <= n; i++ {
+		cur[0] = cell{i, 0}
+		for j := 1; j <= m; j++ {
+			diag, up, left := prev[j-1], prev[j], cur[j-1]
+			match := sent[i-1] == received[j-1]
+			best := diag.dist
+			if !match {
+				best++
+			}
+			if up.dist+1 < best {
+				best = up.dist + 1
+			}
+			if left.dist+1 < best {
+				best = left.dist + 1
+			}
+			// The same choice AlignOps's traceback makes at (i, j).
+			switch {
+			case match && best == diag.dist, best == diag.dist+1:
+				cur[j] = cell{best, diag.ins}
+			case best == up.dist+1:
+				cur[j] = cell{best, up.ins}
+			default:
+				cur[j] = cell{best, left.ins + 1}
+			}
+		}
+		prev, cur = cur, prev
+	}
+	dist, ins := prev[m].dist, prev[m].ins
+	del := ins + n - m
+	sub := dist - del - ins
+	return EditCounts{Matches: n - sub - del, Substitutions: sub, Deletions: del, Insertions: ins}
 }
 
 // AlignOps returns the full operation sequence of a minimal alignment.

@@ -3,6 +3,9 @@ package stats
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/channel"
+	"repro/internal/rng"
 )
 
 func TestAlignIdentical(t *testing.T) {
@@ -166,5 +169,61 @@ func TestEditOpString(t *testing.T) {
 		if got := tt.op.String(); got != tt.want {
 			t.Errorf("EditOp(%d).String() = %q, want %q", tt.op, got, tt.want)
 		}
+	}
+}
+
+// countOps tallies an AlignOps sequence: the counts Align must return.
+func countOps(ops []EditOp) EditCounts {
+	var c EditCounts
+	for _, op := range ops {
+		switch op {
+		case OpMatch:
+			c.Matches++
+		case OpSubstitute:
+			c.Substitutions++
+		case OpDelete:
+			c.Deletions++
+		case OpInsert:
+			c.Insertions++
+		}
+	}
+	return c
+}
+
+// TestAlignMatchesAlignOps checks Align's two-row DP against the full
+// AlignOps traceback, tie-breaking included: short random pairs over
+// small alphabets, which are dense in ties, and channel-shaped pairs, a
+// message next to what a deletion–insertion channel delivered for it.
+func TestAlignMatchesAlignOps(t *testing.T) {
+	src := rng.New(17)
+	check := func(sent, recv []uint32) {
+		t.Helper()
+		if got, want := Align(sent, recv), countOps(AlignOps(sent, recv)); got != want {
+			t.Fatalf("Align(%v, %v) = %+v, AlignOps counts %+v", sent, recv, got, want)
+		}
+	}
+	randomSeq := func(maxLen, n int) []uint32 {
+		seq := make([]uint32, src.Intn(maxLen+1))
+		for i := range seq {
+			seq[i] = src.Symbol(n)
+		}
+		return seq
+	}
+	for k := 0; k < 20000; k++ {
+		n := 1 + k%3
+		check(randomSeq(10, n), randomSeq(10, n))
+	}
+	for k := 0; k < 300; k++ {
+		params := channel.Params{N: 1 + k%4, Pd: 0.3 * src.Float64(), Pi: 0.3 * src.Float64(), Ps: 0.2 * src.Float64()}
+		ch, err := channel.NewDeletionInsertion(params, src.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := make([]uint32, 1+src.Intn(400))
+		for i := range msg {
+			msg[i] = src.Symbol(params.N)
+		}
+		recv, _ := ch.Transmit(msg)
+		check(msg, recv)
 	}
 }

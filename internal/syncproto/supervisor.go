@@ -200,7 +200,9 @@ type SupervisedResult struct {
 	Chunks int
 	// Attempts is the total number of protocol attempts.
 	Attempts int
-	// Retries is the number of failed attempts that were retried.
+	// Retries is the number of failed attempts: every attempt that hit
+	// its deadline, including a protocol's last attempt on a chunk,
+	// which is not retried.
 	Retries int
 	// Resyncs counts active->fallback transitions.
 	Resyncs int
