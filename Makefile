@@ -28,15 +28,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# 30 seconds per native fuzz target: the Definition 1 trace invariants,
-# the fault-spec grammar, the session NDJSON decoder, and the decoder's
-# canonical-subset scanner against its encoding/json reference.
-# Regressions the unit corpus misses show up here first.
+# 20 seconds per native fuzz target, 120 seconds in all: the
+# Definition 1 trace invariants, the fault-spec grammar, the session
+# NDJSON decoder, the decoder's canonical-subset scanner against its
+# encoding/json reference, the result-store entry decoder and the
+# cluster membership flag. Regressions the unit corpus misses show up
+# here first.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 30s ./internal/channel
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/faultinject
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 30s ./internal/session
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 30s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 20s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/faultinject
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 20s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 20s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/cluster/casstore
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMembership$$' -fuzztime 20s ./internal/cluster
 
 # One iteration of the serial/parallel batch benchmarks and of every
 # kernel's {kernel,reference} benchmark set, as a smoke test that the
@@ -83,9 +87,10 @@ trace-smoke:
 # written out, then the capstat analyzer over those files. -assert
 # fails the run unless every response is byte-identical to a
 # single-node oracle, the restarted node serves the run's unique points
-# as pure cache traffic (LRU or store, never a recompute), and the fault
-# machinery actually engaged (hedge, retry and degraded counters all
-# nonzero). The grep is the point of the gate: capstat only prints that
+# as pure cache traffic (LRU or store, never a recompute), some
+# non-owned key was served from the store where it landed, and the
+# fault machinery actually engaged (hedge, retry and degraded counters
+# all nonzero). The grep is the point of the gate: capstat only prints that
 # line when every chain invariant holds AND the trace-derived
 # accounting equals the routing counters exactly, across the kill and
 # the restart.

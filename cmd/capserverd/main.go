@@ -16,7 +16,7 @@
 // owner on a consistent-hash ring, with hedging, bounded retry and
 // degradation to local compute; -store points every member at a shared
 // content-addressed result store so any node serves any cached point
-// and a restarted node warm-starts from disk:
+// without a hop and a restarted node warm-starts from disk:
 //
 //	capserverd -addr 127.0.0.1:8081 -self n1 -store /var/cache/capest \
 //	           -cluster n1=http://10.0.0.1:8081,n2=http://10.0.0.2:8081,n3=http://10.0.0.3:8081

@@ -473,6 +473,23 @@ func (s *Server) Canonicalize(r *http.Request) (key string, ok bool) {
 	return endpoint + "?" + k, true
 }
 
+// Stored returns the durable store's body for a canonical key (the
+// form Canonicalize returns) and counts a store hit when there is one.
+// It never computes, never reads or fills the LRU and never joins a
+// flight, so a cluster member can serve a non-owned key it finds in a
+// shared store without disturbing its own cache or the owner's
+// single-flight compute. Without a store it always misses.
+func (s *Server) Stored(key string) ([]byte, bool) {
+	if s.store == nil {
+		return nil, false
+	}
+	body, ok := s.store.Get(key)
+	if ok {
+		s.metrics.storeHit()
+	}
+	return body, ok
+}
+
 // handleMetrics renders the counters, gauges and latency quantiles,
 // under the Prometheus text-format content type (version 0.0.4 is the
 // format this exposition implements; scrapers negotiate on it).

@@ -106,6 +106,46 @@ func TestStoreReadThrough(t *testing.T) {
 	}
 }
 
+// TestStoredPeeksOnlyTheStore pins the cluster router's store peek: a
+// server sharing the store returns the bytes the computing server
+// served and counts a store hit, without computing and without
+// touching its LRU; a server without a store always misses.
+func TestStoredPeeksOnlyTheStore(t *testing.T) {
+	const path = "/v1/bounds?n=4&pd=0.2&pi=0.1"
+	store := newMapStore()
+	warm := New(Config{Workers: 2, Store: store})
+	key, ok := warm.Canonicalize(httptest.NewRequest(http.MethodGet, path, nil))
+	if !ok {
+		t.Fatal("bounds request not shardable")
+	}
+	if _, ok := warm.Stored(key); ok {
+		t.Fatal("hit on an empty store")
+	}
+	rec := httptest.NewRecorder()
+	warm.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("warm compute: status %d", rec.Code)
+	}
+
+	peer := New(Config{Workers: 2, Store: store})
+	body, ok := peer.Stored(key)
+	if !ok || !bytes.Equal(body, rec.Body.Bytes()) {
+		t.Fatalf("Stored = %q, %v; want the served body %q", body, ok, rec.Body.Bytes())
+	}
+	m := peer.Metrics()
+	if m.StoreHits() != 1 || m.ComputeCalls("bounds") != 0 || m.CacheHits() != 0 {
+		t.Fatalf("store hits %d, computes %d, LRU hits %d; want 1, 0, 0",
+			m.StoreHits(), m.ComputeCalls("bounds"), m.CacheHits())
+	}
+	if cs := peer.cache.stats(); cs.Entries != 0 || cs.Inflight != 0 {
+		t.Fatalf("Stored touched the LRU or the flight table: %+v", cs)
+	}
+
+	if _, ok := New(Config{}).Stored(key); ok {
+		t.Fatal("a server without a store reported a hit")
+	}
+}
+
 // TestAbandonedRequestSkipsCompute is the client-disconnect regression
 // test: a request whose context is canceled while its computation is
 // still queued must not invoke the compute function at all once a

@@ -113,7 +113,8 @@ func (m *Metrics) CacheHits() int64 { return m.hits.Value() }
 func (m *Metrics) CacheShared() int64 { return m.shared.Value() }
 
 // StoreHits returns the number of LRU misses resolved from the
-// durable result store instead of recomputing.
+// durable result store instead of recomputing, plus the Stored
+// lookups that found their key.
 func (m *Metrics) StoreHits() int64 { return m.stores.Value() }
 
 // Abandoned returns the number of queued computations skipped because

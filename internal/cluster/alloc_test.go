@@ -8,13 +8,15 @@ import (
 
 // nopLocal is the cheapest possible localServer: a stored no-op
 // handler (fakeLocal builds a closure per Handler call, which would
-// charge allocations to the router that belong to the stub) and a
-// constant canonical key.
+// charge allocations to the router that belong to the stub), a
+// constant canonical key and an empty store.
 type nopLocal struct{ h http.Handler }
 
 func (l *nopLocal) Handler() http.Handler { return l.h }
 
 func (l *nopLocal) Canonicalize(*http.Request) (string, bool) { return "bounds?fixed", true }
+
+func (l *nopLocal) Stored(string) ([]byte, bool) { return nil, false }
 
 // nopResponseWriter discards the response without allocating.
 type nopResponseWriter struct{ h http.Header }

@@ -27,10 +27,11 @@ type Chain struct {
 	ID string `json:"id"`
 	// Origin is the node that minted the ID and routed the request.
 	Origin string `json:"origin"`
-	// Served is the node whose computation answered the client:
-	// the origin itself (owned, degraded) or the winning peer.
+	// Served is the node that answered the client: the origin itself
+	// (owned, store-local, degraded) or the winning peer.
 	Served string `json:"served"`
-	// Path is the terminal path: owned, forward or degraded.
+	// Path is the terminal path: owned, store-local, forward or
+	// degraded.
 	Path string `json:"path"`
 	// Hops is the number of spans the request left across the cluster.
 	Hops int `json:"hops"`
@@ -66,11 +67,12 @@ type TraceCheck struct {
 // invariants:
 //
 //   - every span carries a known path code;
-//   - a request's origin spans (owned, forward, hedge, retry,
-//     degraded) all name one node — the origin;
+//   - a request's origin spans (owned, store-local, forward, hedge,
+//     retry, degraded) all name one node — the origin;
 //   - a request terminates at exactly one serving span: an owned span,
-//     a degraded span, or a forward span with a winner — and an owned
-//     terminal is exclusive (an owned request never forwards);
+//     a store-local span, a degraded span, or a forward span with a
+//     winner — and an owned or store-local terminal is exclusive (such
+//     a request never forwards, and no other node serves it);
 //   - at most one forward span per request, and hedge/retry/degraded
 //     spans only accompany a forward span;
 //   - a degraded span requires its forward span to be winnerless, and
@@ -111,7 +113,7 @@ func AnalyzeSpans(spans []obs.ReqSpan) TraceCheck {
 
 	for _, id := range ids {
 		group := byID[id]
-		var owned, forward, degraded []obs.ReqSpan
+		var owned, storeLocal, forward, degraded []obs.ReqSpan
 		var hedges, retries, remotes []obs.ReqSpan
 		origin := ""
 		originConflict := false
@@ -119,6 +121,8 @@ func AnalyzeSpans(spans []obs.ReqSpan) TraceCheck {
 			switch sp.Path {
 			case obs.PathOwned:
 				owned = append(owned, sp)
+			case obs.PathStoreLocal:
+				storeLocal = append(storeLocal, sp)
 			case obs.PathForward:
 				forward = append(forward, sp)
 			case obs.PathHedge:
@@ -148,20 +152,24 @@ func AnalyzeSpans(spans []obs.ReqSpan) TraceCheck {
 		if originConflict {
 			violate("request %s: origin spans name more than one node", id)
 		}
-		if len(owned) > 1 || len(forward) > 1 || len(degraded) > 1 {
-			violate("request %s: duplicate origin span (owned %d, forward %d, degraded %d)",
-				id, len(owned), len(forward), len(degraded))
+		if len(owned) > 1 || len(storeLocal) > 1 || len(forward) > 1 || len(degraded) > 1 {
+			violate("request %s: duplicate origin span (owned %d, store-local %d, forward %d, degraded %d)",
+				id, len(owned), len(storeLocal), len(forward), len(degraded))
 		}
 		if len(owned) > 0 && len(group) > len(owned) {
 			violate("request %s: owned terminal is not exclusive (%d extra spans)",
 				id, len(group)-len(owned))
+		}
+		if len(storeLocal) > 0 && len(group) > len(storeLocal) {
+			violate("request %s: store-local terminal is not exclusive (%d extra spans)",
+				id, len(group)-len(storeLocal))
 		}
 		if len(forward) == 0 && (len(hedges) > 0 || len(retries) > 0 || len(degraded) > 0) {
 			violate("request %s: hedge/retry/degraded spans without a forward span", id)
 		}
 
 		// Exactly one terminal serving span.
-		terminals := len(owned) + len(degraded)
+		terminals := len(owned) + len(storeLocal) + len(degraded)
 		winner := ""
 		if len(forward) == 1 {
 			winner = forward[0].Winner
@@ -208,6 +216,7 @@ func AnalyzeSpans(spans []obs.ReqSpan) TraceCheck {
 		// trace says even when the trace is inconsistent.
 		chain := Chain{ID: id, Origin: origin, Hops: len(group)}
 		chain.Spans = append(chain.Spans, owned...)
+		chain.Spans = append(chain.Spans, storeLocal...)
 		chain.Spans = append(chain.Spans, forward...)
 		chain.Spans = append(chain.Spans, hedges...)
 		chain.Spans = append(chain.Spans, retries...)
@@ -217,6 +226,8 @@ func AnalyzeSpans(spans []obs.ReqSpan) TraceCheck {
 		switch {
 		case len(owned) > 0:
 			chain.Path, chain.Served = obs.PathOwned, origin
+		case len(storeLocal) > 0:
+			chain.Path, chain.Served = obs.PathStoreLocal, origin
 		case len(degraded) > 0:
 			chain.Path, chain.Served = obs.PathDegraded, origin
 		case winner != "":
@@ -245,6 +256,7 @@ func (c TraceCheck) Reconcile(counters map[string]NodeCounters) []string {
 		value   func(NodeCounters) int64
 	}{
 		{obs.PathOwned, "cluster_owned_local_total", func(n NodeCounters) int64 { return n.OwnedLocal }},
+		{obs.PathStoreLocal, "cluster_store_local_total", func(n NodeCounters) int64 { return n.StoreLocal }},
 		{obs.PathForward, "cluster_forward_total", func(n NodeCounters) int64 { return n.Forwards }},
 		{obs.PathHedge, "cluster_hedge_total", func(n NodeCounters) int64 { return n.Hedges }},
 		{HedgeWinPath, "cluster_hedge_wins_total", func(n NodeCounters) int64 { return n.HedgeWins }},
@@ -303,10 +315,10 @@ func (c TraceCheck) TopSlow(k int) []Chain {
 func (c TraceCheck) Format(counters map[string]NodeCounters, topK int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "capstat: %d requests, %d spans\n", c.Requests, c.Spans)
-	paths := []string{obs.PathOwned, obs.PathForward, obs.PathHedge, HedgeWinPath,
-		obs.PathRetry, obs.PathDegraded, obs.PathRemote}
+	paths := []string{obs.PathOwned, obs.PathStoreLocal, obs.PathForward, obs.PathHedge,
+		HedgeWinPath, obs.PathRetry, obs.PathDegraded, obs.PathRemote}
 	for _, p := range paths {
-		fmt.Fprintf(&b, "  %-9s %d\n", p, c.ByPath[p])
+		fmt.Fprintf(&b, "  %-11s %d\n", p, c.ByPath[p])
 	}
 	nodes := make([]string, 0, len(c.PerNode))
 	for node := range c.PerNode {

@@ -38,17 +38,19 @@ func TestAnalyzeSpansCleanChains(t *testing.T) {
 		sp("r4", "n1", obs.PathRetry, withPeer("n2")),
 		sp("r4", "n1", obs.PathRetry, withPeer("n2")),
 		sp("r4", "n1", obs.PathDegraded, withPeer("n2"), withServe(60)),
+		// r5: non-owned key found in the shared store, served on n1.
+		sp("r5", "n1", obs.PathStoreLocal, withServe(2)),
 	}
 	check := AnalyzeSpans(spans)
 	if len(check.Violations) != 0 {
 		t.Fatalf("clean chains produced violations: %v", check.Violations)
 	}
-	if check.Requests != 4 || check.Spans != len(spans) {
+	if check.Requests != 5 || check.Spans != len(spans) {
 		t.Fatalf("requests=%d spans=%d", check.Requests, check.Spans)
 	}
 	want := map[string]int64{
-		obs.PathOwned: 1, obs.PathForward: 3, obs.PathHedge: 1, HedgeWinPath: 1,
-		obs.PathRetry: 2, obs.PathDegraded: 1, obs.PathRemote: 3,
+		obs.PathOwned: 1, obs.PathStoreLocal: 1, obs.PathForward: 3, obs.PathHedge: 1,
+		HedgeWinPath: 1, obs.PathRetry: 2, obs.PathDegraded: 1, obs.PathRemote: 3,
 	}
 	for path, n := range want {
 		if check.ByPath[path] != n {
@@ -65,6 +67,7 @@ func TestAnalyzeSpansCleanChains(t *testing.T) {
 		{"r2", "n1", "n2", obs.PathForward},
 		{"r3", "n1", "n3", obs.PathForward},
 		{"r4", "n1", "n1", obs.PathDegraded},
+		{"r5", "n1", "n1", obs.PathStoreLocal},
 	}
 	if len(check.Chains) != len(wantChains) {
 		t.Fatalf("%d chains, want %d", len(check.Chains), len(wantChains))
@@ -84,7 +87,7 @@ func TestAnalyzeSpansCleanChains(t *testing.T) {
 	if len(top) != 2 || top[0].ID != "r3" || top[1].ID != "r4" {
 		t.Fatalf("TopSlow(2) = %v", top)
 	}
-	if got := check.TopSlow(99); len(got) != 4 {
+	if got := check.TopSlow(99); len(got) != 5 {
 		t.Fatalf("TopSlow over-asking returned %d chains", len(got))
 	}
 }
@@ -108,6 +111,14 @@ func TestAnalyzeSpansViolations(t *testing.T) {
 			sp("r", "n1", obs.PathOwned),
 			sp("r", "n1", obs.PathForward, withPeer("n2"), withWinner("n2")),
 		}, "owned terminal is not exclusive"},
+		{"store-local with a forward", []obs.ReqSpan{
+			sp("r", "n1", obs.PathStoreLocal),
+			sp("r", "n1", obs.PathForward, withPeer("n2"), withWinner("n2")),
+		}, "store-local terminal is not exclusive"},
+		{"store-local with a remote serve", []obs.ReqSpan{
+			sp("r", "n1", obs.PathStoreLocal),
+			sp("r", "n2", obs.PathRemote, withPeer("n1")),
+		}, "store-local terminal is not exclusive"},
 		{"retry without forward", []obs.ReqSpan{
 			sp("r", "n1", obs.PathOwned),
 			sp("r", "n1", obs.PathRetry, withPeer("n2")),
@@ -156,10 +167,11 @@ func TestReconcileExactBothDirections(t *testing.T) {
 		sp("r1", "n1", obs.PathOwned),
 		sp("r2", "n1", obs.PathForward, withPeer("n2"), withWinner("n2")),
 		sp("r2", "n2", obs.PathRemote, withPeer("n1")),
+		sp("r3", "n2", obs.PathStoreLocal),
 	})
 	counters := map[string]NodeCounters{
 		"n1": {Name: "n1", OwnedLocal: 1, Forwards: 1},
-		"n2": {Name: "n2", Remote: 1},
+		"n2": {Name: "n2", Remote: 1, StoreLocal: 1},
 	}
 	if mm := check.Reconcile(counters); len(mm) != 0 {
 		t.Fatalf("exact counters mismatch: %v", mm)
@@ -171,11 +183,21 @@ func TestReconcileExactBothDirections(t *testing.T) {
 	// Counter without its span: the counter side drifted.
 	over := map[string]NodeCounters{
 		"n1": {Name: "n1", OwnedLocal: 2, Forwards: 1},
-		"n2": {Name: "n2", Remote: 1},
+		"n2": {Name: "n2", Remote: 1, StoreLocal: 1},
 	}
 	mm := check.Reconcile(over)
 	if len(mm) != 1 || !strings.Contains(mm[0], "cluster_owned_local_total is 2") {
 		t.Fatalf("over-counted mismatch = %v", mm)
+	}
+
+	// A store-local serve whose counter never moved.
+	uncounted := map[string]NodeCounters{
+		"n1": {Name: "n1", OwnedLocal: 1, Forwards: 1},
+		"n2": {Name: "n2", Remote: 1},
+	}
+	mm = check.Reconcile(uncounted)
+	if len(mm) != 1 || !strings.Contains(mm[0], "n2: trace has 1 store-local spans, cluster_store_local_total is 0") {
+		t.Fatalf("uncounted store-local mismatch = %v", mm)
 	}
 
 	// Span without its counter: the trace side drifted — and a node the

@@ -19,8 +19,10 @@ package casstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -28,8 +30,12 @@ import (
 	"sync/atomic"
 )
 
-// header tags every entry file; bump on layout changes.
-const header = "capcas/v1"
+// magic tags every entry file; bump on layout changes. Entries of any
+// other layout read as misses and are rewritten by the next Put.
+const magic = "capcas/v2"
+
+// castagnoli is the CRC-32C table entries checksum their bodies with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Stats is a point-in-time snapshot of store activity.
 type Stats struct {
@@ -72,37 +78,69 @@ func (s *Store) entryPath(key string) (dir, path string) {
 	return dir, filepath.Join(dir, addr[2:])
 }
 
-// encode renders an entry: header, the key's byte length, the key,
+// encode renders an entry: a header line naming the layout, the key's
+// and the body's byte lengths and the body's CRC-32C, then the key,
 // then the body. Embedding the key makes Get verification exact (a
-// SHA-256 collision or a corrupted file can never alias another
-// point) and keeps entries debuggable with cat.
+// SHA-256 collision can never alias another point); the lengths and
+// the checksum make a truncated or bit-flipped body read as a miss,
+// never as a wrong answer. Entries stay debuggable with cat.
 func encode(key string, body []byte) []byte {
-	var b bytes.Buffer
-	b.Grow(len(header) + len(key) + len(body) + 24)
-	fmt.Fprintf(&b, "%s %d\n%s", header, len(key), key)
-	b.Write(body)
-	return b.Bytes()
+	raw := make([]byte, 0, len(key)+len(body)+64)
+	raw = appendHeader(raw, len(key), len(body), crc32.Checksum(body, castagnoli))
+	raw = append(raw, key...)
+	return append(raw, body...)
 }
 
-// decode parses and verifies an entry, returning the body.
+// appendHeader appends the header line "capcas/v2 <keylen> <bodylen>
+// <crc32c as 8 lowercase hex digits>\n".
+func appendHeader(dst []byte, klen, blen int, sum uint32) []byte {
+	dst = append(dst, magic...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(klen), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(blen), 10)
+	dst = append(dst, ' ')
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], sum)
+	dst = hex.AppendEncode(dst, b[:])
+	return append(dst, '\n')
+}
+
+// decode parses and verifies an entry, returning the body. It accepts
+// exactly the bytes encode writes for key: the header line must be
+// the one encode would render, the entry must end where the header's
+// lengths say, the embedded key must equal key, and the body must
+// match its checksum.
 func decode(raw []byte, key string) ([]byte, bool) {
-	rest, ok := bytes.CutPrefix(raw, []byte(header+" "))
-	if !ok {
-		return nil, false
-	}
-	nl := bytes.IndexByte(rest, '\n')
+	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
 		return nil, false
 	}
-	klen, err := strconv.Atoi(string(rest[:nl]))
-	if err != nil || klen < 0 || klen > len(rest)-nl-1 {
+	line, ok := bytes.CutPrefix(raw[:nl], []byte(magic+" "))
+	kf, line, ok1 := bytes.Cut(line, []byte(" "))
+	bf, hf, ok2 := bytes.Cut(line, []byte(" "))
+	var sum [4]byte
+	if !ok || !ok1 || !ok2 || len(hf) != hex.EncodedLen(len(sum)) {
 		return nil, false
 	}
-	rest = rest[nl+1:]
-	if string(rest[:klen]) != key {
+	klen, kerr := strconv.Atoi(string(kf))
+	blen, berr := strconv.Atoi(string(bf))
+	_, herr := hex.Decode(sum[:], hf)
+	start := nl + 1
+	if kerr != nil || berr != nil || herr != nil || klen < 0 || blen < 0 ||
+		klen > len(raw) || blen > len(raw) || start+klen+blen != len(raw) {
 		return nil, false
 	}
-	return rest[klen:], true
+	crc := binary.BigEndian.Uint32(sum[:])
+	var hdr [64]byte
+	if !bytes.Equal(appendHeader(hdr[:0], klen, blen, crc), raw[:start]) {
+		return nil, false
+	}
+	body := raw[start+klen:]
+	if string(raw[start:start+klen]) != key || crc32.Checksum(body, castagnoli) != crc {
+		return nil, false
+	}
+	return body, true
 }
 
 // Get returns the stored body for a canonical key. A file that fails

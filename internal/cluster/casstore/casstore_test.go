@@ -2,8 +2,11 @@ package casstore
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -58,24 +61,54 @@ func TestCorruptEntryReadsAsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := "trace?n=3&seed=7"
-	s.Put(key, []byte("good"))
+	body := []byte(`{"upper":3.6}` + "\n")
+	s.Put(key, body)
 	_, path := s.entryPath(key)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[bytes.LastIndexByte(flipped, '.')] ^= 1 // "3.6" -> "3/6"
+	sum := fmt.Sprintf("%08x", crc32.Checksum(body, castagnoli))
+	v2 := func(klen, blen, sum string) []byte {
+		return []byte(fmt.Sprintf("capcas/v2 %s %s %s\n%s%s", klen, blen, sum, key, body))
+	}
+	klen, blen := fmt.Sprint(len(key)), fmt.Sprint(len(body))
 
-	for _, raw := range [][]byte{
-		[]byte("not an entry"),
-		[]byte("capcas/v1 bogus\nxx"),
-		[]byte("capcas/v1 9999\nshort"),
-		[]byte("capcas/v1 5\nwrongbody"), // embedded key mismatch
-	} {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+	cases := []struct {
+		name string
+		raw  []byte
+	}{
+		{"not an entry", []byte("not an entry")},
+		{"bogus length", []byte("capcas/v1 bogus\nxx")},
+		{"length past the end", []byte("capcas/v1 9999\nshort")},
+		{"embedded key mismatch", encode("trace?n=3&seed=8", body)},
+		{"flipped body bit", flipped},
+		{"truncated body", good[:len(good)-len(body)/2]},
+		{"trailing bytes", append(append([]byte(nil), good...), 'x')},
+		{"signed v1 key length", []byte(fmt.Sprintf("capcas/v1 +%d\n%s%s", len(key), key, body))},
+		{"signed key length", v2("+"+klen, blen, sum)},
+		{"zero-padded body length", v2(klen, "0"+blen, sum)},
+		{"upper-case checksum", v2(klen, blen, strings.ToUpper(sum))},
+		{"short checksum", v2(klen, blen, sum[1:])},
+		{"wrong checksum", v2(klen, blen, "00000000")},
+		// Last, so the recovery below shows a v1 entry being rewritten.
+		{"well-formed v1 entry", []byte(fmt.Sprintf("capcas/v1 %d\n%s%s", len(key), key, body))},
+	}
+	if !bytes.Equal(v2(klen, blen, sum), good) {
+		t.Fatalf("fixture header differs from encode:\n%q\n%q", v2(klen, blen, sum), good)
+	}
+	for _, c := range cases {
+		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Get(key); ok {
-			t.Fatalf("corrupt entry %q served as a hit", raw)
+		if got, ok := s.Get(key); ok {
+			t.Errorf("%s: corrupt entry %q served as a hit with body %q", c.name, c.raw, got)
 		}
 	}
-	if st := s.Stats(); st.Corrupt != 4 {
-		t.Fatalf("corrupt count: %+v", st)
+	if st := s.Stats(); st.Corrupt != int64(len(cases)) {
+		t.Fatalf("corrupt count: %+v, want %d", st, len(cases))
 	}
 
 	// Recovery: a fresh Put overwrites the bad entry atomically.
@@ -84,6 +117,26 @@ func TestCorruptEntryReadsAsMiss(t *testing.T) {
 	if !ok || string(got) != "good again" {
 		t.Fatalf("recovery: ok=%v got=%q", ok, got)
 	}
+}
+
+// FuzzDecode holds decode to its contract over arbitrary entry files:
+// it never panics, it accepts only the exact bytes encode writes for
+// the key, and every encoded entry decodes to its body.
+func FuzzDecode(f *testing.F) {
+	key := "bounds?n=4&pd=0.2"
+	body := []byte(`{"upper":3.6}` + "\n")
+	f.Add(encode(key, body), key)
+	f.Add([]byte(fmt.Sprintf("capcas/v1 +%d\n%s%s", len(key), key, body)), key)
+	f.Add([]byte(fmt.Sprintf("capcas/v2 %d %d 00000000\n%s%s", len(key), len(body), key, body)), key)
+	f.Add([]byte("capcas/v2 -1 99 deadbeef\n"), "")
+	f.Fuzz(func(t *testing.T, raw []byte, key string) {
+		if body, ok := decode(raw, key); ok && !bytes.Equal(encode(key, body), raw) {
+			t.Fatalf("decode accepted %q for key %q, but encode writes %q", raw, key, encode(key, body))
+		}
+		if body, ok := decode(encode(key, raw), key); !ok || !bytes.Equal(body, raw) {
+			t.Fatalf("round trip of body %q under key %q: ok=%v body=%q", raw, key, ok, body)
+		}
+	})
 }
 
 func TestNoTempFilesSurviveAndNoTornReads(t *testing.T) {

@@ -13,7 +13,8 @@
 //     with atomic write-rename semantics, plugged into capserver's
 //     ResultStore hook — nodes sharing a store directory can all serve
 //     any cached point, and a restarted node warm-starts from disk;
-//   - Node: the per-process router. Owned keys serve locally;
+//   - Node: the per-process router. Owned keys serve locally, and so
+//     do non-owned keys the shared store already holds; other
 //     non-owned keys forward to the owner over HTTP with a hedged
 //     second request to the next replica after a deterministic delay,
 //     bounded deterministic retry/backoff on node loss, and graceful
@@ -33,6 +34,7 @@ package cluster
 
 import (
 	"fmt"
+	"net/url"
 	"sort"
 	"strings"
 )
@@ -74,8 +76,10 @@ func (m Membership) URL(name string) string {
 
 // ParseMembership parses the static membership flag syntax
 // "n1=http://host1:8081,n2=http://host2:8082,...". Names must be
-// unique and non-empty; URLs must be non-empty and are normalized to
-// drop a trailing slash.
+// unique and non-empty. URLs are normalized to drop a trailing slash
+// and must then be absolute http or https URLs with a host and no
+// query or fragment, since the router forwards to base URL + request
+// URI.
 func ParseMembership(s string) (Membership, error) {
 	var m Membership
 	seen := make(map[string]bool)
@@ -86,15 +90,20 @@ func ParseMembership(s string) (Membership, error) {
 		}
 		name, rawURL, ok := strings.Cut(part, "=")
 		name = strings.TrimSpace(name)
-		rawURL = strings.TrimSpace(rawURL)
-		if !ok || name == "" || rawURL == "" {
+		rawURL = strings.TrimRight(strings.TrimSpace(rawURL), "/")
+		if !ok || name == "" {
 			return Membership{}, fmt.Errorf("cluster: membership entry %q is not name=url", part)
+		}
+		u, err := url.Parse(rawURL)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" ||
+			strings.ContainsAny(rawURL, "?#") {
+			return Membership{}, fmt.Errorf("cluster: member %s URL %q is not an absolute http(s) URL with a host", name, rawURL)
 		}
 		if seen[name] {
 			return Membership{}, fmt.Errorf("cluster: duplicate member name %q", name)
 		}
 		seen[name] = true
-		m.Members = append(m.Members, Member{Name: name, URL: strings.TrimRight(rawURL, "/")})
+		m.Members = append(m.Members, Member{Name: name, URL: rawURL})
 	}
 	if len(m.Members) == 0 {
 		return Membership{}, fmt.Errorf("cluster: membership %q lists no members", s)

@@ -237,6 +237,7 @@ func TestExpositionLintFullNode(t *testing.T) {
 		"capserver_alert_state",
 		// cluster routing
 		"cluster_owned_local_total",
+		"cluster_store_local_total",
 		"cluster_degraded_total",
 		"cluster_session_owned_total",
 		// hostile family survived escaping

@@ -126,6 +126,7 @@ func (o HarnessOptions) withDefaults() HarnessOptions {
 type NodeCounters struct {
 	Name       string `json:"name"`
 	OwnedLocal int64  `json:"owned_local"`
+	StoreLocal int64  `json:"store_local"`
 	Forwards   int64  `json:"forwards"`
 	Hedges     int64  `json:"hedges"`
 	HedgeWins  int64  `json:"hedge_wins"`
@@ -177,6 +178,7 @@ func (r *HarnessReport) Totals() NodeCounters {
 	t := NodeCounters{Name: "total"}
 	for _, n := range r.Nodes {
 		t.OwnedLocal += n.OwnedLocal
+		t.StoreLocal += n.StoreLocal
 		t.Forwards += n.Forwards
 		t.Hedges += n.Hedges
 		t.HedgeWins += n.HedgeWins
@@ -215,8 +217,8 @@ func (r *HarnessReport) Format(w io.Writer) {
 		fmt.Fprintf(w, "fault:      killed %s (restarted=%v)\n", r.Killed, r.Restarted)
 	}
 	for _, n := range append(r.Nodes, r.Totals()) {
-		fmt.Fprintf(w, "node %-6s owned=%-4d fwd=%-4d hedge=%d/%d retry=%-3d peer_err=%-3d degraded=%d remote=%d\n",
-			n.Name, n.OwnedLocal, n.Forwards, n.HedgeWins, n.Hedges, n.Retries, n.PeerErrors, n.Degraded, n.Remote)
+		fmt.Fprintf(w, "node %-6s owned=%-4d store_local=%-4d fwd=%-4d hedge=%d/%d retry=%-3d peer_err=%-3d degraded=%d remote=%d\n",
+			n.Name, n.OwnedLocal, n.StoreLocal, n.Forwards, n.HedgeWins, n.Hedges, n.Retries, n.PeerErrors, n.Degraded, n.Remote)
 	}
 	if r.Trace != nil {
 		fmt.Fprintf(w, "trace:      %d requests, %d spans, %d violations, %d counter mismatches\n",
@@ -232,9 +234,11 @@ func (r *HarnessReport) Format(w io.Writer) {
 
 // Assert is the acceptance gate for `capload -mode cluster -assert`:
 // byte identity must hold for every response, the restarted node must
-// be pure cache traffic, and when a node was killed the fault machinery
-// must actually have engaged (hedge, retry and degraded counters all
-// nonzero).
+// be pure cache traffic, a non-owned key already in the shared store
+// must have been served where it landed at least once (every harness
+// run shares one store), and when a node was killed the fault
+// machinery must actually have engaged (hedge, retry and degraded
+// counters all nonzero).
 func (r *HarnessReport) Assert() error {
 	var fails []string
 	if r.Mismatches != 0 {
@@ -243,6 +247,9 @@ func (r *HarnessReport) Assert() error {
 	t := r.Totals()
 	if t.Forwards == 0 {
 		fails = append(fails, "no request was ever forwarded (dispatch never crossed shards?)")
+	}
+	if t.StoreLocal == 0 {
+		fails = append(fails, "no non-owned request was served from the shared store at its origin")
 	}
 	if t.Hedges == 0 {
 		fails = append(fails, "no hedged request fired")
@@ -383,6 +390,9 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		Unique:   o.Unique,
 		ExactN:   o.ExactN,
 	})
+	if err := missKillWindow(plan, fault, tb.Proc(fault.Node).Node.Ring(), oracle.Server, o.ExactN); err != nil {
+		return nil, err
+	}
 
 	report := &HarnessReport{Requests: len(plan), Status: make(map[int]int)}
 	dispatch := rng.NewStream(o.Seed, 0xd15)
@@ -497,6 +507,7 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		for _, p := range tb.Incarnations(name) {
 			m := p.Node.Metrics()
 			c.OwnedLocal += m.OwnedLocal()
+			c.StoreLocal += m.StoreLocal()
 			c.Forwards += m.Forwards()
 			c.Hedges += m.Hedges()
 			c.HedgeWins += m.HedgeWins()
@@ -543,6 +554,57 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		report.StoreEntries = n
 	}
 	return report, nil
+}
+
+// missKillWindow rewrites the plan's kill window in place: every
+// request whose key the killed node owns becomes a fresh bounds point
+// that the killed node also owns and that no other request names. An
+// origin serves a non-owned key the shared store already holds without
+// a hop, so in a plan that repeats its points every such request would
+// be a store hit by the time of the kill, and none would reach the dead
+// owner. A fresh point is a store miss that must, which is what makes
+// the run exercise retry and degraded compute. srv canonicalizes the
+// paths.
+func missKillWindow(plan []capserver.PlannedRequest, f Fault, ring *Ring, srv *capserver.Server, exactN int) error {
+	canon := func(path string) (string, bool) {
+		req, err := http.NewRequest(http.MethodGet, path, nil)
+		if err != nil {
+			return "", false
+		}
+		return srv.Canonicalize(req)
+	}
+	used := make(map[string]bool, len(plan))
+	for _, req := range plan {
+		if key, ok := canon(req.Path); ok {
+			used[key] = true
+		}
+	}
+	const grid = 1000 // candidate pd values j/grid, 0 < j < grid
+	j := 1
+	for i, req := range plan {
+		if !f.downAt(i) {
+			continue
+		}
+		if key, ok := canon(req.Path); !ok || ring.Owner(key) != f.Node {
+			continue
+		}
+		for ; ; j++ {
+			if j == grid {
+				return fmt.Errorf("cluster: no fresh bounds point owned by %s for the kill window", f.Node)
+			}
+			path := fmt.Sprintf("/v1/bounds?n=6&pd=%g&pi=0.05", float64(j)/grid)
+			if exactN > 0 {
+				path += fmt.Sprintf("&exact_n=%d", exactN)
+			}
+			key, ok := canon(path)
+			if ok && !used[key] && ring.Owner(key) == f.Node {
+				used[key] = true
+				plan[i] = capserver.PlannedRequest{Endpoint: "bounds", Path: path}
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // writeTraceDir lays the run's traces out the way cmd/capstat ingests

@@ -129,6 +129,36 @@ func TestRoutingHeadersAcrossPaths(t *testing.T) {
 		}
 	})
 
+	t.Run("store-local traced mints id and records one span", func(t *testing.T) {
+		tc, bufs := tracedTestCluster(t, nil)
+		q := keyOwnedBy(t, tc.nodes["n1"].Ring(), "n2")
+		tc.locals["n1"].store("bounds?" + q)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/v1/bounds?"+q, nil)
+		spoof(req)
+		tc.nodes["n1"].serveHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d", rec.Code)
+		}
+		id := rec.Header().Get(TraceHeader)
+		if id == "" || id == "spoofed-id" {
+			t.Fatalf("store-local response has id %q, want a fresh node-minted one", id)
+		}
+		for _, h := range []string{PeerHeader, HedgeHeader, DegradedHeader} {
+			if got := rec.Header().Get(h); got != "" {
+				t.Errorf("store-local response carries %s=%q", h, got)
+			}
+		}
+		spans := spansOf(t, tc, bufs, "n1")
+		if len(spans) != 1 || spans[0].Path != obs.PathStoreLocal || spans[0].ID != id ||
+			spans[0].Cache != "store" || spans[0].Status != http.StatusOK {
+			t.Fatalf("spans %+v, want one store-local span for %s", spans, id)
+		}
+		if owner := spansOf(t, tc, bufs, "n2"); len(owner) != 0 {
+			t.Fatalf("owner recorded spans %+v for a request it never saw", owner)
+		}
+	})
+
 	t.Run("pre-routed traced hop never re-forwards", func(t *testing.T) {
 		tc, bufs := tracedTestCluster(t, nil)
 		q := keyOwnedBy(t, tc.nodes["n1"].Ring(), "n2")

@@ -11,6 +11,7 @@ import "repro/internal/obs"
 type Metrics struct {
 	reg        *obs.Registry
 	ownedLocal *obs.Counter
+	storeLocal *obs.Counter
 	forwards   *obs.Counter
 	hedges     *obs.Counter
 	hedgeWins  *obs.Counter
@@ -41,6 +42,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		reg:        reg,
 		ownedLocal: reg.Counter("cluster_owned_local_total"),
+		storeLocal: reg.Counter("cluster_store_local_total"),
 		forwards:   reg.Counter("cluster_forward_total"),
 		hedges:     reg.Counter("cluster_hedge_total"),
 		hedgeWins:  reg.Counter("cluster_hedge_wins_total"),
@@ -62,6 +64,10 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 // OwnedLocal returns the number of shardable requests this node
 // served because it owns their keys (or received them pre-routed).
 func (m *Metrics) OwnedLocal() int64 { return m.ownedLocal.Value() }
+
+// StoreLocal returns the number of non-owned requests this node served
+// as their origin from the shared result store, without a hop.
+func (m *Metrics) StoreLocal() int64 { return m.storeLocal.Value() }
 
 // Forwards returns the number of requests forwarded toward an owner.
 func (m *Metrics) Forwards() int64 { return m.forwards.Value() }

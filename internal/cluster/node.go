@@ -106,18 +106,22 @@ func (c Config) withDefaults() Config {
 }
 
 // localServer is the slice of capserver.Server the node needs: the
-// request handler and the canonical-key router. Declared as an
-// interface so node tests can substitute instrumented locals.
+// request handler, the canonical-key router and the store-only lookup.
+// Declared as an interface so node tests can substitute instrumented
+// locals.
 type localServer interface {
 	Handler() http.Handler
 	Canonicalize(r *http.Request) (key string, ok bool)
+	Stored(key string) (body []byte, ok bool)
 }
 
 // Node routes requests for one member of a capserver cluster. It
 // wraps the local capserver: shardable requests it owns (and every
-// non-shardable or already-forwarded request) serve locally; the rest
-// forward to their owner with hedging, bounded deterministic retry,
-// and degradation to local compute when the owner is unreachable.
+// non-shardable or already-forwarded request) serve locally; a
+// non-owned key already in the shared result store is served from
+// there; the rest forward to their owner with hedging, bounded
+// deterministic retry, and degradation to local compute when the
+// owner is unreachable.
 type Node struct {
 	cfg     Config
 	ring    *Ring
@@ -206,7 +210,48 @@ func (n *Node) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	if n.cfg.Tracer.Enabled() {
 		id = n.requestID(key)
 	}
+	if n.serveStored(w, key, id) {
+		return
+	}
 	n.forward(w, r, key, owner, id)
+}
+
+// serveStored serves a non-owned key from the shared result store when
+// the store holds it, and reports whether it did. The stored body is
+// the exact response the owner would relay (bodies are pure functions
+// of their canonical keys, and the store verifies each entry), so the
+// hop buys nothing; only a miss needs the owner's single-flight
+// compute. The counter and, on a traced request, the terminal
+// store-local span are recorded together after the write.
+func (n *Node) serveStored(w http.ResponseWriter, key, id string) bool {
+	var start time.Time
+	if id != "" {
+		start = time.Now()
+	}
+	body, ok := n.local.Stored(key)
+	if !ok {
+		return false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set(capserver.CacheHeader, "store")
+	if id != "" {
+		h.Set(obs.TraceHeader, id)
+	}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	n.metrics.storeLocal.Inc()
+	if id != "" {
+		n.cfg.Tracer.ReqSpan(obs.ReqSpan{
+			ID:      id,
+			Node:    n.cfg.Self,
+			Path:    obs.PathStoreLocal,
+			Status:  http.StatusOK,
+			Cache:   "store",
+			ServeUS: time.Since(start).Microseconds(),
+		})
+	}
+	return true
 }
 
 // SessionRingKey is the ring keyspace prefix for session ownership.

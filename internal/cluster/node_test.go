@@ -12,7 +12,8 @@ import (
 
 // fakeLocal stands in for capserver.Server: /v1/bounds is shardable
 // with key "bounds?<query>", the body is a pure function of the key,
-// and the test can inject latency or a fixed status per node.
+// and the test can inject latency or a fixed status per node, or
+// place keys in the node's view of the shared store.
 type fakeLocal struct {
 	name  string
 	delay time.Duration
@@ -22,6 +23,8 @@ type fakeLocal struct {
 	computes  int
 	forwarded []string // ForwardedHeader values seen
 	traced    []string // TraceHeader values seen (including "")
+	stored    map[string][]byte
+	peeks     int // Stored calls
 }
 
 func (f *fakeLocal) Canonicalize(r *http.Request) (string, bool) {
@@ -29,6 +32,34 @@ func (f *fakeLocal) Canonicalize(r *http.Request) (string, bool) {
 		return "bounds?" + r.URL.RawQuery, true
 	}
 	return "", false
+}
+
+// fakeBody is the body every fakeLocal serves for a canonical key.
+func fakeBody(key string) string { return fmt.Sprintf(`{"body":%q}`, key) }
+
+func (f *fakeLocal) Stored(key string) ([]byte, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.peeks++
+	b, ok := f.stored[key]
+	return b, ok
+}
+
+// store places a key's body in the node's store, as a compute anywhere
+// in the cluster would.
+func (f *fakeLocal) store(key string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stored == nil {
+		f.stored = make(map[string][]byte)
+	}
+	f.stored[key] = []byte(fakeBody(key))
+}
+
+func (f *fakeLocal) peekCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.peeks
 }
 
 func (f *fakeLocal) Handler() http.Handler {
@@ -47,7 +78,7 @@ func (f *fakeLocal) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Capserver-Cache", "miss")
-		fmt.Fprintf(w, `{"body":%q}`, "bounds?"+r.URL.RawQuery)
+		fmt.Fprint(w, fakeBody("bounds?"+r.URL.RawQuery))
 	})
 }
 
@@ -204,6 +235,87 @@ func TestForwardedRequestNeverReforwards(t *testing.T) {
 	}
 	if c, _ := tc.locals["n3"].snapshot(); c != 1 {
 		t.Fatalf("n3 computes: %d", c)
+	}
+}
+
+func TestStoredKeyServesAtOrigin(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	q := keyOwnedBy(t, tc.nodes["n1"].Ring(), "n2")
+	key := "bounds?" + q
+	// What the owner answers over a hop, seen from n3, whose store is
+	// empty.
+	hop := get(t, tc.nodes["n3"], "/v1/bounds?"+q)
+	if hop.Code != http.StatusOK || hop.Header().Get(PeerHeader) != "n2" {
+		t.Fatalf("reference forward: status %d, peer %q", hop.Code, hop.Header().Get(PeerHeader))
+	}
+
+	tc.locals["n1"].store(key)
+	rec := get(t, tc.nodes["n1"], "/v1/bounds?"+q)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	if rec.Body.String() != hop.Body.String() {
+		t.Fatalf("store-local body %q, forwarded body %q", rec.Body.String(), hop.Body.String())
+	}
+	if got := rec.Header().Get("X-Capserver-Cache"); got != "store" {
+		t.Fatalf("cache class %q, want store", got)
+	}
+	if got := rec.Header().Get("Content-Type"); got != "application/json" {
+		t.Fatalf("content type %q", got)
+	}
+	if rec.Header().Get(PeerHeader) != "" || rec.Header().Get(DegradedHeader) != "" {
+		t.Fatalf("store-local response grew routing headers: %v", rec.Header())
+	}
+	m := tc.nodes["n1"].Metrics()
+	if m.Forwards() != 0 || m.StoreLocal() != 1 || m.OwnedLocal() != 0 {
+		t.Fatalf("forwards=%d store_local=%d owned=%d, want 0 1 0", m.Forwards(), m.StoreLocal(), m.OwnedLocal())
+	}
+	if c, _ := tc.locals["n2"].snapshot(); c != 1 {
+		t.Fatalf("owner handler ran %d times, want only the reference forward", c)
+	}
+	if c, _ := tc.locals["n1"].snapshot(); c != 0 {
+		t.Fatalf("origin handler ran %d times for a stored key", c)
+	}
+
+	// A key the store does not hold still forwards to its owner.
+	miss := keyOwnedBy(t, tc.nodes["n1"].Ring(), "n3")
+	rec = get(t, tc.nodes["n1"], "/v1/bounds?"+miss)
+	if rec.Code != http.StatusOK || rec.Header().Get(PeerHeader) != "n3" {
+		t.Fatalf("store miss: status %d, peer %q", rec.Code, rec.Header().Get(PeerHeader))
+	}
+	if m.Forwards() != 1 || m.StoreLocal() != 1 {
+		t.Fatalf("after a miss: forwards=%d store_local=%d, want 1 1", m.Forwards(), m.StoreLocal())
+	}
+	if p := tc.locals["n1"].peekCount(); p != 2 {
+		t.Fatalf("origin peeked %d times, want once per non-owned request", p)
+	}
+}
+
+// TestStorePeekOnlyAtOrigin: owned, pre-routed and non-shardable
+// requests serve through the local handler without peeking, even when
+// the store holds their key.
+func TestStorePeekOnlyAtOrigin(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	n1 := tc.locals["n1"]
+	owned := keyOwnedBy(t, tc.nodes["n1"].Ring(), "n1")
+	other := keyOwnedBy(t, tc.nodes["n1"].Ring(), "n2")
+	n1.store("bounds?" + owned)
+	n1.store("bounds?" + other)
+
+	get(t, tc.nodes["n1"], "/v1/bounds?"+owned)
+	pre := httptest.NewRequest(http.MethodGet, "/v1/bounds?"+other, nil)
+	pre.Header.Set(ForwardedHeader, "harness")
+	tc.nodes["n1"].serveHTTP(httptest.NewRecorder(), pre)
+	get(t, tc.nodes["n1"], "/v1/catalog")
+
+	if p := n1.peekCount(); p != 0 {
+		t.Fatalf("store peeked %d times on owned, pre-routed and non-shardable requests", p)
+	}
+	if c, _ := n1.snapshot(); c != 3 {
+		t.Fatalf("local handler served %d of 3 requests", c)
+	}
+	if got := tc.nodes["n1"].Metrics().StoreLocal(); got != 0 {
+		t.Fatalf("store_local %d, want 0", got)
 	}
 }
 

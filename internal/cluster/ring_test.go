@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"net/url"
+	"strings"
 	"testing"
 )
 
@@ -123,9 +125,51 @@ func TestParseMembership(t *testing.T) {
 	if len(names) != 2 || names[0] != "n1" || names[1] != "n2" {
 		t.Fatalf("names: %v", names)
 	}
-	for _, bad := range []string{"", "n1", "n1=", "=http://h", "n1=http://a,n1=http://b"} {
+	for _, bad := range []string{
+		"", "n1", "n1=", "=http://h", "n1=http://a,n1=http://b",
+		"n1=/", "n1=///", "n1=h1:8081", "n1=http://", "n1=ftp://h",
+		"n1=http://h?x=1", "n1=http://h#top", "n1=http://h#",
+	} {
 		if _, err := ParseMembership(bad); err == nil {
 			t.Fatalf("membership %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParseMembership holds the membership flag parser to its
+// contract: it never panics, and every member it accepts has a unique
+// non-empty name and a URL the router can forward to.
+func FuzzParseMembership(f *testing.F) {
+	for _, seed := range []string{
+		"n1=http://h1:8081/, n2=http://h2:8082",
+		"a=https://x/prefix//,b=http://[::1]:80",
+		"n1=/", "n1=h1:8081", "n1=http://", "n1=a=b", " , ,n1=http://h",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseMembership(s)
+		if err != nil {
+			return
+		}
+		if len(m.Members) == 0 {
+			t.Fatalf("%q: accepted with no members", s)
+		}
+		seen := make(map[string]bool)
+		for _, mem := range m.Members {
+			if mem.Name == "" || seen[mem.Name] {
+				t.Fatalf("%q: empty or duplicate member name %q", s, mem.Name)
+			}
+			seen[mem.Name] = true
+			u, err := url.Parse(mem.URL)
+			if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" ||
+				strings.HasSuffix(mem.URL, "/") || strings.ContainsAny(mem.URL, "?#") {
+				t.Fatalf("%q: member %s has URL %q, want absolute http(s) with a host, no trailing slash, query or fragment",
+					s, mem.Name, mem.URL)
+			}
+			if m.URL(mem.Name) != mem.URL {
+				t.Fatalf("%q: URL(%s) = %q, want %q", s, mem.Name, m.URL(mem.Name), mem.URL)
+			}
+		}
+	})
 }

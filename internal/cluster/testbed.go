@@ -180,6 +180,11 @@ func (f Fault) resolve(names []string, steps int) (Fault, error) {
 
 func (f Fault) killsAt(step int) bool { return f.KillAt >= 0 && step == f.KillAt }
 
+// downAt reports whether the node is down during step.
+func (f Fault) downAt(step int) bool {
+	return f.KillAt >= 0 && step >= f.KillAt && (f.RestartAt < 0 || step < f.RestartAt)
+}
+
 func (f Fault) restartsAt(step int) bool {
 	return f.KillAt >= 0 && f.RestartAt >= 0 && step == f.RestartAt
 }

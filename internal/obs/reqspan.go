@@ -27,13 +27,17 @@ import (
 // without importing each other.
 const TraceHeader = "X-Capserver-Trace"
 
-// Request-span path codes. One request yields at most one owned OR
-// one forward span at its origin; forward requests add hedge/retry
-// spans at the origin, remote spans at each peer that served the
-// pre-routed hop, and a degraded span when no peer answered.
+// Request-span path codes. One request yields at most one owned, one
+// store-local OR one forward span at its origin; forward requests add
+// hedge/retry spans at the origin, remote spans at each peer that
+// served the pre-routed hop, and a degraded span when no peer
+// answered.
 const (
 	// PathOwned: the origin node owned the key and served locally.
 	PathOwned = "owned"
+	// PathStoreLocal: the origin did not own the key but found it in
+	// the shared result store and served those bytes itself.
+	PathStoreLocal = "store-local"
 	// PathRemote: this node served a pre-routed request for a peer.
 	PathRemote = "remote"
 	// PathForward: the origin routed the key toward its owner; the
