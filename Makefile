@@ -28,19 +28,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# 20 seconds per native fuzz target, 120 seconds in all: the
+# 15 seconds per native fuzz target, 120 seconds in all: the
 # Definition 1 trace invariants, the fault-spec grammar, the session
 # NDJSON decoder, the decoder's canonical-subset scanner against its
-# encoding/json reference, the result-store entry decoder and the
-# cluster membership flag. Regressions the unit corpus misses show up
-# here first.
+# encoding/json reference, the result-store entry decoder, the cluster
+# membership flag, the federation's parse of a member's metrics
+# exposition and the alert-rule file parser. Regressions the unit
+# corpus misses show up here first.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 20s ./internal/channel
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/faultinject
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 20s ./internal/session
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 20s ./internal/session
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/cluster/casstore
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMembership$$' -fuzztime 20s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 15s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 15s ./internal/faultinject
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 15s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 15s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 15s ./internal/cluster/casstore
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMembership$$' -fuzztime 15s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsSnapshot$$' -fuzztime 15s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 15s ./internal/health
 
 # One iteration of the serial/parallel batch benchmarks and of every
 # kernel's {kernel,reference} benchmark set, as a smoke test that the

@@ -69,19 +69,15 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 
 		sessTTL = fs.Duration("session-ttl", 0, "evict streaming sessions idle this long (0 = default 15m, negative = never)")
 		maxSess = fs.Int("max-sessions", 0, "cap on concurrently live streaming sessions (0 = default 1<<20)")
-		sessBat = fs.Int("max-session-batch", 0, "events per session ingest batch (0 = default 65536)")
 
 		healthTick  = fs.Duration("health-tick", 5*time.Second, "alert-engine sampling interval (0 or negative = no background ticks)")
 		healthRules = fs.String("health-rules", "", "alert rule file (empty = built-in default rules; see internal/health)")
-		healthKeep  = fs.Int("health-retention", 0, "metric snapshots retained in the alert ring (0 = default 128)")
 
 		storeDir    = fs.String("store", "", "content-addressed result store directory (shared across cluster members)")
 		clusterFlag = fs.String("cluster", "", "static cluster membership: n1=http://host1:8081,n2=http://host2:8081,...")
 		self        = fs.String("self", "", "this node's member name within -cluster")
 		hedgeDelay  = fs.Duration("hedge-delay", 0, "forwarding hedge delay (0 = default, negative = no hedging)")
-		peerRetries = fs.Int("peer-retries", 0, "attempts against a peer before giving up (0 = default)")
 		peerBackoff = fs.Duration("peer-backoff", 0, "base backoff between peer retries (0 = default)")
-		vnodes      = fs.Int("vnodes", 0, "virtual nodes per ring member (0 = default; must match across the cluster)")
 		traceFile   = fs.String("trace", "", "append request-trace JSONL here (cluster mode; analyze with capstat)")
 		traceSeed   = fs.Uint64("trace-seed", 1, "trace-ID incarnation seed; bump on every restart of this member")
 	)
@@ -95,9 +91,9 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		return fmt.Errorf("-trace records cluster request spans and needs -cluster")
 	}
 
-	// User-supplied rules are parsed and validated against the retention
-	// and tick here, where the error can name the file and line;
-	// capserver.New would only be able to panic.
+	// User-supplied rules are parsed and validated here, where the
+	// error can name the file and line; capserver.New would only be
+	// able to panic.
 	var rules []*health.Rule
 	if *healthRules != "" {
 		raw, err := os.ReadFile(*healthRules)
@@ -114,7 +110,6 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		}
 		if _, err := health.NewEngine(health.Config{
 			Rules:        rules,
-			Retention:    *healthKeep,
 			TickInterval: probeTick,
 		}); err != nil {
 			return fmt.Errorf("%s: %w", *healthRules, err)
@@ -130,13 +125,11 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			RequestTimeout: *timeout,
 			MaxSymbols:     *maxSym,
 
-			SessionTTL:      *sessTTL,
-			MaxSessions:     *maxSess,
-			MaxSessionBatch: *sessBat,
+			SessionTTL:  *sessTTL,
+			MaxSessions: *maxSess,
 
-			HealthTick:      *healthTick,
-			HealthRules:     rules,
-			HealthRetention: *healthKeep,
+			HealthTick:  *healthTick,
+			HealthRules: rules,
 		},
 		StoreDir: *storeDir,
 	}
@@ -159,14 +152,12 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			fmt.Fprintf(logw, "capserverd: tracing requests to %s (seed %d)\n", *traceFile, *traceSeed)
 		}
 		cfg.Cluster = cluster.Config{
-			Self:         *self,
-			Membership:   mem,
-			VirtualNodes: *vnodes,
-			HedgeDelay:   *hedgeDelay,
-			PeerAttempts: *peerRetries,
-			PeerBackoff:  *peerBackoff,
-			Tracer:       tracer,
-			TraceSeed:    *traceSeed,
+			Self:        *self,
+			Membership:  mem,
+			HedgeDelay:  *hedgeDelay,
+			PeerBackoff: *peerBackoff,
+			Tracer:      tracer,
+			TraceSeed:   *traceSeed,
 		}
 	}
 

@@ -26,13 +26,12 @@ func writeTrace(t *testing.T, params channel.Params, symbols int, seed uint64) s
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.SetObserver(rec.Observe)
 	msg := make([]uint32, symbols)
 	src := rng.New(seed + 1)
 	for i := range msg {
 		msg[i] = src.Symbol(params.N)
 	}
-	ch.Transmit(msg)
+	channel.TransmitUses(rec, msg)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestExampleRuns(t *testing.T) {
 }
 
 // traceRun drives ~uses channel uses with the given truth parameters
-// through an observed channel, returning the recorded JSONL trace and
+// through a recorded channel, returning the recorded JSONL trace and
 // the sent/received sequences for the alignment estimator.
 func traceRun(t *testing.T, truth channel.Params, uses int, seed uint64) (traceBytes []byte, sent, received []uint32) {
 	t.Helper()
@@ -32,13 +32,12 @@ func traceRun(t *testing.T, truth channel.Params, uses int, seed uint64) (traceB
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.SetObserver(rec.Observe)
 	sent = make([]uint32, uses)
 	src := rng.New(seed + 1)
 	for i := range sent {
 		sent[i] = src.Symbol(truth.N)
 	}
-	received, _ = ch.Transmit(sent)
+	received, _ = channel.TransmitUses(rec, sent)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,9 @@ import (
 // maxBatchBodyBytes bounds the request body a batch may carry.
 const maxBatchBodyBytes = 1 << 20
 
+// maxBatchPoints caps the parameter points one batch may carry.
+const maxBatchPoints = 256
+
 // BatchRequest is the /v1/bounds:batch request body. Each point is one
 // parameter set, with the same names and syntax as GET /v1/bounds
 // query parameters; values may be JSON numbers, strings or booleans.
@@ -102,9 +105,9 @@ func (s *Server) handleBoundsBatch(w http.ResponseWriter, r *http.Request) {
 			errorBody(fmt.Errorf("capserver: batch needs at least one point")), "")
 		return
 	}
-	if len(req.Points) > s.cfg.MaxBatchPoints {
+	if len(req.Points) > maxBatchPoints {
 		s.finish(w, endpoint, start, http.StatusBadRequest,
-			errorBody(fmt.Errorf("capserver: batch has %d points, limit %d", len(req.Points), s.cfg.MaxBatchPoints)), "")
+			errorBody(fmt.Errorf("capserver: batch has %d points, limit %d", len(req.Points), maxBatchPoints)), "")
 		return
 	}
 
@@ -158,7 +161,7 @@ func (s *Server) handleBoundsBatch(w http.ResponseWriter, r *http.Request) {
 	if rejected > 0 {
 		// Saturated pool: hint when to come back. If nothing at all got
 		// through, the whole batch is a backpressure rejection.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfter)
 		if resp.Succeeded == 0 {
 			s.finish(w, endpoint, start, http.StatusTooManyRequests, errorBody(errQueueFull), "")
 			return

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -146,12 +145,13 @@ func TestBatchPartialFailureEnvelope(t *testing.T) {
 }
 
 func TestBatchValidationRejects(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchPoints: 2})
+	_, ts := newTestServer(t, Config{})
+	overLimit := `{"points":[` + strings.Repeat(`{"n":4},`, maxBatchPoints) + `{"n":4}]}`
 	for _, tc := range []struct{ name, body string }{
 		{"malformed", `{"points":[`},
 		{"empty", `{"points":[]}`},
 		{"missing", `{}`},
-		{"over limit", `{"points":[{"n":4},{"n":5},{"n":6}]}`},
+		{"over limit", overLimit},
 	} {
 		status, _, body := postJSON(t, ts.URL, "/v1/bounds:batch", tc.body)
 		if status != http.StatusBadRequest {
@@ -236,11 +236,11 @@ func TestBatchBackpressure(t *testing.T) {
 }
 
 // TestSubSecondRetryAfterClamp is the HTTP-level regression test for the
-// Retry-After clamp: a sub-second RetryAfter config must still emit
-// "Retry-After: 1", never "0" (which clients read as retry-immediately,
-// defeating the backpressure the header exists to apply).
+// Retry-After hint: every 429 must say "Retry-After: 1", never "0"
+// (which clients read as retry-immediately, defeating the backpressure
+// the header exists to apply).
 func TestSubSecondRetryAfterClamp(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 200 * time.Millisecond})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	const clients = 12
 	var (
 		wg         sync.WaitGroup
@@ -268,17 +268,5 @@ func TestSubSecondRetryAfterClamp(t *testing.T) {
 	}
 	if headers["1"] != rejections {
 		t.Errorf("Retry-After headers %v, want %d × \"1\"", headers, rejections)
-	}
-}
-
-func TestRetryAfterSecondsOverflow(t *testing.T) {
-	// The naive round-up (d + time.Second - 1) overflows near the int64
-	// maximum and used to produce a negative header value.
-	d := time.Duration(math.MaxInt64)
-	if got := retryAfterSeconds(d); got < 1 {
-		t.Errorf("retryAfterSeconds(MaxInt64) = %d, want >= 1", got)
-	}
-	if got, want := retryAfterSeconds(d), int(d/time.Second)+1; got != want {
-		t.Errorf("retryAfterSeconds(MaxInt64) = %d, want %d", got, want)
 	}
 }

@@ -98,15 +98,9 @@ type Config struct {
 	// (default 30s). The deadline bounds the wait, not the work: an
 	// admitted computation keeps running and populates the cache.
 	RequestTimeout time.Duration
-	// RetryAfter is the Retry-After hint attached to 429 responses,
-	// rounded up to whole seconds (default 1s).
-	RetryAfter time.Duration
 	// MaxSymbols caps the message length a /v1/simulate or
 	// /v1/experiments request may ask for (default 200000).
 	MaxSymbols int
-	// MaxBatchPoints caps the parameter points one /v1/bounds:batch
-	// request may carry (default 256).
-	MaxBatchPoints int
 	// Metrics, when non-nil, is the obs.Registry the server registers
 	// its metric families on, letting an embedding process expose one
 	// /metrics page for the service and its own instrumentation. Nil
@@ -126,9 +120,6 @@ type Config struct {
 	// MaxSessions caps concurrently live sessions (default 1 << 20);
 	// ingest for new IDs beyond the cap answers 503.
 	MaxSessions int
-	// MaxSessionBatch caps events per session ingest batch
-	// (default 65536).
-	MaxSessionBatch int
 
 	// HealthTick, when positive, samples the registry into the health
 	// engine's snapshot ring every HealthTick (and is the engine's
@@ -138,11 +129,9 @@ type Config struct {
 	HealthTick time.Duration
 	// HealthRules is the alert rule set (nil: health.DefaultRules).
 	// Callers with user-supplied rules should pre-validate them against
-	// retention and tick via health.NewEngine — New panics on an
-	// inconsistent combination, since it cannot return an error.
+	// the tick via health.NewEngine — New panics on an inconsistent
+	// combination, since it cannot return an error.
 	HealthRules []*health.Rule
-	// HealthRetention is the snapshot ring capacity (default 128).
-	HealthRetention int
 }
 
 // withDefaults fills unset fields.
@@ -159,14 +148,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxSymbols <= 0 {
 		c.MaxSymbols = 200000
-	}
-	if c.MaxBatchPoints <= 0 {
-		c.MaxBatchPoints = 256
 	}
 	if c.SessionSweep == 0 {
 		c.SessionSweep = time.Minute
@@ -310,10 +293,10 @@ func (s *Server) handleCompute(endpoint string, build buildFunc) http.HandlerFun
 		case err == nil:
 			s.finish(w, endpoint, start, http.StatusOK, body, source)
 		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+			w.Header().Set("Retry-After", retryAfter)
 			s.finish(w, endpoint, start, http.StatusTooManyRequests, errorBody(err), "")
 		case errors.Is(err, errAbandoned):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+			w.Header().Set("Retry-After", retryAfter)
 			s.finish(w, endpoint, start, http.StatusServiceUnavailable, errorBody(err), "")
 		case errors.Is(err, context.DeadlineExceeded):
 			s.finish(w, endpoint, start, http.StatusGatewayTimeout, errorBody(err), "")
@@ -498,6 +481,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.write(w, s.cache.stats(), s.pool.depth())
 }
 
+// retryAfter is the Retry-After value, in whole seconds, on every 429
+// and 503 response. It is never 0, which clients read as "retry
+// immediately", defeating backpressure.
+const retryAfter = "1"
+
 // errorBody renders an error as the service's JSON error envelope.
 func errorBody(err error) []byte {
 	b, merr := marshalBody(struct {
@@ -507,20 +495,4 @@ func errorBody(err error) []byte {
 		return []byte(`{"error":"internal error"}` + "\n")
 	}
 	return b
-}
-
-// retryAfterSeconds rounds d up to whole seconds, minimum 1, so a
-// sub-second RetryAfter config can never emit "Retry-After: 0" (which
-// clients treat as "retry immediately", defeating backpressure). The
-// round-up avoids the naive d+time.Second-1 form, which overflows for
-// durations near the int64 maximum.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int(d / time.Second)
-	if time.Duration(secs)*time.Second != d {
-		secs++
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }

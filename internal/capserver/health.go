@@ -34,7 +34,6 @@ func (s *Server) initHealth() {
 	}
 	eng, err := health.NewEngine(health.Config{
 		Rules:        rules,
-		Retention:    s.cfg.HealthRetention,
 		TickInterval: tick,
 		StateGauge:   health.StateGaugeVec(s.metrics.Registry()),
 	})

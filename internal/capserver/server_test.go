@@ -414,17 +414,3 @@ func TestComputeErrorNotCached(t *testing.T) {
 		t.Error("failed computation was cached; retry should lead a fresh flight")
 	}
 }
-
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{0, 1}, {time.Millisecond, 1}, {time.Second, 1}, {1500 * time.Millisecond, 2}, {3 * time.Second, 3},
-	}
-	for _, c := range cases {
-		if got := retryAfterSeconds(c.d); got != c.want {
-			t.Errorf("retryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-}

@@ -131,10 +131,9 @@ func (s *Server) initSessions() {
 		ttl = 0
 	}
 	store, err := session.NewStore(session.StoreConfig{
-		TTL:            ttl,
-		MaxSessions:    s.cfg.MaxSessions,
-		MaxBatchEvents: s.cfg.MaxSessionBatch,
-		Metrics:        session.NewMetrics(s.metrics.Registry()),
+		TTL:         ttl,
+		MaxSessions: s.cfg.MaxSessions,
+		Metrics:     session.NewMetrics(s.metrics.Registry()),
 	})
 	if err != nil {
 		// Unreachable: every field above is either defaulted or
@@ -195,7 +194,7 @@ func (s *Server) sessionError(w http.ResponseWriter, endpoint string, start time
 	case errors.Is(err, session.ErrOutOfOrder):
 		s.finish(w, endpoint, start, http.StatusConflict, errorBody(err), "")
 	case errors.Is(err, session.ErrTooManySessions):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfter)
 		s.finish(w, endpoint, start, http.StatusServiceUnavailable, errorBody(err), "")
 	case errors.Is(err, session.ErrNotFound):
 		s.finish(w, endpoint, start, http.StatusNotFound, errorBody(err), "")

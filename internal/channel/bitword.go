@@ -54,8 +54,7 @@ func copyBits(dst []uint64, dstPos int, src []uint64, srcPos, n int) {
 // Definition 1 channel at N = 1, returning the received bits packed and
 // their count. Clean transmissions accumulate into runs that are
 // blitted word-at-a-time; deletions, insertions and substitutions
-// break the run and are handled per-event. The caller must ensure no
-// observer is installed (BinaryDI never installs one).
+// break the run and are handled per-event.
 func (c *DeletionInsertion) transmitPackedBits(in []uint64, nbits int) ([]uint64, int) {
 	var (
 		src     = c.src

@@ -59,11 +59,10 @@ func (p BurstParams) StationaryParams() Params {
 
 // Bursty is the two-state modulated channel.
 type Bursty struct {
-	params   BurstParams
-	states   [2]*DeletionInsertion
-	inBad    bool
-	src      *rng.Source
-	observer func(queued uint32, u Use)
+	params BurstParams
+	states [2]*DeletionInsertion
+	inBad  bool
+	src    *rng.Source
 }
 
 // NewBursty returns the channel, starting in the Good state.
@@ -95,11 +94,6 @@ func (c *Bursty) Params() BurstParams { return c.params }
 // InBadState reports the current modulation state (useful for tests).
 func (c *Bursty) InBadState() bool { return c.inBad }
 
-// SetObserver installs a per-use observation hook, mirroring
-// DeletionInsertion.SetObserver. The hook observes the modulated
-// channel's uses, not the per-state sub-channels'.
-func (c *Bursty) SetObserver(fn func(queued uint32, u Use)) { c.observer = fn }
-
 // Use performs one channel use in the current state, then lets the
 // modulating chain switch.
 func (c *Bursty) Use(queued uint32) Use {
@@ -108,9 +102,6 @@ func (c *Bursty) Use(queued uint32) Use {
 		state = c.states[1]
 	}
 	u := state.Use(queued)
-	if c.observer != nil {
-		c.observer(queued, u)
-	}
 	if c.inBad {
 		if c.src.Bool(c.params.PBadToGood) {
 			c.inBad = false
@@ -121,23 +112,8 @@ func (c *Bursty) Use(queued uint32) Use {
 	return u
 }
 
-// Transmit pushes the whole input through the channel, mirroring
-// DeletionInsertion.Transmit.
+// Transmit pushes the whole input through the channel, one Use per
+// channel use (see TransmitUses).
 func (c *Bursty) Transmit(input []uint32) (received []uint32, trace []EventKind) {
-	received = make([]uint32, 0, len(input))
-	trace = make([]EventKind, 0, len(input)+4)
-	for i := 0; i < len(input); {
-		u := c.Use(input[i])
-		trace = append(trace, u.Kind)
-		switch u.Kind {
-		case EventDelete:
-			i++
-		case EventInsert:
-			received = append(received, u.Delivered)
-		default:
-			received = append(received, u.Delivered)
-			i++
-		}
-	}
-	return received, trace
+	return TransmitUses(c, input)
 }

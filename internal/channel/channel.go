@@ -106,9 +106,8 @@ type Use struct {
 
 // DeletionInsertion is the paper's Definition 1 channel.
 type DeletionInsertion struct {
-	params   Params
-	src      *rng.Source
-	observer func(queued uint32, u Use)
+	params Params
+	src    *rng.Source
 }
 
 // NewDeletionInsertion returns a channel with the given parameters,
@@ -126,26 +125,10 @@ func NewDeletionInsertion(params Params, src *rng.Source) (*DeletionInsertion, e
 // Params returns the channel parameters.
 func (c *DeletionInsertion) Params() Params { return c.params }
 
-// SetObserver installs a per-use observation hook, called with every
-// use's queued symbol and outcome. It exists for the observability
-// layer (internal/obs): Transmit-style whole-sequence flows have no
-// wrapper to intercept uses, so the channel itself reports them. A nil
-// fn removes the hook; the disabled cost is one nil check per use.
-func (c *DeletionInsertion) SetObserver(fn func(queued uint32, u Use)) { c.observer = fn }
-
 // Use performs one channel use with the given queued symbol and returns
 // the outcome. The caller owns queue semantics: on a consumed outcome
 // the caller advances (or, in an ARQ protocol, chooses to resend).
 func (c *DeletionInsertion) Use(queued uint32) Use {
-	u := c.use(queued)
-	if c.observer != nil {
-		c.observer(queued, u)
-	}
-	return u
-}
-
-// use draws one Definition 1 event.
-func (c *DeletionInsertion) use(queued uint32) Use {
 	u := c.src.Float64()
 	switch {
 	case u < c.params.Pd:
@@ -168,46 +151,12 @@ func (c *DeletionInsertion) use(queued uint32) Use {
 // The channel is used until every input symbol has been consumed
 // (delivered or deleted); insertions are interleaved per Definition 1.
 //
-// With no observer installed, Transmit runs an integer-threshold fast
-// path that draws the identical random stream as the per-use path (see
-// rng.ProbThreshold), so received symbols, traces and subsequent RNG state
-// are byte-identical to TransmitReference at any seed. With an
-// observer, every use goes through Use so the hook sees the same
-// per-use stream as before.
+// Transmit runs an integer-threshold fast path that draws the identical
+// random stream as the per-use path (see rng.ProbThreshold), so received
+// symbols, traces and subsequent RNG state are byte-identical to
+// TransmitReference at any seed. To observe each use, transmit through
+// a wrapper with TransmitUses instead.
 func (c *DeletionInsertion) Transmit(input []uint32) (received []uint32, trace []EventKind) {
-	if c.observer != nil {
-		return c.TransmitReference(input)
-	}
-	return c.transmitFast(input)
-}
-
-// TransmitReference is the original per-use scalar transmit loop. It is
-// the ground truth for the fast paths: differential tests assert
-// identical outputs and RNG state, and BenchmarkTransmit and
-// BenchmarkBinaryTransmit time it as their "reference" variant.
-func (c *DeletionInsertion) TransmitReference(input []uint32) (received []uint32, trace []EventKind) {
-	received = make([]uint32, 0, len(input))
-	trace = make([]EventKind, 0, len(input)+4)
-	for i := 0; i < len(input); {
-		u := c.Use(input[i])
-		trace = append(trace, u.Kind)
-		switch u.Kind {
-		case EventDelete:
-			i++
-		case EventInsert:
-			received = append(received, u.Delivered)
-		default:
-			received = append(received, u.Delivered)
-			i++
-		}
-	}
-	return received, trace
-}
-
-// transmitFast is Transmit without the observer indirection: one
-// integer compare per Definition 1 event, drawing exactly the same
-// random variates in the same order as the per-use path.
-func (c *DeletionInsertion) transmitFast(input []uint32) (received []uint32, trace []EventKind) {
 	var (
 		src     = c.src
 		tDel    = rng.ProbThreshold(c.params.Pd)
@@ -246,6 +195,38 @@ func (c *DeletionInsertion) transmitFast(input []uint32) (received []uint32, tra
 			trace = append(trace, EventTransmit)
 		}
 		i++
+	}
+	return received, trace
+}
+
+// TransmitReference is the original per-use scalar transmit loop. It is
+// the ground truth for the fast paths: differential tests assert
+// identical outputs and RNG state, and BenchmarkTransmit and
+// BenchmarkBinaryTransmit time it as their "reference" variant.
+func (c *DeletionInsertion) TransmitReference(input []uint32) (received []uint32, trace []EventKind) {
+	return TransmitUses(c, input)
+}
+
+// TransmitUses pushes the whole input sequence through any per-use
+// channel, one Use per channel use, until every input symbol has been
+// consumed, and returns the received sequence and the per-use event
+// trace. Transmitting through a wrapper, such as an obs.ChannelRecorder,
+// lets the wrapper observe every use.
+func TransmitUses(ch interface{ Use(uint32) Use }, input []uint32) (received []uint32, trace []EventKind) {
+	received = make([]uint32, 0, len(input))
+	trace = make([]EventKind, 0, len(input)+4)
+	for i := 0; i < len(input); {
+		u := ch.Use(input[i])
+		trace = append(trace, u.Kind)
+		switch u.Kind {
+		case EventDelete:
+			i++
+		case EventInsert:
+			received = append(received, u.Delivered)
+		default:
+			received = append(received, u.Delivered)
+			i++
+		}
 	}
 	return received, trace
 }

@@ -123,29 +123,6 @@ func TestBinaryDIPackedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestObserverStillSeesEveryUse pins the dispatch rule: with an
-// observer installed, Transmit routes through the per-use path and the
-// hook fires once per channel use with the same outcomes as the trace.
-func TestObserverStillSeesEveryUse(t *testing.T) {
-	p := Params{N: 2, Pd: 0.1, Pi: 0.1, Ps: 0.1}
-	ch, err := NewDeletionInsertion(p, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []EventKind
-	ch.SetObserver(func(queued uint32, u Use) { seen = append(seen, u.Kind) })
-	input := make([]uint32, 200)
-	_, trace := ch.Transmit(input)
-	if len(seen) != len(trace) {
-		t.Fatalf("observer saw %d uses, trace has %d", len(seen), len(trace))
-	}
-	for i := range trace {
-		if seen[i] != trace[i] {
-			t.Fatalf("observer event %d = %v, trace %v", i, seen[i], trace[i])
-		}
-	}
-}
-
 // TestCopyBits exercises the blit helper across alignments.
 func TestCopyBits(t *testing.T) {
 	gen := rng.New(3)

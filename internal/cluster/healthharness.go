@@ -200,7 +200,7 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: probe path %s is not canonicalizable", path)
 	}
-	ring, err := NewRing(tb.Names, 0)
+	ring, err := NewRing(tb.Names)
 	if err != nil {
 		return nil, nil, err
 	}

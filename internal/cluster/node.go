@@ -39,25 +39,17 @@ type Config struct {
 	Self string
 	// Membership is the static cluster membership (including Self).
 	Membership Membership
-	// VirtualNodes is the per-member virtual node count on the ring
-	// (default DefaultVirtualNodes). Every node must use one value.
-	VirtualNodes int
 	// HedgeDelay is the deterministic delay after which a forward
 	// still waiting on the owner fires a second request at the next
 	// replica (default 25ms). Zero keeps the default; a negative value
 	// disables hedging.
 	HedgeDelay time.Duration
-	// PeerAttempts bounds tries against the owner: 1 initial attempt
-	// plus PeerAttempts-1 retries (default 2).
-	PeerAttempts int
 	// PeerBackoff is the base of the deterministic exponential backoff
 	// between retries: backoff << attempt, like the PR-2 Supervisor's
 	// use-budget backoff translated to wall clock (default 10ms).
 	PeerBackoff time.Duration
-	// PeerTimeout bounds one peer round trip (default 30s).
-	PeerTimeout time.Duration
 	// Client overrides the forwarding HTTP client (default: a fresh
-	// client with PeerTimeout).
+	// client whose 30s timeout bounds one peer round trip).
 	Client *http.Client
 	// Metrics, when non-nil, is the registry the node's counters
 	// register on — pass the wrapped capserver's registry to serve one
@@ -73,34 +65,22 @@ type Config struct {
 	// process that restarts it must hand the new incarnation a fresh
 	// seed or replayed IDs would collide.
 	TraceSeed uint64
-	// StatusTimeout bounds each peer probe of the /v1/cluster/status
-	// fan-out (default 2s). A member that cannot answer within it is
-	// reported unreachable in a partial snapshot, never an error.
-	StatusTimeout time.Duration
 }
+
+// peerAttempts bounds the tries against an owner: 1 initial attempt
+// plus 1 retry.
+const peerAttempts = 2
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 25 * time.Millisecond
-	}
-	if c.PeerAttempts <= 0 {
-		c.PeerAttempts = 2
 	}
 	if c.PeerBackoff <= 0 {
 		c.PeerBackoff = 10 * time.Millisecond
 	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 30 * time.Second
-	}
-	if c.StatusTimeout <= 0 {
-		c.StatusTimeout = 2 * time.Second
-	}
 	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.PeerTimeout}
+		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return c
 }
@@ -143,7 +123,7 @@ func NewNode(local localServer, cfg Config) (*Node, error) {
 	if cfg.Membership.URL(cfg.Self) == "" {
 		return nil, fmt.Errorf("cluster: self %q is not in the membership", cfg.Self)
 	}
-	ring, err := NewRing(cfg.Membership.Names(), cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Membership.Names())
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +271,7 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	attempts := 1
 	if r.Method == http.MethodGet {
-		attempts = n.cfg.PeerAttempts
+		attempts = peerAttempts
 	}
 	base := n.cfg.Membership.URL(owner)
 	uri := r.URL.RequestURI()
@@ -394,7 +374,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, key, owner, id st
 
 	results := make(chan peerResult, 2)
 	go func() {
-		results <- n.tryPeer(pctx, owner, uri, n.cfg.PeerAttempts, false, id)
+		results <- n.tryPeer(pctx, owner, uri, peerAttempts, false, id)
 	}()
 	inflight := 1
 

@@ -136,7 +136,7 @@ func newTestCluster(t *testing.T, tune func(name string, cfg *Config)) *testClus
 			Membership:  mem,
 			HedgeDelay:  -1, // most tests exercise the primary path only
 			PeerBackoff: time.Millisecond,
-			PeerTimeout: 5 * time.Second,
+			Client:      &http.Client{Timeout: 5 * time.Second},
 		}
 		if tune != nil {
 			tune(name, &cfg)

@@ -9,7 +9,8 @@ import (
 // DefaultVirtualNodes is the per-member virtual node count. 64 points
 // per member keeps the largest/smallest ownership arc within a few
 // tens of percent for small clusters while the ring build and lookup
-// stay trivially cheap.
+// stay trivially cheap. It is a constant because every member must
+// build the same ring: a per-member value could only split it.
 const DefaultVirtualNodes = 64
 
 // Ring is a consistent-hash ring over static member names with
@@ -26,14 +27,11 @@ type Ring struct {
 	owner  []int    // owner[i] indexes names for hashes[i]
 }
 
-// NewRing builds the ring. Names must be unique and non-empty;
-// vnodes <= 0 selects DefaultVirtualNodes.
-func NewRing(names []string, vnodes int) (*Ring, error) {
+// NewRing builds the ring with DefaultVirtualNodes points per member.
+// Names must be unique and non-empty.
+func NewRing(names []string) (*Ring, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
@@ -52,9 +50,9 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 		h     uint64
 		owner int
 	}
-	points := make([]point, 0, len(sorted)*vnodes)
+	points := make([]point, 0, len(sorted)*DefaultVirtualNodes)
 	for i, name := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			points = append(points, point{fnv64(name + "#" + strconv.Itoa(v)), i})
 		}
 	}

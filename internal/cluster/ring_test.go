@@ -8,11 +8,11 @@ import (
 )
 
 func TestRingDeterministicAcrossPermutations(t *testing.T) {
-	a, err := NewRing([]string{"n1", "n2", "n3"}, 64)
+	a, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3", "n1", "n2"}, 64)
+	b, err := NewRing([]string{"n3", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestRingDeterministicAcrossPermutations(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r, err := NewRing([]string{"n1", "n2", "n3"}, DefaultVirtualNodes)
+	r, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingMinimalMovementOnMemberLoss(t *testing.T) {
-	full, err := NewRing([]string{"n1", "n2", "n3"}, 64)
+	full, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"n1", "n3"}, 64)
+	reduced, err := NewRing([]string{"n1", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRingMinimalMovementOnMemberLoss(t *testing.T) {
 }
 
 func TestRingReplicasDistinctAndOwnerFirst(t *testing.T) {
-	r, err := NewRing([]string{"n1", "n2", "n3"}, 64)
+	r, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,13 @@ func TestRingReplicasDistinctAndOwnerFirst(t *testing.T) {
 }
 
 func TestRingRejectsBadMemberships(t *testing.T) {
-	if _, err := NewRing(nil, 64); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty membership accepted")
 	}
-	if _, err := NewRing([]string{"n1", "n1"}, 64); err == nil {
+	if _, err := NewRing([]string{"n1", "n1"}); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
-	if _, err := NewRing([]string{"n1", ""}, 64); err == nil {
+	if _, err := NewRing([]string{"n1", ""}); err == nil {
 		t.Fatal("empty member name accepted")
 	}
 }

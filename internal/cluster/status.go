@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/health"
 )
@@ -20,10 +21,13 @@ import (
 // was asked — and merging the results into one deterministic snapshot:
 // per-member counters, per-route latency quantiles, ring ownership
 // arcs, and cluster-wide totals. A member that cannot answer within
-// StatusTimeout degrades the snapshot to partial; it never fails it.
+// statusTimeout degrades the snapshot to partial; it never fails it.
 
 // StatusPath is the federation endpoint every cluster node serves.
 const StatusPath = "/v1/cluster/status"
+
+// statusTimeout bounds each member probe of the status fan-out.
+const statusTimeout = 2 * time.Second
 
 // StatusSchema versions the snapshot format.
 const StatusSchema = "capest/cluster-status/v1"
@@ -160,7 +164,7 @@ func (n *Node) clusterStatus(ctx context.Context) ClusterStatus {
 // member yields Healthy: false and marks the snapshot partial.
 func (n *Node) probeMember(ctx context.Context, name, base string) MemberStatus {
 	ms := MemberStatus{Name: name, URL: base}
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.StatusTimeout)
+	ctx, cancel := context.WithTimeout(ctx, statusTimeout)
 	defer cancel()
 	if _, err := n.probeGet(ctx, base+"/v1/healthz"); err != nil {
 		ms.Error = "unreachable"
@@ -238,10 +242,13 @@ func parseMetricsSnapshot(data []byte) (map[string]int64, []RouteLatency, error)
 			// latency series, which would break cross-node byte identity.
 			continue
 		}
-		series, value, ok := strings.Cut(line, " ")
-		if !ok {
+		// Cut at the last space: a sample value never contains one, but
+		// a label value may (a development toolchain's go_version).
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
 			return nil, nil, fmt.Errorf("cluster: unparseable metrics line %q", line)
 		}
+		series, value := line[:sp], line[sp+1:]
 		if strings.HasPrefix(series, "capserver_latency_ms") {
 			if err := mergeLatencyLine(byEndpoint, series, value); err != nil {
 				return nil, nil, err

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/capserver"
+	"repro/internal/obs"
 )
 
 // statusTestCluster boots three real members (registry, mux,
@@ -169,4 +171,32 @@ func TestClusterStatusPartialOnDeadMember(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseMetricsSnapshot feeds the federation's parser a member's
+// exposition whose build-info label holds any string, as a development
+// toolchain's runtime.Version() ("devel go1.25-abc Tue Jan 1") does:
+// parsing must succeed and recover the counter and the bounds route.
+func FuzzParseMetricsSnapshot(f *testing.F) {
+	f.Add("devel go1.25-abc Tue Jan 1", int64(7))
+	f.Add("go1.22.0", int64(0))
+	f.Add("a \"q\" \\ b\nc} 2", int64(-3))
+	f.Fuzz(func(t *testing.T, version string, n int64) {
+		reg := obs.NewRegistry()
+		reg.Counter("fuzz_total").Add(n)
+		reg.GaugeVec("capserver_build_info", "go_version").With(version).Set(1)
+		reg.LatencyVec("capserver_latency_ms", "endpoint").Observe("bounds", time.Millisecond)
+		var buf bytes.Buffer
+		reg.WriteProm(&buf)
+		counters, routes, err := parseMetricsSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatalf("version %q: %v", version, err)
+		}
+		if got := counters["fuzz_total"]; got != n {
+			t.Fatalf("version %q: counter %d, want %d", version, got, n)
+		}
+		if len(routes) != 1 || routes[0].Endpoint != "bounds" || routes[0].Count != 1 {
+			t.Fatalf("version %q: routes %+v, want bounds with count 1", version, routes)
+		}
+	})
 }

@@ -14,9 +14,7 @@
 //     within validated bounds;
 //   - Jam: bursts during which insertions spike (Pi -> JamConfig.Pi);
 //   - Stuck: windows during which the delivered value is frozen at the
-//     last delivered symbol (a stuck-at fault);
-//   - Schedule: a sequencer that switches between layers on a fixed
-//     per-use timetable, for composing regimes into scenarios.
+//     last delivered symbol (a stuck-at fault).
 //
 // All layers draw their randomness from explicit *rng.Source values,
 // so a fault pattern is a pure function of its seed: experiments

@@ -133,60 +133,6 @@ func TestStuckFreezesDeliveredValue(t *testing.T) {
 	}
 }
 
-func TestScheduleSequencesAndCycles(t *testing.T) {
-	clean := cleanChannel(t, 1)
-	out, err := NewOutage(clean, OutageConfig{Fraction: 0.5, MeanLength: 10}, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := NewSchedule(clean, []Phase{
-		{Name: "calm", Uses: 100},
-		{Name: "storm", Uses: 50, Layer: out},
-	}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Walk two full cycles checking the phase boundaries.
-	for cycle := 0; cycle < 2; cycle++ {
-		if got := sched.PhaseName(); got != "calm" {
-			t.Fatalf("cycle %d: phase %q, want calm", cycle, got)
-		}
-		for i := 0; i < 100; i++ {
-			sched.Use(1)
-		}
-		if got := sched.PhaseName(); got != "storm" {
-			t.Fatalf("cycle %d: phase %q after 100 uses, want storm", cycle, got)
-		}
-		for i := 0; i < 50; i++ {
-			sched.Use(1)
-		}
-	}
-	if sched.Injected() != 100 {
-		t.Errorf("schedule served %d uses from the fault layer, want 100", sched.Injected())
-	}
-}
-
-func TestScheduleEndsCleanWithoutCycle(t *testing.T) {
-	clean := cleanChannel(t, 1)
-	out, err := NewOutage(clean, OutageConfig{Fraction: 0.5}, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := NewSchedule(clean, []Phase{{Name: "storm", Uses: 10, Layer: out}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		sched.Use(1)
-	}
-	if got := sched.PhaseName(); got != "clean" {
-		t.Errorf("phase after schedule end = %q, want clean", got)
-	}
-	if sched.Injected() != 10 {
-		t.Errorf("schedule served %d faulted uses, want 10", sched.Injected())
-	}
-}
-
 // TestLayersAreDeterministic replays a full stack twice from the same
 // seeds and requires identical event traces — the property every
 // experiment's byte-identical output rests on.
@@ -245,14 +191,6 @@ func TestConfigValidation(t *testing.T) {
 		}},
 		{"stuck nil source", func() error {
 			_, err := NewStuck(ch, StuckConfig{Fraction: 0.1}, nil)
-			return err
-		}},
-		{"schedule empty", func() error {
-			_, err := NewSchedule(ch, nil, false)
-			return err
-		}},
-		{"schedule zero-length phase", func() error {
-			_, err := NewSchedule(ch, []Phase{{Uses: 0}}, false)
 			return err
 		}},
 	}

@@ -159,6 +159,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	windows := make([][]int, len(cfg.Rules))
 	maxWindow := 0
 	for i, ru := range cfg.Rules {
+		if err := ru.validate(); err != nil {
+			return nil, fmt.Errorf("health: %w", err)
+		}
 		windows[i] = ru.windowTicks(cfg.TickInterval)
 		for _, w := range windows[i] {
 			if w > maxWindow {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // The rule language, one rule per line:
@@ -154,6 +155,27 @@ func (ru *Rule) safe(lhs, rhs float64) bool {
 	}
 }
 
+// validate checks what evaluation and rendering need of a rule however
+// it was built. The name becomes a label value and a ` rule=<name> `
+// timeline token, so it may hold no Unicode space or control character,
+// brace or quote. A numeric threshold or clear value must be finite:
+// every comparison with NaN is false, so a NaN threshold never fires
+// and a NaN clear value never resolves, and ±Inf thresholds can never
+// be crossed.
+func (ru *Rule) validate() error {
+	if ru.Name == "" || strings.ContainsAny(ru.Name, "{}\"") ||
+		strings.IndexFunc(ru.Name, func(r rune) bool { return unicode.IsSpace(r) || unicode.IsControl(r) }) >= 0 {
+		return fmt.Errorf("bad rule name %q", ru.Name)
+	}
+	if ru.RHS.IsNum && (math.IsNaN(ru.RHS.Num) || math.IsInf(ru.RHS.Num, 0)) {
+		return fmt.Errorf("rule %q: threshold %v is not finite", ru.Name, ru.RHS.Num)
+	}
+	if ru.HasClear && (math.IsNaN(ru.Clear) || math.IsInf(ru.Clear, 0)) {
+		return fmt.Errorf("rule %q: clear threshold %v is not finite", ru.Name, ru.Clear)
+	}
+	return nil
+}
+
 // windowTicks converts the rule's windows into tick counts (ceil,
 // minimum 1). An empty Windows list yields the implicit single
 // 1-tick window.
@@ -208,9 +230,6 @@ func parseRule(line string) (*Rule, error) {
 		return nil, fmt.Errorf("missing `:` after rule name")
 	}
 	name = strings.TrimSpace(name)
-	if name == "" || strings.ContainsAny(name, " \t{}\"") {
-		return nil, fmt.Errorf("bad rule name %q", name)
-	}
 	body = strings.TrimSpace(body)
 	ru := &Rule{Name: name, Severity: "warn", For: 1, ClearFor: 1, Source: body}
 
@@ -280,6 +299,9 @@ func parseRule(line string) (*Rule, error) {
 	}
 	if ru.HasClear && !ru.RHS.IsNum {
 		return nil, fmt.Errorf("`clear` needs a numeric threshold on the right side")
+	}
+	if err := ru.validate(); err != nil {
+		return nil, err
 	}
 	return ru, nil
 }

@@ -147,22 +147,22 @@ func (c *DMC) divergences(py, logs, d []float64) {
 		return
 	}
 	c.logRatios(py, logs, false)
-	// Rows are processed four at a time: each d[x] is a strictly
-	// sequential sum (y ascending, the reference's association order),
-	// which serializes on FMA latency; four rows' independent chains
-	// overlap it. Per-row operand order and the p > 0 guard are exactly
-	// the reference's, so every d[x] is bit-identical. Two-class
-	// matrices (MSC, the converted channels) take a branchless-select
-	// path over the two contiguous log-table rows; reading the
-	// not-selected entry is safe because the guard only uses the term
-	// when p > 0, and then the selected entry is initialized.
-	nv := len(c.vals)
+	// Every matrix Capacity sees outside tests is the Figure 5 converted
+	// channel MSC(2^n, α·Pi): two value classes, both positive whenever
+	// Pi > 0. Those rows are processed four at a time: each d[x] is a
+	// strictly sequential sum (y ascending, the reference's association
+	// order), which serializes on FMA latency; four rows' independent
+	// chains overlap it. Both values are positive, so the reference's
+	// p > 0 guard is true for every cell and dropping it skips no terms;
+	// the log term is a branchless select over the two contiguous
+	// log-table rows. Every other matrix (Pi = 0, where one class is
+	// zero, and the test-only channels with one or three or more
+	// classes) takes the per-row loop below, which is the reference's
+	// loop with the log table, so every d[x] is bit-identical on both
+	// paths.
 	nx := len(c.w)
 	x := 0
-	if nv == 2 && c.vals[0] > 0 && c.vals[1] > 0 {
-		// Both dictionary values positive: the p > 0 guard is true for
-		// every cell, so dropping it skips no terms and the sums stay
-		// bit-identical — the loop becomes a pure 4-chain FMA stream.
+	if len(c.vals) == 2 && c.vals[0] > 0 && c.vals[1] > 0 {
 		l0 := logs[0:ny:ny]
 		l1 := logs[ny : 2*ny : 2*ny]
 		for ; x+4 <= nx; x += 4 {
@@ -193,75 +193,6 @@ func (c *DMC) divergences(py, logs, d []float64) {
 				d1 += r1[y] * t1
 				d2 += r2[y] * t2
 				d3 += r3[y] * t3
-			}
-			d[x], d[x+1], d[x+2], d[x+3] = d0, d1, d2, d3
-		}
-	} else if nv == 2 {
-		l0 := logs[0:ny:ny]
-		l1 := logs[ny : 2*ny : 2*ny]
-		for ; x+4 <= nx; x += 4 {
-			r0 := c.flat[(x+0)*ny : (x+0)*ny+ny : (x+0)*ny+ny]
-			r1 := c.flat[(x+1)*ny : (x+1)*ny+ny : (x+1)*ny+ny]
-			r2 := c.flat[(x+2)*ny : (x+2)*ny+ny : (x+2)*ny+ny]
-			r3 := c.flat[(x+3)*ny : (x+3)*ny+ny : (x+3)*ny+ny]
-			c0 := c.cls[(x+0)*ny : (x+0)*ny+ny : (x+0)*ny+ny]
-			c1 := c.cls[(x+1)*ny : (x+1)*ny+ny : (x+1)*ny+ny]
-			c2 := c.cls[(x+2)*ny : (x+2)*ny+ny : (x+2)*ny+ny]
-			c3 := c.cls[(x+3)*ny : (x+3)*ny+ny : (x+3)*ny+ny]
-			var d0, d1, d2, d3 float64
-			for y := 0; y < ny; y++ {
-				t0, t1, t2, t3 := l0[y], l0[y], l0[y], l0[y]
-				if c0[y] != 0 {
-					t0 = l1[y]
-				}
-				if c1[y] != 0 {
-					t1 = l1[y]
-				}
-				if c2[y] != 0 {
-					t2 = l1[y]
-				}
-				if c3[y] != 0 {
-					t3 = l1[y]
-				}
-				if p := r0[y]; p > 0 {
-					d0 += p * t0
-				}
-				if p := r1[y]; p > 0 {
-					d1 += p * t1
-				}
-				if p := r2[y]; p > 0 {
-					d2 += p * t2
-				}
-				if p := r3[y]; p > 0 {
-					d3 += p * t3
-				}
-			}
-			d[x], d[x+1], d[x+2], d[x+3] = d0, d1, d2, d3
-		}
-	} else {
-		for ; x+4 <= nx; x += 4 {
-			r0 := c.flat[(x+0)*ny : (x+0)*ny+ny : (x+0)*ny+ny]
-			r1 := c.flat[(x+1)*ny : (x+1)*ny+ny : (x+1)*ny+ny]
-			r2 := c.flat[(x+2)*ny : (x+2)*ny+ny : (x+2)*ny+ny]
-			r3 := c.flat[(x+3)*ny : (x+3)*ny+ny : (x+3)*ny+ny]
-			c0 := c.cls[(x+0)*ny : (x+0)*ny+ny : (x+0)*ny+ny]
-			c1 := c.cls[(x+1)*ny : (x+1)*ny+ny : (x+1)*ny+ny]
-			c2 := c.cls[(x+2)*ny : (x+2)*ny+ny : (x+2)*ny+ny]
-			c3 := c.cls[(x+3)*ny : (x+3)*ny+ny : (x+3)*ny+ny]
-			var d0, d1, d2, d3 float64
-			for y := 0; y < ny; y++ {
-				if p := r0[y]; p > 0 {
-					d0 += p * logs[int(c0[y])*ny+y]
-				}
-				if p := r1[y]; p > 0 {
-					d1 += p * logs[int(c1[y])*ny+y]
-				}
-				if p := r2[y]; p > 0 {
-					d2 += p * logs[int(c2[y])*ny+y]
-				}
-				if p := r3[y]; p > 0 {
-					d3 += p * logs[int(c3[y])*ny+y]
-				}
 			}
 			d[x], d[x+1], d[x+2], d[x+3] = d0, d1, d2, d3
 		}

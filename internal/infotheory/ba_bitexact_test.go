@@ -65,6 +65,13 @@ func TestCapacityMatchesReferenceBitExact(t *testing.T) {
 	mk(ZChannel(0.25))
 	mk(MSC(64, 0.1))
 	mk(MSC(16, 0.5))
+	// Pi = 0 and the all-error channel have a zero value class, and
+	// MSC(16, 15/16) has a single class: none takes the two-class fast
+	// path.
+	mk(MSC(64, 0))
+	mk(MSC(64, 1))
+	mk(MSC(16, 15.0/16))
+	mk(MSC(256, 0))
 	src := rng.New(7)
 	for i := 0; i < 20; i++ {
 		channels = append(channels, randomDMC(t, src, 2+src.Intn(9), 2+src.Intn(9), 0.3))

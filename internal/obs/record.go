@@ -68,22 +68,10 @@ func NewChannelRecorder(inner UseChannel, tr *Tracer, injected func() int64) (*C
 	return r, nil
 }
 
-// Use forwards one use, recording its outcome.
+// Use forwards one use, recording its outcome and emitting its trace
+// event.
 func (r *ChannelRecorder) Use(queued uint32) channel.Use {
 	u := r.inner.Use(queued)
-	r.record(queued, u)
-	return u
-}
-
-// Observe records one use observed elsewhere. It is a
-// channel.SetObserver-compatible hook for channels driven directly
-// rather than through the recorder's Use (install with
-// ch.SetObserver(rec.Observe)); do not combine both on one channel or
-// every use counts twice.
-func (r *ChannelRecorder) Observe(queued uint32, u channel.Use) { r.record(queued, u) }
-
-// record tallies one use and emits its trace event.
-func (r *ChannelRecorder) record(queued uint32, u channel.Use) {
 	r.uses++
 	switch u.Kind {
 	case channel.EventTransmit:
@@ -108,6 +96,7 @@ func (r *ChannelRecorder) record(queued uint32, u channel.Use) {
 	if r.tr != nil {
 		r.tr.Use(r.uses, u.Kind.String(), queued, u.Delivered, u.Kind == channel.EventDelete, inj)
 	}
+	return u
 }
 
 // Uses returns the number of uses served through the recorder.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,6 +124,47 @@ func TestTraceRoundTrip(t *testing.T) {
 	// The live estimate and the trace-derived estimate must agree.
 	if live, traced := rec.Estimate(), sum.Estimate(); live != traced {
 		t.Errorf("live estimate %+v != traced %+v", live, traced)
+	}
+
+	// Wrapping does not perturb the channel's draws: transmitting
+	// through a recorder yields the bare channel's Transmit output at the
+	// same seed, and the recorder tallies every use.
+	input := make([]uint32, 500)
+	for i := range input {
+		input[i] = uint32(i*7) % 16
+	}
+	bare, err := channel.NewDeletionInsertion(params, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecv, wantTrace := bare.Transmit(input)
+	wrapped, err := channel.NewDeletionInsertion(params, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrec, err := NewChannelRecorder(wrapped, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRecv, gotTrace := channel.TransmitUses(wrec, input)
+	if !slices.Equal(gotRecv, wantRecv) || !slices.Equal(gotTrace, wantTrace) {
+		t.Fatal("recorder perturbed the channel's received sequence or trace")
+	}
+	var want UseCounts
+	for _, k := range wantTrace {
+		switch k {
+		case channel.EventTransmit:
+			want.Transmits++
+		case channel.EventSubstitute:
+			want.Substitutes++
+		case channel.EventDelete:
+			want.Deletes++
+		case channel.EventInsert:
+			want.Inserts++
+		}
+	}
+	if wrec.Counts() != want || wrec.Uses() != int64(len(wantTrace)) {
+		t.Errorf("recorder saw %+v over %d uses, trace has %+v over %d", wrec.Counts(), wrec.Uses(), want, len(wantTrace))
 	}
 }
 

@@ -45,10 +45,9 @@ type LoadConfig struct {
 	// (default DriftUses: detection must land inside the drift window,
 	// i.e. before an offline analysis of that window would even close).
 	MaxDetectDelay int64
-	// Ingest and Fetch override the sink; both or neither. The default
-	// sink is a Store that Run builds.
+	// Ingest overrides the sink. The default sink is a Store that Run
+	// builds.
 	Ingest func(id string, events []Event) (Snapshot, error)
-	Fetch  func(id string) (Snapshot, error)
 }
 
 // loadN is the simulated channels' symbol width in bits.
@@ -156,9 +155,6 @@ func Run(cfg LoadConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (cfg.Ingest == nil) != (cfg.Fetch == nil) {
-		return nil, fmt.Errorf("session: Ingest and Fetch must be overridden together")
-	}
 	if cfg.Ingest == nil {
 		store, err := NewStore(StoreConfig{
 			Session:     Config{N: loadN},
@@ -171,7 +167,6 @@ func Run(cfg LoadConfig) (*Report, error) {
 			_, snap, err := store.IngestEvents(id, events)
 			return snap, err
 		}
-		cfg.Fetch = store.Get
 	}
 	outcomes := make([]Outcome, cfg.Sessions)
 	idx := make(chan int)

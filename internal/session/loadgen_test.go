@@ -94,7 +94,6 @@ func TestLoadRunHonestErrors(t *testing.T) {
 	cfg.Ingest = func(id string, events []Event) (Snapshot, error) {
 		return Snapshot{}, ErrTooManySessions
 	}
-	cfg.Fetch = func(id string) (Snapshot, error) { return Snapshot{}, ErrNotFound }
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

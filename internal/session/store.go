@@ -15,6 +15,9 @@ var ErrTooManySessions = errors.New("session: too many live sessions")
 // ErrNotFound reports an unknown session ID.
 var ErrNotFound = errors.New("session: not found")
 
+// maxBatchEvents bounds the events one ingest batch may carry.
+const maxBatchEvents = 1 << 16
+
 // StoreConfig tunes a Store. The zero value selects production-shaped
 // defaults.
 type StoreConfig struct {
@@ -28,8 +31,6 @@ type StoreConfig struct {
 	// new ID beyond the cap fails with ErrTooManySessions; existing
 	// sessions keep ingesting.
 	MaxSessions int
-	// MaxBatchEvents bounds one ingest batch (default 65536).
-	MaxBatchEvents int
 	// Shards is the lock-shard count (default 128, rounded up to a
 	// power of two).
 	Shards int
@@ -48,9 +49,6 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 1 << 20
-	}
-	if c.MaxBatchEvents == 0 {
-		c.MaxBatchEvents = 1 << 16
 	}
 	if c.Shards == 0 {
 		c.Shards = 128
@@ -114,9 +112,6 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 // Metrics returns the store's instrument set.
 func (s *Store) Metrics() *Metrics { return s.cfg.Metrics }
 
-// MaxBatchEvents returns the per-batch event cap.
-func (s *Store) MaxBatchEvents() int { return s.cfg.MaxBatchEvents }
-
 // TTL returns the idle-eviction threshold.
 func (s *Store) TTL() time.Duration { return s.cfg.TTL }
 
@@ -157,7 +152,7 @@ func (s *Store) Ingest(id string, r io.Reader) (int, Snapshot, error) {
 		s.cfg.Metrics.Rejected.Inc()
 		return 0, Snapshot{}, err
 	}
-	events, err := DecodeBatch(r, 0, s.cfg.MaxBatchEvents)
+	events, err := DecodeBatch(r, 0, maxBatchEvents)
 	if err != nil {
 		s.cfg.Metrics.Rejected.Inc()
 		return 0, Snapshot{}, err
