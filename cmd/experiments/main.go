@@ -44,7 +44,7 @@ func main() {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		only       = fs.String("only", "", "comma-separated experiment subset (E1..E12, A1..A5)")
+		only       = fs.String("only", "", "comma-separated experiment subset (E1..E13, A1..A5)")
 		seed       = fs.Uint64("seed", 1, "master random seed (per-experiment seeds are derived streams)")
 		symbols    = fs.Int("symbols", 20000, "message length for protocol simulations")
 		coded      = fs.Int("coded", 200, "message length for coding experiments")

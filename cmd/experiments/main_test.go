@@ -146,6 +146,32 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperimentListsBatch checks that the unknown-id error
+// lists the IDs of the batch actually assembled: every primary
+// experiment through E13, and the ablations only when they are in it.
+func TestRunUnknownExperimentListsBatch(t *testing.T) {
+	for _, tt := range []struct {
+		args      []string
+		ablations bool
+	}{
+		{[]string{"-only", "E99"}, false},
+		{[]string{"-only", "E99", "-ablations"}, true},
+		{[]string{"-only", "A9"}, true},
+	} {
+		_, err := capture(t, func() error { return run(fastArgs(tt.args...)) })
+		if err == nil {
+			t.Fatalf("%v: expected error for unknown experiment id", tt.args)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "E13") {
+			t.Errorf("%v: error %q does not name E13", tt.args, msg)
+		}
+		if got := strings.Contains(msg, "A5"); got != tt.ablations {
+			t.Errorf("%v: error %q names A5 = %v, want %v", tt.args, msg, got, tt.ablations)
+		}
+	}
+}
+
 func TestRunFlagError(t *testing.T) {
 	if _, err := capture(t, func() error { return run([]string{"-garbage"}) }); err == nil {
 		t.Fatal("expected flag parse error")

@@ -35,8 +35,10 @@
 //
 // Per-request deadlines bound the wait, not the work: a request that
 // times out returns 504 while its computation (if already admitted)
-// completes and populates the cache for the next caller. Shutdown
-// stops accepting connections, drains in-flight handlers, then drains
+// completes and populates the cache for the next caller. The Server
+// owns no listener: the http.Server that mounts Handler stops
+// accepting connections and drains in-flight handlers first
+// (cluster.Proc does this for cmd/capserverd), then Shutdown drains
 // the worker pool.
 package capserver
 
@@ -44,7 +46,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -161,7 +162,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
-	httpSrv  *http.Server
 	pool     *workerPool
 	cache    *flightCache
 	metrics  *Metrics
@@ -208,7 +208,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	s.httpSrv = &http.Server{Handler: s.mux}
 	return s
 }
 
@@ -219,32 +218,24 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the server's live metrics, for tests and embedding.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Serve accepts connections on l until Shutdown. It returns
-// http.ErrServerClosed after a clean shutdown, like net/http.
-func (s *Server) Serve(l net.Listener) error { return s.httpSrv.Serve(l) }
-
 // StartDrain flips readiness: /v1/readyz answers 503 from this moment
 // on, so load balancers and cluster peers stop routing new work here
-// while in-flight requests complete. Shutdown calls it first; an
-// embedding process driving its own http.Server (the cluster daemon)
-// calls it before that server's Shutdown for the same ordering.
+// while in-flight requests complete. The embedding process calls it
+// before its http.Server's Shutdown (cluster.Proc.Shutdown does).
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Shutdown gracefully stops the server: it flips readiness, stops
-// accepting new connections, waits (up to ctx) for in-flight handlers
-// to complete, then drains and stops the worker pool so every admitted
-// computation finishes before Shutdown returns.
-func (s *Server) Shutdown(ctx context.Context) error {
+// Shutdown flips readiness, drains and stops the worker pool so every
+// admitted computation finishes before it returns, and stops the
+// session janitor and the health ticker. The http.Server mounting
+// Handler must be shut down first, so that no handler can submit new
+// work. It keeps http.Server.Shutdown's signature; the error is always
+// nil.
+func (s *Server) Shutdown(context.Context) error {
 	s.StartDrain()
-	err := s.httpSrv.Shutdown(ctx)
-	// By now no handler can submit new work; drain what was admitted.
 	s.pool.close()
 	s.stopJanitor()
 	s.stopHealth()
-	return err
+	return nil
 }
 
 // errQueueFull is the backpressure verdict: the compute queue is full

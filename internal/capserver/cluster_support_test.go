@@ -3,24 +3,21 @@ package capserver
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 )
 
 // This file tests the cluster-support surface added with the sharded
 // capserver work: durable-store read-through, request abandonment,
-// readiness draining, canonical-key export, and HTTP-level drain of
-// in-flight batches.
+// readiness draining and canonical-key export. The HTTP-level drain of
+// in-flight requests is tested through cluster.Proc, which owns the
+// listener.
 
 // mapStore is an in-memory ResultStore for tests.
 type mapStore struct {
@@ -332,111 +329,5 @@ func TestCanonicalizeMatchesCacheKeys(t *testing.T) {
 
 	if _, ok := s.Canonicalize(httptest.NewRequest("POST", "/v1/bounds?n=4&pd=0.2", nil)); ok {
 		t.Error("POST canonicalized; only GETs are shardable")
-	}
-}
-
-// TestShutdownDrainsInflightBatch is the HTTP-level drain contract for
-// POST /v1/bounds:batch: a batch whose points are already admitted
-// when Shutdown begins completes with every point computed, while new
-// connections are refused for the whole drain window.
-func TestShutdownDrainsInflightBatch(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 16})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(l) }()
-	base := "http://" + l.Addr().String()
-
-	// Occupy the single worker so the batch's points queue behind it,
-	// keeping the batch handler in flight for the whole test.
-	block := make(chan struct{})
-	if !s.pool.trySubmit(func() { <-block }) {
-		t.Fatal("could not occupy the worker")
-	}
-
-	batchDone := make(chan error, 1)
-	var batchResp BatchResponse
-	go func() {
-		body := `{"points":[{"n":4,"pd":0.1},{"n":4,"pd":0.3}]}`
-		resp, err := http.Post(base+"/v1/bounds:batch", "application/json", strings.NewReader(body))
-		if err != nil {
-			batchDone <- err
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			batchDone <- fmt.Errorf("batch status %d: %s", resp.StatusCode, b)
-			return
-		}
-		batchDone <- json.NewDecoder(resp.Body).Decode(&batchResp)
-	}()
-
-	// Wait until both points are in flight (queued behind the blocker).
-	deadline := time.Now().Add(10 * time.Second)
-	for s.cache.stats().Inflight < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("batch points never reached the flight table")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	shutDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		shutDone <- s.Shutdown(ctx)
-	}()
-
-	// New work must be rejected while the batch drains: the listener
-	// closes, so fresh connections are refused. The probe is
-	// /v1/healthz, which never enters the worker pool, so a probe
-	// accepted just before the listener closes answers at once instead
-	// of queuing behind the blocked worker. Every probe dials anew, and
-	// only a refused dial ends the loop: a reset or timed-out probe
-	// proves nothing and is retried.
-	probe := &http.Client{
-		Timeout:   2 * time.Second,
-		Transport: &http.Transport{DisableKeepAlives: true},
-	}
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("listener still accepting new connections during drain")
-		}
-		resp, err := probe.Get(base + "/v1/healthz")
-		if errors.Is(err, syscall.ECONNREFUSED) {
-			break // refused: drain is rejecting new work
-		}
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	select {
-	case err := <-batchDone:
-		t.Fatalf("batch finished before the worker was released: %v", err)
-	default:
-	}
-
-	close(block) // let the admitted points compute
-	if err := <-batchDone; err != nil {
-		t.Fatalf("in-flight batch: %v", err)
-	}
-	if batchResp.Succeeded != 2 || batchResp.Failed != 0 {
-		t.Fatalf("drained batch: %d succeeded / %d failed, want 2/0 (%+v)", batchResp.Succeeded, batchResp.Failed, batchResp)
-	}
-	for i, pr := range batchResp.Results {
-		if !pr.OK || len(pr.Result) == 0 {
-			t.Fatalf("drained batch point %d not served: %+v", i, pr)
-		}
-	}
-	if err := <-shutDone; err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if err := <-serveErr; err != http.ErrServerClosed {
-		t.Fatalf("serve returned %v, want ErrServerClosed", err)
 	}
 }

@@ -112,7 +112,7 @@ func (s *Server) buildBounds(q queryValues) (string, func() ([]byte, error), err
 			del := &DeletionRatesJSON{
 				Pd:            pd,
 				GallagerLower: delcap.GallagerLowerBound(pd),
-				ErasureUpper:  delcap.ErasureUpperBound(pd),
+				ErasureUpper:  core.DeletionUpperBoundTrivial(pd),
 			}
 			if exactN > 0 {
 				rate, err := delcap.ExactUniformRate(exactN, pd)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -78,14 +79,16 @@ func (d *Dist) add(s time.Duration) { d.samples = append(d.samples, s) }
 func (d *Dist) Count() int { return len(d.samples) }
 
 // Percentile returns the p-th percentile (0 < p <= 1) by
-// nearest-rank; 0 with no samples.
+// nearest-rank: the smallest sample with at least a fraction p of the
+// samples at or below it, i.e. rank ceil(p*n). It returns 0 with no
+// samples.
 func (d *Dist) Percentile(p float64) time.Duration {
 	if len(d.samples) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), d.samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p*float64(len(sorted))+0.5) - 1
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}

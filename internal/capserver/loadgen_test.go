@@ -3,7 +3,48 @@ package capserver
 import (
 	"strings"
 	"testing"
+	"time"
 )
+
+// TestDistPercentileNearestRank checks Percentile against nearest-rank
+// ranks ceil(p*n). Sample k (1-based, added in descending order) is k
+// milliseconds, so the returned value names the rank.
+func TestDistPercentileNearestRank(t *testing.T) {
+	for _, tt := range []struct {
+		n    int
+		p    float64
+		rank int
+	}{
+		{n: 1, p: 0.5, rank: 1},
+		{n: 1, p: 0.99, rank: 1},
+		{n: 10, p: 0.5, rank: 5},
+		{n: 10, p: 0.9, rank: 9},
+		{n: 16, p: 0.5, rank: 8},
+		{n: 16, p: 0.9, rank: 15},
+		{n: 16, p: 0.99, rank: 16},
+		{n: 100, p: 0.99, rank: 99},
+		{n: 199, p: 0.5, rank: 100},
+		{n: 199, p: 0.9, rank: 180},
+		{n: 199, p: 0.99, rank: 198},
+		{n: 199, p: 1, rank: 199},
+		{n: 199, p: 0.001, rank: 1},
+	} {
+		var d Dist
+		for k := tt.n; k >= 1; k-- {
+			d.add(time.Duration(k) * time.Millisecond)
+		}
+		if got, want := d.Percentile(tt.p), time.Duration(tt.rank)*time.Millisecond; got != want {
+			t.Errorf("n=%d p=%v: Percentile = %v, want rank %d (%v)", tt.n, tt.p, got, tt.rank, want)
+		}
+	}
+	var empty Dist
+	if got := empty.Percentile(0.9); got != 0 {
+		t.Errorf("empty Percentile = %v, want 0", got)
+	}
+	if got := empty.Median(); got != 0 {
+		t.Errorf("empty Median = %v, want 0", got)
+	}
+}
 
 func TestPlanRequestsDeterministic(t *testing.T) {
 	opts := LoadOptions{BaseURL: "http://x", Requests: 64}.withDefaults()

@@ -45,8 +45,8 @@ func (p *workerPool) trySubmit(job func()) bool {
 func (p *workerPool) depth() int { return len(p.jobs) }
 
 // close drains the queue and stops the workers. It must only be
-// called after submitters have stopped (Shutdown guarantees this by
-// draining HTTP handlers first).
+// called after submitters have stopped (the embedding http.Server has
+// drained its handlers before Server.Shutdown calls it).
 func (p *workerPool) close() {
 	p.closeOnce.Do(func() { close(p.jobs) })
 	p.wg.Wait()

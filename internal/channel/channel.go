@@ -1,7 +1,8 @@
 // Package channel implements the channel models of the paper: the
-// deletion–insertion channel of Definition 1, the matching erasure and
-// extended erasure channels of Theorem 1 and Definition 2, and the
-// standard synchronous channels used for comparison.
+// deletion–insertion channel of Definition 1, its binary wrapper and
+// bursty extension, and the symbol erasure channel whose capacity
+// N(1-Pd) is the Theorem 1 bound. Definition 2's extended erasure
+// channel is the analytic device of that proof and is not simulated.
 //
 // A channel operates on symbols of N bits (alphabet size 2^N). The
 // deletion–insertion channel follows Definition 1 exactly: each time the

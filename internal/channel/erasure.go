@@ -53,107 +53,3 @@ func (c *Erasure) Transmit(input []uint32) []ErasedSymbol {
 	}
 	return out
 }
-
-// ExtendedUse is one output of the extended erasure channel of
-// Definition 2: the underlying deletion–insertion event stream with the
-// locations of deletions and insertions revealed to the receiver.
-type ExtendedUse struct {
-	// Kind is the revealed event.
-	Kind EventKind
-	// Delivered is the observed symbol (valid unless Kind is
-	// EventDelete). For EventSubstitute the receiver sees the corrupted
-	// symbol but, unlike a plain deletion–insertion channel, knows it
-	// is a transmission of the next queued position.
-	Delivered uint32
-}
-
-// ExtendedErasure is Definition 2: identical event process to a
-// deletion–insertion channel, but deletion/insertion locations are
-// side information at the receiver.
-type ExtendedErasure struct {
-	inner *DeletionInsertion
-}
-
-// NewExtendedErasure wraps Definition 1 parameters into the Definition 2
-// channel.
-func NewExtendedErasure(params Params, src *rng.Source) (*ExtendedErasure, error) {
-	inner, err := NewDeletionInsertion(params, src)
-	if err != nil {
-		return nil, err
-	}
-	return &ExtendedErasure{inner: inner}, nil
-}
-
-// Params returns the channel parameters.
-func (c *ExtendedErasure) Params() Params { return c.inner.Params() }
-
-// Transmit pushes input through the channel, revealing event locations.
-func (c *ExtendedErasure) Transmit(input []uint32) []ExtendedUse {
-	out := make([]ExtendedUse, 0, len(input))
-	for i := 0; i < len(input); {
-		u := c.inner.Use(input[i])
-		out = append(out, ExtendedUse{Kind: u.Kind, Delivered: u.Delivered})
-		if u.Consumed {
-			i++
-		}
-	}
-	return out
-}
-
-// Noiseless is the identity channel over n-bit symbols, useful as a
-// control in protocol experiments.
-type Noiseless struct {
-	n int
-}
-
-// NewNoiseless returns a noiseless channel over n-bit symbols.
-func NewNoiseless(n int) (*Noiseless, error) {
-	if n < 1 || n > 16 {
-		return nil, fmt.Errorf("channel: noiseless symbol width %d out of [1,16]", n)
-	}
-	return &Noiseless{n: n}, nil
-}
-
-// Transmit returns a copy of the input.
-func (c *Noiseless) Transmit(input []uint32) []uint32 {
-	return append([]uint32(nil), input...)
-}
-
-// Substituting is a synchronous M-ary symmetric channel over n-bit
-// symbols: every symbol is delivered, substituted with probability ps
-// by a uniformly chosen different symbol. It realizes the paper's
-// Figure 5 "converted channel" directly for validation.
-type Substituting struct {
-	n   int
-	ps  float64
-	src *rng.Source
-}
-
-// NewSubstituting returns a substituting channel.
-func NewSubstituting(n int, ps float64, src *rng.Source) (*Substituting, error) {
-	if n < 1 || n > 16 {
-		return nil, fmt.Errorf("channel: substituting symbol width %d out of [1,16]", n)
-	}
-	if math.IsNaN(ps) || ps < 0 || ps > 1 {
-		return nil, fmt.Errorf("channel: substitution probability %v out of [0,1]", ps)
-	}
-	if src == nil {
-		return nil, fmt.Errorf("channel: nil randomness source")
-	}
-	return &Substituting{n: n, ps: ps, src: src}, nil
-}
-
-// Transmit delivers every symbol, substituting with probability ps.
-func (c *Substituting) Transmit(input []uint32) []uint32 {
-	m := uint32(1) << uint(c.n)
-	out := make([]uint32, len(input))
-	for i, s := range input {
-		if c.src.Bool(c.ps) {
-			delta := 1 + uint32(c.src.Intn(int(m)-1))
-			out[i] = (s + delta) % m
-		} else {
-			out[i] = s
-		}
-	}
-	return out
-}

@@ -44,100 +44,6 @@ func TestErasurePreservesPositions(t *testing.T) {
 	}
 }
 
-func TestExtendedErasureRevealsLocations(t *testing.T) {
-	p := Params{N: 4, Pd: 0.2, Pi: 0.15}
-	c, err := NewExtendedErasure(p, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randomSymbols(rng.New(5), 5000, 4)
-	out := c.Transmit(in)
-
-	// Reconstruct the transmitted subsequence using the side
-	// information: every EventTransmit corresponds to the next input
-	// position; deletions consume a position; insertions do not.
-	pos := 0
-	for i, u := range out {
-		switch u.Kind {
-		case EventTransmit:
-			if u.Delivered != in[pos] {
-				t.Fatalf("entry %d: delivered %d, want input[%d] = %d", i, u.Delivered, pos, in[pos])
-			}
-			pos++
-		case EventSubstitute, EventDelete:
-			pos++
-		case EventInsert:
-			// does not consume
-		}
-	}
-	if pos != len(in) {
-		t.Fatalf("consumed %d inputs, want %d", pos, len(in))
-	}
-}
-
-func TestExtendedErasureParams(t *testing.T) {
-	p := Params{N: 2, Pd: 0.1, Pi: 0.1}
-	c, err := NewExtendedErasure(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Params() != p {
-		t.Fatalf("Params = %+v, want %+v", c.Params(), p)
-	}
-	if _, err := NewExtendedErasure(Params{N: 0}, rng.New(1)); err == nil {
-		t.Fatal("expected validation error")
-	}
-}
-
-func TestNoiselessChannel(t *testing.T) {
-	c, err := NewNoiseless(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []uint32{1, 2, 3}
-	out := c.Transmit(in)
-	out[0] = 99
-	if in[0] != 1 {
-		t.Fatal("Transmit must copy, not alias")
-	}
-	if _, err := NewNoiseless(17); err == nil {
-		t.Fatal("expected width validation error")
-	}
-}
-
-func TestSubstitutingChannel(t *testing.T) {
-	c, err := NewSubstituting(4, 0.25, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randomSymbols(rng.New(7), 40000, 4)
-	out := c.Transmit(in)
-	subs := 0
-	for i := range in {
-		if out[i] != in[i] {
-			subs++
-			if out[i] >= 16 {
-				t.Fatalf("substituted symbol %d out of alphabet", out[i])
-			}
-		}
-	}
-	if rate := float64(subs) / float64(len(in)); math.Abs(rate-0.25) > 0.01 {
-		t.Fatalf("substitution rate %v, want ~0.25", rate)
-	}
-}
-
-func TestSubstitutingValidation(t *testing.T) {
-	if _, err := NewSubstituting(0, 0.1, rng.New(1)); err == nil {
-		t.Error("expected width error")
-	}
-	if _, err := NewSubstituting(2, -1, rng.New(1)); err == nil {
-		t.Error("expected probability error")
-	}
-	if _, err := NewSubstituting(2, 0.5, nil); err == nil {
-		t.Error("expected nil source error")
-	}
-}
-
 func TestBinaryDI(t *testing.T) {
 	c, err := NewBinaryDI(0.1, 0.05, 0.02, rng.New(8))
 	if err != nil {

@@ -167,18 +167,6 @@ func Degrade(c, pd float64) (float64, error) {
 	return c * (1 - pd), nil
 }
 
-// DeletionLowerBoundGallager returns the classic achievable rate
-// 1 - H(Pd) bits per use for the binary deletion channel without
-// feedback (Gallager's convolutional-code argument, the lineage of the
-// paper's reference [12]), clamped at 0.
-func DeletionLowerBoundGallager(pd float64) float64 {
-	c := 1 - infotheory.BinaryEntropy(pd)
-	if c < 0 || pd >= 0.5 {
-		c = 0
-	}
-	return c
-}
-
 // DeletionUpperBoundTrivial returns the erasure-channel upper bound
 // 1 - Pd for the binary deletion channel without feedback (Theorem 1
 // with N = 1).

@@ -275,19 +275,6 @@ func TestDegrade(t *testing.T) {
 	}
 }
 
-func TestDeletionChannelBoundsOrdered(t *testing.T) {
-	for _, pd := range []float64{0, 0.05, 0.1, 0.2, 0.4, 0.49} {
-		lo := DeletionLowerBoundGallager(pd)
-		hi := DeletionUpperBoundTrivial(pd)
-		if lo < 0 || lo > hi+1e-12 {
-			t.Errorf("Pd=%v: bounds out of order lo=%v hi=%v", pd, lo, hi)
-		}
-	}
-	if DeletionLowerBoundGallager(0.5) != 0 {
-		t.Error("Gallager bound should clamp to 0 at Pd >= 0.5")
-	}
-}
-
 func TestComputeBoundsInvalid(t *testing.T) {
 	if _, err := ComputeBounds(channel.Params{N: 0}); err == nil {
 		t.Fatal("expected validation error")

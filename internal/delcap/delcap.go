@@ -271,6 +271,3 @@ func GallagerLowerBound(pd float64) float64 {
 	}
 	return c
 }
-
-// ErasureUpperBound returns 1 - pd, the Theorem 1 bound.
-func ErasureUpperBound(pd float64) float64 { return 1 - pd }

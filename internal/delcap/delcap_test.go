@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 )
 
@@ -114,8 +115,8 @@ func TestExactUniformRateBelowErasureBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r > ErasureUpperBound(pd)+1e-9 {
-				t.Errorf("n=%d pd=%v: rate %v exceeds erasure bound %v", n, pd, r, ErasureUpperBound(pd))
+			if r > core.DeletionUpperBoundTrivial(pd)+1e-9 {
+				t.Errorf("n=%d pd=%v: rate %v exceeds erasure bound %v", n, pd, r, core.DeletionUpperBoundTrivial(pd))
 			}
 			if r <= 0 {
 				t.Errorf("n=%d pd=%v: rate %v should be positive", n, pd, r)
@@ -159,13 +160,16 @@ func TestExactUniformRateN1IsErasure(t *testing.T) {
 func TestBoundsOrdering(t *testing.T) {
 	err := quick.Check(func(raw uint8) bool {
 		pd := float64(raw) / 255 * 0.49
-		return GallagerLowerBound(pd) <= ErasureUpperBound(pd)+1e-12
+		lo := GallagerLowerBound(pd)
+		return lo >= 0 && lo <= core.DeletionUpperBoundTrivial(pd)+1e-12
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if GallagerLowerBound(0.6) != 0 {
-		t.Error("Gallager bound should clamp at pd >= 0.5")
+	for _, pd := range []float64{0.5, 0.6} {
+		if GallagerLowerBound(pd) != 0 {
+			t.Errorf("Gallager bound at pd=%v should clamp to 0 (pd >= 0.5)", pd)
+		}
 	}
 }
 
@@ -210,8 +214,8 @@ func TestMonteCarloLargeBlocklength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc <= 0.4 || mc > ErasureUpperBound(pd)+0.05 {
-		t.Fatalf("n=16 estimate %v outside plausible range (0.4, %v]", mc, ErasureUpperBound(pd))
+	if mc <= 0.4 || mc > core.DeletionUpperBoundTrivial(pd)+0.05 {
+		t.Fatalf("n=16 estimate %v outside plausible range (0.4, %v]", mc, core.DeletionUpperBoundTrivial(pd))
 	}
 }
 

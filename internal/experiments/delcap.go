@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/core"
 	"repro/internal/delcap"
 	"repro/internal/rng"
 )
@@ -42,7 +43,7 @@ func E11DeletionRates(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		row = append(row, f4(mc), f4(delcap.ErasureUpperBound(pd)))
+		row = append(row, f4(mc), f4(core.DeletionUpperBoundTrivial(pd)))
 		t.Uses += int64(samples) * 20 // Monte-Carlo bits per row
 		t.Rows = append(t.Rows, row)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -227,7 +228,11 @@ func TestE10ShapeOverestimateFactor(t *testing.T) {
 }
 
 func TestAllRunsEveryExperiment(t *testing.T) {
-	tables, err := All(fastConfig())
+	results, err := Run(context.Background(), fastConfig(), Registry(), RunOptions{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := Tables(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +306,12 @@ func TestE12ShapeCountermeasuresDegrade(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	tables, err := Ablations(Config{Symbols: 2000, CodedSymbols: 60, Quanta: 20000, Seed: 1})
+	results, err := Run(context.Background(), Config{Symbols: 2000, CodedSymbols: 60, Quanta: 20000, Seed: 1},
+		AblationRegistry(), RunOptions{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := Tables(results)
 	if err != nil {
 		t.Fatal(err)
 	}

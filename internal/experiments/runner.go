@@ -18,7 +18,7 @@ import (
 
 // Experiment is one registered harness entry point with its metadata.
 type Experiment struct {
-	// ID is the experiment identifier printed in its table (E1..E12,
+	// ID is the experiment identifier printed in its table (E1..E13,
 	// A1..A5).
 	ID string
 	// Index is the experiment's seed-stream index: the runner derives
@@ -33,7 +33,7 @@ type Experiment struct {
 	Run func(Config) (Table, error)
 }
 
-// Registry returns the twelve primary experiments in DESIGN.md order.
+// Registry returns the thirteen primary experiments in DESIGN.md order.
 func Registry() []Experiment {
 	return []Experiment{
 		{ID: "E1", Index: 1, Title: "Theorem 1/4 upper bound vs erasure MI", Run: E1UpperBound},
@@ -119,13 +119,15 @@ func selectExperiments(exps []Experiment, only []string) ([]Experiment, error) {
 		return exps, nil
 	}
 	known := make(map[string]bool, len(exps))
-	for _, e := range exps {
+	ids := make([]string, len(exps))
+	for i, e := range exps {
 		known[e.ID] = true
+		ids[i] = e.ID
 	}
 	want := make(map[string]bool, len(only))
 	for _, id := range only {
 		if !known[id] {
-			return nil, fmt.Errorf("no experiment matches %q (valid: E1..E12, A1..A5)", id)
+			return nil, fmt.Errorf("no experiment matches %q (valid: %s)", id, strings.Join(ids, ", "))
 		}
 		want[id] = true
 	}
@@ -378,24 +380,4 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-// All runs every primary experiment serially and returns the tables in
-// order. It is the single-threaded spelling of Run over Registry(); the
-// emitted tables are identical to a parallel batch.
-func All(cfg Config) ([]Table, error) {
-	results, err := Run(context.Background(), cfg, Registry(), RunOptions{Jobs: 1})
-	if err != nil {
-		return nil, err
-	}
-	return Tables(results)
-}
-
-// Ablations runs every ablation experiment serially.
-func Ablations(cfg Config) ([]Table, error) {
-	results, err := Run(context.Background(), cfg, AblationRegistry(), RunOptions{Jobs: 1})
-	if err != nil {
-		return nil, err
-	}
-	return Tables(results)
 }

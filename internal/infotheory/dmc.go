@@ -158,30 +158,6 @@ func (c *DMC) Capacity(tol float64, maxIter int) (CapacityResult, error) {
 	return res, nil
 }
 
-// Compose returns the cascade channel c followed by d; the output
-// alphabet of c must match the input alphabet of d.
-func (c *DMC) Compose(d *DMC) (*DMC, error) {
-	if c.NumOutputs() != d.NumInputs() {
-		return nil, fmt.Errorf("infotheory: cascade mismatch: %d outputs vs %d inputs",
-			c.NumOutputs(), d.NumInputs())
-	}
-	nx, nz := c.NumInputs(), d.NumOutputs()
-	w := make([][]float64, nx)
-	for x := 0; x < nx; x++ {
-		w[x] = make([]float64, nz)
-		for y := 0; y < c.NumOutputs(); y++ {
-			pxy := c.w[x][y]
-			if pxy == 0 {
-				continue
-			}
-			for z := 0; z < nz; z++ {
-				w[x][z] += pxy * d.w[y][z]
-			}
-		}
-	}
-	return NewDMC(w)
-}
-
 // BSC returns the binary symmetric channel with crossover probability p.
 func BSC(p float64) (*DMC, error) {
 	if math.IsNaN(p) || p < 0 || p > 1 {

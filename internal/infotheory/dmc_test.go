@@ -16,6 +16,9 @@ func TestNewDMCErrors(t *testing.T) {
 	if _, err := NewDMC([][]float64{{0.5, 0.4}}); err == nil {
 		t.Error("expected error for unnormalized row")
 	}
+	if _, err := NewDMC([][]float64{{1.5, -0.5}}); err == nil {
+		t.Error("expected error for negative entry")
+	}
 }
 
 func TestDMCMatrixIsCopied(t *testing.T) {
@@ -176,54 +179,6 @@ func TestCapacityUselessChannel(t *testing.T) {
 	}
 	if res.Capacity > 1e-9 {
 		t.Fatalf("useless channel capacity = %v, want 0", res.Capacity)
-	}
-}
-
-func TestCompose(t *testing.T) {
-	// Cascading two BSCs gives a BSC with crossover p*(1-q)+q*(1-p).
-	p, q := 0.1, 0.2
-	a, err := BSC(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BSC(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := a.Compose(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := p*(1-q) + q*(1-p)
-	if !almostEqual(ab.Prob(0, 1), want, 1e-12) {
-		t.Fatalf("cascade crossover = %v, want %v", ab.Prob(0, 1), want)
-	}
-
-	// Data processing: capacity of the cascade does not exceed either stage.
-	resA, err := a.Capacity(1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resAB, err := ab.Capacity(1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resAB.Capacity > resA.Capacity+1e-9 {
-		t.Fatalf("cascade capacity %v exceeds stage capacity %v", resAB.Capacity, resA.Capacity)
-	}
-}
-
-func TestComposeMismatch(t *testing.T) {
-	a, err := BEC(0.1) // 2x3
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BSC(0.1) // 2x2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Compose(b); err == nil {
-		t.Fatal("expected cascade mismatch error")
 	}
 }
 

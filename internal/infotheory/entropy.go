@@ -1,7 +1,7 @@
 // Package infotheory implements the information-theoretic machinery the
-// paper's capacity estimates are built on: entropy functions, discrete
-// memoryless channels (DMCs) with a general Blahut–Arimoto capacity
-// solver, closed-form capacities for the standard channels the paper
+// paper's capacity estimates are built on: the binary entropy function,
+// discrete memoryless channels (DMCs) with a general Blahut–Arimoto
+// capacity solver, closed-form capacities for the standard channels the paper
 // references (binary symmetric, binary erasure, M-ary symmetric,
 // Z-channel), Shannon's capacity for noiseless channels with unequal
 // symbol durations (the basis of Millen's finite-state covert channel
@@ -22,51 +22,6 @@ func BinaryEntropy(p float64) float64 {
 		return 0
 	}
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
-}
-
-// Entropy returns the Shannon entropy in bits of a probability
-// distribution. It returns an error if the distribution has negative
-// entries or does not sum to 1 within tolerance.
-func Entropy(p []float64) (float64, error) {
-	if err := validateDist(p); err != nil {
-		return 0, err
-	}
-	var h float64
-	for _, pi := range p {
-		if pi > 0 {
-			h -= pi * math.Log2(pi)
-		}
-	}
-	return h, nil
-}
-
-// KL returns the Kullback–Leibler divergence D(p || q) in bits. It
-// returns an error if the inputs are not distributions of equal length,
-// or +Inf if p puts mass where q does not.
-func KL(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("infotheory: KL length mismatch %d != %d", len(p), len(q))
-	}
-	if err := validateDist(p); err != nil {
-		return 0, err
-	}
-	if err := validateDist(q); err != nil {
-		return 0, err
-	}
-	var d float64
-	for i := range p {
-		if p[i] == 0 {
-			continue
-		}
-		if q[i] == 0 {
-			return math.Inf(1), nil
-		}
-		d += p[i] * math.Log2(p[i]/q[i])
-	}
-	if d < 0 {
-		d = 0 // numerical jitter
-	}
-	return d, nil
 }
 
 // validateDist checks non-negativity and normalization.

@@ -38,87 +38,3 @@ func TestBinaryEntropySymmetryAndBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEntropyKnown(t *testing.T) {
-	h, err := Entropy([]float64{0.25, 0.25, 0.25, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(h, 2, 1e-12) {
-		t.Fatalf("Entropy(uniform 4) = %v, want 2", h)
-	}
-	h, err = Entropy([]float64{1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 0 {
-		t.Fatalf("Entropy(point mass) = %v, want 0", h)
-	}
-}
-
-func TestEntropyErrors(t *testing.T) {
-	if _, err := Entropy(nil); err == nil {
-		t.Error("expected error for empty distribution")
-	}
-	if _, err := Entropy([]float64{0.5, 0.6}); err == nil {
-		t.Error("expected error for unnormalized distribution")
-	}
-	if _, err := Entropy([]float64{1.5, -0.5}); err == nil {
-		t.Error("expected error for negative entry")
-	}
-}
-
-func TestEntropyMaximizedByUniform(t *testing.T) {
-	err := quick.Check(func(a, b, c uint8) bool {
-		sum := float64(a) + float64(b) + float64(c) + 3
-		p := []float64{(float64(a) + 1) / sum, (float64(b) + 1) / sum, (float64(c) + 1) / sum}
-		h, err := Entropy(p)
-		return err == nil && h <= math.Log2(3)+1e-12
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKL(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.25, 0.75}
-	d, err := KL(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5*math.Log2(2) + 0.5*math.Log2(0.5/0.75)
-	if !almostEqual(d, want, 1e-12) {
-		t.Fatalf("KL = %v, want %v", d, want)
-	}
-
-	// D(p||p) = 0.
-	d, err = KL(p, p)
-	if err != nil || d != 0 {
-		t.Fatalf("KL(p,p) = %v, %v", d, err)
-	}
-
-	// Infinite divergence when q lacks support.
-	d, err = KL([]float64{1, 0}, []float64{0, 1})
-	if err != nil || !math.IsInf(d, 1) {
-		t.Fatalf("KL(no support) = %v, %v, want +Inf", d, err)
-	}
-
-	if _, err := KL(p, []float64{1}); err == nil {
-		t.Error("expected length mismatch error")
-	}
-}
-
-func TestKLNonNegative(t *testing.T) {
-	err := quick.Check(func(a, b, c, d uint8) bool {
-		s1 := float64(a) + float64(b) + 2
-		s2 := float64(c) + float64(d) + 2
-		p := []float64{(float64(a) + 1) / s1, (float64(b) + 1) / s1}
-		q := []float64{(float64(c) + 1) / s2, (float64(d) + 1) / s2}
-		kl, err := KL(p, q)
-		return err == nil && kl >= 0
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}

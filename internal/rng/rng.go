@@ -177,13 +177,6 @@ func NewStream(seed, i uint64) *Source {
 	return New(Stream(seed, i))
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1,
-// via inversion. Multiply by the desired mean to rescale.
-func (r *Source) ExpFloat64() float64 {
-	// 1 - Float64() is in (0, 1], avoiding log(0).
-	return -math.Log(1 - r.Float64())
-}
-
 // NormFloat64 returns a standard normal value via the Box–Muller
 // transform (one value per call; the second is discarded for
 // simplicity — throughput is not a concern at simulation scales).

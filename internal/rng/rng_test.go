@@ -239,23 +239,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(41)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 returned negative value %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want ~1", mean)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(43)
 	const n = 200000

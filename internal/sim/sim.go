@@ -1,7 +1,7 @@
 // Package sim provides a small discrete-event simulation kernel used by
-// the operating-system substrates (internal/sched, internal/mls): a
-// virtual clock and a time-ordered event queue with deterministic
-// FIFO tie-breaking for events scheduled at the same instant.
+// the scheduler substrate (internal/sched): a virtual clock and a
+// time-ordered event queue with deterministic FIFO tie-breaking for
+// events scheduled at the same instant.
 package sim
 
 import (
@@ -40,10 +40,9 @@ func (q *eventQueue) Pop() any {
 // Kernel is a discrete-event simulation executive. The zero value is
 // ready to use with the clock at 0.
 type Kernel struct {
-	now     float64
-	seq     uint64
-	queue   eventQueue
-	stopped bool
+	now   float64
+	seq   uint64
+	queue eventQueue
 }
 
 // Now returns the current simulation time.
@@ -66,35 +65,12 @@ func (k *Kernel) Schedule(delay float64, fn func()) error {
 	return nil
 }
 
-// Stop makes the current Run call return after the current event.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events in time order until the queue empties, Stop is
-// called, or more than maxEvents events have run (a safety valve
-// against runaway self-scheduling; 0 means no limit). It returns the
-// number of events executed.
-func (k *Kernel) Run(maxEvents int) int {
-	k.stopped = false
-	executed := 0
-	for len(k.queue) > 0 && !k.stopped {
-		if maxEvents > 0 && executed >= maxEvents {
-			break
-		}
-		e := heap.Pop(&k.queue).(*event)
-		k.now = e.at
-		e.fn()
-		executed++
-	}
-	return executed
-}
-
 // RunUntil executes events with time <= deadline; remaining events stay
 // queued and the clock advances to the deadline if it ran past fewer
 // events. It returns the number of events executed.
 func (k *Kernel) RunUntil(deadline float64) int {
-	k.stopped = false
 	executed := 0
-	for len(k.queue) > 0 && !k.stopped && k.queue[0].at <= deadline {
+	for len(k.queue) > 0 && k.queue[0].at <= deadline {
 		e := heap.Pop(&k.queue).(*event)
 		k.now = e.at
 		e.fn()

@@ -17,23 +17,25 @@ func TestScheduleValidation(t *testing.T) {
 func TestRunOrdersEventsByTime(t *testing.T) {
 	var k Kernel
 	var order []int
+	var at []float64
 	for i, d := range []float64{3, 1, 2} {
 		i, d := i, d
-		if err := k.Schedule(d, func() { order = append(order, i) }); err != nil {
+		if err := k.Schedule(d, func() {
+			order = append(order, i)
+			at = append(at, k.Now())
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := k.Run(0); n != 3 {
-		t.Fatalf("Run executed %d events, want 3", n)
+	if n := k.RunUntil(10); n != 3 {
+		t.Fatalf("RunUntil executed %d events, want 3", n)
 	}
 	want := []int{1, 2, 0}
+	wantAt := []float64{1, 2, 3}
 	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+		if order[i] != want[i] || at[i] != wantAt[i] {
+			t.Fatalf("order = %v at %v, want %v at %v", order, at, want, wantAt)
 		}
-	}
-	if k.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", k.Now())
 	}
 }
 
@@ -46,7 +48,9 @@ func TestSameTimeFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	k.Run(0)
+	if n := k.RunUntil(1); n != 5 {
+		t.Fatalf("RunUntil executed %d events, want 5", n)
+	}
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("same-time events not FIFO: %v", order)
@@ -57,9 +61,11 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestSelfScheduling(t *testing.T) {
 	var k Kernel
 	count := 0
+	var last float64
 	var tick func()
 	tick = func() {
 		count++
+		last = k.Now()
 		if count < 10 {
 			if err := k.Schedule(1, tick); err != nil {
 				t.Error(err)
@@ -69,49 +75,15 @@ func TestSelfScheduling(t *testing.T) {
 	if err := k.Schedule(1, tick); err != nil {
 		t.Fatal(err)
 	}
-	k.Run(0)
+	k.RunUntil(100)
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
 	}
-	if k.Now() != 10 {
-		t.Fatalf("Now = %v, want 10", k.Now())
+	if last != 10 {
+		t.Fatalf("last tick at %v, want 10", last)
 	}
-}
-
-func TestRunMaxEvents(t *testing.T) {
-	var k Kernel
-	var tick func()
-	tick = func() {
-		if err := k.Schedule(1, tick); err != nil {
-			t.Error(err)
-		}
-	}
-	if err := k.Schedule(1, tick); err != nil {
-		t.Fatal(err)
-	}
-	if n := k.Run(100); n != 100 {
-		t.Fatalf("Run executed %d events, want cap of 100", n)
-	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", k.Pending())
-	}
-}
-
-func TestStop(t *testing.T) {
-	var k Kernel
-	ran := 0
-	if err := k.Schedule(1, func() { ran++; k.Stop() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Schedule(2, func() { ran++ }); err != nil {
-		t.Fatal(err)
-	}
-	k.Run(0)
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (stopped)", ran)
-	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", k.Pending())
+	if k.Pending() != 0 {
+		t.Fatalf("Pending = %d, want 0", k.Pending())
 	}
 }
 

@@ -172,8 +172,3 @@ func AlignOps(sent, received []uint32) []EditOp {
 	}
 	return ops
 }
-
-// EditDistance returns the Levenshtein distance between the sequences.
-func EditDistance(sent, received []uint32) int {
-	return Align(sent, received).Distance()
-}

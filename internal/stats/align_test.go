@@ -61,8 +61,8 @@ func TestEditDistanceKnown(t *testing.T) {
 		{[]uint32{1, 1, 1, 1}, []uint32{2, 2, 2, 2}, 4},
 	}
 	for _, tt := range tests {
-		if got := EditDistance(tt.sent, tt.recv); got != tt.want {
-			t.Errorf("EditDistance(%v, %v) = %d, want %d", tt.sent, tt.recv, got, tt.want)
+		if got := Align(tt.sent, tt.recv).Distance(); got != tt.want {
+			t.Errorf("Align(%v, %v).Distance() = %d, want %d", tt.sent, tt.recv, got, tt.want)
 		}
 	}
 }

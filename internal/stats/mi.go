@@ -68,23 +68,3 @@ func (j *JointCounter) MutualInformation() float64 {
 	}
 	return mi
 }
-
-// ConditionalErrorRate returns the empirical probability that Y != X,
-// defined only for equal alphabet sizes. It returns an error otherwise.
-func (j *JointCounter) ConditionalErrorRate() (float64, error) {
-	if j.nx != j.ny {
-		return 0, fmt.Errorf("stats: error rate undefined for %dx%d alphabets", j.nx, j.ny)
-	}
-	if j.total == 0 {
-		return 0, nil
-	}
-	wrong := 0
-	for x := 0; x < j.nx; x++ {
-		for y := 0; y < j.ny; y++ {
-			if x != y {
-				wrong += j.counts[x*j.ny+y]
-			}
-		}
-	}
-	return float64(wrong) / float64(j.total), nil
-}

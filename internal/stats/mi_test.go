@@ -95,33 +95,3 @@ func TestMutualInformationEmpty(t *testing.T) {
 		t.Fatal("empty counter should report zero total")
 	}
 }
-
-func TestConditionalErrorRate(t *testing.T) {
-	j, err := NewJointCounter(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 9; i++ {
-		if err := j.Add(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Add(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	rate, err := j.ConditionalErrorRate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rate-0.1) > 1e-12 {
-		t.Fatalf("error rate = %v, want 0.1", rate)
-	}
-
-	rect, err := NewJointCounter(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rect.ConditionalErrorRate(); err == nil {
-		t.Fatal("expected error for rectangular counter")
-	}
-}

@@ -1,59 +1,14 @@
 // Package stats provides the statistical utilities shared by the
-// simulations and experiment harnesses: streaming moments and confidence
-// intervals, histograms, empirical mutual information, and edit-distance
-// alignment used to count deletion/insertion/substitution events in
-// observed symbol traces.
+// simulations and experiment harnesses: proportion confidence
+// intervals, autocorrelation, histograms, empirical mutual information,
+// and edit-distance alignment used to count deletion/insertion/
+// substitution events in observed symbol traces.
 package stats
 
 import (
 	"fmt"
 	"math"
 )
-
-// Accumulator computes streaming mean and variance using Welford's
-// algorithm. The zero value is ready to use.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	delta := x - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
-}
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the sample mean (0 for an empty accumulator).
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// StdErr returns the standard error of the mean (0 for n == 0).
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval around the mean.
-func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -65,15 +20,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (0 for n < 2).
-func Variance(xs []float64) float64 {
-	var acc Accumulator
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	return acc.Variance()
 }
 
 // Proportion summarizes a Bernoulli estimate k successes out of n trials

@@ -3,70 +3,9 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestAccumulatorKnown(t *testing.T) {
-	var a Accumulator
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		a.Add(x)
-	}
-	if a.N() != 8 {
-		t.Fatalf("N = %d, want 8", a.N())
-	}
-	if !almostEqual(a.Mean(), 5, 1e-12) {
-		t.Fatalf("Mean = %v, want 5", a.Mean())
-	}
-	// Unbiased sample variance of this classic data set is 32/7.
-	if !almostEqual(a.Variance(), 32.0/7.0, 1e-12) {
-		t.Fatalf("Variance = %v, want %v", a.Variance(), 32.0/7.0)
-	}
-}
-
-func TestAccumulatorEmptyAndSingle(t *testing.T) {
-	var a Accumulator
-	if a.Mean() != 0 || a.Variance() != 0 || a.StdErr() != 0 {
-		t.Fatal("zero accumulator should report zeros")
-	}
-	a.Add(3.5)
-	if a.Mean() != 3.5 || a.Variance() != 0 {
-		t.Fatalf("single observation: mean %v var %v", a.Mean(), a.Variance())
-	}
-}
-
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	err := quick.Check(func(raw []int8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var a Accumulator
-		for i, v := range raw {
-			xs[i] = float64(v)
-			a.Add(xs[i])
-		}
-		return almostEqual(a.Mean(), Mean(xs), 1e-9) &&
-			almostEqual(a.Variance(), Variance(xs), 1e-9)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCI95Shrinks(t *testing.T) {
-	var small, large Accumulator
-	for i := 0; i < 10; i++ {
-		small.Add(float64(i % 2))
-	}
-	for i := 0; i < 1000; i++ {
-		large.Add(float64(i % 2))
-	}
-	if large.CI95() >= small.CI95() {
-		t.Fatalf("CI should shrink with more data: %v vs %v", large.CI95(), small.CI95())
-	}
-}
 
 func TestProportion(t *testing.T) {
 	p := Proportion{K: 50, N: 100}
@@ -110,6 +49,9 @@ func TestAutoCorrelationAlternating(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {
 		xs[i] = float64(i % 2)
+	}
+	if m := Mean(xs); m != 0.5 {
+		t.Fatalf("Mean of alternating 0/1 series = %v, want 0.5", m)
 	}
 	r1, err := AutoCorrelation(xs, 1)
 	if err != nil {

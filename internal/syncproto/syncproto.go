@@ -58,12 +58,6 @@ func (r Result) ThroughputPerUse() float64 {
 	return float64(r.Delivered) / float64(r.Uses)
 }
 
-// RawBitRatePerUse returns delivered raw bits (errors included) per
-// channel use for symbols of n bits.
-func (r Result) RawBitRatePerUse(n int) float64 {
-	return r.ThroughputPerUse() * float64(n)
-}
-
 // InfoRatePerUse returns the measured information rate in bits per
 // channel use: empirical per-slot mutual information times delivered
 // slots per use. This is the quantity the paper's bounds constrain.

@@ -397,9 +397,6 @@ func TestResultAccessors(t *testing.T) {
 	if got := r.ThroughputPerUse(); got != 0.6 {
 		t.Errorf("ThroughputPerUse = %v", got)
 	}
-	if got := r.RawBitRatePerUse(4); got != 2.4 {
-		t.Errorf("RawBitRatePerUse = %v", got)
-	}
 	if got := r.InfoRatePerUse(); got != 1.2 {
 		t.Errorf("InfoRatePerUse = %v", got)
 	}
