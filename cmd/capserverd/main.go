@@ -28,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -135,20 +136,22 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	}
 	// In cluster mode the node router sits in front of the capserver
 	// mux; standalone, capserver serves itself.
+	var (
+		tracer   *obs.Tracer
+		traceOut *os.File
+	)
 	if *clusterFlag != "" {
 		mem, err := cluster.ParseMembership(*clusterFlag)
 		if err != nil {
 			return err
 		}
-		var tracer *obs.Tracer
 		if *traceFile != "" {
-			f, err := os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			traceOut, err = os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return err
 			}
-			defer f.Close()
-			tracer = obs.NewTracer(f)
-			defer tracer.Close()
+			defer traceOut.Close() // error paths; the drain below checks Close
+			tracer = obs.NewTracer(traceOut)
 			fmt.Fprintf(logw, "capserverd: tracing requests to %s (seed %d)\n", *traceFile, *traceSeed)
 		}
 		cfg.Cluster = cluster.Config{
@@ -188,5 +191,11 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	return p.Shutdown(sctx)
+	err = p.Shutdown(sctx)
+	if traceOut != nil {
+		// The tracer buffers spans and keeps its first write error, so
+		// only a checked flush and close tell whether the trace is whole.
+		err = errors.Join(err, tracer.Flush(), traceOut.Close())
+	}
+	return err
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -142,6 +143,60 @@ func TestClusterFlags(t *testing.T) {
 	case err := <-runErr:
 		if err != nil {
 			t.Fatalf("run returned %v after cancel", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("run did not return after cancel")
+	}
+}
+
+// TestTraceWriteErrorFailsRun: a trace sink that rejects every write
+// loses the buffered spans, so the drain must fail the run instead of
+// exiting cleanly.
+func TestTraceWriteErrorFailsRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	addrCh := make(chan net.Addr, 1)
+	onListen = func(a net.Addr) { addrCh <- a }
+	defer func() { onListen = nil }()
+	logf, err := os.CreateTemp(t.TempDir(), "capserverd-log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logf.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run(ctx, []string{
+			"-addr", "127.0.0.1:0", "-workers", "2", "-drain", "10s",
+			"-cluster", "n1=http://127.0.0.1:1", "-self", "n1", "-trace", "/dev/full",
+		}, logf)
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-addrCh:
+	case err := <-runErr:
+		t.Fatalf("run exited before listening: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the listener")
+	}
+
+	resp, err := http.Get("http://" + addr.String() + "/v1/bounds?n=4&pd=0.2")
+	if err != nil {
+		t.Fatalf("GET bounds: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("bounds: status %d", resp.StatusCode)
+	}
+
+	cancel()
+	select {
+	case err := <-runErr:
+		if err == nil || !strings.Contains(err.Error(), "trace sink") {
+			t.Fatalf("run returned %v after losing its trace, want the sink error", err)
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not return after cancel")

@@ -5,17 +5,16 @@
 // every chain terminates at exactly one serving node, hedges and
 // retries only accompany forwards, no chain loops back through its
 // origin — and, given the per-member routing counters, reconciles the
-// trace-derived forward/hedge/degrade accounting against them
-// exactly. Any violation or mismatch is a nonzero exit: the trace and
-// the counters are two records of the same decisions, and disagreement
-// means the router lied in one of them.
+// trace-derived accounting against them exactly, one row per traced
+// routing outcome. Any violation or mismatch is a nonzero exit: the
+// trace and the counters are two records of the same decisions, and
+// disagreement means the router lied in one of them.
 //
 //	capstat -counters run/counters.json run/*.jsonl
 //	capstat -top 10 run/n1.jsonl run/n2.jsonl run/n3.jsonl
-//	capstat -status http://127.0.0.1:8080
 //
-// -status skips trace files entirely and prints the live federation
-// snapshot (/v1/cluster/status) of a running cluster instead.
+// counters.json maps each member to its counts keyed by counter family,
+// the names /metrics exposes. The live fleet view is cmd/capwatch.
 package main
 
 import (
@@ -23,10 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -44,19 +40,12 @@ func run(args []string, out io.Writer) error {
 	var (
 		countersPath = fs.String("counters", "", "per-member routing counters JSON (the harness's counters.json) to reconcile against")
 		topK         = fs.Int("top", 5, "slowest chains to list (0 = none)")
-		status       = fs.String("status", "", "base URL of a running cluster node: print its /v1/cluster/status snapshot instead of analyzing trace files")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *status != "" {
-		if fs.NArg() > 0 || *countersPath != "" {
-			return fmt.Errorf("-status takes no trace files or -counters")
-		}
-		return liveStatus(strings.TrimRight(*status, "/"), out)
-	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("need trace files (or -status URL); see -h")
+		return fmt.Errorf("need trace files; see -h")
 	}
 
 	spans, err := obs.ReadReqSpanFiles(fs.Args()...)
@@ -82,46 +71,6 @@ func run(args []string, out io.Writer) error {
 		}
 		return fmt.Errorf("trace is unhealthy: %d violations, %d counter mismatches",
 			len(check.Violations), mismatches)
-	}
-	return nil
-}
-
-// liveStatus fetches and summarizes one node's federation snapshot.
-func liveStatus(base string, out io.Writer) error {
-	resp, err := http.Get(base + cluster.StatusPath)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s answered %d", base+cluster.StatusPath, resp.StatusCode)
-	}
-	var st cluster.ClusterStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return fmt.Errorf("bad status payload: %v", err)
-	}
-	fmt.Fprintf(out, "cluster status via %s (schema %s, partial=%v)\n", st.Self, st.Schema, st.Partial)
-	for _, m := range st.Members {
-		state := "healthy"
-		if !m.Healthy {
-			state = m.Error
-		}
-		fmt.Fprintf(out, "member %-8s %-24s %s ring=%d‰\n", m.Name, m.URL, state, st.RingPermille[m.Name])
-		for _, r := range m.Routes {
-			fmt.Fprintf(out, "  route %-12s count=%-6d p50=%.3gms p99=%.3gms\n", r.Endpoint, r.Count, r.P50MS, r.P99MS)
-		}
-	}
-	totals := make([]string, 0, len(st.Totals))
-	for k := range st.Totals {
-		totals = append(totals, k)
-	}
-	sort.Strings(totals)
-	for _, k := range totals {
-		fmt.Fprintf(out, "total %-28s %d\n", k, st.Totals[k])
 	}
 	return nil
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,8 +29,8 @@ func TestRunReconcilesCleanTrace(t *testing.T) {
 	n2 := writeFile(t, dir, "n2.jsonl",
 		`{"t":"rspan","id":"r2","node":"n2","path":"remote","peer":"n1","status":200,"serve_us":300}`+"\n")
 	counters, err := json.Marshal(map[string]cluster.NodeCounters{
-		"n1": {Name: "n1", OwnedLocal: 1, Forwards: 1},
-		"n2": {Name: "n2", Remote: 1},
+		"n1": {"cluster_owned_local_total": 1, "cluster_forward_total": 1},
+		"n2": {"cluster_remote_serve_total": 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +72,7 @@ func TestRunFailsOnViolationOrMismatch(t *testing.T) {
 	// A clean trace against drifted counters.
 	clean := writeFile(t, dir, "clean.jsonl",
 		`{"t":"rspan","id":"r1","node":"n1","path":"owned"}`+"\n")
-	cpath := writeFile(t, dir, "counters.json", `{"n1":{"name":"n1","owned_local":2}}`)
+	cpath := writeFile(t, dir, "counters.json", `{"n1":{"cluster_owned_local_total":2}}`)
 	out.Reset()
 	err = run([]string{"-counters", cpath, clean}, &out)
 	if err == nil || !strings.Contains(err.Error(), "1 counter mismatches") {
@@ -83,6 +81,14 @@ func TestRunFailsOnViolationOrMismatch(t *testing.T) {
 	if !strings.Contains(out.String(), "MISMATCH: ") {
 		t.Fatalf("mismatch not printed:\n%s", out.String())
 	}
+
+	// A counters file keyed by the old field names fails to decode
+	// instead of reconciling against zeros.
+	old := writeFile(t, dir, "old.json", `{"n1":{"name":"n1","owned_local":1}}`)
+	out.Reset()
+	if err := run([]string{"-counters", old, clean}, &out); err == nil || !strings.Contains(err.Error(), "old.json") {
+		t.Fatalf("old-format counters: err=%v", err)
+	}
 }
 
 func TestRunFlagValidation(t *testing.T) {
@@ -90,62 +96,4 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(nil, &out); err == nil {
 		t.Fatal("no arguments accepted")
 	}
-	if err := run([]string{"-status", "http://x", "extra.jsonl"}, &out); err == nil {
-		t.Fatal("-status with trace files accepted")
-	}
-}
-
-func TestLiveStatus(t *testing.T) {
-	st := cluster.ClusterStatus{
-		Schema: cluster.StatusSchema,
-		Self:   "n1",
-		RingPermille: map[string]int64{
-			"n1": 500, "n2": 500,
-		},
-		Totals: map[string]int64{"cluster_forward_total": 3},
-		Members: []cluster.MemberStatus{
-			{Name: "n1", URL: "http://a", Healthy: true,
-				Routes: []cluster.RouteLatency{{Endpoint: "bounds", Count: 4, P50MS: 1, P99MS: 2}}},
-			{Name: "n2", URL: "http://b", Error: "unreachable"},
-		},
-	}
-	srv := httptest.NewServer(httptestStatusHandler(t, st))
-	defer srv.Close()
-
-	var out bytes.Buffer
-	if err := run([]string{"-status", srv.URL}, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{
-		"cluster status via n1",
-		"member n1",
-		"route bounds",
-		"member n2", "unreachable",
-		"total cluster_forward_total",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func httpError(t *testing.T, err error) {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func httptestStatusHandler(t *testing.T, st cluster.ClusterStatus) http.Handler {
-	t.Helper()
-	body, err := json.MarshalIndent(st, "", "  ")
-	httpError(t, err)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != cluster.StatusPath {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-	})
 }

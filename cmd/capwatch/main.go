@@ -2,8 +2,8 @@
 // for the health verdict layer (internal/health): it polls any
 // member's /v1/cluster/status and renders a deterministic one-page
 // view of the fleet — per-member alert state, session pressure, cache
-// effectiveness and route latency — or drives the alert-lifecycle
-// fault harness.
+// effectiveness, route traffic and latency, and the fleet's routing
+// totals — or drives the alert-lifecycle fault harness.
 //
 // Modes:
 //
@@ -113,10 +113,17 @@ func run(args []string, out io.Writer) error {
 }
 
 // watch polls the status endpoint and renders pages until the page
-// budget runs out.
+// budget runs out. Every poll fans out to each member's healthz,
+// metrics and alerts, so repaints need a positive interval.
 func watch(out io.Writer, target string, interval time.Duration, once bool, count int) error {
 	if once {
 		count = 1
+	}
+	if count < 0 {
+		return fmt.Errorf("-count %d: want 0 (forever) or a positive page count", count)
+	}
+	if interval <= 0 && count != 1 {
+		return fmt.Errorf("-interval %v: repainting needs a positive interval (or -once)", interval)
 	}
 	client := &http.Client{Timeout: 30 * time.Second}
 	for page := 0; count == 0 || page < count; page++ {
@@ -176,7 +183,7 @@ func renderPage(out io.Writer, target string, st *cluster.ClusterStatus) {
 		fmt.Fprintf(out, "firing: %s\n", strings.Join(st.Alerts.FiringRules, ", "))
 	}
 	fmt.Fprintf(out, "%-8s %-9s %6s %7s %9s %7s %6s  %s\n",
-		"member", "health", "firing", "pending", "sessions", "cache%", "ring‰", "routes p50/p99 ms")
+		"member", "health", "firing", "pending", "sessions", "cache%", "ring‰", "routes requests p50/p99 ms")
 	for _, m := range st.Members {
 		if !m.Healthy {
 			fmt.Fprintf(out, "%-8s %-9s %s\n", m.Name, "DOWN", m.Error)
@@ -197,17 +204,39 @@ func renderPage(out io.Writer, target string, st *cluster.ClusterStatus) {
 			m.Counters["capserver_sessions_active"], ratio, st.RingPermille[m.Name],
 			formatRoutes(m.Routes))
 	}
+	fmt.Fprintf(out, "cluster totals: %s\n", formatTotals(st.Totals))
 	fmt.Fprintf(out, "alerts by rule:\n")
 	for _, line := range alertRollup(st) {
 		fmt.Fprintf(out, "  %s\n", line)
 	}
 }
 
-// formatRoutes renders the per-route latency summaries on one line.
+// formatTotals renders the fleet's cluster_* routing totals on one
+// line, sorted, each named without the cluster_ prefix and _total
+// suffix.
+func formatTotals(totals map[string]int64) string {
+	names := make([]string, 0, len(totals))
+	for name := range totals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	parts := make([]string, 0, len(names))
+	for _, name := range names {
+		short := strings.TrimSuffix(strings.TrimPrefix(name, "cluster_"), "_total")
+		parts = append(parts, fmt.Sprintf("%s=%d", short, totals[name]))
+	}
+	if len(parts) == 0 {
+		return "-"
+	}
+	return strings.Join(parts, " ")
+}
+
+// formatRoutes renders each route's request count and latency summary
+// on one line.
 func formatRoutes(routes []cluster.RouteLatency) string {
 	parts := make([]string, 0, len(routes))
 	for _, r := range routes {
-		parts = append(parts, fmt.Sprintf("%s %.3g/%.3g", r.Endpoint, r.P50MS, r.P99MS))
+		parts = append(parts, fmt.Sprintf("%s %d %.3g/%.3g", r.Endpoint, r.Count, r.P50MS, r.P99MS))
 	}
 	if len(parts) == 0 {
 		return "-"

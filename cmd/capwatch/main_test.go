@@ -36,6 +36,9 @@ func TestWatchOnce(t *testing.T) {
 	for _, want := range []string{
 		"verdict=ok firing=0 pending=0",
 		"solo",
+		"bounds 1 ", // the route's request count
+		"cluster totals: degraded=0 forward=0 ",
+		" owned_local=1 ",
 		"alerts by rule:",
 		"queue-rejects",
 		"degraded-routing",
@@ -51,6 +54,40 @@ func TestWatchOnce(t *testing.T) {
 	}
 	if b2.String() != page {
 		t.Errorf("quiesced pages differ:\n--- a\n%s\n--- b\n%s", page, b2.String())
+	}
+}
+
+// TestWatchFlagValidation: a page budget must be non-negative, and
+// repainting needs a positive interval, because every poll fans out to
+// each member. Bad flags fail before any poll; with good ones the only
+// failure is the poll of the dead target.
+func TestWatchFlagValidation(t *testing.T) {
+	dead := "http://127.0.0.1:1"
+	for _, tc := range []struct {
+		args []string
+		flag string // the rejected flag; "" means the flags are fine
+	}{
+		{[]string{"-count", "-1"}, "-count"},
+		{[]string{"-interval", "0"}, "-interval"},
+		{[]string{"-interval", "-1s", "-count", "2"}, "-interval"},
+		{[]string{"-interval", "0", "-once"}, ""},
+		{[]string{"-interval", "0", "-count", "1"}, ""},
+	} {
+		var b strings.Builder
+		err := run(append([]string{"-target", dead}, tc.args...), &b)
+		if err == nil {
+			t.Errorf("%v: accepted against a dead target", tc.args)
+			continue
+		}
+		switch {
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("%v: error %q, want it to name %s", tc.args, err, tc.flag)
+		case tc.flag == "" && strings.HasPrefix(err.Error(), "-"):
+			t.Errorf("%v: flags rejected (%v), want only the poll to fail", tc.args, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: rendered %q", tc.args, b.String())
+		}
 	}
 }
 

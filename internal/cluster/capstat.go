@@ -245,25 +245,11 @@ func AnalyzeSpans(spans []obs.ReqSpan) TraceCheck {
 }
 
 // Reconcile holds the trace-derived per-node accounting against the
-// routing counters and returns every mismatch. Equality is exact in
-// both directions: a span without its counter increment is as much a
-// bug as an increment without its span. Peer-error counts have no
-// span (an errored attempt serves nobody) and are not reconciled.
+// routing counters and returns every mismatch. Every row of routes
+// that carries a span is checked, and equality is exact in both
+// directions: a span without its counter increment is as much a bug
+// as an increment without its span.
 func (c TraceCheck) Reconcile(counters map[string]NodeCounters) []string {
-	rows := []struct {
-		path    string
-		counter string
-		value   func(NodeCounters) int64
-	}{
-		{obs.PathOwned, "cluster_owned_local_total", func(n NodeCounters) int64 { return n.OwnedLocal }},
-		{obs.PathStoreLocal, "cluster_store_local_total", func(n NodeCounters) int64 { return n.StoreLocal }},
-		{obs.PathForward, "cluster_forward_total", func(n NodeCounters) int64 { return n.Forwards }},
-		{obs.PathHedge, "cluster_hedge_total", func(n NodeCounters) int64 { return n.Hedges }},
-		{HedgeWinPath, "cluster_hedge_wins_total", func(n NodeCounters) int64 { return n.HedgeWins }},
-		{obs.PathRetry, "cluster_retry_total", func(n NodeCounters) int64 { return n.Retries }},
-		{obs.PathDegraded, "cluster_degraded_total", func(n NodeCounters) int64 { return n.Degraded }},
-		{obs.PathRemote, "cluster_remote_serve_total", func(n NodeCounters) int64 { return n.Remote }},
-	}
 	names := make([]string, 0, len(counters))
 	for name := range counters {
 		names = append(names, name)
@@ -271,13 +257,15 @@ func (c TraceCheck) Reconcile(counters map[string]NodeCounters) []string {
 	sort.Strings(names)
 	var mismatches []string
 	for _, name := range names {
-		nc := counters[name]
-		for _, row := range rows {
-			traced := c.PerNode[name][row.path]
-			if counted := row.value(nc); traced != counted {
+		for _, row := range routes {
+			if row.span == "" {
+				continue
+			}
+			traced := c.PerNode[name][row.span]
+			if counted := counters[name][row.family]; traced != counted {
 				mismatches = append(mismatches,
 					fmt.Sprintf("%s: trace has %d %s spans, %s is %d",
-						name, traced, row.path, row.counter, counted))
+						name, traced, row.span, row.family, counted))
 			}
 		}
 	}
@@ -315,8 +303,12 @@ func (c TraceCheck) TopSlow(k int) []Chain {
 func (c TraceCheck) Format(counters map[string]NodeCounters, topK int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "capstat: %d requests, %d spans\n", c.Requests, c.Spans)
-	paths := []string{obs.PathOwned, obs.PathStoreLocal, obs.PathForward, obs.PathHedge,
-		HedgeWinPath, obs.PathRetry, obs.PathDegraded, obs.PathRemote}
+	var paths []string
+	for _, row := range routes {
+		if row.span != "" {
+			paths = append(paths, row.span)
+		}
+	}
 	for _, p := range paths {
 		fmt.Fprintf(&b, "  %-11s %d\n", p, c.ByPath[p])
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -170,8 +171,8 @@ func TestReconcileExactBothDirections(t *testing.T) {
 		sp("r3", "n2", obs.PathStoreLocal),
 	})
 	counters := map[string]NodeCounters{
-		"n1": {Name: "n1", OwnedLocal: 1, Forwards: 1},
-		"n2": {Name: "n2", Remote: 1, StoreLocal: 1},
+		"n1": {"cluster_owned_local_total": 1, "cluster_forward_total": 1},
+		"n2": {"cluster_remote_serve_total": 1, "cluster_store_local_total": 1},
 	}
 	if mm := check.Reconcile(counters); len(mm) != 0 {
 		t.Fatalf("exact counters mismatch: %v", mm)
@@ -182,8 +183,8 @@ func TestReconcileExactBothDirections(t *testing.T) {
 
 	// Counter without its span: the counter side drifted.
 	over := map[string]NodeCounters{
-		"n1": {Name: "n1", OwnedLocal: 2, Forwards: 1},
-		"n2": {Name: "n2", Remote: 1, StoreLocal: 1},
+		"n1": {"cluster_owned_local_total": 2, "cluster_forward_total": 1},
+		"n2": {"cluster_remote_serve_total": 1, "cluster_store_local_total": 1},
 	}
 	mm := check.Reconcile(over)
 	if len(mm) != 1 || !strings.Contains(mm[0], "cluster_owned_local_total is 2") {
@@ -192,8 +193,8 @@ func TestReconcileExactBothDirections(t *testing.T) {
 
 	// A store-local serve whose counter never moved.
 	uncounted := map[string]NodeCounters{
-		"n1": {Name: "n1", OwnedLocal: 1, Forwards: 1},
-		"n2": {Name: "n2", Remote: 1},
+		"n1": {"cluster_owned_local_total": 1, "cluster_forward_total": 1},
+		"n2": {"cluster_remote_serve_total": 1},
 	}
 	mm = check.Reconcile(uncounted)
 	if len(mm) != 1 || !strings.Contains(mm[0], "n2: trace has 1 store-local spans, cluster_store_local_total is 0") {
@@ -202,7 +203,7 @@ func TestReconcileExactBothDirections(t *testing.T) {
 
 	// Span without its counter: the trace side drifted — and a node the
 	// counters never heard of is flagged too.
-	short := map[string]NodeCounters{"n1": {Name: "n1", OwnedLocal: 1, Forwards: 1}}
+	short := map[string]NodeCounters{"n1": {"cluster_owned_local_total": 1, "cluster_forward_total": 1}}
 	mm = check.Reconcile(short)
 	found := false
 	for _, m := range mm {
@@ -218,9 +219,33 @@ func TestReconcileExactBothDirections(t *testing.T) {
 	}
 }
 
+// TestReconcileEveryTracedRoute holds each traced row of the route
+// table: a matching count reconciles, and a span its counter missed
+// gives exactly one mismatch, naming the row's path and family.
+func TestReconcileEveryTracedRoute(t *testing.T) {
+	traced := 0
+	for _, row := range routes {
+		if row.span == "" {
+			continue
+		}
+		traced++
+		check := TraceCheck{PerNode: map[string]map[string]int64{"n1": {row.span: 1}}}
+		if mm := check.Reconcile(map[string]NodeCounters{"n1": {row.family: 1}}); len(mm) != 0 {
+			t.Errorf("%s: matching count gives %v", row.span, mm)
+		}
+		want := fmt.Sprintf("n1: trace has 1 %s spans, %s is 0", row.span, row.family)
+		if mm := check.Reconcile(map[string]NodeCounters{"n1": {}}); len(mm) != 1 || mm[0] != want {
+			t.Errorf("%s: uncounted span gives %q, want [%q]", row.span, mm, want)
+		}
+	}
+	if traced != 8 {
+		t.Fatalf("%d routes carry a span, want 8", traced)
+	}
+}
+
 func TestFormatVerdictLines(t *testing.T) {
 	check := AnalyzeSpans([]obs.ReqSpan{sp("r1", "n1", obs.PathOwned, withServe(7))})
-	counters := map[string]NodeCounters{"n1": {Name: "n1", OwnedLocal: 1}}
+	counters := map[string]NodeCounters{"n1": {"cluster_owned_local_total": 1}}
 	out := check.Format(counters, 3)
 	for _, want := range []string{
 		"capstat: 1 requests, 1 spans",
@@ -234,7 +259,7 @@ func TestFormatVerdictLines(t *testing.T) {
 		}
 	}
 
-	bad := check.Format(map[string]NodeCounters{"n1": {Name: "n1"}}, 0)
+	bad := check.Format(map[string]NodeCounters{"n1": {}}, 0)
 	if !strings.Contains(bad, "MISMATCH: ") || strings.Contains(bad, "reconciles exactly") {
 		t.Fatalf("mismatch report wrong:\n%s", bad)
 	}

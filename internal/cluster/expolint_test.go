@@ -248,3 +248,28 @@ func TestExpositionLintFullNode(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteFamiliesExposition pins the routing families a fresh node
+// exposes, by name and in order: the alert rules, capwatch and
+// /v1/cluster/status read these names.
+func TestRouteFamiliesExposition(t *testing.T) {
+	var b strings.Builder
+	NewMetrics(nil).Registry().WriteProm(&b)
+	want := `cluster_owned_local_total 0
+cluster_store_local_total 0
+cluster_forward_total 0
+cluster_hedge_total 0
+cluster_hedge_wins_total 0
+cluster_retry_total 0
+cluster_peer_errors_total 0
+cluster_degraded_total 0
+cluster_remote_serve_total 0
+cluster_session_owned_total 0
+cluster_session_forward_total 0
+cluster_session_retry_total 0
+cluster_session_peer_errors_total 0
+`
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+}

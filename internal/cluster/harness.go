@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/capserver"
@@ -121,19 +122,61 @@ func (o HarnessOptions) withDefaults() HarnessOptions {
 	return o
 }
 
-// NodeCounters is one member's routing activity, summed across its
-// incarnations (a killed-and-restarted node has two).
-type NodeCounters struct {
-	Name       string `json:"name"`
-	OwnedLocal int64  `json:"owned_local"`
-	StoreLocal int64  `json:"store_local"`
-	Forwards   int64  `json:"forwards"`
-	Hedges     int64  `json:"hedges"`
-	HedgeWins  int64  `json:"hedge_wins"`
-	Retries    int64  `json:"retries"`
-	PeerErrors int64  `json:"peer_errors"`
-	Degraded   int64  `json:"degraded"`
-	Remote     int64  `json:"remote"`
+// NodeCounters is one member's routing counts, keyed by counter family
+// (the names /metrics exposes) and summed across its incarnations (a
+// killed-and-restarted node has two).
+type NodeCounters map[string]int64
+
+// memberCounts reads each member's counts of routes [lo, hi), summed
+// over its incarnations.
+func memberCounts(tb *Testbed, lo, hi route) map[string]NodeCounters {
+	counts := make(map[string]NodeCounters, len(tb.Names))
+	for _, name := range tb.Names {
+		c := make(NodeCounters, hi-lo)
+		for _, p := range tb.Incarnations(name) {
+			for r := lo; r < hi; r++ {
+				c[routes[r].family] += p.Node.Metrics().count(r)
+			}
+		}
+		counts[name] = c
+	}
+	return counts
+}
+
+// sumCounts adds up the members' counts.
+func sumCounts(nodes map[string]NodeCounters) NodeCounters {
+	total := make(NodeCounters)
+	for _, c := range nodes {
+		for family, v := range c {
+			total[family] += v
+		}
+	}
+	return total
+}
+
+// formatCounts prints one line per member in name order, then the
+// total, naming each count of routes [lo, hi) by its family without
+// the cluster_ prefix and _total suffix.
+func formatCounts(w io.Writer, nodes map[string]NodeCounters, lo, hi route) {
+	names := make([]string, 0, len(nodes))
+	for name := range nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	tw := tabwriter.NewWriter(w, 0, 0, 1, ' ', 0)
+	line := func(name string, c NodeCounters) {
+		fmt.Fprintf(tw, "node %s", name)
+		for r := lo; r < hi; r++ {
+			family := routes[r].family
+			fmt.Fprintf(tw, "\t%s=%d", strings.TrimSuffix(strings.TrimPrefix(family, "cluster_"), "_total"), c[family])
+		}
+		fmt.Fprintln(tw)
+	}
+	for _, name := range names {
+		line(name, nodes[name])
+	}
+	line("total", sumCounts(nodes))
+	tw.Flush()
 }
 
 // Convergence is the post-restart cache-convergence check: every
@@ -160,8 +203,8 @@ type HarnessReport struct {
 	Killed    string `json:"killed,omitempty"`
 	Restarted bool   `json:"restarted"`
 
-	Nodes       []NodeCounters `json:"nodes"`
-	Convergence Convergence    `json:"convergence"`
+	Nodes       map[string]NodeCounters `json:"nodes"`
+	Convergence Convergence             `json:"convergence"`
 
 	// Trace is the capstat verdict over the run's merged spans (traced
 	// runs only), and TraceMismatches its reconciliation against the
@@ -173,31 +216,8 @@ type HarnessReport struct {
 	Wall         time.Duration `json:"-"`
 }
 
-// Totals sums the per-node counters.
-func (r *HarnessReport) Totals() NodeCounters {
-	t := NodeCounters{Name: "total"}
-	for _, n := range r.Nodes {
-		t.OwnedLocal += n.OwnedLocal
-		t.StoreLocal += n.StoreLocal
-		t.Forwards += n.Forwards
-		t.Hedges += n.Hedges
-		t.HedgeWins += n.HedgeWins
-		t.Retries += n.Retries
-		t.PeerErrors += n.PeerErrors
-		t.Degraded += n.Degraded
-		t.Remote += n.Remote
-	}
-	return t
-}
-
-// CountersByName indexes the per-member counters for reconciliation.
-func (r *HarnessReport) CountersByName() map[string]NodeCounters {
-	m := make(map[string]NodeCounters, len(r.Nodes))
-	for _, n := range r.Nodes {
-		m[n.Name] = n
-	}
-	return m
-}
+// Totals sums the per-member counts.
+func (r *HarnessReport) Totals() NodeCounters { return sumCounts(r.Nodes) }
 
 // Format renders the report for humans.
 func (r *HarnessReport) Format(w io.Writer) {
@@ -216,10 +236,7 @@ func (r *HarnessReport) Format(w io.Writer) {
 	if r.Killed != "" {
 		fmt.Fprintf(w, "fault:      killed %s (restarted=%v)\n", r.Killed, r.Restarted)
 	}
-	for _, n := range append(r.Nodes, r.Totals()) {
-		fmt.Fprintf(w, "node %-6s owned=%-4d store_local=%-4d fwd=%-4d hedge=%d/%d retry=%-3d peer_err=%-3d degraded=%d remote=%d\n",
-			n.Name, n.OwnedLocal, n.StoreLocal, n.Forwards, n.HedgeWins, n.Hedges, n.Retries, n.PeerErrors, n.Degraded, n.Remote)
-	}
+	formatCounts(w, r.Nodes, routeOwned, routeSessionOwned)
 	if r.Trace != nil {
 		fmt.Fprintf(w, "trace:      %d requests, %d spans, %d violations, %d counter mismatches\n",
 			r.Trace.Requests, r.Trace.Spans, len(r.Trace.Violations), len(r.TraceMismatches))
@@ -245,20 +262,20 @@ func (r *HarnessReport) Assert() error {
 		fails = append(fails, fmt.Sprintf("%d responses differ from the single-node oracle", r.Mismatches))
 	}
 	t := r.Totals()
-	if t.Forwards == 0 {
+	if t[routes[routeForward].family] == 0 {
 		fails = append(fails, "no request was ever forwarded (dispatch never crossed shards?)")
 	}
-	if t.StoreLocal == 0 {
+	if t[routes[routeStoreLocal].family] == 0 {
 		fails = append(fails, "no non-owned request was served from the shared store at its origin")
 	}
-	if t.Hedges == 0 {
+	if t[routes[routeHedge].family] == 0 {
 		fails = append(fails, "no hedged request fired")
 	}
 	if r.Killed != "" {
-		if t.Retries == 0 {
+		if t[routes[routeRetry].family] == 0 {
 			fails = append(fails, "node killed but no peer attempt was retried")
 		}
-		if t.Degraded == 0 {
+		if t[routes[routeDegraded].family] == 0 {
 			fails = append(fails, "node killed but no request degraded to local compute")
 		}
 	}
@@ -501,23 +518,7 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		return nil, err
 	}
 
-	// Per-member counters across every incarnation.
-	for _, name := range tb.Names {
-		c := NodeCounters{Name: name}
-		for _, p := range tb.Incarnations(name) {
-			m := p.Node.Metrics()
-			c.OwnedLocal += m.OwnedLocal()
-			c.StoreLocal += m.StoreLocal()
-			c.Forwards += m.Forwards()
-			c.Hedges += m.Hedges()
-			c.HedgeWins += m.HedgeWins()
-			c.Retries += m.Retries()
-			c.PeerErrors += m.PeerErrors()
-			c.Degraded += m.Degraded()
-			c.Remote += m.Remote()
-		}
-		report.Nodes = append(report.Nodes, c)
-	}
+	report.Nodes = memberCounts(tb, routeOwned, routeSessionOwned)
 
 	// Merge each member's incarnation traces, analyze, and reconcile
 	// against the counters just read.
@@ -541,9 +542,9 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		}
 		check := AnalyzeSpans(allSpans)
 		report.Trace = &check
-		report.TraceMismatches = check.Reconcile(report.CountersByName())
+		report.TraceMismatches = check.Reconcile(report.Nodes)
 		if o.TraceDir != "" {
-			if err := writeTraceDir(o.TraceDir, merged, report.CountersByName()); err != nil {
+			if err := writeTraceDir(o.TraceDir, merged, report.Nodes); err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(o.Out, "trace: wrote %d per-node files and counters.json to %s\n", len(merged), o.TraceDir)

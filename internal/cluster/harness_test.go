@@ -81,7 +81,7 @@ func TestHarnessNoFaultRun(t *testing.T) {
 	if rep.Failovers != 0 {
 		t.Fatalf("%d failovers on a healthy cluster", rep.Failovers)
 	}
-	if rep.Totals().Degraded != 0 {
+	if rep.Totals()["cluster_degraded_total"] != 0 {
 		t.Fatal("degraded responses on a healthy cluster")
 	}
 }

@@ -114,7 +114,7 @@ func TestRoutingHeadersAcrossPaths(t *testing.T) {
 		if seen := tc.locals["n2"].tracedSeen(); len(seen) != 1 || seen[0] != id {
 			t.Fatalf("owner saw trace %v, want %q", seen, id)
 		}
-		if got := tc.nodes["n2"].Metrics().Remote(); got != 1 {
+		if got := tc.nodes["n2"].Metrics().count(routeRemote); got != 1 {
 			t.Fatalf("owner remote counter %d", got)
 		}
 		origin := spansOf(t, tc, bufs, "n1")
@@ -174,8 +174,8 @@ func TestRoutingHeadersAcrossPaths(t *testing.T) {
 		if m.Forwards() != 0 {
 			t.Fatal("pre-routed request was re-forwarded")
 		}
-		if m.Remote() != 1 {
-			t.Fatalf("remote counter %d", m.Remote())
+		if m.count(routeRemote) != 1 {
+			t.Fatalf("remote counter %d", m.count(routeRemote))
 		}
 		if got := rec.Header().Get(TraceHeader); got != "h-1.9-cafecafe" {
 			t.Fatalf("pre-routed hop rewrote the id: %q", got)
@@ -183,6 +183,25 @@ func TestRoutingHeadersAcrossPaths(t *testing.T) {
 		spans := spansOf(t, tc, bufs, "n3")
 		if len(spans) != 1 || spans[0].Path != obs.PathRemote || spans[0].ID != "h-1.9-cafecafe" {
 			t.Fatalf("spans %+v, want one remote span with the incoming id", spans)
+		}
+	})
+
+	t.Run("pre-routed forged id keeps the trace readable", func(t *testing.T) {
+		// A client posing as a forwarding peer, with an ID that is not
+		// valid UTF-8: the hop is trusted, so its span must still parse.
+		tc, bufs := tracedTestCluster(t, nil)
+		q := keyOwnedBy(t, tc.nodes["n1"].Ring(), "n2")
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/v1/bounds?"+q, nil)
+		req.Header.Set(ForwardedHeader, "evil")
+		req.Header.Set(TraceHeader, "a\x80b")
+		tc.nodes["n3"].serveHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d", rec.Code)
+		}
+		spans := spansOf(t, tc, bufs, "n3")
+		if len(spans) != 1 || spans[0].Path != obs.PathRemote || spans[0].ID != "a\uFFFDb" || spans[0].Peer != "evil" {
+			t.Fatalf("spans %+v, want one remote span from evil with the id read as %q", spans, "a\uFFFDb")
 		}
 	})
 
@@ -197,7 +216,7 @@ func TestRoutingHeadersAcrossPaths(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d", rec.Code)
 		}
-		if got := tc.nodes["n3"].Metrics().Remote(); got != 0 {
+		if got := tc.nodes["n3"].Metrics().count(routeRemote); got != 0 {
 			t.Fatalf("untraced hop bumped the remote counter: %d", got)
 		}
 		if seen := tc.locals["n3"].tracedSeen(); len(seen) != 1 || seen[0] != "" {

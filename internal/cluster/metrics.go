@@ -2,117 +2,104 @@ package cluster
 
 import "repro/internal/obs"
 
-// Metrics is the per-node cluster instrumentation, registered on the
-// same obs.Registry as the wrapped capserver so one /metrics page
-// carries both layers. Every counter is a deterministic count of
-// routing decisions; only which of primary/hedge wins a race is
-// timing-dependent, and the harness asserts on the decision counters,
-// not the race outcomes.
-type Metrics struct {
-	reg        *obs.Registry
-	ownedLocal *obs.Counter
-	storeLocal *obs.Counter
-	forwards   *obs.Counter
-	hedges     *obs.Counter
-	hedgeWins  *obs.Counter
-	retries    *obs.Counter
-	peerErrors *obs.Counter
-	degraded   *obs.Counter
-	remote     *obs.Counter
+// route is one routing outcome a node counts.
+type route int
 
-	// Session routing counters. Sessions are stateful, so their routing
-	// discipline differs from compute keys (no hedge, no degrade) and
-	// they get their own families, deliberately outside NodeCounters:
-	// capstat reconciles trace spans against the compute-routing
-	// counters only, and session traffic must not perturb that.
-	sessionOwned      *obs.Counter
-	sessionForwards   *obs.Counter
-	sessionRetries    *obs.Counter
-	sessionPeerErrors *obs.Counter
+// The routing outcomes, in exposition order.
+const (
+	routeOwned route = iota
+	routeStoreLocal
+	routeForward
+	routeHedge
+	routeHedgeWin
+	routeRetry
+	routePeerError
+	routeDegraded
+	routeRemote
+	routeSessionOwned
+	routeSessionForward
+	routeSessionRetry
+	routeSessionPeerError
+	numRoutes
+)
+
+// routes is the one list of routing outcomes. Each row names the
+// counter family /metrics exposes and, for a traced outcome, the
+// request-span path capstat reconciles that counter against (the
+// span is emitted at the program point the counter increments).
+//
+// A peer error has no span: an errored attempt serves nobody. The
+// remote counter moves only on hops that carry a trace ID, so it is
+// the exact twin of the remote span and untraced probes (the harness's
+// convergence checks) stay invisible to both. Sessions are never
+// traced, so their rows are never reconciled; they never hedge or
+// degrade either, because a second node serving a session would fork
+// its state.
+var routes = [numRoutes]struct{ family, span string }{
+	routeOwned:            {"cluster_owned_local_total", obs.PathOwned},
+	routeStoreLocal:       {"cluster_store_local_total", obs.PathStoreLocal},
+	routeForward:          {"cluster_forward_total", obs.PathForward},
+	routeHedge:            {"cluster_hedge_total", obs.PathHedge},
+	routeHedgeWin:         {"cluster_hedge_wins_total", HedgeWinPath},
+	routeRetry:            {"cluster_retry_total", obs.PathRetry},
+	routePeerError:        {"cluster_peer_errors_total", ""},
+	routeDegraded:         {"cluster_degraded_total", obs.PathDegraded},
+	routeRemote:           {"cluster_remote_serve_total", obs.PathRemote},
+	routeSessionOwned:     {"cluster_session_owned_total", ""},
+	routeSessionForward:   {"cluster_session_forward_total", ""},
+	routeSessionRetry:     {"cluster_session_retry_total", ""},
+	routeSessionPeerError: {"cluster_session_peer_errors_total", ""},
+}
+
+// Metrics is the per-node cluster instrumentation: one counter per
+// row of routes, registered on the same obs.Registry as the wrapped
+// capserver so one /metrics page carries both layers. Every counter is
+// a deterministic count of routing decisions; only which of
+// primary/hedge wins a race is timing-dependent, and the harness
+// asserts on the decision counters, not the race outcomes.
+type Metrics struct {
+	reg      *obs.Registry
+	counters [numRoutes]*obs.Counter
 }
 
 // NewMetrics registers the node's metric families on reg (a nil reg
-// gets a private registry). Registration order is exposition order.
-// Pass the wrapped capserver's registry (capserver.Config.Metrics) so
-// one /metrics page serves both layers.
+// gets a private registry), in the order of routes, which is
+// exposition order. Pass the wrapped capserver's registry
+// (capserver.Config.Metrics) so one /metrics page serves both layers.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Metrics{
-		reg:        reg,
-		ownedLocal: reg.Counter("cluster_owned_local_total"),
-		storeLocal: reg.Counter("cluster_store_local_total"),
-		forwards:   reg.Counter("cluster_forward_total"),
-		hedges:     reg.Counter("cluster_hedge_total"),
-		hedgeWins:  reg.Counter("cluster_hedge_wins_total"),
-		retries:    reg.Counter("cluster_retry_total"),
-		peerErrors: reg.Counter("cluster_peer_errors_total"),
-		degraded:   reg.Counter("cluster_degraded_total"),
-		remote:     reg.Counter("cluster_remote_serve_total"),
-
-		sessionOwned:      reg.Counter("cluster_session_owned_total"),
-		sessionForwards:   reg.Counter("cluster_session_forward_total"),
-		sessionRetries:    reg.Counter("cluster_session_retry_total"),
-		sessionPeerErrors: reg.Counter("cluster_session_peer_errors_total"),
+	m := &Metrics{reg: reg}
+	for r, row := range routes {
+		m.counters[r] = reg.Counter(row.family)
 	}
+	return m
 }
 
 // Registry returns the backing registry.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
-// OwnedLocal returns the number of shardable requests this node
-// served because it owns their keys (or received them pre-routed).
-func (m *Metrics) OwnedLocal() int64 { return m.ownedLocal.Value() }
+// inc counts one occurrence of r.
+func (m *Metrics) inc(r route) { m.counters[r].Inc() }
 
-// StoreLocal returns the number of non-owned requests this node served
-// as their origin from the shared result store, without a hop.
-func (m *Metrics) StoreLocal() int64 { return m.storeLocal.Value() }
+// count returns the occurrences of r so far.
+func (m *Metrics) count(r route) int64 { return m.counters[r].Value() }
+
+// OwnedLocal returns the number of shardable requests this node
+// served as their origin because it owns their keys.
+func (m *Metrics) OwnedLocal() int64 { return m.count(routeOwned) }
 
 // Forwards returns the number of requests forwarded toward an owner.
-func (m *Metrics) Forwards() int64 { return m.forwards.Value() }
+func (m *Metrics) Forwards() int64 { return m.count(routeForward) }
 
 // Hedges returns the number of hedged second requests fired.
-func (m *Metrics) Hedges() int64 { return m.hedges.Value() }
-
-// HedgeWins returns the number of forwards answered by the hedge.
-func (m *Metrics) HedgeWins() int64 { return m.hedgeWins.Value() }
+func (m *Metrics) Hedges() int64 { return m.count(routeHedge) }
 
 // Retries returns the number of re-attempts against a peer after a
 // retryable failure.
-func (m *Metrics) Retries() int64 { return m.retries.Value() }
-
-// PeerErrors returns the number of peer attempts that ended in a
-// transport error or retryable status after exhausting retries.
-func (m *Metrics) PeerErrors() int64 { return m.peerErrors.Value() }
+func (m *Metrics) Retries() int64 { return m.count(routeRetry) }
 
 // Degraded returns the number of requests that fell back to local
 // compute because the owning shard was unreachable.
-func (m *Metrics) Degraded() int64 { return m.degraded.Value() }
-
-// Remote returns the number of traced pre-routed requests this node
-// served on behalf of a forwarding origin. It counts only requests
-// carrying a trace ID — it is the counter twin of the "remote" span,
-// so trace-derived remote totals reconcile against it exactly while
-// untraced probes (the harness's convergence checks) stay invisible
-// to both.
-func (m *Metrics) Remote() int64 { return m.remote.Value() }
-
-// SessionOwned returns the number of per-session requests this node
-// served as the session's ring owner.
-func (m *Metrics) SessionOwned() int64 { return m.sessionOwned.Value() }
-
-// SessionForwards returns the number of per-session requests forwarded
-// to their owning node.
-func (m *Metrics) SessionForwards() int64 { return m.sessionForwards.Value() }
-
-// SessionRetries returns the number of re-attempts of a forwarded
-// session read after a retryable failure (ingests never retry: a POST
-// is not idempotent through an ambiguous failure).
-func (m *Metrics) SessionRetries() int64 { return m.sessionRetries.Value() }
-
-// SessionPeerErrors returns the number of session forwards that failed
-// because the owning node was unreachable. Unlike compute keys there
-// is no degraded local fallback — session state lives only on the
-// owner, and serving it elsewhere would fork the session.
-func (m *Metrics) SessionPeerErrors() int64 { return m.sessionPeerErrors.Value() }
+func (m *Metrics) Degraded() int64 { return m.count(routeDegraded) }

@@ -155,7 +155,7 @@ func (n *Node) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		// untraced probe) the header is stripped so a stale ID cannot
 		// leak into the response.
 		if id := r.Header.Get(obs.TraceHeader); id != "" && n.cfg.Tracer.Enabled() {
-			n.metrics.remote.Inc()
+			n.metrics.inc(routeRemote)
 			n.serveTraced(w, r, id, obs.PathRemote, origin)
 			return
 		}
@@ -178,7 +178,7 @@ func (n *Node) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	owner := n.ring.Owner(key)
 	if owner == n.cfg.Self {
-		n.metrics.ownedLocal.Inc()
+		n.metrics.inc(routeOwned)
 		if n.cfg.Tracer.Enabled() {
 			n.serveTraced(w, r, n.requestID(key), obs.PathOwned, "")
 			return
@@ -220,7 +220,7 @@ func (n *Node) serveStored(w http.ResponseWriter, key, id string) bool {
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-	n.metrics.storeLocal.Inc()
+	n.metrics.inc(routeStoreLocal)
 	if id != "" {
 		n.cfg.Tracer.ReqSpan(obs.ReqSpan{
 			ID:      id,
@@ -255,11 +255,11 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 	key := SessionRingKey + id
 	owner := n.ring.Owner(key)
 	if owner == n.cfg.Self {
-		n.metrics.sessionOwned.Inc()
+		n.metrics.inc(routeSessionOwned)
 		n.local.Handler().ServeHTTP(w, r)
 		return
 	}
-	n.metrics.sessionForwards.Inc()
+	n.metrics.inc(routeSessionForward)
 	var body []byte
 	if r.Body != nil {
 		b, err := io.ReadAll(r.Body)
@@ -278,7 +278,7 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 	var last peerResult
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			n.metrics.sessionRetries.Inc()
+			n.metrics.inc(routeSessionRetry)
 			backoff := n.cfg.PeerBackoff << (attempt - 1)
 			select {
 			case <-time.After(backoff):
@@ -302,7 +302,7 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 			return
 		}
 	}
-	n.metrics.sessionPeerErrors.Inc()
+	n.metrics.inc(routeSessionPeerError)
 	writeJSONError(w, http.StatusBadGateway,
 		fmt.Errorf("cluster: session owner %s unreachable: %v", owner, last.err))
 }
@@ -367,7 +367,7 @@ type peerResult struct {
 // tryPeer, the forward outcome in writePeerResponse or degrade), which
 // is what lets capstat reconcile trace totals against counters exactly.
 func (n *Node) forward(w http.ResponseWriter, r *http.Request, key, owner, id string) {
-	n.metrics.forwards.Inc()
+	n.metrics.inc(routeForward)
 	uri := r.URL.RequestURI()
 	pctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
@@ -402,19 +402,19 @@ race:
 			inflight--
 			if res.err == nil {
 				if res.hedged {
-					n.metrics.hedgeWins.Inc()
+					n.metrics.inc(routeHedgeWin)
 				}
 				n.writePeerResponse(w, res, owner, id)
 				return
 			}
-			n.metrics.peerErrors.Inc()
+			n.metrics.inc(routePeerError)
 			// When the primary is lost with no hedge racing, the loop
 			// exits and degrades immediately: waiting out the hedge
 			// timer buys nothing, and a non-owner peer would do the
 			// same compute this node can do itself.
 		case <-hedgeTimer:
 			hedgeTimer = nil
-			n.metrics.hedges.Inc()
+			n.metrics.inc(routeHedge)
 			if id != "" {
 				n.cfg.Tracer.ReqSpan(obs.ReqSpan{
 					ID: id, Node: n.cfg.Self, Path: obs.PathHedge, Peer: hedge,
@@ -439,7 +439,7 @@ race:
 // closes with a winnerless forward span and the local fallback serve
 // records the terminal degraded span.
 func (n *Node) degrade(w http.ResponseWriter, r *http.Request, owner, id string) {
-	n.metrics.degraded.Inc()
+	n.metrics.inc(routeDegraded)
 	w.Header().Set(DegradedHeader, owner)
 	if id != "" {
 		n.cfg.Tracer.ReqSpan(obs.ReqSpan{
@@ -470,7 +470,7 @@ func (n *Node) tryPeer(ctx context.Context, peer, uri string, attempts int, hedg
 	var last peerResult
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			n.metrics.retries.Inc()
+			n.metrics.inc(routeRetry)
 			if id != "" {
 				n.cfg.Tracer.ReqSpan(obs.ReqSpan{
 					ID: id, Node: n.cfg.Self, Path: obs.PathRetry, Peer: peer,

@@ -267,8 +267,8 @@ func TestStoredKeyServesAtOrigin(t *testing.T) {
 		t.Fatalf("store-local response grew routing headers: %v", rec.Header())
 	}
 	m := tc.nodes["n1"].Metrics()
-	if m.Forwards() != 0 || m.StoreLocal() != 1 || m.OwnedLocal() != 0 {
-		t.Fatalf("forwards=%d store_local=%d owned=%d, want 0 1 0", m.Forwards(), m.StoreLocal(), m.OwnedLocal())
+	if m.Forwards() != 0 || m.count(routeStoreLocal) != 1 || m.OwnedLocal() != 0 {
+		t.Fatalf("forwards=%d store_local=%d owned=%d, want 0 1 0", m.Forwards(), m.count(routeStoreLocal), m.OwnedLocal())
 	}
 	if c, _ := tc.locals["n2"].snapshot(); c != 1 {
 		t.Fatalf("owner handler ran %d times, want only the reference forward", c)
@@ -283,8 +283,8 @@ func TestStoredKeyServesAtOrigin(t *testing.T) {
 	if rec.Code != http.StatusOK || rec.Header().Get(PeerHeader) != "n3" {
 		t.Fatalf("store miss: status %d, peer %q", rec.Code, rec.Header().Get(PeerHeader))
 	}
-	if m.Forwards() != 1 || m.StoreLocal() != 1 {
-		t.Fatalf("after a miss: forwards=%d store_local=%d, want 1 1", m.Forwards(), m.StoreLocal())
+	if m.Forwards() != 1 || m.count(routeStoreLocal) != 1 {
+		t.Fatalf("after a miss: forwards=%d store_local=%d, want 1 1", m.Forwards(), m.count(routeStoreLocal))
 	}
 	if p := tc.locals["n1"].peekCount(); p != 2 {
 		t.Fatalf("origin peeked %d times, want once per non-owned request", p)
@@ -314,7 +314,7 @@ func TestStorePeekOnlyAtOrigin(t *testing.T) {
 	if c, _ := n1.snapshot(); c != 3 {
 		t.Fatalf("local handler served %d of 3 requests", c)
 	}
-	if got := tc.nodes["n1"].Metrics().StoreLocal(); got != 0 {
+	if got := tc.nodes["n1"].Metrics().count(routeStoreLocal); got != 0 {
 		t.Fatalf("store_local %d, want 0", got)
 	}
 }
@@ -348,8 +348,8 @@ func TestOwnerDownDegradesToLocalCompute(t *testing.T) {
 		t.Fatalf("degraded header %q", got)
 	}
 	m := tc.nodes["n1"].Metrics()
-	if m.Degraded() != 1 || m.Retries() != 1 || m.PeerErrors() != 1 {
-		t.Fatalf("degraded=%d retries=%d peerErrors=%d", m.Degraded(), m.Retries(), m.PeerErrors())
+	if m.Degraded() != 1 || m.Retries() != 1 || m.count(routePeerError) != 1 {
+		t.Fatalf("degraded=%d retries=%d peerErrors=%d", m.Degraded(), m.Retries(), m.count(routePeerError))
 	}
 	if c, _ := tc.locals["n1"].snapshot(); c != 1 {
 		t.Fatalf("local fallback computes: %d", c)
@@ -369,8 +369,8 @@ func TestRetryableStatusExhaustsThenDegrades(t *testing.T) {
 		t.Fatalf("degraded header %q", got)
 	}
 	m := tc.nodes["n1"].Metrics()
-	if m.Retries() != 1 || m.PeerErrors() != 1 || m.Degraded() != 1 {
-		t.Fatalf("retries=%d peerErrors=%d degraded=%d", m.Retries(), m.PeerErrors(), m.Degraded())
+	if m.Retries() != 1 || m.count(routePeerError) != 1 || m.Degraded() != 1 {
+		t.Fatalf("retries=%d peerErrors=%d degraded=%d", m.Retries(), m.count(routePeerError), m.Degraded())
 	}
 	// Both attempts landed on the owner before the fallback.
 	if c, _ := tc.locals["n2"].snapshot(); c != 2 {
@@ -417,8 +417,8 @@ func TestHedgeFiresAndWinsAgainstSlowOwner(t *testing.T) {
 		t.Fatalf("hedge win attributed to %q", got)
 	}
 	m := tc.nodes["n1"].Metrics()
-	if m.Hedges() != 1 || m.HedgeWins() != 1 {
-		t.Fatalf("hedges=%d wins=%d", m.Hedges(), m.HedgeWins())
+	if m.Hedges() != 1 || m.count(routeHedgeWin) != 1 {
+		t.Fatalf("hedges=%d wins=%d", m.Hedges(), m.count(routeHedgeWin))
 	}
 	if elapsed >= 400*time.Millisecond {
 		t.Fatalf("hedge did not cut latency: %v", elapsed)

@@ -89,16 +89,6 @@ func (o SessionHarnessOptions) withDefaults() SessionHarnessOptions {
 	return o
 }
 
-// SessionNodeCounters is one member's session-routing activity summed
-// across incarnations.
-type SessionNodeCounters struct {
-	Name       string `json:"name"`
-	Owned      int64  `json:"owned"`
-	Forwards   int64  `json:"forwards"`
-	Retries    int64  `json:"retries"`
-	PeerErrors int64  `json:"peer_errors"`
-}
-
 // SessionHarnessReport aggregates one session-harness run.
 type SessionHarnessReport struct {
 	Sessions       int `json:"sessions"`
@@ -123,21 +113,12 @@ type SessionHarnessReport struct {
 	Incomplete     int `json:"incomplete"`
 	ReadMismatches int `json:"read_mismatches"`
 
-	Nodes []SessionNodeCounters `json:"nodes"`
-	Wall  time.Duration         `json:"-"`
+	Nodes map[string]NodeCounters `json:"nodes"`
+	Wall  time.Duration           `json:"-"`
 }
 
-// Totals sums the per-node session counters.
-func (r *SessionHarnessReport) Totals() SessionNodeCounters {
-	t := SessionNodeCounters{Name: "total"}
-	for _, n := range r.Nodes {
-		t.Owned += n.Owned
-		t.Forwards += n.Forwards
-		t.Retries += n.Retries
-		t.PeerErrors += n.PeerErrors
-	}
-	return t
-}
+// Totals sums the per-member session counts.
+func (r *SessionHarnessReport) Totals() NodeCounters { return sumCounts(r.Nodes) }
 
 // Format renders the report for humans.
 func (r *SessionHarnessReport) Format(w io.Writer) {
@@ -149,27 +130,24 @@ func (r *SessionHarnessReport) Format(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "final:      incomplete=%d read_mismatches=%d\n", r.Incomplete, r.ReadMismatches)
-	for _, n := range append(r.Nodes, r.Totals()) {
-		fmt.Fprintf(w, "node %-6s owned=%-5d fwd=%-5d retry=%-3d peer_err=%d\n",
-			n.Name, n.Owned, n.Forwards, n.Retries, n.PeerErrors)
-	}
+	formatCounts(w, r.Nodes, routeSessionOwned, numRoutes)
 }
 
 // Assert is the acceptance gate for `sessload -mode cluster -assert`.
 func (r *SessionHarnessReport) Assert() error {
 	var fails []string
 	t := r.Totals()
-	if t.Owned == 0 {
+	if t[routes[routeSessionOwned].family] == 0 {
 		fails = append(fails, "no session batch was ever served by an owner")
 	}
-	if t.Forwards == 0 {
+	if t[routes[routeSessionForward].family] == 0 {
 		fails = append(fails, "no session batch was ever forwarded (sharding never crossed nodes?)")
 	}
 	if r.Killed != "" {
 		if r.Unavailable == 0 {
 			fails = append(fails, "node killed but no session batch was refused as unavailable")
 		}
-		if t.PeerErrors == 0 {
+		if t[routes[routeSessionPeerError].family] == 0 {
 			fails = append(fails, "node killed but no session forward failed toward it")
 		}
 	}
@@ -378,16 +356,6 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 		}
 	}
 
-	for _, name := range tb.Names {
-		c := SessionNodeCounters{Name: name}
-		for _, p := range tb.Incarnations(name) {
-			m := p.Node.Metrics()
-			c.Owned += m.SessionOwned()
-			c.Forwards += m.SessionForwards()
-			c.Retries += m.SessionRetries()
-			c.PeerErrors += m.SessionPeerErrors()
-		}
-		report.Nodes = append(report.Nodes, c)
-	}
+	report.Nodes = memberCounts(tb, routeSessionOwned, numRoutes)
 	return report, nil
 }

@@ -55,7 +55,7 @@ func TestSessionHarnessNoFaultRun(t *testing.T) {
 	}
 	// With 24 sessions across 3 nodes, both ownership paths engage.
 	tot := rep.Totals()
-	if tot.Owned == 0 || tot.Forwards == 0 {
+	if tot["cluster_session_owned_total"] == 0 || tot["cluster_session_forward_total"] == 0 {
 		t.Fatalf("routing never exercised both paths: %+v", tot)
 	}
 }

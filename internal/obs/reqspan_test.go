@@ -81,6 +81,52 @@ func TestReadReqSpansRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzReadReqSpans holds capstat's input parser: ReadReqSpans never
+// panics on raw bytes, and every span Tracer.ReqSpan writes reads back
+// equal, except that each byte of invalid UTF-8 in a string field
+// reads back as U+FFFD. The second seed is a trace ID a client can
+// send on a pre-routed hop.
+func FuzzReadReqSpans(f *testing.F) {
+	f.Add([]byte(`{"t":"rspan","id":"r1","node":"n1","path":"owned"}`+"\n"),
+		"n1-1.1-deadbeef", "n1", PathForward, "n2", "n3", "hit", int64(1), int64(200), int64(10), int64(20), int64(35))
+	f.Add([]byte(`{"t":"rspan","id":"a\x80b","node":"n1","path":"remote","peer":"evil"}`+"\n"),
+		"a\x80b", "n1", PathRemote, "evil", "", "", int64(0), int64(200), int64(0), int64(0), int64(7))
+	f.Fuzz(func(t *testing.T, raw []byte, id, node, path, peer, winner, cache string,
+		hedge, status, queueUS, computeUS, serveUS int64) {
+		_, _ = ReadReqSpans(bytes.NewReader(raw))
+
+		sp := ReqSpan{ID: id, Node: node, Path: path, Peer: peer, Winner: winner, Hedge: hedge,
+			Status: status, Cache: cache, QueueUS: queueUS, ComputeUS: computeUS, ServeUS: serveUS}
+		var buf bytes.Buffer
+		tr := NewTracer(&buf)
+		tr.ReqSpan(sp)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		line := append([]byte(nil), buf.Bytes()...)
+		if len(line) > 1<<20 {
+			return // longer than the line ReadReqSpans accepts
+		}
+		spans, err := ReadReqSpans(&buf)
+		if id == "" || node == "" || path == "" {
+			if err == nil {
+				t.Fatalf("span without id, node or path read back: %s", line)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%v\n%s", err, line)
+		}
+		valid := func(s string) string { return string([]rune(s)) } // one U+FFFD per invalid byte
+		want := sp
+		want.ID, want.Node, want.Path = valid(id), valid(node), valid(path)
+		want.Peer, want.Winner, want.Cache = valid(peer), valid(winner), valid(cache)
+		if len(spans) != 1 || spans[0] != want {
+			t.Fatalf("read back %+v, want %+v\n%s", spans, want, line)
+		}
+	})
+}
+
 func TestReadReqSpanFiles(t *testing.T) {
 	dir := t.TempDir()
 	for name, id := range map[string]string{"n1.jsonl": "r1", "n2.jsonl": "r2"} {

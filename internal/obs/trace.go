@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // defaultFlushAt is the buffered-byte threshold at which a tracer
@@ -119,16 +120,39 @@ func S(key, v string) Field { return Field{Key: key, s: v, kind: 1} }
 // (deterministic across platforms for the same value).
 func F(key string, v float64) Field { return Field{Key: key, f: v, kind: 2} }
 
+// appendString appends s as a JSON string. It escapes `"`, `\` and
+// the runes below U+0020, writes each byte of invalid UTF-8 as U+FFFD
+// (as encoding/json does), and writes every other rune as itself. A
+// string a client sent, such as a trace ID, thus always yields a line
+// JSON readers accept; on printable ASCII the bytes equal
+// strconv.AppendQuote's.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	// Ranging over a string yields utf8.RuneError for each invalid byte.
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
+		default:
+			b = utf8.AppendRune(b, r)
+		}
+	}
+	return append(b, '"')
+}
+
 // appendField appends ,"key":value.
 func appendField(b []byte, f Field) []byte {
 	b = append(b, ',')
-	b = strconv.AppendQuote(b, f.Key)
+	b = appendString(b, f.Key)
 	b = append(b, ':')
 	switch f.kind {
 	case 0:
 		b = strconv.AppendInt(b, f.i, 10)
 	case 1:
-		b = strconv.AppendQuote(b, f.s)
+		b = appendString(b, f.s)
 	default:
 		b = strconv.AppendFloat(b, f.f, 'g', -1, 64)
 	}
@@ -148,7 +172,7 @@ func (t *Tracer) Use(i int64, k string, queued, delivered uint32, deleted, injec
 	b := append(t.buf, `{"t":"use","i":`...)
 	b = strconv.AppendInt(b, i, 10)
 	b = append(b, `,"k":`...)
-	b = strconv.AppendQuote(b, k)
+	b = appendString(b, k)
 	b = append(b, `,"q":`...)
 	b = strconv.AppendUint(b, uint64(queued), 10)
 	if !deleted {
@@ -172,7 +196,7 @@ func (t *Tracer) Event(name string, fields ...Field) {
 	}
 	t.mu.Lock()
 	b := append(t.buf, `{"t":`...)
-	b = strconv.AppendQuote(b, name)
+	b = appendString(b, name)
 	for _, f := range fields {
 		b = appendField(b, f)
 	}
@@ -192,7 +216,7 @@ func (t *Tracer) Span(name string, fields ...Field) {
 	}
 	t.mu.Lock()
 	b := append(t.buf, `{"t":"span","sp":`...)
-	b = strconv.AppendQuote(b, name)
+	b = appendString(b, name)
 	for _, f := range fields {
 		b = appendField(b, f)
 	}

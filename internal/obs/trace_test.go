@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -33,6 +35,35 @@ func TestTracerJSONLFormat(t *testing.T) {
 	}
 	if tr.Events() != 5 {
 		t.Errorf("events = %d, want 5", tr.Events())
+	}
+}
+
+// TestAppendString: on printable ASCII the tracer's string appender
+// writes exactly strconv.AppendQuote's bytes, so such traces keep their
+// bytes; on any other input it still writes a JSON string, which
+// decodes to the input with each invalid UTF-8 byte read as U+FFFD.
+func TestAppendString(t *testing.T) {
+	var ascii []byte
+	for c := byte(0x20); c < 0x7f; c++ {
+		ascii = append(ascii, c)
+		if got, want := appendString(nil, string(c)), strconv.AppendQuote(nil, string(c)); !bytes.Equal(got, want) {
+			t.Errorf("%q: appended %s, want %s", c, got, want)
+		}
+	}
+	if got, want := appendString(nil, string(ascii)), strconv.AppendQuote(nil, string(ascii)); !bytes.Equal(got, want) {
+		t.Errorf("printable ASCII: appended %s, want %s", got, want)
+	}
+	for in, want := range map[string]string{
+		"":                   "",
+		"a\x80b":             "a\uFFFDb",
+		"\xff\xfe":           "\uFFFD\uFFFD",
+		"\x00\a\t\n\x1f\x7f": "\x00\a\t\n\x1f\x7f",
+		"é\U0001F600\uFFFD":  "é\U0001F600\uFFFD",
+	} {
+		var got string
+		if err := json.Unmarshal(appendString(nil, in), &got); err != nil || got != want {
+			t.Errorf("%q: decoded %q (%v), want %q", in, got, err, want)
+		}
 	}
 }
 
