@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-sessions
+.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-sessions
 
-ci: fmt vet build test race fuzz-smoke bench-smoke trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke
+ci: fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -52,9 +52,28 @@ fuzz-smoke:
 # module that `./...` never builds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC64|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch)$$' -benchtime 1x \
+	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch)$$' -benchtime 1x \
 		./internal/infotheory ./internal/coding/conv ./internal/channel ./internal/delcap ./internal/session
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Experiment-table gate: the md5 of `experiments -seed 1` stdout must
+# equal the digest recorded for GOARCH=amd64. The Go spec lets a
+# compiler fuse x*y+z into one rounding, and gc does so on arm64, so
+# other architectures have no recorded digest and pass with a note. E5
+# runs the converted-channel Blahut-Arimoto at tol 1e-11, so the gate
+# pins that kernel's printed bits too. About 14 s of compute.
+EXPERIMENTS_MD5 = 3eb179e4ca8adf278c9bf3c2209ed2a6
+
+experiments-digest:
+	@arch="$$($(GO) env GOARCH)"; \
+	if [ "$$arch" != amd64 ]; then \
+		echo "experiments-digest: no digest recorded for GOARCH=$$arch"; exit 0; \
+	fi; \
+	got="$$($(GO) run ./cmd/experiments -seed 1 -summary=false | md5sum | cut -d' ' -f1)"; \
+	if [ "$$got" != "$(EXPERIMENTS_MD5)" ]; then \
+		echo "experiments-digest: experiments -seed 1 stdout md5 $$got, recorded $(EXPERIMENTS_MD5)"; exit 1; \
+	fi; \
+	echo "experiments-digest: $$got matches"
 
 # Session gate: a seeded in-process drift run, 2000 streaming
 # sessions, every tenth switching to an injected drift regime halfway

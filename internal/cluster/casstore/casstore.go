@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -175,29 +176,37 @@ func (s *Store) Put(key string, body []byte) {
 }
 
 func (s *Store) put(dir, path string, raw []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	// The temp file lives in the destination directory so the rename
 	// never crosses a filesystem boundary (cross-device renames are
-	// copies, not atomic).
+	// copies, not atomic). The fan-out directory is made only when
+	// creating the temp file finds it missing.
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, ".tmp-*")
+		}
+	}
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(raw)
+	if err == nil {
+		// CreateTemp makes the file 0600; other member processes
+		// sharing the directory must read it whatever their umask.
+		err = tmp.Chmod(0o644)
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		// The entry was never published; a leftover temp file only
+		// wastes space, so a failed removal changes nothing.
+		_ = os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Len walks the store and returns the number of entries on disk (a

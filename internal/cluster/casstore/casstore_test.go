@@ -179,12 +179,23 @@ func TestNoTempFilesSurviveAndNoTornReads(t *testing.T) {
 
 	// After the dust settles the directory holds exactly the entry —
 	// every temp file was renamed or removed.
+	if tmps := tempFiles(t, dir); tmps != 0 {
+		t.Fatalf("%d temp files left behind", tmps)
+	}
+	if n, err := s.Len(); err != nil || n != 1 {
+		t.Fatalf("len after hammer: %d err=%v", n, err)
+	}
+}
+
+// tempFiles counts the .tmp-* files under dir.
+func tempFiles(t *testing.T, dir string) int {
+	t.Helper()
 	tmps := 0
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
-		if !info.IsDir() && len(info.Name()) >= 5 && info.Name()[:5] == ".tmp-" {
+		if !info.IsDir() && strings.HasPrefix(info.Name(), ".tmp-") {
 			tmps++
 		}
 		return nil
@@ -192,11 +203,40 @@ func TestNoTempFilesSurviveAndNoTornReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tmps != 0 {
-		t.Fatalf("%d temp files left behind", tmps)
+	return tmps
+}
+
+// TestPutMakesFanOutAndCleansUpFailures covers Put's two slow paths: the
+// first entry of a fan-out directory creates it, and a failed rename
+// counts a put error and removes its temp file.
+func TestPutMakesFanOutAndCleansUpFailures(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n, err := s.Len(); err != nil || n != 1 {
-		t.Fatalf("len after hammer: %d err=%v", n, err)
+	const fresh = "bounds?n=4&pd=0.1"
+	fan, _ := s.entryPath(fresh)
+	if _, err := os.Stat(fan); !os.IsNotExist(err) {
+		t.Fatalf("fan-out directory exists before the first put: %v", err)
+	}
+	s.Put(fresh, []byte("fresh"))
+	if got, ok := s.Get(fresh); !ok || string(got) != "fresh" {
+		t.Fatalf("put into a missing fan-out directory: ok=%v got=%q", ok, got)
+	}
+
+	// A directory squatting on the entry's path makes the rename fail.
+	const blocked = "bounds?n=6&pd=0.1"
+	_, path := s.entryPath(blocked)
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(blocked, []byte("blocked"))
+	if st := s.Stats(); st.Puts != 1 || st.PutErrors != 1 {
+		t.Fatalf("stats after a failed rename: %+v, want 1 put and 1 put error", st)
+	}
+	if tmps := tempFiles(t, dir); tmps != 0 {
+		t.Fatalf("%d temp files left behind", tmps)
 	}
 }
 

@@ -225,13 +225,13 @@ func ComputeBounds(p channel.Params) (Bounds, error) {
 	return b, nil
 }
 
-// ConvertedChannelDMC returns the Figure 5 converted channel as an
-// explicit DMC (the M-ary symmetric channel with substitution
-// probability α·Pi), for cross-validation of the closed form against
-// the Blahut–Arimoto solver.
+// ConvertedChannelDMC returns the Figure 5 converted channel as a DMC
+// (the M-ary symmetric channel with substitution probability α·Pi, in
+// MSC's implicit O(2^N) form), for cross-validation of the closed form
+// against the Blahut–Arimoto solver.
 func ConvertedChannelDMC(n int, pi float64) (*infotheory.DMC, error) {
 	if n < 1 || n > 12 {
-		return nil, fmt.Errorf("core: DMC width %d out of [1,12] (matrix size 2^N)", n)
+		return nil, fmt.Errorf("core: DMC width %d out of [1,12] (alphabet 2^N)", n)
 	}
 	if math.IsNaN(pi) || pi < 0 || pi > 1 {
 		return nil, fmt.Errorf("core: insertion probability %v out of [0,1]", pi)

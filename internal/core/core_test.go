@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -128,6 +129,25 @@ func TestConvertedCapacityMatchesBlahutArimoto(t *testing.T) {
 				t.Errorf("N=%d Pi=%v: BA=%v closed=%v", n, pi, res.Capacity, want)
 			}
 		}
+	}
+}
+
+// TestConvertedChannelDMCMemoryIsLinear holds the converted channel's
+// Blahut–Arimoto solve to O(2^N) memory: at n = 12, the largest width
+// /v1/bounds solves, its dense matrix alone would take 128 MiB.
+func TestConvertedChannelDMCMemoryIsLinear(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dmc, err := ConvertedChannelDMC(12, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dmc.Capacity(1e-9, 2000); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1_000_000 {
+		t.Fatalf("ConvertedChannelDMC(12, 0.1).Capacity allocated %d bytes, want under 1 MB", alloc)
 	}
 }
 

@@ -2,19 +2,21 @@ package infotheory
 
 import "math"
 
-// This file holds the shared Blahut–Arimoto inner-loop kernels used by
-// Capacity, CapacityPerCost and MutualInformation. The kernels operate
-// on the DMC's contiguous flat backing and hoist math.Log2 out of the
-// per-cell loops via a per-iteration log table over the matrix's
-// distinct cell values. Bit-exactness contract: every kernel performs
-// the same floating-point operations on the same operands in the same
-// order as the scalar reference loops (see reference.go), so results
-// are identical to the last bit — E5's |closed − BA| column is printed
-// at 1e-16 granularity and must not move.
+// This file holds the Blahut–Arimoto inner-loop kernels used by
+// Capacity and CapacityPerCost. On a dense channel they stream the
+// DMC's contiguous flat backing and hoist math.Log2 out of the per-cell
+// loops via a per-iteration log table over the matrix's distinct cell
+// values; on the implicit M-ary symmetric channel they derive each cell
+// from x == y. Bit-exactness contract: every kernel performs the same
+// floating-point operations on the same operands in the same order as
+// the scalar reference loops (see reference.go) run on the dense
+// matrix, so results are identical to the last bit — E5's
+// |closed − BA| column is printed at 1e-16 granularity and must not
+// move.
 
 // maxValueClasses caps the distinct-value dictionary built by NewDMC.
-// Channels in this repository are highly structured (MSC, converted
-// channels, cascades) and have a handful of distinct entries; a matrix
+// Dense channels in this repository (BSC, BEC, the Z-channel, timing's
+// calibration channel) have a handful of distinct entries; a matrix
 // with more distinct values than this falls back to the per-cell
 // math.Log2 path, which is exactly the reference loop.
 const maxValueClasses = 64
@@ -59,50 +61,34 @@ func buildClasses(flat []float64) (vals []float64, cls []uint16) {
 // caller must provide to divergences/tiltedDivergences, or 0 when the
 // matrix has no value dictionary and the kernels use the fallback path.
 func (c *DMC) logsLen() int {
+	if c.w == nil {
+		return 2 * c.nx
+	}
 	if c.cls == nil {
 		return 0
 	}
 	return len(c.vals) * c.NumOutputs()
 }
 
-// outputDist computes the output distribution py induced by px with the
-// same accumulation order as the reference loop.
-//
-// The columns are processed four at a time so that four accumulators
-// ride in registers across the x scan: the reference loop's
-// py[y] += px[x]·W(y|x) is a load-add-store per cell whose carried
-// dependency (the same py[y] across consecutive x) serializes on FMA
-// latency; four independent register chains overlap it. Each py[y]
-// still sums exactly the reference's operands in ascending-x order
-// (including the px[x] == 0 skip), so the result is bit-identical.
+// outputDist computes the output distribution py induced by px: each
+// py[y] sums px[x]·W(y|x) over ascending x, skipping px[x] == 0, as the
+// reference loop does.
 func (c *DMC) outputDist(px, py []float64) {
-	ny := len(py)
-	y := 0
-	for ; y+4 <= ny; y += 4 {
-		var s0, s1, s2, s3 float64
-		for x, row := range c.w {
-			pxx := px[x]
-			if pxx == 0 {
-				continue
-			}
-			r := row[y : y+4 : y+4]
-			s0 += pxx * r[0]
-			s1 += pxx * r[1]
-			s2 += pxx * r[2]
-			s3 += pxx * r[3]
-		}
-		py[y], py[y+1], py[y+2], py[y+3] = s0, s1, s2, s3
+	if c.w == nil {
+		// Column y of the M-ary symmetric matrix is px[x]·off over
+		// x != y and px[y]·diag.
+		symmetricSums(py, c.diag, px, c.off, px)
+		return
 	}
-	for ; y < ny; y++ {
-		var s float64
-		for x, row := range c.w {
-			pxx := px[x]
-			if pxx == 0 {
-				continue
-			}
-			s += pxx * row[y]
+	clear(py)
+	for x, row := range c.w {
+		pxx := px[x]
+		if pxx == 0 {
+			continue
 		}
-		py[y] = s
+		for y, p := range row {
+			py[y] += pxx * p
+		}
 	}
 }
 
@@ -133,6 +119,10 @@ func (c *DMC) logRatios(py, logs []float64, skipZeroPy bool) {
 // guard (p > 0 only; py[y] == 0 with p > 0 yields +Inf, as in the
 // reference). logs must have logsLen() capacity and is clobbered.
 func (c *DMC) divergences(py, logs, d []float64) {
+	if c.w == nil {
+		c.mscDivergences(py, logs, d)
+		return
+	}
 	ny := len(py)
 	if c.cls == nil {
 		for x, row := range c.w {
@@ -147,58 +137,7 @@ func (c *DMC) divergences(py, logs, d []float64) {
 		return
 	}
 	c.logRatios(py, logs, false)
-	// Every matrix Capacity sees outside tests is the Figure 5 converted
-	// channel MSC(2^n, α·Pi): two value classes, both positive whenever
-	// Pi > 0. Those rows are processed four at a time: each d[x] is a
-	// strictly sequential sum (y ascending, the reference's association
-	// order), which serializes on FMA latency; four rows' independent
-	// chains overlap it. Both values are positive, so the reference's
-	// p > 0 guard is true for every cell and dropping it skips no terms;
-	// the log term is a branchless select over the two contiguous
-	// log-table rows. Every other matrix (Pi = 0, where one class is
-	// zero, and the test-only channels with one or three or more
-	// classes) takes the per-row loop below, which is the reference's
-	// loop with the log table, so every d[x] is bit-identical on both
-	// paths.
-	nx := len(c.w)
-	x := 0
-	if len(c.vals) == 2 && c.vals[0] > 0 && c.vals[1] > 0 {
-		l0 := logs[0:ny:ny]
-		l1 := logs[ny : 2*ny : 2*ny]
-		for ; x+4 <= nx; x += 4 {
-			r0 := c.flat[(x+0)*ny : (x+0)*ny+ny : (x+0)*ny+ny]
-			r1 := c.flat[(x+1)*ny : (x+1)*ny+ny : (x+1)*ny+ny]
-			r2 := c.flat[(x+2)*ny : (x+2)*ny+ny : (x+2)*ny+ny]
-			r3 := c.flat[(x+3)*ny : (x+3)*ny+ny : (x+3)*ny+ny]
-			c0 := c.cls[(x+0)*ny : (x+0)*ny+ny : (x+0)*ny+ny]
-			c1 := c.cls[(x+1)*ny : (x+1)*ny+ny : (x+1)*ny+ny]
-			c2 := c.cls[(x+2)*ny : (x+2)*ny+ny : (x+2)*ny+ny]
-			c3 := c.cls[(x+3)*ny : (x+3)*ny+ny : (x+3)*ny+ny]
-			var d0, d1, d2, d3 float64
-			for y := 0; y < ny; y++ {
-				t0, t1, t2, t3 := l0[y], l0[y], l0[y], l0[y]
-				if c0[y] != 0 {
-					t0 = l1[y]
-				}
-				if c1[y] != 0 {
-					t1 = l1[y]
-				}
-				if c2[y] != 0 {
-					t2 = l1[y]
-				}
-				if c3[y] != 0 {
-					t3 = l1[y]
-				}
-				d0 += r0[y] * t0
-				d1 += r1[y] * t1
-				d2 += r2[y] * t2
-				d3 += r3[y] * t3
-			}
-			d[x], d[x+1], d[x+2], d[x+3] = d0, d1, d2, d3
-		}
-	}
-	for ; x < nx; x++ {
-		row := c.flat[x*ny : x*ny+ny : x*ny+ny]
+	for x, row := range c.w {
 		cls := c.cls[x*ny : x*ny+ny : x*ny+ny]
 		var dx float64
 		for y, p := range row {
@@ -239,4 +178,86 @@ func (c *DMC) tiltedDivergences(py, logs, d, costs []float64, lambda float64) {
 		}
 		d[x] = dx - lambda*costs[x]
 	}
+}
+
+// mscDivergences is divergences on the implicit M-ary symmetric form:
+// row x sums off·log2(off/py[y]) over y != x and diag·log2(diag/py[x]).
+// The log table's two halves hold the values the dense class table
+// holds; a zero cell's half is all 0, so symmetricSums skips that
+// cell's terms where the reference's p > 0 guard does.
+func (c *DMC) mscDivergences(py, logs, d []float64) {
+	m := len(py)
+	ld, lo := logs[:m:m], logs[m:2*m:2*m]
+	for y, q := range py {
+		ld[y], lo[y] = 0, 0
+		if c.diag > 0 {
+			ld[y] = math.Log2(c.diag / q)
+		}
+		if c.off > 0 {
+			lo[y] = math.Log2(c.off / q)
+		}
+	}
+	symmetricSums(d, c.diag, ld, c.off, lo)
+}
+
+// symmetricSums is the implicit form's kernel. It sets each out[j] to
+// the reference's sum for row or column j of the M-ary symmetric
+// matrix: over k ascending, diag·va[k] at k == j and off·vb[k]
+// elsewhere, as acc += p * t (so whatever contraction the compiler
+// applies to the reference applies here too), skipping each term whose
+// vector entry is 0. Those are the terms the reference skips, plus, in
+// divergences, any whose log is exactly 0: the reference adds that
+// term, but it is ±0, and a sum that starts at +0 is never -0, so
+// adding ±0 to it changes no bit.
+//
+// The terms before out[j]'s diagonal — off·vb[k] for k < j — begin
+// every later sum too, so that shared prefix (pre) is carried forward
+// instead of recomputed, which roughly halves the additions without
+// reordering any sum. Four sums share each pass over the remaining
+// terms, to overlap their add latencies.
+func symmetricSums(out []float64, diag float64, va []float64, off float64, vb []float64) {
+	var pre float64 // Σ off·vb[k] over k < j
+	j := 0
+	for ; j+4 <= len(out); j += 4 {
+		a, b := va[j:j+4:j+4], vb[j:j+4:j+4]
+		s0 := addTerm(pre, diag, a[0])
+		pre = addTerm(pre, off, b[0])
+		s1 := addTerm(pre, diag, a[1])
+		s0 = addTerm(s0, off, b[1])
+		pre = addTerm(pre, off, b[1])
+		s2 := addTerm(pre, diag, a[2])
+		s0 = addTerm(s0, off, b[2])
+		s1 = addTerm(s1, off, b[2])
+		pre = addTerm(pre, off, b[2])
+		s3 := addTerm(pre, diag, a[3])
+		s0 = addTerm(s0, off, b[3])
+		s1 = addTerm(s1, off, b[3])
+		s2 = addTerm(s2, off, b[3])
+		pre = addTerm(pre, off, b[3])
+		for _, v := range vb[j+4:] {
+			if v != 0 {
+				s0 += off * v
+				s1 += off * v
+				s2 += off * v
+				s3 += off * v
+			}
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(out); j++ {
+		s := addTerm(pre, diag, va[j])
+		for _, v := range vb[j+1:] {
+			s = addTerm(s, off, v)
+		}
+		pre = addTerm(pre, off, vb[j])
+		out[j] = s
+	}
+}
+
+// addTerm returns acc + p·v, or acc when v is 0.
+func addTerm(acc, p, v float64) float64 {
+	if v != 0 {
+		acc += p * v
+	}
+	return acc
 }

@@ -1,6 +1,7 @@
 package infotheory
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,10 +48,102 @@ func randomDMC(t *testing.T, src *rng.Source, nx, ny int, zeroP float64) *DMC {
 	return c
 }
 
-// TestCapacityMatchesReferenceBitExact checks the optimized BA kernel
-// against the retained scalar reference on structured and random
-// channels: capacity, gap, iteration count and the full input
-// distribution must agree to the last bit.
+// denseTwin returns NewDMC over the rows of the implicit MSC c: the
+// dense matrix CapacityReference reads. Cell (x, y) of an M-ary
+// symmetric channel depends only on y-x, so every row is a window of
+// one band of 2m-1 Prob values and only NewDMC's copy takes O(m²)
+// memory.
+func denseTwin(t testing.TB, c *DMC) *DMC {
+	t.Helper()
+	m := c.NumInputs()
+	band := make([]float64, 2*m-1) // band[m-1+k] = Prob(x, x+k)
+	for j := range band {
+		band[j] = c.Prob(max(m-1-j, 0), max(j-(m-1), 0))
+	}
+	w := make([][]float64, m)
+	for x := range w {
+		w[x] = band[m-1-x : 2*m-1-x]
+	}
+	twin, err := NewDMC(w)
+	if err != nil {
+		t.Fatalf("dense twin: %v", err)
+	}
+	return twin
+}
+
+// sameResult fails the test unless got and want agree to the last bit:
+// capacity, gap, iteration count and the full input distribution.
+func sameResult(t *testing.T, what string, got, want CapacityResult) {
+	t.Helper()
+	if math.Float64bits(got.Capacity) != math.Float64bits(want.Capacity) ||
+		math.Float64bits(got.Gap) != math.Float64bits(want.Gap) || got.Iterations != want.Iterations {
+		t.Fatalf("%s: kernel (C=%v gap=%v iters=%d) != reference (C=%v gap=%v iters=%d)",
+			what, got.Capacity, got.Gap, got.Iterations, want.Capacity, want.Gap, want.Iterations)
+	}
+	if len(got.Input) != len(want.Input) {
+		t.Fatalf("%s: input has %d entries, reference %d", what, len(got.Input), len(want.Input))
+	}
+	for x := range got.Input {
+		if math.Float64bits(got.Input[x]) != math.Float64bits(want.Input[x]) {
+			t.Fatalf("%s: input[%d] %v != reference %v", what, x, got.Input[x], want.Input[x])
+		}
+	}
+}
+
+// baRun is one Blahut–Arimoto solver setting.
+type baRun struct {
+	tol     float64
+	maxIter int
+}
+
+// checkMSCBitExact solves the implicit MSC(m, e) with Capacity and its
+// dense twin with CapacityReference under each setting and requires
+// bit-identical results.
+func checkMSCBitExact(t *testing.T, m int, e float64, runs ...baRun) {
+	t.Helper()
+	c, err := MSC(m, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := denseTwin(t, c)
+	for _, r := range runs {
+		got, err := c.Capacity(r.tol, r.maxIter)
+		if err != nil {
+			t.Fatalf("MSC(%d, %v): Capacity: %v", m, e, err)
+		}
+		want, err := twin.CapacityReference(r.tol, r.maxIter)
+		if err != nil {
+			t.Fatalf("MSC(%d, %v): CapacityReference: %v", m, e, err)
+		}
+		sameResult(t, fmt.Sprintf("MSC(%d, %v) tol %v maxIter %d", m, e, r.tol, r.maxIter), got, want)
+	}
+}
+
+// mscSizes and mscErrorRates are the converted-channel sweep: every
+// alphabet size up to 70 (so every remainder of the kernels' four-way
+// blocking), the sizes either side of 128 and 256, and 512 and 1024;
+// error rates from a zero off-diagonal cell (e = 0) through
+// diag == off (e = (m-1)/m) to a zero diagonal (e = 1).
+func mscSizes() []int {
+	var sizes []int
+	for m := 2; m <= 70; m++ {
+		sizes = append(sizes, m)
+	}
+	return append(sizes, 127, 128, 129, 255, 256, 257, 512, 1024)
+}
+
+func mscErrorRates(m int) []float64 {
+	return []float64{0, 1e-9, 0.0123, 0.09375, 0.3, 0.5, 0.99, float64(m-1) / float64(m), 1}
+}
+
+// TestCapacityMatchesReferenceBitExact checks the optimized BA kernels
+// against the retained scalar reference: dense channels against the
+// reference on the same matrix, and the implicit M-ary symmetric
+// channel against the reference on its dense twin. Capacity, gap,
+// iteration count and the full input distribution must agree to the
+// last bit. Each converted-channel case runs at the service's default
+// setting and again at tol 1e-300 with 5 iterations, so the kernels also
+// see a non-uniform input distribution.
 func TestCapacityMatchesReferenceBitExact(t *testing.T) {
 	var channels []*DMC
 	mk := func(c *DMC, err error) {
@@ -63,15 +156,6 @@ func TestCapacityMatchesReferenceBitExact(t *testing.T) {
 	mk(BSC(0.11))
 	mk(BEC(0.3))
 	mk(ZChannel(0.25))
-	mk(MSC(64, 0.1))
-	mk(MSC(16, 0.5))
-	// Pi = 0 and the all-error channel have a zero value class, and
-	// MSC(16, 15/16) has a single class: none takes the two-class fast
-	// path.
-	mk(MSC(64, 0))
-	mk(MSC(64, 1))
-	mk(MSC(16, 15.0/16))
-	mk(MSC(256, 0))
 	src := rng.New(7)
 	for i := 0; i < 20; i++ {
 		channels = append(channels, randomDMC(t, src, 2+src.Intn(9), 2+src.Intn(9), 0.3))
@@ -89,16 +173,24 @@ func TestCapacityMatchesReferenceBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("channel %d: CapacityReference: %v", i, err)
 		}
-		if got.Capacity != want.Capacity || got.Gap != want.Gap || got.Iterations != want.Iterations {
-			t.Errorf("channel %d: optimized (C=%v gap=%v iters=%d) != reference (C=%v gap=%v iters=%d)",
-				i, got.Capacity, got.Gap, got.Iterations, want.Capacity, want.Gap, want.Iterations)
-		}
-		for x := range got.Input {
-			if got.Input[x] != want.Input[x] {
-				t.Errorf("channel %d: input[%d] %v != %v", i, x, got.Input[x], want.Input[x])
-			}
+		sameResult(t, fmt.Sprintf("channel %d", i), got, want)
+	}
+
+	// Pi = 0 and the all-error channel have a zero cell, and
+	// MSC(16, 15/16) has diag == off.
+	for _, tc := range []struct {
+		m int
+		e float64
+	}{{64, 0.1}, {16, 0.5}, {64, 0}, {64, 1}, {16, 15.0 / 16}, {256, 0}} {
+		checkMSCBitExact(t, tc.m, tc.e, baRun{1e-11, 500})
+	}
+	for _, m := range mscSizes() {
+		for _, e := range mscErrorRates(m) {
+			checkMSCBitExact(t, m, e, baRun{1e-9, 2000}, baRun{1e-300, 5})
 		}
 	}
+	// n = 12, the largest converted channel the service solves, once.
+	checkMSCBitExact(t, 4096, 0.3, baRun{1e-300, 2})
 }
 
 // TestTiltedInfoMatchesReferenceBitExact checks the cost-tilted BA
@@ -132,10 +224,11 @@ func TestTiltedInfoMatchesReferenceBitExact(t *testing.T) {
 // scratch and expects identical results: the scratch must carry no
 // state between calls.
 func TestScratchReuseIsStateless(t *testing.T) {
-	c, err := MSC(8, 0.2)
+	msc, err := MSC(8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := denseTwin(t, msc)
 	costs := []float64{1, 2, 1, 3, 1, 2, 1, 4}
 	scratch := newTiltedScratch(c)
 	v1, q1 := c.maxTiltedInfo(0.3, costs, scratch)
@@ -216,12 +309,13 @@ func TestNonNegativeHelper(t *testing.T) {
 // many distinct values must drop to the per-cell fallback (nil classes)
 // while structured channels keep a small dictionary.
 func TestBuildClassesFallback(t *testing.T) {
-	c, err := MSC(64, 0.1)
+	msc, err := MSC(64, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := denseTwin(t, msc)
 	if c.cls == nil || len(c.vals) != 2 {
-		t.Errorf("MSC(64): want 2 value classes, got vals=%v cls-nil=%v", c.vals, c.cls == nil)
+		t.Errorf("dense MSC(64): want 2 value classes, got vals=%v cls-nil=%v", c.vals, c.cls == nil)
 	}
 	src := rng.New(5)
 	big := randomDMC(t, src, 16, 16, 0)
@@ -230,10 +324,9 @@ func TestBuildClassesFallback(t *testing.T) {
 	}
 }
 
-// TestMSCMatchesNewDMC checks MSC's in-place construction against
-// NewDMC over the same rows: identical slab, value dictionary and class
-// table, bit for bit. The error rates include e = 0 (a zero-valued
-// class), e = (m-1)/m (the diagonal can equal the off-diagonal value, a
+// TestMSCMatchesNewDMC checks the implicit MSC's cells against NewDMC
+// over the M-ary symmetric rows, bit for bit. The error rates include
+// e = 0 (zero off-diagonal cells), e = (m-1)/m (diag can equal off, a
 // one-class dictionary) and e = 1 (a zero diagonal).
 func TestMSCMatchesNewDMC(t *testing.T) {
 	var oneClass, zeroValue int
@@ -258,29 +351,15 @@ func TestMSCMatchesNewDMC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits := func(what string, a, b []float64) {
-				t.Helper()
-				if len(a) != len(b) {
-					t.Fatalf("MSC(%d, %v) %s: %d entries, NewDMC %d", m, e, what, len(a), len(b))
-				}
-				for i := range a {
-					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-						t.Fatalf("MSC(%d, %v) %s[%d] = %v, NewDMC %v", m, e, what, i, a[i], b[i])
-					}
-				}
-			}
-			sameBits("flat", got.flat, want.flat)
-			sameBits("vals", got.vals, want.vals)
-			if len(got.cls) != len(want.cls) {
-				t.Fatalf("MSC(%d, %v): %d classes, NewDMC %d", m, e, len(got.cls), len(want.cls))
-			}
-			for i := range got.cls {
-				if got.cls[i] != want.cls[i] {
-					t.Fatalf("MSC(%d, %v) cls[%d] = %d, NewDMC %d", m, e, i, got.cls[i], want.cls[i])
-				}
+			if got.NumInputs() != m || got.NumOutputs() != m {
+				t.Fatalf("MSC(%d, %v) is %d×%d", m, e, got.NumInputs(), got.NumOutputs())
 			}
 			for x := 0; x < m; x++ {
-				sameBits("row", got.w[x], want.w[x])
+				for y := 0; y < m; y++ {
+					if math.Float64bits(got.Prob(x, y)) != math.Float64bits(want.Prob(x, y)) {
+						t.Fatalf("MSC(%d, %v).Prob(%d, %d) = %v, NewDMC %v", m, e, x, y, got.Prob(x, y), want.Prob(x, y))
+					}
+				}
 			}
 			if len(want.vals) == 1 {
 				oneClass++
@@ -294,15 +373,5 @@ func TestMSCMatchesNewDMC(t *testing.T) {
 	}
 	if oneClass == 0 || zeroValue == 0 {
 		t.Fatalf("sweep missed a dictionary shape: %d one-class, %d zero-valued", oneClass, zeroValue)
-	}
-}
-
-// BenchmarkMSC times building the cold-grid's largest converted channel.
-func BenchmarkMSC(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MSC(256, 0.1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,26 +1,32 @@
 package infotheory
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// BenchmarkBlahutArimotoMSC64 times one capacity solve of the 64-input
-// converted channel through the batched kernel and its scalar
-// reference.
-func BenchmarkBlahutArimotoMSC64(b *testing.B) {
-	c, err := MSC(64, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name     string
-		capacity func(float64, int) (CapacityResult, error)
-	}{{"kernel", c.Capacity}, {"reference", c.CapacityReference}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.capacity(1e-9, 0); err != nil {
-					b.Fatal(err)
+// BenchmarkBlahutArimotoMSC times one capacity solve of the 64-input
+// converted channel and of cold-grid's largest, the 256-input one:
+// kernel on the implicit MSC, reference on its prebuilt dense twin.
+func BenchmarkBlahutArimotoMSC(b *testing.B) {
+	for _, m := range []int{64, 256} {
+		c, err := MSC(m, 0.1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		twin := denseTwin(b, c)
+		for _, bc := range []struct {
+			name     string
+			capacity func(float64, int) (CapacityResult, error)
+		}{{"kernel", c.Capacity}, {"reference", twin.CapacityReference}} {
+			b.Run(fmt.Sprintf("M=%d/%s", m, bc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := bc.capacity(1e-9, 0); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -16,7 +16,13 @@ import (
 // I(q) - λ·E[cost] (a concave problem solved by a Blahut–Arimoto-style
 // iteration with per-symbol cost tilts) and bisect on λ until the
 // optimal value is zero.
+//
+// It needs a dense channel and rejects the implicit M-ary symmetric
+// form of MSC.
 func (c *DMC) CapacityPerCost(costs []float64, tol float64, maxIter int) (float64, []float64, error) {
+	if c.w == nil {
+		return 0, nil, fmt.Errorf("infotheory: CapacityPerCost needs a dense channel, not the implicit MSC form")
+	}
 	if len(costs) != c.NumInputs() {
 		return 0, nil, fmt.Errorf("infotheory: %d costs for %d inputs", len(costs), c.NumInputs())
 	}

@@ -9,17 +9,26 @@ import (
 // W[x][y] = P(output y | input x). Rows must be probability
 // distributions over a common output alphabet.
 //
-// The matrix is stored in one contiguous float64 slab (flat) with w
-// holding per-row views into it, so the Blahut–Arimoto inner loops in
-// ba.go stream over dense memory. vals/cls form the distinct-value
-// dictionary those kernels use to hoist math.Log2 out of the per-cell
-// loops; both are nil when the matrix has more than maxValueClasses
-// distinct entries.
+// A channel from NewDMC stores its matrix in one contiguous float64
+// slab (flat) with w holding per-row views into it, so the
+// Blahut–Arimoto inner loops in ba.go stream over dense memory. vals/cls
+// form the distinct-value dictionary those kernels use to hoist
+// math.Log2 out of the per-cell loops; both are nil when the matrix has
+// more than maxValueClasses distinct entries.
+//
+// The M-ary symmetric channel from MSC is implicit: w is nil, and the
+// channel is its alphabet size, its diagonal cell diag and its
+// off-diagonal cell off, so it takes O(m) memory where its matrix would
+// take O(m²).
 type DMC struct {
+	nx, ny int // input and output alphabet sizes
+
 	w    [][]float64
 	flat []float64
 	vals []float64
 	cls  []uint16
+
+	diag, off float64
 }
 
 // NewDMC validates and wraps a transition matrix. The matrix is copied.
@@ -38,30 +47,31 @@ func NewDMC(w [][]float64) (*DMC, error) {
 		}
 		flat = append(flat, row...)
 	}
-	vals, cls := buildClasses(flat)
-	return newDMC(flat, len(w), vals, cls), nil
-}
-
-// newDMC wraps an nx-row flat matrix slab whose rows already passed
-// validateDist, together with its value dictionary (see buildClasses),
-// without copying either.
-func newDMC(flat []float64, nx int, vals []float64, cls []uint16) *DMC {
-	ny := len(flat) / nx
-	rows := make([][]float64, nx)
+	rows := make([][]float64, len(w))
 	for x := range rows {
 		rows[x] = flat[x*ny : x*ny+ny : x*ny+ny]
 	}
-	return &DMC{w: rows, flat: flat, vals: vals, cls: cls}
+	vals, cls := buildClasses(flat)
+	return &DMC{nx: len(w), ny: ny, w: rows, flat: flat, vals: vals, cls: cls}, nil
 }
 
 // NumInputs returns the input alphabet size.
-func (c *DMC) NumInputs() int { return len(c.w) }
+func (c *DMC) NumInputs() int { return c.nx }
 
 // NumOutputs returns the output alphabet size.
-func (c *DMC) NumOutputs() int { return len(c.w[0]) }
+func (c *DMC) NumOutputs() int { return c.ny }
 
 // Prob returns P(y | x).
-func (c *DMC) Prob(x, y int) float64 { return c.w[x][y] }
+func (c *DMC) Prob(x, y int) float64 {
+	switch {
+	case c.w != nil:
+		return c.w[x][y]
+	case x == y:
+		return c.diag
+	default:
+		return c.off
+	}
+}
 
 // MutualInformation returns I(X;Y) in bits for the given input
 // distribution px. It returns an error if px is not a valid distribution
@@ -73,20 +83,20 @@ func (c *DMC) MutualInformation(px []float64) (float64, error) {
 	if err := validateDist(px); err != nil {
 		return 0, err
 	}
-	ny := c.NumOutputs()
+	nx, ny := c.NumInputs(), c.NumOutputs()
 	py := make([]float64, ny)
-	for x, row := range c.w {
-		for y, p := range row {
-			py[y] += px[x] * p
+	for x := 0; x < nx; x++ {
+		for y := 0; y < ny; y++ {
+			py[y] += px[x] * c.Prob(x, y)
 		}
 	}
 	var mi float64
-	for x, row := range c.w {
+	for x := 0; x < nx; x++ {
 		if px[x] == 0 {
 			continue
 		}
-		for y, p := range row {
-			if p > 0 && py[y] > 0 {
+		for y := 0; y < ny; y++ {
+			if p := c.Prob(x, y); p > 0 && py[y] > 0 {
 				mi += px[x] * p * math.Log2(p/py[y])
 			}
 		}
@@ -190,11 +200,10 @@ func ZChannel(p float64) (*DMC, error) {
 // replaced by one of the m-1 other symbols uniformly. This is the
 // "converted channel" of the paper's Figure 5.
 //
-// The matrix is built in place: MSC writes the flat slab and its class
-// table directly, and they are exactly what NewDMC would copy and
-// buildClasses would derive from the same rows — cell (0,0) holds the
-// diagonal value, so it is class 0, and the off-diagonal value is
-// class 1 unless it equals the diagonal bit for bit.
+// The channel is implicit (see DMC): its cells are diag = 1-e and
+// off = e/(m-1). Its rows need no validateDist pass: for e in [0,1]
+// every cell is non-negative and a row sums to 1 within about m·2⁻⁵³,
+// far inside validateDist's 1e-9 for any m a caller can afford to solve.
 func MSC(m int, e float64) (*DMC, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("infotheory: MSC needs m >= 2, got %d", m)
@@ -202,30 +211,7 @@ func MSC(m int, e float64) (*DMC, error) {
 	if math.IsNaN(e) || e < 0 || e > 1 {
 		return nil, fmt.Errorf("infotheory: MSC error rate %v out of [0,1]", e)
 	}
-	diag, off := 1-e, e/float64(m-1)
-	vals := []float64{diag, off}
-	var offCls uint16 = 1
-	if off == diag {
-		vals, offCls = vals[:1], 0
-	}
-	// Every row is the all-off-diagonal row with its diagonal cell
-	// patched in: fill row 0, copy it down, then patch and validate.
-	flat := make([]float64, m*m)
-	cls := make([]uint16, m*m)
-	for y := 0; y < m; y++ {
-		flat[y], cls[y] = off, offCls
-	}
-	for x := 1; x < m; x++ {
-		copy(flat[x*m:x*m+m], flat[:m])
-		copy(cls[x*m:x*m+m], cls[:m])
-	}
-	for x := 0; x < m; x++ {
-		flat[x*m+x], cls[x*m+x] = diag, 0
-		if err := validateDist(flat[x*m : x*m+m]); err != nil {
-			return nil, fmt.Errorf("infotheory: DMC row %d: %w", x, err)
-		}
-	}
-	return newDMC(flat, m, vals, cls), nil
+	return &DMC{nx: m, ny: m, diag: 1 - e, off: e / float64(m-1)}, nil
 }
 
 // BSCCapacity returns 1 - H(p), the closed-form BSC capacity.

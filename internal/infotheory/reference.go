@@ -1,18 +1,27 @@
 package infotheory
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // This file retains the pre-optimization scalar Blahut–Arimoto kernels.
 // They are the ground truth the optimized kernels in ba.go are measured
 // against: differential tests assert bit-identical results, and
-// BenchmarkBlahutArimotoMSC64/reference times them. Keep them dumb and
+// BenchmarkBlahutArimotoMSC/*/reference times them. Keep them dumb and
 // per-cell — their value is being obviously equivalent to the textbook
 // iteration.
 
 // CapacityReference computes the channel capacity with the original
 // per-cell scalar Blahut–Arimoto loop (one math.Log2 per positive
 // matrix cell per iteration). Results are bit-identical to Capacity.
+// It reads only the dense matrix and rejects the implicit M-ary
+// symmetric form, so the implicit kernels are always checked against a
+// dense twin, never against themselves.
 func (c *DMC) CapacityReference(tol float64, maxIter int) (CapacityResult, error) {
+	if c.w == nil {
+		return CapacityResult{}, fmt.Errorf("infotheory: CapacityReference needs a dense channel, not the implicit MSC form")
+	}
 	if tol <= 0 {
 		tol = 1e-10
 	}
