@@ -28,23 +28,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-# 13 seconds per native fuzz target, 117 seconds in all: the
+# 10 seconds per native fuzz target, 110 seconds in all: the
 # Definition 1 trace invariants, the fault-spec grammar, the session
 # NDJSON decoder, the decoder's canonical-subset scanner against its
 # encoding/json reference, the result-store entry decoder, the cluster
 # membership flag, the federation's parse of a member's metrics
-# exposition, the alert-rule file parser and capstat's request-span
-# reader. Regressions the unit corpus misses show up here first.
+# exposition, the alert-rule file parser, capstat's request-span
+# reader, the router's canonical key over a raw query and the bounds
+# batch body against the GET it stands for. Regressions the unit
+# corpus misses show up here first.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 13s ./internal/channel
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 13s ./internal/faultinject
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 13s ./internal/session
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 13s ./internal/session
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 13s ./internal/cluster/casstore
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMembership$$' -fuzztime 13s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsSnapshot$$' -fuzztime 13s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 13s ./internal/health
-	$(GO) test -run '^$$' -fuzz '^FuzzReadReqSpans$$' -fuzztime 13s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 10s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/faultinject
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 10s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/cluster/casstore
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMembership$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsSnapshot$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 10s ./internal/health
+	$(GO) test -run '^$$' -fuzz '^FuzzReadReqSpans$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 10s ./internal/capserver
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundsBatch$$' -fuzztime 10s ./internal/capserver
 
 # One iteration of the serial/parallel batch benchmarks and of every
 # kernel's {kernel,reference} benchmark set, as a smoke test that the

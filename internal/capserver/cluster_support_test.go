@@ -285,10 +285,11 @@ func TestReadyzDrainFlip(t *testing.T) {
 
 // TestCanonicalizeMatchesCacheKeys asserts the exported canonical key
 // is exactly the serving core's cache key: textual variants of one
-// parameter point canonicalize identically, invalid and non-shardable
-// requests report ok=false.
+// parameter point canonicalize identically, a parameter the body does
+// not read leaves the key alone while one it reads splits it, and
+// invalid and non-shardable requests report ok=false.
 func TestCanonicalizeMatchesCacheKeys(t *testing.T) {
-	s := New(Config{})
+	s, ts := newTestServer(t, Config{})
 	canon := func(target string) (string, bool) {
 		return s.Canonicalize(httptest.NewRequest("GET", target, nil))
 	}
@@ -305,12 +306,76 @@ func TestCanonicalizeMatchesCacheKeys(t *testing.T) {
 		t.Fatalf("key %q lacks endpoint prefix", a)
 	}
 
+	mustKey := func(target string) string {
+		t.Helper()
+		k, ok := canon(target)
+		if !ok {
+			t.Fatalf("%s: not shardable", target)
+		}
+		return k
+	}
+	for _, pair := range [][2]string{
+		// seed and mc_samples without mc_n, ba_tol and ba_iters without ba
+		{"/v1/bounds?n=4&pd=0.2", "/v1/bounds?n=4&pd=0.2&seed=9&mc_samples=500"},
+		{"/v1/bounds?n=4&pd=0.2", "/v1/bounds?n=4&pd=0.2&ba=0&ba_tol=1e-6&ba_iters=10"},
+		{"/v1/bounds?n=4&pd=0.2&mc_n=8", "/v1/bounds?n=4&pd=0.2&mc_n=8&ba_iters=10"},
+		{"/v1/bounds?n=4&pd=0.2&ba=1", "/v1/bounds?n=4&pd=0.2&ba=1&seed=9"},
+		// delay for the protocols whose body omits it
+		{"/v1/predict?proto=arq&n=4&pd=0.2", "/v1/predict?proto=arq&n=4&pd=0.2&delay=7"},
+		{"/v1/predict?proto=counter&n=4&pd=0.2&pi=0.1", "/v1/predict?proto=counter&n=4&pd=0.2&pi=0.1&delay=0"},
+		// experiment ids in registry order, once each
+		{"/v1/experiments?id=E1,E5", "/v1/experiments?id=E5,E1,E5"},
+		{"/v1/experiments?id=E2,A1", "/v1/experiments?id=A1,%20E2"},
+	} {
+		if a, b := mustKey(pair[0]), mustKey(pair[1]); a != b {
+			t.Errorf("an ignored parameter split the key:\n%s -> %q\n%s -> %q", pair[0], a, pair[1], b)
+		}
+	}
+	for _, pair := range [][2]string{
+		{"/v1/bounds?n=4&pd=0.2&mc_n=8", "/v1/bounds?n=4&pd=0.2&mc_n=8&seed=2"},
+		{"/v1/bounds?n=4&pd=0.2&mc_n=8", "/v1/bounds?n=4&pd=0.2&mc_n=8&mc_samples=500"},
+		{"/v1/bounds?n=4&pd=0.2&ba=1", "/v1/bounds?n=4&pd=0.2&ba=1&ba_iters=3"},
+		{"/v1/bounds?n=4&pd=0.2&ba=1", "/v1/bounds?n=4&pd=0.2&ba=1&ba_tol=1e-6"},
+		{"/v1/bounds?n=4&pd=0.2", "/v1/bounds?n=4&pd=0.2&sync_capacity=0"},
+		{"/v1/predict?proto=delayed&n=4&pd=0.2", "/v1/predict?proto=delayed&n=4&pd=0.2&delay=2"},
+		{"/v1/experiments?id=E1", "/v1/experiments?id=E1,E5"},
+	} {
+		if a, b := mustKey(pair[0]), mustKey(pair[1]); a == b {
+			t.Errorf("%s and %s share key %q, but their bodies differ", pair[0], pair[1], a)
+		}
+	}
+	// A merged pair is served from one cache line: the second spelling
+	// is a hit with the first one's bytes.
+	for _, pair := range [][2]string{
+		{"/v1/predict?proto=arq&n=4&pd=0.2", "/v1/predict?proto=arq&n=4&pd=0.2&delay=7"},
+		{"/v1/bounds?n=4&pd=0.2", "/v1/bounds?n=4&pd=0.2&seed=9&ba_iters=10"},
+	} {
+		status, _, first := get(t, ts.URL, pair[0])
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", pair[0], status, first)
+		}
+		status, hdr, second := get(t, ts.URL, pair[1])
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", pair[1], status, second)
+		}
+		if got := hdr.Get(CacheHeader); got != "hit" {
+			t.Errorf("%s after %s: cache class %q, want hit", pair[1], pair[0], got)
+		}
+		if !bytes.Equal(first, second) {
+			t.Errorf("%s served other bytes than %s:\n%s\nvs\n%s", pair[1], pair[0], second, first)
+		}
+	}
+
 	for _, target := range []string{
-		"/v1/bounds?n=99&pd=0.2",  // validation failure
-		"/v1/experiments",         // catalog, not a pure point
-		"/metrics",                // operational
-		"/v1/bounds:batch",        // not GET-shaped
-		"/v1/bounds?pd=not-a-num", // malformed
+		"/v1/bounds?n=99&pd=0.2",         // validation failure
+		"/v1/experiments",                // catalog, not a pure point
+		"/metrics",                       // operational
+		"/v1/bounds:batch",               // not GET-shaped
+		"/v1/bounds?pd=not-a-num",        // malformed
+		"/v1/bounds?seed=x",              // malformed, though the body ignores it
+		"/v1/bounds?ba_iters=2001",       // out of range, though the body ignores it
+		"/v1/predict?proto=arq&delay=65", // out of range, though the body ignores it
+		"/v1/experiments?id=E1,E99",      // unknown id
 	} {
 		if key, ok := canon(target); ok {
 			t.Errorf("%s: unexpectedly shardable (key %q)", target, key)

@@ -21,8 +21,21 @@ import (
 // validates every parameter at the boundary and returns (canonical
 // cache key, deferred computation). The canonical key is built from
 // the *parsed* values, so textual variants of one request ("0.20" vs
-// "0.2", defaulted vs explicit parameters) share a cache line. The
-// deferred computation is a pure function of those values.
+// "0.2", defaulted vs explicit parameters) share a cache line. A
+// parameter the body does not read is still validated, so a malformed
+// value answers 400, but keyed at its default, so setting it does not
+// split the line. The deferred computation is a pure function of those
+// values.
+
+// Defaults of the /v1/bounds parameters its key can ignore. The
+// default ba_iters is also its cap: no request may buy a solve more
+// iterations than a default request may already spend.
+const (
+	defaultMCSamples = 20000
+	defaultSeed      = 1
+	defaultBATol     = 1e-9
+	defaultBAIters   = 2000
+)
 
 // buildBounds serves /v1/bounds: the paper's analytic bound family
 // (core.ComputeBounds), the Section 4.4 degradation, the no-feedback
@@ -58,11 +71,11 @@ func (s *Server) buildBounds(q queryValues) (string, func() ([]byte, error), err
 	if err != nil {
 		return "", nil, err
 	}
-	mcSamples, err := q.intParam("mc_samples", 20000, 1, 5_000_000)
+	mcSamples, err := q.intParam("mc_samples", defaultMCSamples, 1, 5_000_000)
 	if err != nil {
 		return "", nil, err
 	}
-	seed, err := q.uint64Param("seed", 1)
+	seed, err := q.uint64Param("seed", defaultSeed)
 	if err != nil {
 		return "", nil, err
 	}
@@ -73,14 +86,14 @@ func (s *Server) buildBounds(q queryValues) (string, func() ([]byte, error), err
 	if ba && n > 12 {
 		return "", nil, fmt.Errorf("parameter ba requires n <= 12 (alphabet 2^n), got n=%d", n)
 	}
-	baTol, err := q.floatParam("ba_tol", 1e-9)
+	baTol, err := q.floatParam("ba_tol", defaultBATol)
 	if err != nil {
 		return "", nil, err
 	}
 	if baTol <= 0 {
 		return "", nil, fmt.Errorf("parameter ba_tol=%v must be positive", baTol)
 	}
-	baIters, err := q.intParam("ba_iters", 2000, 1, 100000)
+	baIters, err := q.intParam("ba_iters", defaultBAIters, 1, defaultBAIters)
 	if err != nil {
 		return "", nil, err
 	}
@@ -91,6 +104,14 @@ func (s *Server) buildBounds(q queryValues) (string, func() ([]byte, error), err
 	}
 	if syncCapSet && syncCap < 0 {
 		return "", nil, fmt.Errorf("parameter sync_capacity=%v must be non-negative", syncCap)
+	}
+	// Only the Monte-Carlo rate reads seed and mc_samples, and only the
+	// BA cross-check reads ba_tol and ba_iters.
+	if mcN == 0 {
+		mcSamples, seed = defaultMCSamples, defaultSeed
+	}
+	if !ba {
+		baTol, baIters = defaultBATol, defaultBAIters
 	}
 
 	key := fmt.Sprintf("n=%d&pd=%v&pi=%v&ps=%v&exact_n=%d&mc_n=%d&mc_samples=%d&seed=%d&ba=%t&ba_tol=%v&ba_iters=%d&sync_set=%t&sync=%v",
@@ -181,6 +202,9 @@ func (s *Server) buildPredict(q queryValues) (string, func() ([]byte, error), er
 	}
 	if (proto == "arq" || proto == "delayed") && pi != 0 {
 		return "", nil, fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", proto, pi)
+	}
+	if proto != "delayed" {
+		delay = 1 // only the delayed ARQ's body reads (and echoes) delay
 	}
 
 	key := fmt.Sprintf("proto=%s&n=%d&pd=%v&pi=%v&delay=%d", proto, n, pd, pi, delay)
@@ -383,20 +407,27 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // determinism contract).
 func (s *Server) buildExperimentsRun(q queryValues) (string, func() ([]byte, error), error) {
 	known := allExperiments()
-	valid := make(map[string]bool, len(known))
+	want := make(map[string]bool, len(known))
 	for _, e := range known {
-		valid[e.ID] = true
+		want[e.ID] = false
 	}
-	var ids []string
 	for _, part := range strings.Split(q.Get("id"), ",") {
 		id := strings.TrimSpace(part)
 		if id == "" {
 			continue
 		}
-		if !valid[id] {
+		if _, ok := want[id]; !ok {
 			return "", nil, fmt.Errorf("unknown experiment id %q (see the catalog at /v1/experiments)", id)
 		}
-		ids = append(ids, id)
+		want[id] = true
+	}
+	// The run emits each selected table once, in registry order, so the
+	// key lists the ids that way too.
+	var ids []string
+	for _, e := range known {
+		if want[e.ID] {
+			ids = append(ids, e.ID)
+		}
 	}
 	if len(ids) == 0 {
 		return "", nil, fmt.Errorf("parameter id lists no experiments")

@@ -87,10 +87,13 @@ func TestValidationRejectsAtBoundary(t *testing.T) {
 		"/v1/bounds?exact_n=13",
 		"/v1/bounds?n=16&ba=1",
 		"/v1/bounds?ba=1&ba_tol=0",
+		"/v1/bounds?ba=1&ba_iters=2001",
+		"/v1/bounds?seed=-1",
 		"/v1/bounds?sync_capacity=-1",
 		"/v1/bounds?sync_capacity=NaN",
 		"/v1/predict?proto=warp",
 		"/v1/predict?proto=arq&pi=0.1",
+		"/v1/predict?proto=arq&delay=65",
 		"/v1/predict",
 		"/v1/simulate?proto=counter&symbols=0",
 		"/v1/simulate?proto=arq&pi=0.2",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -86,9 +85,9 @@ type RunOptions struct {
 	// schedule — the same property the tables have.
 	Trace *obs.TraceSet
 	// Metrics, when non-nil, records per-experiment runner metrics:
-	// runs, errors, retries, simulated channel uses and wall-time
-	// latency. Values involve wall clocks and are not reproducible;
-	// only the exposition format is deterministic.
+	// runs, errors, simulated channel uses and wall-time latency.
+	// Values involve wall clocks and are not reproducible; only the
+	// exposition format is deterministic.
 	Metrics *obs.Registry
 }
 
@@ -100,10 +99,6 @@ type Result struct {
 	Table Table
 	// Err is the experiment error, a recovered panic, or a timeout.
 	Err error
-	// Retried reports that the first attempt died in a recovered panic
-	// and the experiment was re-run (successfully or not) on its retry
-	// stream.
-	Retried bool
 	// Wall is the experiment's wall-clock duration.
 	Wall time.Duration
 	// Uses echoes Table.Uses: channel uses simulated.
@@ -188,28 +183,14 @@ func Run(ctx context.Context, cfg Config, exps []Experiment, opts RunOptions) ([
 	return results, nil
 }
 
-// panicError marks an error produced by recovering an experiment
-// panic, so the retry logic can tell crashes from ordinary failures.
-type panicError struct{ err error }
-
-func (p panicError) Error() string { return p.err.Error() }
-func (p panicError) Unwrap() error { return p.err }
-
-// retrySeedBit offsets an experiment's index onto its disjoint retry
-// stream: a crashed first attempt is re-run with fresh (but still
-// seed-derived, hence reproducible) randomness, since replaying the
-// identical stream would deterministically crash again.
-const retrySeedBit = uint64(1) << 63
-
-// runOne executes a single experiment with panic recovery, an optional
-// deadline, and one bounded retry when the first attempt dies in a
-// panic. Timeouts and ordinary errors are not retried: a timeout has
-// already consumed its budget, and an error return is a deliberate
-// verdict rather than a crash.
+// runOne executes a single experiment once, with panic recovery and an
+// optional deadline. A recovered panic is an error result carrying the
+// stack: the experiment is not re-run, since a run on any other seed
+// stream would yield a table the requested seed does not reproduce.
 func runOne(ctx context.Context, cfg Config, e Experiment, opts RunOptions) Result {
 	res := Result{Experiment: e}
-	// A batch canceled before this experiment started must not burn an
-	// attempt (or a retry) on it: fail fast with the context verdict.
+	// A batch canceled before this experiment started must not burn a
+	// run on it: fail fast with the context verdict.
 	if err := ctx.Err(); err != nil {
 		res.Err = fmt.Errorf("%s: %w", e.ID, err)
 		return res
@@ -219,45 +200,34 @@ func runOne(ctx context.Context, cfg Config, e Experiment, opts RunOptions) Resu
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
+	ecfg := cfg
+	ecfg.Seed = rng.Stream(cfg.Seed, e.Index)
+	if opts.Trace != nil {
+		// Each experiment writes its own stream; the set assembles
+		// them in sorted-ID order regardless of worker scheduling.
+		ecfg.Tracer = opts.Trace.Tracer(e.ID)
+	}
 	type outcome struct {
 		table Table
 		err   error
 	}
-	attempt := func(seedIndex uint64) outcome {
-		ecfg := cfg
-		ecfg.Seed = rng.Stream(cfg.Seed, seedIndex)
-		if opts.Trace != nil {
-			// Each experiment writes its own stream; the set assembles
-			// them in sorted-ID order regardless of worker scheduling.
-			ecfg.Tracer = opts.Trace.Tracer(e.ID)
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					done <- outcome{err: panicError{fmt.Errorf("%s: panic: %v\n%s", e.ID, r, debug.Stack())}}
-				}
-			}()
-			t, err := e.Run(ecfg)
-			done <- outcome{table: t, err: err}
-		}()
-		select {
-		case o := <-done:
-			return o
-		case <-ctx.Done():
-			return outcome{err: fmt.Errorf("%s: %w", e.ID, ctx.Err())}
-		}
-	}
 	start := time.Now()
-	o := attempt(e.Index)
-	var pe panicError
-	if o.err != nil && errors.As(o.err, &pe) && ctx.Err() == nil {
-		res.Retried = true
-		if retried := attempt(e.Index | retrySeedBit); retried.err == nil {
-			o = retried
-		}
+	done := make(chan outcome, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- outcome{err: fmt.Errorf("%s: panic: %v\n%s", e.ID, r, debug.Stack())}
+			}
+		}()
+		t, err := e.Run(ecfg)
+		done <- outcome{table: t, err: err}
+	}()
+	select {
+	case o := <-done:
+		res.Table, res.Err = o.table, o.err
+	case <-ctx.Done():
+		res.Err = fmt.Errorf("%s: %w", e.ID, ctx.Err())
 	}
-	res.Table, res.Err = o.table, o.err
 	res.Wall = time.Since(start)
 	if res.Err == nil {
 		res.Uses = res.Table.Uses
@@ -277,9 +247,6 @@ func recordRunMetrics(reg *obs.Registry, r Result) {
 	}
 	id := r.Experiment.ID
 	reg.CounterVec("experiments_runs_total", "id").With(id).Inc()
-	if r.Retried {
-		reg.CounterVec("experiments_retries_total", "id").With(id).Inc()
-	}
 	if r.Err != nil {
 		reg.CounterVec("experiments_errors_total", "id").With(id).Inc()
 	}
@@ -350,9 +317,6 @@ func Summary(results []Result) Table {
 	var uses int64
 	for _, r := range ordered {
 		status := "ok"
-		if r.Retried {
-			status = "ok(retried)"
-		}
 		if r.Err != nil {
 			status = "error: " + firstLine(r.Err.Error())
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,9 +76,13 @@ func TestRunnerUnknownIDErrors(t *testing.T) {
 	}
 }
 
+// TestRunnerRecoversPanics: a panicking experiment runs exactly once
+// and yields an error with no table, and its sibling is unaffected.
 func TestRunnerRecoversPanics(t *testing.T) {
+	var calls atomic.Int32
 	exps := []Experiment{
 		{ID: "PANIC", Index: 900, Title: "always panics", Run: func(Config) (Table, error) {
+			calls.Add(1)
 			panic("boom")
 		}},
 		{ID: "OK", Index: 901, Title: "succeeds", Run: func(cfg Config) (Table, error) {
@@ -93,6 +96,12 @@ func TestRunnerRecoversPanics(t *testing.T) {
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panic: boom") {
 		t.Errorf("panic not converted to error: %v", results[0].Err)
 	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("panicking experiment ran %d times, want exactly 1", got)
+	}
+	if tab := results[0].Table; tab.ID != "" || tab.Rows != nil {
+		t.Errorf("panicking experiment returned a table: %+v", tab)
+	}
 	if results[1].Err != nil {
 		t.Errorf("healthy experiment poisoned by sibling panic: %v", results[1].Err)
 	}
@@ -101,69 +110,8 @@ func TestRunnerRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestRunnerRetriesPanicOnce: a crash on the first attempt is retried
-// exactly once on the experiment's disjoint retry stream; a successful
-// retry yields a clean table with Retried set.
-func TestRunnerRetriesPanicOnce(t *testing.T) {
-	var calls atomic.Int32
-	var seeds []uint64
-	var mu sync.Mutex
-	exps := []Experiment{
-		{ID: "FLAKY", Index: 906, Title: "panics once then succeeds", Run: func(cfg Config) (Table, error) {
-			mu.Lock()
-			seeds = append(seeds, cfg.Seed)
-			mu.Unlock()
-			if calls.Add(1) == 1 {
-				panic("first attempt crash")
-			}
-			return Table{ID: "FLAKY", Header: []string{"x"}, Rows: [][]string{{"1"}}}, nil
-		}},
-	}
-	results, err := Run(context.Background(), runnerConfig(), exps, RunOptions{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != nil {
-		t.Fatalf("retry did not rescue the flaky experiment: %v", results[0].Err)
-	}
-	if !results[0].Retried {
-		t.Error("Retried flag not set after a panic-then-success run")
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("experiment ran %d times, want 2 (attempt + one retry)", got)
-	}
-	if len(seeds) == 2 && seeds[0] == seeds[1] {
-		t.Error("retry replayed the identical seed stream; it would crash deterministically again")
-	}
-}
-
-// TestRunnerRetryExhausted: an experiment that panics on both attempts
-// surfaces the original panic error, still marked Retried.
-func TestRunnerRetryExhausted(t *testing.T) {
-	var calls atomic.Int32
-	exps := []Experiment{
-		{ID: "DOOMED", Index: 907, Title: "always panics", Run: func(Config) (Table, error) {
-			calls.Add(1)
-			panic("unrecoverable")
-		}},
-	}
-	results, err := Run(context.Background(), runnerConfig(), exps, RunOptions{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panic: unrecoverable") {
-		t.Errorf("want surfaced panic error, got %v", results[0].Err)
-	}
-	if !results[0].Retried {
-		t.Error("Retried flag not set on an exhausted retry")
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("experiment ran %d times, want exactly 2 (no unbounded retrying)", got)
-	}
-}
-
 // TestRunnerDoesNotRetryOrdinaryErrors: an error return is a verdict,
-// not a crash, so it must not trigger the retry path.
+// so the experiment runs once.
 func TestRunnerDoesNotRetryOrdinaryErrors(t *testing.T) {
 	var calls atomic.Int32
 	exps := []Experiment{
@@ -176,9 +124,11 @@ func TestRunnerDoesNotRetryOrdinaryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Retried || calls.Load() != 1 {
-		t.Errorf("ordinary error retried (runs=%d, Retried=%v), want single attempt",
-			calls.Load(), results[0].Retried)
+	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "deliberate verdict") {
+		t.Errorf("want the experiment's error, got %v", results[0].Err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("ordinary error ran %d times, want a single run", got)
 	}
 }
 
@@ -307,7 +257,7 @@ func TestIDLess(t *testing.T) {
 
 // TestRunPreCanceledContext: a batch handed an already-canceled context
 // must not start any experiment — each result fails fast with the
-// context verdict and no attempt (let alone a retry) runs.
+// context verdict and no run starts.
 func TestRunPreCanceledContext(t *testing.T) {
 	var calls atomic.Int32
 	exps := []Experiment{
@@ -325,17 +275,13 @@ func TestRunPreCanceledContext(t *testing.T) {
 	if !errors.Is(results[0].Err, context.Canceled) {
 		t.Errorf("result error = %v, want context.Canceled", results[0].Err)
 	}
-	if results[0].Retried {
-		t.Error("Retried set on a pre-canceled batch")
-	}
 	if got := calls.Load(); got != 0 {
 		t.Errorf("experiment ran %d times under a pre-canceled context, want 0", got)
 	}
 }
 
 // TestRunnerNoRetryAfterCancel: a panic whose batch was canceled
-// mid-attempt is not retried — cancellation between the initial attempt
-// and the panic-retry wins.
+// mid-run is an error, and the experiment is not run again.
 func TestRunnerNoRetryAfterCancel(t *testing.T) {
 	var calls atomic.Int32
 	ctx, cancel := context.WithCancel(context.Background())
@@ -352,10 +298,7 @@ func TestRunnerNoRetryAfterCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 1 {
-		t.Errorf("experiment ran %d times, want 1 (no retry after cancel)", got)
-	}
-	if results[0].Retried {
-		t.Error("Retried set despite the context being canceled before the retry")
+		t.Errorf("experiment ran %d times, want 1", got)
 	}
 	if results[0].Err == nil {
 		t.Error("canceled crashed attempt reported no error")

@@ -42,24 +42,18 @@ func (c *DMC) CapacityPerCost(costs []float64, tol float64, maxIter int) (float6
 		maxIter = 200
 	}
 
-	// value(λ) = max_q I(q) − λ·E_q[cost]; strictly decreasing in λ.
-	// The root λ* is the capacity per unit cost. Upper bracket: even a
-	// noiseless channel cannot beat log2|X| bits per use, so
-	// λ <= log2|X| / minCost. The scratch buffers are shared across all
-	// bisection steps — each λ evaluation runs up to 2000 BA iterations,
-	// so per-call allocation would dominate small channels.
-	scratch := newTiltedScratch(c)
-	value := func(lambda float64) (float64, []float64) {
-		return c.maxTiltedInfo(lambda, costs, scratch)
-	}
+	// maxTiltedInfo(λ) = max_q I(q) − λ·E_q[cost] is strictly
+	// decreasing in λ, and its root λ* is the capacity per unit cost.
+	// Upper bracket: even a noiseless channel cannot beat log2|X| bits
+	// per use, so λ <= log2|X| / minCost.
 	lo, hi := 0.0, math.Log2(float64(c.NumInputs()))/minCost+1e-12
-	v0, bestQ := value(lo)
+	v0, bestQ := c.maxTiltedInfo(lo, costs)
 	if v0 <= tol {
 		return 0, bestQ, nil // capacity is zero
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		mid := (lo + hi) / 2
-		v, q := value(mid)
+		v, q := c.maxTiltedInfo(mid, costs)
 		if v > 0 {
 			lo = mid
 			bestQ = q
@@ -73,36 +67,39 @@ func (c *DMC) CapacityPerCost(costs []float64, tol float64, maxIter int) (float6
 	return (lo + hi) / 2, bestQ, nil
 }
 
-// tiltedScratch holds the per-channel buffers the tilted BA iteration
-// reuses across bisection steps: the input/output distributions, the
-// divergence vector and the hoisted-log table.
-type tiltedScratch struct {
-	q, py, d, logs []float64
-}
-
-func newTiltedScratch(c *DMC) *tiltedScratch {
-	return &tiltedScratch{
-		q:    make([]float64, c.NumInputs()),
-		py:   make([]float64, c.NumOutputs()),
-		d:    make([]float64, c.NumInputs()),
-		logs: make([]float64, c.logsLen()),
-	}
-}
-
-// maxTiltedInfo maximizes I(q) - λ·E_q[cost] by the standard
-// cost-constrained Blahut–Arimoto iteration and returns the optimum
-// value and optimizing distribution. Results are bit-identical to
-// maxTiltedInfoReference; the inner loops run on the kernels in ba.go.
-func (c *DMC) maxTiltedInfo(lambda float64, costs []float64, s *tiltedScratch) (float64, []float64) {
-	nx := c.NumInputs()
-	q, py, d := s.q, s.py, s.d
+// maxTiltedInfo maximizes I(q) − λ·E_q[cost] by the cost-constrained
+// Blahut–Arimoto iteration, one math.Log2 per positive matrix cell per
+// iteration, and returns the optimum value and optimizing distribution.
+func (c *DMC) maxTiltedInfo(lambda float64, costs []float64) (float64, []float64) {
+	nx, ny := c.NumInputs(), c.NumOutputs()
+	q := make([]float64, nx)
 	for x := range q {
 		q[x] = 1 / float64(nx)
 	}
+	py := make([]float64, ny)
+	d := make([]float64, nx)
 	best := math.Inf(-1)
 	for iter := 0; iter < 2000; iter++ {
-		c.outputDist(q, py)
-		c.tiltedDivergences(py, s.logs, d, costs, lambda)
+		for y := range py {
+			py[y] = 0
+		}
+		for x, row := range c.w {
+			if q[x] == 0 {
+				continue
+			}
+			for y, p := range row {
+				py[y] += q[x] * p
+			}
+		}
+		for x, row := range c.w {
+			var dx float64
+			for y, p := range row {
+				if p > 0 && py[y] > 0 {
+					dx += p * math.Log2(p/py[y])
+				}
+			}
+			d[x] = dx - lambda*costs[x]
+		}
 		var cur float64
 		for x := range q {
 			cur += q[x] * d[x]

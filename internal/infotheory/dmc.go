@@ -10,11 +10,8 @@ import (
 // distributions over a common output alphabet.
 //
 // A channel from NewDMC stores its matrix in one contiguous float64
-// slab (flat) with w holding per-row views into it, so the
-// Blahut–Arimoto inner loops in ba.go stream over dense memory. vals/cls
-// form the distinct-value dictionary those kernels use to hoist
-// math.Log2 out of the per-cell loops; both are nil when the matrix has
-// more than maxValueClasses distinct entries.
+// slab with w holding per-row views into it, so the Blahut–Arimoto
+// reference loop (reference.go) streams over dense memory.
 //
 // The M-ary symmetric channel from MSC is implicit: w is nil, and the
 // channel is its alphabet size, its diagonal cell diag and its
@@ -23,10 +20,7 @@ import (
 type DMC struct {
 	nx, ny int // input and output alphabet sizes
 
-	w    [][]float64
-	flat []float64
-	vals []float64
-	cls  []uint16
+	w [][]float64
 
 	diag, off float64
 }
@@ -51,8 +45,7 @@ func NewDMC(w [][]float64) (*DMC, error) {
 	for x := range rows {
 		rows[x] = flat[x*ny : x*ny+ny : x*ny+ny]
 	}
-	vals, cls := buildClasses(flat)
-	return &DMC{nx: len(w), ny: ny, w: rows, flat: flat, vals: vals, cls: cls}, nil
+	return &DMC{nx: len(w), ny: ny, w: rows}, nil
 }
 
 // NumInputs returns the input alphabet size.
@@ -119,22 +112,27 @@ type CapacityResult struct {
 // Capacity computes the channel capacity by the Blahut–Arimoto
 // algorithm, iterating until the duality gap falls below tol or maxIter
 // iterations elapse. A tol of 0 defaults to 1e-10 and maxIter of 0
-// defaults to 10000.
+// defaults to 10000. A dense channel runs CapacityReference; the
+// implicit M-ary symmetric channel runs the kernels in ba.go, which
+// match that loop on the dense twin to the last bit.
 func (c *DMC) Capacity(tol float64, maxIter int) (CapacityResult, error) {
+	if c.w != nil {
+		return c.CapacityReference(tol, maxIter)
+	}
 	if tol <= 0 {
 		tol = 1e-10
 	}
 	if maxIter <= 0 {
 		maxIter = 10000
 	}
-	nx, ny := c.NumInputs(), c.NumOutputs()
-	px := make([]float64, nx)
+	m := c.nx
+	px := make([]float64, m)
 	for x := range px {
-		px[x] = 1 / float64(nx)
+		px[x] = 1 / float64(m)
 	}
-	d := make([]float64, nx) // per-input divergence D(W(.|x) || py)
-	py := make([]float64, ny)
-	logs := make([]float64, c.logsLen())
+	d := make([]float64, m) // per-input divergence D(W(.|x) || py)
+	py := make([]float64, m)
+	logs := make([]float64, 2*m)
 
 	var res CapacityResult
 	for iter := 1; iter <= maxIter; iter++ {
