@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-sessions
+.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke bench bench-sessions
 
-ci: fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke alerts-smoke
+ci: fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -50,10 +50,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 10s ./internal/capserver
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundsBatch$$' -fuzztime 10s ./internal/capserver
 
-# One iteration of the serial/parallel batch benchmarks and of every
-# kernel's {kernel,reference} benchmark set, as a smoke test that the
-# benchmarks themselves still run, and the bench/ module, a separate Go
-# module that `./...` never builds.
+# One iteration of the serial/parallel batch benchmarks, of each
+# remaining kernel's set against its reference (Blahut-Arimoto, the
+# Monte-Carlo embedding count with its draw-cost floor, the session
+# NDJSON decoder) and of the plain channel-transmit and convolutional
+# decoder benchmarks, as a smoke test that the benchmarks themselves
+# still run, and the bench/ module, a separate Go module that `./...`
+# never builds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch)$$' -benchtime 1x \
@@ -89,14 +92,6 @@ experiments-digest:
 # TestClusterModeKillRestart under `make test`.
 sessions-smoke:
 	$(GO) run ./cmd/sessload -mode run -sessions 2000 -seed 11 -assert
-
-# Alert gate: a seeded 3-node kill/restart run under the health verdict
-# layer. -assert fails unless the surviving members walk the exact
-# healthy -> pending -> firing -> resolved timeline, the restarted
-# node's counter reset fires nothing (reset-guard stays silent), and the
-# timeline is byte-identical at two -jobs parallelism levels.
-alerts-smoke:
-	$(GO) run ./cmd/capwatch -mode harness -assert
 
 # Observability gate: record a seeded channel-use trace with chansim,
 # re-estimate (Pd, Pi, Ps) from it with tracecap, and assert the

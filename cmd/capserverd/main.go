@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		cache   = fs.Int("cache", 1024, "LRU result cache entries")
 		timeout = fs.Duration("timeout", 30*time.Second, "per-request deadline")
 		drain   = fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
-		maxSym  = fs.Int("max-symbols", 200000, "largest simulate/experiment message length served")
+		maxSym  = fs.Int("max-symbols", 200000, "largest simulate/trace message length served (experiments cap at 20000)")
 
 		sessTTL = fs.Duration("session-ttl", 0, "evict streaming sessions idle this long (0 = default 15m, negative = never)")
 		maxSess = fs.Int("max-sessions", 0, "cap on concurrently live streaming sessions (0 = default 1<<20)")

@@ -91,16 +91,18 @@ func TestWatchFlagValidation(t *testing.T) {
 	}
 }
 
-// TestHarnessSmall runs the lifecycle harness once without assert.
+// TestHarnessSmall runs the lifecycle harness under -assert: the
+// report's lifecycle check, then the CLI's own rerun at -jobs 1, whose
+// timeline must equal the -jobs 2 timeline byte for byte.
 func TestHarnessSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node harness in -short")
 	}
 	var b strings.Builder
-	if err := run([]string{"-mode", "harness", "-jobs", "2"}, &b); err != nil {
+	if err := run([]string{"-mode", "harness", "-jobs", "2", "-assert"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"pending->firing", "firing->inactive"} {
+	for _, want := range []string{"pending->firing", "firing->inactive", "capwatch-assert:"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("harness output missing %q:\n%s", want, b.String())
 		}

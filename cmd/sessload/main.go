@@ -49,7 +49,7 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("sessload", flag.ContinueOnError)
 	var (
 		mode      = fs.String("mode", "run", "mode: run | cluster")
-		sessions  = fs.Int("sessions", 1000, "concurrent simulated sessions (run mode)")
+		sessions  = fs.Int("sessions", 0, "concurrent simulated sessions (0 = the mode's default: 1000 in run mode, 48 in cluster mode)")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
 		jobs      = fs.Int("jobs", 0, "worker goroutines (0 = GOMAXPROCS); any value yields byte-identical output")
 		cleanUses = fs.Int("clean-uses", 0, "uses per session before drift onset (0 = default 1200)")

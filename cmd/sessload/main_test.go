@@ -91,7 +91,9 @@ func TestClusterModeKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster run: %v\n%s", err, out)
 	}
-	for _, want := range []string{"killed n2", "restarted n2", "cluster-assert:"} {
+	// Without -sessions, cluster mode runs the harness's own default
+	// size, not run mode's 1000.
+	for _, want := range []string{"killed n2", "restarted n2", "cluster-assert:", "sessions:   48 x 9 rounds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster output missing %q:\n%s", want, out)
 		}

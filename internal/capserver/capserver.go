@@ -79,11 +79,23 @@ const (
 // which is what lets a restarted node warm-start from disk and lets
 // any node sharing the store serve any cached point.
 type ResultStore interface {
-	// Get returns the stored response body for a canonical cache key.
+	// Get returns the stored response body for a store key: the
+	// results version and the canonical cache key (storeKey).
 	Get(key string) ([]byte, bool)
-	// Put stores the response body for a canonical cache key.
+	// Put stores the response body for a store key.
 	Put(key string, body []byte)
 }
+
+// resultsVersion names the code that computed a stored body. Every
+// durable-store access keys the entry by it in front of the canonical
+// key, so a member started over a store that older code filled misses
+// those entries and recomputes them instead of serving bytes this code
+// would not produce. Bump it with any change to a served body.
+// Canonicalize's key, and so ring placement, leaves it out.
+const resultsVersion = "results/1"
+
+// storeKey is the durable store's key for a canonical key.
+func storeKey(key string) string { return resultsVersion + " " + key }
 
 // Config tunes the serving core. The zero value selects workable
 // defaults.
@@ -99,8 +111,9 @@ type Config struct {
 	// (default 30s). The deadline bounds the wait, not the work: an
 	// admitted computation keeps running and populates the cache.
 	RequestTimeout time.Duration
-	// MaxSymbols caps the message length a /v1/simulate or
-	// /v1/experiments request may ask for (default 200000).
+	// MaxSymbols caps the message length a /v1/simulate or /v1/trace
+	// request may ask for (default 200000). /v1/experiments has its own
+	// fixed cap, its default of 20000 symbols.
 	MaxSymbols int
 	// Metrics, when non-nil, is the obs.Registry the server registers
 	// its metric families on, letting an embedding process expose one
@@ -323,8 +336,10 @@ func (s *Server) do(ctx context.Context, endpoint, key string, compute func() ([
 	stored := false
 	if leader {
 		s.metrics.cacheMiss()
+		var skey string
 		if s.store != nil {
-			if b, ok := s.store.Get(key); ok {
+			skey = storeKey(key)
+			if b, ok := s.store.Get(skey); ok {
 				s.metrics.storeHit()
 				s.cache.finish(key, fl, b, nil)
 				stored = true
@@ -350,7 +365,7 @@ func (s *Server) do(ctx context.Context, endpoint, key string, compute func() ([
 				b, cerr := compute()
 				fl.compute = time.Since(started)
 				if cerr == nil && s.store != nil {
-					s.store.Put(key, b)
+					s.store.Put(skey, b)
 				}
 				s.cache.finish(key, fl, b, cerr)
 			}
@@ -448,7 +463,8 @@ func (s *Server) Canonicalize(r *http.Request) (key string, ok bool) {
 }
 
 // Stored returns the durable store's body for a canonical key (the
-// form Canonicalize returns) and counts a store hit when there is one.
+// form Canonicalize returns), looked up under this code's results
+// version, and counts a store hit when there is one.
 // It never computes, never reads or fills the LRU and never joins a
 // flight, so a cluster member can serve a non-owned key it finds in a
 // shared store without disturbing its own cache or the owner's
@@ -457,7 +473,7 @@ func (s *Server) Stored(key string) ([]byte, bool) {
 	if s.store == nil {
 		return nil, false
 	}
-	body, ok := s.store.Get(key)
+	body, ok := s.store.Get(storeKey(key))
 	if ok {
 		s.metrics.storeHit()
 	}

@@ -103,6 +103,46 @@ func TestStoreReadThrough(t *testing.T) {
 	}
 }
 
+// TestStoreSkipsUnversionedEntry: a body stored under the bare
+// canonical key, as code without a results version wrote it, is never
+// served. The request recomputes (cache class "miss") and writes its
+// body beside the stale entry, and Stored does not return the stale
+// bytes either.
+func TestStoreSkipsUnversionedEntry(t *testing.T) {
+	const path = "/v1/bounds?n=4&pd=0.2&pi=0.1"
+	store := newMapStore()
+	srv := New(Config{Workers: 2, Store: store})
+	key, ok := srv.Canonicalize(httptest.NewRequest(http.MethodGet, path, nil))
+	if !ok {
+		t.Fatal("bounds request not shardable")
+	}
+	stale := []byte(`{"stale":true}` + "\n")
+	store.Put(key, stale)
+	if body, ok := srv.Stored(key); ok {
+		t.Fatalf("Stored served the unversioned entry %q", body)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if class := rec.Header().Get(CacheHeader); class != "miss" {
+		t.Fatalf("cache class %q, want \"miss\"", class)
+	}
+	if bytes.Equal(rec.Body.Bytes(), stale) {
+		t.Fatal("served the stale body")
+	}
+	if m := srv.Metrics(); m.StoreHits() != 0 || m.ComputeCalls("bounds") != 1 {
+		t.Fatalf("store hits %d, computes %d; want 0, 1", m.StoreHits(), m.ComputeCalls("bounds"))
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if len(store.m) != 2 || !bytes.Equal(store.m[key], stale) {
+		t.Fatalf("store holds %d entries; want the stale one untouched and the recomputed one", len(store.m))
+	}
+}
+
 // TestStoredPeeksOnlyTheStore pins the cluster router's store peek: a
 // server sharing the store returns the bytes the computing server
 // served and counts a store hit, without computing and without

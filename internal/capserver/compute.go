@@ -400,6 +400,14 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	s.handleCompute("experiments", s.buildExperimentsRun)(w, r)
 }
 
+// defaultExperimentSymbols is the /v1/experiments message length by
+// default and also its cap, as with ba_iters: E7's unsupervised naive
+// runs align the whole message with stats.Align, which is quadratic,
+// and a request's deadline bounds only its wait, not the worker it
+// holds. (/v1/simulate and /v1/trace align per chunk, so they keep
+// Config.MaxSymbols.)
+const defaultExperimentSymbols = 20000
+
 // buildExperimentsRun validates and defers a seeded run of the named
 // experiments. Jobs is pinned to 1 inside the worker-pool job: batch
 // parallelism is the serving layer's concern here, and the emitted
@@ -441,7 +449,7 @@ func (s *Server) buildExperimentsRun(q queryValues) (string, func() ([]byte, err
 		// before keying so both spellings share a cache line.
 		seed = 1
 	}
-	symbols, err := q.intParam("symbols", 20000, 1, s.cfg.MaxSymbols)
+	symbols, err := q.intParam("symbols", defaultExperimentSymbols, 1, defaultExperimentSymbols)
 	if err != nil {
 		return "", nil, err
 	}

@@ -101,6 +101,7 @@ func TestValidationRejectsAtBoundary(t *testing.T) {
 		"/v1/simulate?proto=counter&inject=outage%3D2",
 		"/v1/experiments?id=E999",
 		"/v1/experiments?id=E1&quanta=99999999",
+		"/v1/experiments?id=E7&symbols=20001",
 	}
 	for _, p := range paths {
 		status, _, body := get(t, ts.URL, p)

@@ -29,24 +29,20 @@ func NewBinaryDI(pd, pi, ps float64, src *rng.Source) (*BinaryDI, error) {
 func (c *BinaryDI) Params() Params { return c.inner.Params() }
 
 // Transmit pushes a bit sequence (elements 0/1) through the channel.
-// It returns an error if the input contains non-binary elements.
-//
-// The bits are packed into a []uint64 bitset and run through the
-// word-at-a-time engine in bitword.go: clean transmission runs move as
-// word-wide blits instead of element-by-element symbol copies, while
-// the per-use random stream stays identical to the scalar path.
+// It returns an error if the input contains non-binary elements. Each
+// bit is an N = 1 symbol of the underlying Definition 1 channel.
 func (c *BinaryDI) Transmit(bits []byte) ([]byte, error) {
-	in := make([]uint64, (len(bits)+63)>>6)
+	in := make([]uint32, len(bits))
 	for i, b := range bits {
 		if b > 1 {
 			return nil, fmt.Errorf("channel: input element %d is %d, want 0 or 1", i, b)
 		}
-		in[i>>6] |= uint64(b) << uint(i&63)
+		in[i] = uint32(b)
 	}
-	recv, nbits := c.inner.transmitPackedBits(in, len(bits))
-	out := make([]byte, nbits)
-	for i := range out {
-		out[i] = byte(bitAt(recv, i))
+	recv, _ := c.inner.Transmit(in)
+	out := make([]byte, len(recv))
+	for i, s := range recv {
+		out[i] = byte(s)
 	}
 	return out, nil
 }

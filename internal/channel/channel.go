@@ -151,60 +151,9 @@ func (c *DeletionInsertion) Use(queued uint32) Use {
 // returns the received sequence together with the per-use event trace.
 // The channel is used until every input symbol has been consumed
 // (delivered or deleted); insertions are interleaved per Definition 1.
-//
-// Transmit runs an integer-threshold fast path that draws the identical
-// random stream as the per-use path (see rng.ProbThreshold), so received
-// symbols, traces and subsequent RNG state are byte-identical to
-// TransmitReference at any seed. To observe each use, transmit through
-// a wrapper with TransmitUses instead.
+// It is TransmitUses over the channel itself; to observe each use,
+// transmit through a wrapper with TransmitUses instead.
 func (c *DeletionInsertion) Transmit(input []uint32) (received []uint32, trace []EventKind) {
-	var (
-		src     = c.src
-		tDel    = rng.ProbThreshold(c.params.Pd)
-		tDelIns = rng.ProbThreshold(c.params.Pd + c.params.Pi)
-		psZero  = c.params.Ps <= 0
-		psOne   = c.params.Ps >= 1
-		tSub    = rng.ProbThreshold(c.params.Ps)
-		m       = uint64(c.params.M())
-		mask    = uint32(c.params.M() - 1)
-		shift   = 64 - uint(c.params.N)
-	)
-	received = make([]uint32, 0, len(input))
-	trace = make([]EventKind, 0, len(input)+4)
-	for i := 0; i < len(input); {
-		u := src.Uint64() >> 11
-		if u < tDel {
-			trace = append(trace, EventDelete)
-			i++
-			continue
-		}
-		if u < tDelIns {
-			received = append(received, uint32(src.Uint64()>>shift))
-			trace = append(trace, EventInsert)
-			continue
-		}
-		sub := false
-		if !psZero {
-			sub = psOne || src.Uint64()>>11 < tSub
-		}
-		if sub {
-			delta := 1 + uint32(src.Uint64n(m-1))
-			received = append(received, (input[i]+delta)&mask)
-			trace = append(trace, EventSubstitute)
-		} else {
-			received = append(received, input[i])
-			trace = append(trace, EventTransmit)
-		}
-		i++
-	}
-	return received, trace
-}
-
-// TransmitReference is the original per-use scalar transmit loop. It is
-// the ground truth for the fast paths: differential tests assert
-// identical outputs and RNG state, and BenchmarkTransmit and
-// BenchmarkBinaryTransmit time it as their "reference" variant.
-func (c *DeletionInsertion) TransmitReference(input []uint32) (received []uint32, trace []EventKind) {
 	return TransmitUses(c, input)
 }
 

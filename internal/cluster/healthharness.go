@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the alert-lifecycle fault harness behind `capwatch -mode
-// harness` and `make alerts-smoke`: it boots a three-member Testbed
+// harness` (and its -assert gate): it boots a three-member Testbed
 // whose members run the health engine on explicit ticks (no wall-clock
 // ticker), kills the node that owns the probe path, and checks the
 // full verdict lifecycle the health layer promises:
@@ -127,7 +127,8 @@ func (r *HealthReport) Format(w io.Writer) {
 	}
 }
 
-// Assert is the acceptance gate for `make alerts-smoke`.
+// Assert is the acceptance gate for `capwatch -mode harness -assert`
+// and TestHealthHarnessLifecycle.
 func (r *HealthReport) Assert(survivors []string) error {
 	var fails []string
 	if r.Errors != 0 {

@@ -45,40 +45,24 @@ func BenchmarkViterbiSynchronous(b *testing.B) {
 	}
 }
 
-// BenchmarkDriftViterbi times drift-trellis decoding of one frame
-// through the pooled decoder and its retained reference.
+// BenchmarkDriftViterbi times drift-trellis decoding of one frame.
 func BenchmarkDriftViterbi(b *testing.B) {
 	msg, recv, c := benchReceived(b, 0.005, 0.005)
 	p := DriftParams{Pd: 0.005, Pi: 0.005, MaxDrift: 10}
-	for _, bc := range []struct {
-		name   string
-		decode func([]byte, int, DriftParams) ([]byte, error)
-	}{{"kernel", c.DecodeDrift}, {"reference", c.DecodeDriftReference}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.decode(recv, len(msg), p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := c.DecodeDrift(recv, len(msg), p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkSequentialStack times sequential decoding of one frame
-// through the pooled decoder and its container/heap reference.
+// BenchmarkSequentialStack times sequential decoding of one frame.
 func BenchmarkSequentialStack(b *testing.B) {
 	msg, recv, c := benchReceived(b, 0.005, 0.005)
 	p := SequentialParams{Pd: 0.005, Pi: 0.005, MaxDrift: 10}
-	for _, bc := range []struct {
-		name   string
-		decode func([]byte, int, SequentialParams) ([]byte, int, error)
-	}{{"kernel", c.DecodeSequential}, {"reference", c.DecodeSequentialReference}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bc.decode(recv, len(msg), p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.DecodeSequential(recv, len(msg), p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -66,12 +66,6 @@ type driftHop struct {
 // msgLen is the number of message bits (the encoder appended K-1 flush
 // bits). It returns the most likely message, or an error if no path is
 // consistent with the drift bound.
-//
-// The trellis sweep runs on pooled buffers (double-buffered columns, a
-// flat predecessor slab) and memoizes the per-branch inner DP: its exit
-// vector depends only on (coded chunk, entry drift) within a step, so
-// the several (state, bit) pairs emitting the same chunk share one DP.
-// Results are bit-identical to DecodeDriftReference.
 func (c *Code) DecodeDrift(recv []byte, msgLen int, p DriftParams) ([]byte, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -108,99 +102,33 @@ func (c *Code) DecodeDrift(recv []byte, msgLen int, p DriftParams) ([]byte, erro
 		lMismatch = negLog(pt * p.Ps)
 	)
 
-	sc := scratchPool.Get().(*decodeScratch)
-	defer scratchPool.Put(sc)
-	nextTab, chunkTab, keyTab := sc.encoderTables(c)
-
 	inf := math.Inf(1)
-	cost := growFloat(&sc.cost, ns*nd)
+	cost := make([]float64, ns*nd)
 	for i := range cost {
 		cost[i] = inf
 	}
 	cost[0*nd+D] = 0 // state 0, drift 0
-	pred := growHop(&sc.pred, steps*ns*nd)
+	pred := make([][]driftHop, steps)
 
-	// Inner DP scratch: gamma row j, slot dd+ddMax over local drift dd
-	// with one extra slot per allowed insertion.
+	// Inner DP scratch: gamma[j][dd+ddMax] over local drift dd, with
+	// one extra slot per allowed insertion.
 	ddMax := n + insCap
 	gw := 2*ddMax + 1
-	gamma := growFloat(&sc.gamma, (n+1)*gw)
-
-	// computeExit runs the inner DP over the n coded bits of one branch,
-	// leaving the exit-drift cost vector in gamma's last row.
-	computeExit := func(base, d int, chunk []byte) []float64 {
-		for i := range gamma {
-			gamma[i] = inf
-		}
-		gamma[ddMax] = 0
-		for j := 0; j < n; j++ {
-			row := gamma[j*gw : j*gw+gw : (j+1)*gw]
-			down := gamma[(j+1)*gw : (j+1)*gw+gw : (j+2)*gw]
-			cb := chunk[j]
-			// Ascending dd so insertion self-loops resolve.
-			for g := 0; g < gw; g++ {
-				cur := row[g]
-				if math.IsInf(cur, 1) {
-					continue
-				}
-				dd := g - ddMax
-				idx := base + j + d + dd // next received bit
-				// Insertion before coded bit j.
-				if dd < insCap+j+1 && g+1 < gw && idx >= 0 && idx < len(recv) &&
-					d+dd+1 <= D {
-					if v := cur + lIns; v < row[g+1] {
-						row[g+1] = v
-					}
-				}
-				// Deletion of coded bit j.
-				if g-1 >= 0 && d+dd-1 >= -D {
-					if v := cur + lDel; v < down[g-1] {
-						down[g-1] = v
-					}
-				}
-				// Transmission of coded bit j.
-				if idx >= 0 && idx < len(recv) {
-					l := lMatch
-					if recv[idx] != cb {
-						l = lMismatch
-					}
-					if v := cur + l; v < down[g] {
-						down[g] = v
-					}
-				}
-			}
-		}
-		return gamma[n*gw : n*gw+gw]
+	gamma := make([][]float64, n+1)
+	for j := range gamma {
+		gamma[j] = make([]float64, gw)
 	}
+	chunk := make([]byte, n)
 
-	// Per-step branch memo keyed by (coded chunk, entry drift).
-	memoOK := n <= memoChunkLimit
-	nchunk := 0
-	var exits []float64
-	var have []bool
-	if memoOK {
-		nchunk = 1 << uint(n)
-		exits = growFloat(&sc.exits, nchunk*nd*gw)
-		have = growBool(&sc.have, nchunk*nd)
-	}
-
-	next := growFloat(&sc.next, ns*nd)
 	for t := 0; t < steps; t++ {
+		next := make([]float64, ns*nd)
 		for i := range next {
 			next[i] = inf
 		}
-		predT := pred[t*ns*nd : (t+1)*ns*nd]
-		for i := range predT {
-			predT[i] = driftHop{}
-		}
-		if memoOK {
-			for i := range have {
-				have[i] = false
-			}
-		}
+		pred[t] = make([]driftHop, ns*nd)
 		maxBit := byte(1)
 		if t >= msgLen {
-			maxBit = 0
+			maxBit = 0 // flush bits
 		}
 		base := t * n // transmitted bits before this step
 		for s := 0; s < ns; s++ {
@@ -211,21 +139,50 @@ func (c *Code) DecodeDrift(recv []byte, msgLen int, p DriftParams) ([]byte, erro
 				}
 				d := di - D
 				for b := byte(0); b <= maxBit; b++ {
-					ti := s*2 + int(b)
-					nextState := nextTab[ti]
-					var exit []float64
-					if memoOK {
-						mi := int(keyTab[ti])*nd + di
-						exit = exits[mi*gw : mi*gw+gw : mi*gw+gw]
-						if !have[mi] {
-							copy(exit, computeExit(base, d, chunkTab[ti*n:ti*n+n]))
-							have[mi] = true
+					nextState := c.stepInto(chunk, uint32(s), b)
+					// Inner DP over the branch's n coded bits.
+					for j := range gamma {
+						for k := range gamma[j] {
+							gamma[j][k] = inf
 						}
-					} else {
-						exit = computeExit(base, d, chunkTab[ti*n:ti*n+n])
+					}
+					gamma[0][ddMax] = 0
+					for j := 0; j < n; j++ {
+						// Ascending dd so insertion self-loops resolve.
+						for g := 0; g < gw; g++ {
+							cur := gamma[j][g]
+							if math.IsInf(cur, 1) {
+								continue
+							}
+							dd := g - ddMax
+							idx := base + j + d + dd // next received bit
+							// Insertion before coded bit j.
+							if dd < insCap+j+1 && g+1 < gw && idx >= 0 && idx < len(recv) &&
+								d+dd+1 <= D {
+								if v := cur + lIns; v < gamma[j][g+1] {
+									gamma[j][g+1] = v
+								}
+							}
+							// Deletion of coded bit j.
+							if g-1 >= 0 && d+dd-1 >= -D {
+								if v := cur + lDel; v < gamma[j+1][g-1] {
+									gamma[j+1][g-1] = v
+								}
+							}
+							// Transmission of coded bit j.
+							if idx >= 0 && idx < len(recv) {
+								l := lMatch
+								if recv[idx] != chunk[j] {
+									l = lMismatch
+								}
+								if v := cur + l; v < gamma[j+1][g] {
+									gamma[j+1][g] = v
+								}
+							}
+						}
 					}
 					for g := 0; g < gw; g++ {
-						branch := exit[g]
+						branch := gamma[n][g]
 						if math.IsInf(branch, 1) {
 							continue
 						}
@@ -237,7 +194,7 @@ func (c *Code) DecodeDrift(recv []byte, msgLen int, p DriftParams) ([]byte, erro
 						slot := int(nextState)*nd + (ndrift + D)
 						if v := start + branch; v < next[slot] {
 							next[slot] = v
-							predT[slot] = driftHop{
+							pred[t][slot] = driftHop{
 								prevState: uint32(s),
 								prevDrift: int16(d),
 								bit:       b,
@@ -248,7 +205,7 @@ func (c *Code) DecodeDrift(recv []byte, msgLen int, p DriftParams) ([]byte, erro
 				}
 			}
 		}
-		cost, next = next, cost
+		cost = next
 	}
 
 	finalSlot := 0*nd + (finalDrift + D)
@@ -258,7 +215,7 @@ func (c *Code) DecodeDrift(recv []byte, msgLen int, p DriftParams) ([]byte, erro
 	msg := make([]byte, msgLen)
 	state, drift := uint32(0), finalDrift
 	for t := steps - 1; t >= 0; t-- {
-		h := pred[t*ns*nd+int(state)*nd+(drift+D)]
+		h := pred[t][int(state)*nd+(drift+D)]
 		if !h.ok {
 			return nil, fmt.Errorf("conv: drift traceback broke at step %d", t)
 		}

@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 )
@@ -14,28 +15,31 @@ import (
 // fraction of the tree at moderate noise at the cost of a work-limit
 // failure mode at high noise (the classic sequential-decoding
 // computational cutoff).
-//
-// The hot loop is organized around three ideas (results stay
-// bit-identical to DecodeSequentialReference):
-//   - nodes live in a pooled arena addressed by index, so expanding a
-//     path appends a value instead of allocating, and parent links
-//     survive arena growth;
-//   - the agenda is an inline max-heap of (metric, node index) pairs
-//     replicating container/heap's sift order exactly;
-//   - the per-branch inner DP depends only on (step, entry drift,
-//     coded chunk), so its exit vector is memoized on that key — the
-//     stack revisits the same (step, drift) region through many paths
-//     and the second visit costs two loads.
 
-// seqNode is one partial path in the decoding tree, addressed by index
-// into the pooled arena.
+// seqNode is one partial path in the decoding tree.
 type seqNode struct {
 	metric float64 // Fano-style metric: log2 prob - bias*depth
-	step   int32   // input bits decoded
+	step   int     // input bits decoded
 	state  uint32
-	drift  int16
-	parent int32 // arena index of the parent, -1 at the root
+	drift  int
+	parent *seqNode
 	bit    byte
+}
+
+// seqHeap is a max-heap on the metric.
+type seqHeap []*seqNode
+
+func (h seqHeap) Len() int           { return len(h) }
+func (h seqHeap) Less(i, j int) bool { return h[i].metric > h[j].metric }
+func (h seqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *seqHeap) Push(x any)        { *h = append(*h, x.(*seqNode)) }
+func (h *seqHeap) Pop() any {
+	old := *h
+	n := len(old)
+	node := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return node
 }
 
 // SequentialParams configures the sequential decoder.
@@ -107,109 +111,72 @@ func (c *Code) DecodeSequential(recv []byte, msgLen int, p SequentialParams) ([]
 	bias := p.Pd*lDel + p.Pi*lIns + pt*((1-p.Ps)*lMatch+p.Ps*lMismatch)
 	bias *= 1 + p.Pi // insertions add events beyond one per coded bit
 
-	sc := scratchPool.Get().(*decodeScratch)
-	nextTab, chunkTab, keyTab := sc.encoderTables(c)
-
-	// Inner DP geometry, as in the reference branchCost.
+	// Inner DP geometry: gamma[j][dd+ddMax] over local drift dd.
 	ddMax := n + 2
 	gw := 2*ddMax + 1
-	gamma := growFloat(&sc.gamma, (n+1)*gw)
+	gamma := make([][]float64, n+1)
+	for j := range gamma {
+		gamma[j] = make([]float64, gw)
+	}
+	chunk := make([]byte, n)
 	inf := math.Inf(1)
-
-	// computeExit runs the inner DP for one input bit's n coded bits
-	// starting at transmitted position base with entry drift d, writing
-	// the minimum cost to each exit drift into gamma's last row.
-	computeExit := func(base, d int, chunk []byte) []float64 {
-		for i := range gamma {
-			gamma[i] = inf
+	// branchCost runs the inner DP for one input bit's n coded bits
+	// starting at transmitted position base with entry drift d, and
+	// returns the next encoder state and the minimum cost to each exit
+	// drift.
+	branchCost := func(base, d int, state uint32, b byte) (uint32, []float64) {
+		next := c.stepInto(chunk, state, b)
+		for j := range gamma {
+			for g := range gamma[j] {
+				gamma[j][g] = inf
+			}
 		}
-		gamma[ddMax] = 0
+		gamma[0][ddMax] = 0
 		for j := 0; j < n; j++ {
-			row := gamma[j*gw : j*gw+gw : (j+1)*gw]
-			down := gamma[(j+1)*gw : (j+1)*gw+gw : (j+2)*gw]
-			cb := chunk[j]
 			for g := 0; g < gw; g++ {
-				cur := row[g]
+				cur := gamma[j][g]
 				if math.IsInf(cur, 1) {
 					continue
 				}
 				dd := g - ddMax
 				idx := base + j + d + dd
 				if g+1 < gw && idx >= 0 && idx < len(recv) && d+dd+1 <= D {
-					if v := cur + lIns; v < row[g+1] {
-						row[g+1] = v
+					if v := cur + lIns; v < gamma[j][g+1] {
+						gamma[j][g+1] = v
 					}
 				}
 				if g-1 >= 0 && d+dd-1 >= -D {
-					if v := cur + lDel; v < down[g-1] {
-						down[g-1] = v
+					if v := cur + lDel; v < gamma[j+1][g-1] {
+						gamma[j+1][g-1] = v
 					}
 				}
 				if idx >= 0 && idx < len(recv) {
 					l := lMatch
-					if recv[idx] != cb {
+					if recv[idx] != chunk[j] {
 						l = lMismatch
 					}
-					if v := cur + l; v < down[g] {
-						down[g] = v
+					if v := cur + l; v < gamma[j+1][g] {
+						gamma[j+1][g] = v
 					}
 				}
 			}
 		}
-		return gamma[n*gw : n*gw+gw]
+		return next, gamma[n]
 	}
 
-	// Branch-metric memo keyed by (step, coded chunk, entry drift).
-	nd := 2*D + 1
-	memoOK := n <= memoChunkLimit
-	var exits []float64
-	var have []bool
-	nchunk := 0
-	if memoOK {
-		nchunk = 1 << uint(n)
-		exits = growFloat(&sc.exits, steps*nchunk*nd*gw)
-		have = growBool(&sc.have, steps*nchunk*nd)
-		for i := range have {
-			have[i] = false
-		}
-	}
-	branchExit := func(step, d int, s uint32, b byte) (uint32, []float64) {
-		ti := int(s)*2 + int(b)
-		chunk := chunkTab[ti*n : ti*n+n]
-		if !memoOK {
-			return nextTab[ti], computeExit(step*n, d, chunk)
-		}
-		mi := (step*nchunk+int(keyTab[ti]))*nd + (d + D)
-		slot := exits[mi*gw : mi*gw+gw : mi*gw+gw]
-		if !have[mi] {
-			copy(slot, computeExit(step*n, d, chunk))
-			have[mi] = true
-		}
-		return nextTab[ti], slot
-	}
-
-	nodes := sc.nodes[:0]
-	hp := sc.heap[:0]
-	defer func() {
-		sc.nodes = nodes[:0]
-		sc.heap = hp[:0]
-		scratchPool.Put(sc)
-	}()
-
-	nodes = append(nodes, seqNode{parent: -1})
-	heapPush(&hp, heapEntry{metric: 0, idx: 0})
+	var stack seqHeap
+	heap.Push(&stack, &seqNode{})
 	expansions := 0
-	for len(hp) > 0 {
-		e := heapPop(&hp)
-		node := nodes[e.idx] // copy: the arena may grow while expanding
-		if int(node.step) == steps {
-			if node.state != 0 || int(node.drift) != finalDrift {
+	for stack.Len() > 0 {
+		node := heap.Pop(&stack).(*seqNode)
+		if node.step == steps {
+			if node.state != 0 || node.drift != finalDrift {
 				continue // mis-terminated path
 			}
 			// Reconstruct the message from the parent chain.
 			msg := make([]byte, msgLen)
-			for cur := node; cur.parent >= 0; cur = nodes[cur.parent] {
-				if int(cur.step)-1 < msgLen {
+			for cur := node; cur.parent != nil; cur = cur.parent {
+				if cur.step-1 < msgLen {
 					msg[cur.step-1] = cur.bit
 				}
 			}
@@ -220,29 +187,28 @@ func (c *Code) DecodeSequential(recv []byte, msgLen int, p SequentialParams) ([]
 			return nil, expansions, fmt.Errorf("conv: sequential decoder hit the work limit (%d expansions)", maxExp)
 		}
 		maxBit := byte(1)
-		if int(node.step) >= msgLen {
+		if node.step >= msgLen {
 			maxBit = 0 // flush bits
 		}
+		base := node.step * n
 		for b := byte(0); b <= maxBit; b++ {
-			nextState, exit := branchExit(int(node.step), int(node.drift), node.state, b)
+			nextState, exit := branchCost(base, node.drift, node.state, b)
 			for g, cost := range exit {
 				if math.IsInf(cost, 1) {
 					continue
 				}
-				ndrift := int(node.drift) + g - ddMax
-				if ndrift < -D || ndrift > D {
+				nd := node.drift + g - ddMax
+				if nd < -D || nd > D {
 					continue
 				}
-				metric := node.metric - cost + bias*float64(n)
-				nodes = append(nodes, seqNode{
-					metric: metric,
+				heap.Push(&stack, &seqNode{
+					metric: node.metric - cost + bias*float64(n),
 					step:   node.step + 1,
 					state:  nextState,
-					drift:  int16(ndrift),
-					parent: e.idx,
+					drift:  nd,
+					parent: node,
 					bit:    b,
 				})
-				heapPush(&hp, heapEntry{metric: metric, idx: int32(len(nodes) - 1)})
 			}
 		}
 	}

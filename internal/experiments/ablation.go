@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/coding/gf"
@@ -15,15 +14,18 @@ import (
 // the decoder's drift window (cost/accuracy trade-off), the outer
 // code's redundancy, and the watermark inner code's sparse length.
 
-// A1DriftWindow measures watermark decoding accuracy and time as the
+// A1DriftWindow measures watermark decoding accuracy and cost as the
 // drift window grows: too small a window disconnects the lattice; past
-// the realized drift scale, extra width only costs time.
+// the realized drift scale, extra width only costs time. The cost
+// column is the decoder's lattice size, (len(tx)+1)·(2·MaxDrift+1)
+// cells, which decode time follows; a measured time would make the
+// table differ between two runs of one seed.
 func A1DriftWindow(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:     "A1",
 		Title:  "Ablation: watermark decoder drift window (accuracy vs cost)",
-		Header: []string{"MaxDrift", "decoded", "sym.err.rate", "decode ms"},
+		Header: []string{"MaxDrift", "decoded", "sym.err.rate", "lattice cells"},
 		Notes: []string{
 			"expected shape: failures at tiny windows, stable error rate beyond the",
 			"drift scale, decode time roughly linear in window width",
@@ -61,13 +63,10 @@ func A1DriftWindow(cfg Config) (Table, error) {
 			return Table{}, err
 		}
 		t.Uses += int64(len(tx))
-		start := time.Now()
+		cells := fmt.Sprint((len(tx) + 1) * (2*drift + 1))
 		dec, err := wc.Decode(recv, numSyms)
-		elapsed := time.Since(start)
 		if err != nil {
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(drift), "no", "-", fmt.Sprintf("%.1f", float64(elapsed.Microseconds())/1000),
-			})
+			t.Rows = append(t.Rows, []string{fmt.Sprint(drift), "no", "-", cells})
 			continue
 		}
 		errs := 0
@@ -79,7 +78,7 @@ func A1DriftWindow(cfg Config) (Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(drift), "yes",
 			f4(float64(errs) / float64(numSyms)),
-			fmt.Sprintf("%.1f", float64(elapsed.Microseconds())/1000),
+			cells,
 		})
 	}
 	return t, nil

@@ -33,12 +33,11 @@ func formatAll(t *testing.T, results []Result) []byte {
 }
 
 // TestRunnerParallelMatchesSerial is the determinism guarantee: the
-// emitted tables are byte-identical regardless of worker count, because
-// every experiment draws from its own seed stream. Ablations are
-// excluded: A1's "decode ms" column reports measured wall-clock time,
-// which varies between any two runs regardless of scheduling.
+// emitted tables, ablations included, are byte-identical regardless of
+// worker count, because every experiment draws from its own seed
+// stream and no table prints a measured time.
 func TestRunnerParallelMatchesSerial(t *testing.T) {
-	exps := Registry()
+	exps := append(Registry(), AblationRegistry()...)
 	serial, err := Run(context.Background(), runnerConfig(), exps, RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)

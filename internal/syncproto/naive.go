@@ -47,7 +47,7 @@ func (p *Naive) Run(msg []uint32) (Result, error) {
 	if !validSymbols(msg, p.n) {
 		return Result{}, fmt.Errorf("syncproto: message contains symbols outside the %d-bit alphabet", p.n)
 	}
-	received, trace := transmitOver(p.ch, msg)
+	received, trace := channel.TransmitUses(p.ch, msg)
 	res := Result{
 		MessageSymbols: len(msg),
 		Uses:           len(trace),
@@ -69,27 +69,4 @@ func (p *Naive) Run(msg []uint32) (Result, error) {
 	counts := stats.Align(msg, received)
 	res.SkippedSymbols = counts.Deletions + counts.Insertions
 	return res, nil
-}
-
-// transmitOver pushes the whole input through a per-use channel,
-// mirroring channel.DeletionInsertion.Transmit: the channel is used
-// until every input symbol has been consumed, with insertions
-// interleaved per Definition 1.
-func transmitOver(ch UseChannel, input []uint32) (received []uint32, trace []channel.EventKind) {
-	received = make([]uint32, 0, len(input))
-	trace = make([]channel.EventKind, 0, len(input)+4)
-	for i := 0; i < len(input); {
-		u := ch.Use(input[i])
-		trace = append(trace, u.Kind)
-		switch u.Kind {
-		case channel.EventDelete:
-			i++
-		case channel.EventInsert:
-			received = append(received, u.Delivered)
-		default:
-			received = append(received, u.Delivered)
-			i++
-		}
-	}
-	return received, trace
 }
