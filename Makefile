@@ -68,7 +68,7 @@ bench-smoke:
 # compiler fuse x*y+z into one rounding, and gc does so on arm64, so
 # other architectures have no recorded digest and pass with a note. E5
 # runs the converted-channel Blahut-Arimoto at tol 1e-11, so the gate
-# pins that kernel's printed bits too. About 14 s of compute.
+# pins that kernel's printed bits too. About 2 s of compute on 2 vCPUs.
 EXPERIMENTS_MD5 = 3eb179e4ca8adf278c9bf3c2209ed2a6
 
 experiments-digest:

@@ -113,6 +113,9 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"-mode", "cluster", "-kill-node", "ghost"}, // unknown kill target
 		{"-mode", "cluster", "-kill-after", "50", // restart before kill
 			"-restart-after", "10"},
+		{"-mode", "cluster", "-requests", "-5"}, // negative sizes
+		{"-mode", "cluster", "-unique", "-1"},
+		{"-mode", "cluster", "-workers", "-2"},
 	}
 	for _, args := range cases {
 		if _, err := captureOut(t, func(f *os.File) error { return run(args, f) }); err == nil {

@@ -108,3 +108,20 @@ func TestHarnessSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestHarnessFlagValidation checks that a negative harness size is
+// refused before any member starts, not mapped to its default.
+func TestHarnessFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mode", "harness", "-jobs", "-2"},
+		{"-mode", "harness", "-requests-per-tick", "-1"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); err == nil {
+			t.Errorf("%v accepted, want error", args)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: rendered %q", args, b.String())
+		}
+	}
+}

@@ -206,8 +206,8 @@ func run(args []string) (err error) {
 			use = sink.rec
 		}
 		if stack != nil {
-			policy := syncproto.Supervision(0, sink.tracer)
-			sres, rerr := syncproto.RunSupervised(*proto, use, *n, chParams.Pd, *delay, policy, msg)
+			sres, rerr := syncproto.RunSupervised(*proto, use, *n, chParams.Pd, *delay,
+				syncproto.SupervisorConfig{Tracer: sink.tracer}, msg)
 			if rerr != nil {
 				return rerr
 			}
@@ -282,5 +282,5 @@ func printSupervised(proto string, spec faultinject.Spec, n int, res syncproto.S
 	fmt.Printf("chunks:              %d (failed: %d)\n", res.Chunks, res.FailedChunks)
 	fmt.Printf("attempts:            %d (retries: %d, backoff uses: %d)\n",
 		res.Attempts, res.Retries, res.BackoffUses)
-	fmt.Printf("resyncs:             %d (recoveries: %d)\n", res.Resyncs, res.Recoveries)
+	fmt.Printf("resyncs:             %d\n", res.Resyncs)
 }

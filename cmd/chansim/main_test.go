@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -375,6 +377,79 @@ func TestRunInjectedMatchesSimulate(t *testing.T) {
 	}
 }
 
+// TestSupervisedCountsAgree holds every surface that reports one
+// supervised run to the same counts, for each protocol and fault spec
+// of TestRunInjectedMatchesSimulate plus an ARQ run whose outage fails
+// every attempt: /v1/trace serves /v1/simulate's body, then its own
+// fields, and tracecap reads chansim -inject -trace's file back to the
+// chunk, attempt, retry and resync lines chansim printed.
+func TestSupervisedCountsAgree(t *testing.T) {
+	tracecap := filepath.Join(t.TempDir(), "tracecap")
+	if out, err := exec.Command("go", "build", "-o", tracecap, "../tracecap").CombinedOutput(); err != nil {
+		t.Fatalf("build tracecap: %v\n%s", err, out)
+	}
+	srv := capserver.New(capserver.Config{Workers: 1})
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	serve := func(path string) []byte {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	type point struct{ proto, pd, pi, delay, seed, spec string }
+	var points []point
+	for _, proto := range []string{"arq", "counter", "naive", "delayed"} {
+		pi := "0.05"
+		if proto == "arq" || proto == "delayed" {
+			pi = "0"
+		}
+		for _, spec := range []string{"outage=0.2", "jam=0.1", "drift=0.1;stuck=0.3"} {
+			points = append(points, point{proto, "0.1", pi, "2", "3", spec})
+		}
+	}
+	points = append(points, point{"arq", "0.3", "0", "4", "2", "outage=0.9"})
+	for _, p := range points {
+		q := url.Values{"proto": {p.proto}, "n": {"4"}, "pd": {p.pd}, "pi": {p.pi}, "delay": {p.delay},
+			"symbols": {"2000"}, "seed": {p.seed}, "inject": {p.spec}}
+		sim, tr := serve("/v1/simulate?"+q.Encode()), serve("/v1/trace?"+q.Encode())
+		if open := sim[:len(sim)-2]; !bytes.HasPrefix(tr, open) || tr[len(open)] != ',' {
+			t.Errorf("%s %s: /v1/trace body\n%s\ndoes not open with the /v1/simulate body\n%s", p.proto, p.spec, tr, sim)
+		}
+
+		trace := filepath.Join(t.TempDir(), "run.jsonl")
+		report, err := capture(t, func() error {
+			return run([]string{"-proto", p.proto, "-n", "4", "-pd", p.pd, "-pi", p.pi, "-delay", p.delay,
+				"-symbols", "2000", "-seed", p.seed, "-inject", p.spec, "-trace", trace})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		analysis, err := exec.Command(tracecap, trace).Output()
+		if err != nil {
+			t.Fatalf("tracecap %s: %v", trace, err)
+		}
+		compared := 0
+		for _, line := range strings.Split(report, "\n") {
+			if strings.HasPrefix(line, "chunks:") || strings.HasPrefix(line, "attempts:") || strings.HasPrefix(line, "resyncs:") {
+				compared++
+				if !bytes.Contains(analysis, []byte(line+"\n")) {
+					t.Errorf("%s %s: chansim printed %q, tracecap printed\n%s", p.proto, p.spec, line, analysis)
+				}
+			}
+		}
+		if compared != 3 {
+			t.Errorf("%s %s: chansim printed %d supervision lines, want 3:\n%s", p.proto, p.spec, compared, report)
+		}
+	}
+}
+
 // supervisedFrom rebuilds the supervised result a /v1/simulate body
 // reports.
 func supervisedFrom(t *testing.T, r capserver.SimulateResponse) syncproto.SupervisedResult {
@@ -385,7 +460,7 @@ func supervisedFrom(t *testing.T, r capserver.SimulateResponse) syncproto.Superv
 			SymbolErrors: r.SymbolErrors, SkippedSymbols: r.SkippedSymbols, MutualInfoPerSlot: r.MutualInfoPerSlot,
 		},
 		Chunks: r.Chunks, Attempts: r.Attempts, Retries: r.Retries, Resyncs: r.Resyncs,
-		Recoveries: r.Recoveries, FailedChunks: r.FailedChunks, BackoffUses: r.BackoffUses,
+		FailedChunks: r.FailedChunks, BackoffUses: r.BackoffUses,
 	}
 	for _, st := range []syncproto.Status{syncproto.StatusOK, syncproto.StatusDegraded, syncproto.StatusFailed} {
 		if st.String() == r.Status {

@@ -71,6 +71,9 @@ func TestFlagValidation(t *testing.T) {
 		{"-mode", "run", "-sessions", "20", "-inject", "bogus=spec"},
 		{"-mode", "run", "-sessions", "-3"},
 		{"-mode", "run", "-sessions", "20", "-batch", "-1"},
+		{"-mode", "cluster", "-sessions", "-3"},
+		{"-mode", "cluster", "-rounds", "-1"},
+		{"-mode", "cluster", "-events-per-batch", "-2"},
 		// No session drifts, so the detection bound would hold vacuously.
 		{"-mode", "run", "-sessions", "200", "-seed", "7", "-drift-every", "-1", "-assert"},
 	}

@@ -78,11 +78,12 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		fmt.Fprintf(out, "observed Pi:         %.4f [%.4f, %.4f]\n", est.Pi, est.PiLo, est.PiHi)
 		fmt.Fprintf(out, "observed Ps:         %.4f [%.4f, %.4f]\n", est.Ps, est.PsLo, est.PsHi)
 	}
-	if sum.Chunks > 0 || sum.Attempts > 0 {
-		fmt.Fprintf(out, "supervision:         %d chunks (%d failed), %d attempts (%d retries)\n",
-			sum.Chunks, sum.FailedChunks, sum.Attempts, sum.Retries)
-		fmt.Fprintf(out, "                     %d resyncs, %d recoveries, %d backoff uses\n",
-			sum.Resyncs, sum.Recoveries, sum.BackoffUses)
+	if sum.Chunks > 0 {
+		// The lines chansim -inject prints for the same run.
+		fmt.Fprintf(out, "chunks:              %d (failed: %d)\n", sum.Chunks, sum.FailedChunks)
+		fmt.Fprintf(out, "attempts:            %d (retries: %d, backoff uses: %d)\n",
+			sum.Attempts, sum.Retries, sum.BackoffUses)
+		fmt.Fprintf(out, "resyncs:             %d\n", sum.Resyncs)
 	}
 	if len(sum.Spans) > 0 {
 		names := make([]string, 0, len(sum.Spans))

@@ -56,16 +56,18 @@ type DegradeJSON struct {
 
 // DeletionRatesJSON carries the no-feedback binary deletion channel
 // rates of package delcap (the /v1/bounds exact_n / mc_n extensions).
+// The exact and Monte-Carlo fields are present exactly when computed,
+// so a computed zero (a rate at pd=1, seed 0) is served as 0.
 type DeletionRatesJSON struct {
-	Pd            float64 `json:"pd"`
-	GallagerLower float64 `json:"gallager_lower"`
-	ErasureUpper  float64 `json:"erasure_upper"`
-	ExactN        int     `json:"exact_n,omitempty"`
-	ExactRate     float64 `json:"exact_rate,omitempty"`
-	MCN           int     `json:"mc_n,omitempty"`
-	MCSamples     int     `json:"mc_samples,omitempty"`
-	MCSeed        uint64  `json:"mc_seed,omitempty"`
-	MCRate        float64 `json:"mc_rate,omitempty"`
+	Pd            float64  `json:"pd"`
+	GallagerLower float64  `json:"gallager_lower"`
+	ErasureUpper  float64  `json:"erasure_upper"`
+	ExactN        int      `json:"exact_n,omitempty"`
+	ExactRate     *float64 `json:"exact_rate,omitempty"`
+	MCN           int      `json:"mc_n,omitempty"`
+	MCSamples     int      `json:"mc_samples,omitempty"`
+	MCSeed        *uint64  `json:"mc_seed,omitempty"`
+	MCRate        *float64 `json:"mc_rate,omitempty"`
 }
 
 // BlahutArimotoJSON is the converted-channel capacity recomputed by
@@ -130,13 +132,12 @@ type SimulateResponse struct {
 	Attempts          int     `json:"attempts"`
 	Retries           int     `json:"retries"`
 	Resyncs           int     `json:"resyncs"`
-	Recoveries        int     `json:"recoveries"`
 	BackoffUses       int64   `json:"backoff_uses"`
 }
 
 // TraceEstimateJSON is the empirical Definition 1 estimate recovered
-// from a recorded trace: event tallies plus (Pd, Pi, Ps) with Wilson
-// 95% confidence intervals (obs.Estimate).
+// from observed channel uses: event tallies plus (Pd, Pi, Ps) with
+// Wilson 95% confidence intervals (obs.Estimate).
 type TraceEstimateJSON struct {
 	Uses        int64   `json:"uses"`
 	Transmits   int64   `json:"transmits"`
@@ -167,28 +168,17 @@ func fromEstimate(e obs.Estimate, c obs.UseCounts) TraceEstimateJSON {
 	}
 }
 
-// TraceResponse is the /v1/trace response body: one seeded supervised
-// run executed under tracing, summarized as assumed vs. observed
-// channel parameters and capacity bounds.
+// TraceResponse is the /v1/trace response body: /v1/simulate's body
+// for the same run with ps applied, the (Pd, Pi, Ps) estimate from the
+// run's channel uses, and the capacity bounds at the assumed and at
+// the estimated parameters.
 type TraceResponse struct {
-	Proto   string  `json:"proto"`
-	N       int     `json:"n"`
-	Pd      float64 `json:"pd"`
-	Pi      float64 `json:"pi"`
-	Ps      float64 `json:"ps"`
-	Delay   int     `json:"delay,omitempty"`
-	Symbols int     `json:"symbols"`
-	Seed    uint64  `json:"seed"`
-	Inject  string  `json:"inject"`
+	SimulateResponse
+	Ps float64 `json:"ps"`
 
-	Status         string  `json:"status"`
-	Events         int64   `json:"events"`
-	Uses           int     `json:"uses"`
-	InfoRatePerUse float64 `json:"info_rate_per_use"`
-
-	// Estimate is the trace-driven parameter estimate; AssumedAgrees
-	// reports whether the assumed (pd, pi, ps) fall inside its
-	// confidence intervals.
+	// Estimate is the parameter estimate from the run's uses;
+	// AssumedAgrees reports whether the assumed (pd, pi, ps) fall
+	// inside its confidence intervals.
 	Estimate      TraceEstimateJSON `json:"estimate"`
 	AssumedAgrees bool              `json:"assumed_agrees"`
 	// Assumed holds the bounds at the requested parameters; Observed
@@ -197,14 +187,6 @@ type TraceResponse struct {
 	// analytic domain).
 	Assumed  BoundsJSON  `json:"assumed_bounds"`
 	Observed *BoundsJSON `json:"observed_bounds,omitempty"`
-
-	Chunks       int64 `json:"chunks"`
-	Attempts     int64 `json:"attempts"`
-	Retries      int64 `json:"retries"`
-	Resyncs      int64 `json:"resyncs"`
-	Recoveries   int64 `json:"recoveries"`
-	FailedChunks int64 `json:"failed_chunks"`
-	BackoffUses  int64 `json:"backoff_uses"`
 }
 
 // ExperimentInfo is one registry entry in the /v1/experiments catalog.

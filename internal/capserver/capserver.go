@@ -8,9 +8,9 @@
 //     (syncproto, including DelayedARQ.PredictedRate);
 //   - GET /v1/simulate     seeded, fault-injected supervised protocol
 //     runs (channel + faultinject + syncproto.Supervisor);
-//   - GET /v1/trace        the same run executed under channel-use
-//     tracing, summarized as assumed vs. observed parameters and
-//     bounds (internal/obs trace analysis);
+//   - GET /v1/trace        the same run with every channel use
+//     tallied: /v1/simulate's body plus assumed vs. observed parameters
+//     and bounds (an internal/obs count-only recorder);
 //   - GET /v1/experiments  the named experiments registry (catalog and
 //     seeded runs);
 //   - POST /v1/sessions/{id}/events and GET /v1/sessions[/{id}]
@@ -92,7 +92,7 @@ type ResultStore interface {
 // those entries and recomputes them instead of serving bytes this code
 // would not produce. Bump it with any change to a served body.
 // Canonicalize's key, and so ring placement, leaves it out.
-const resultsVersion = "results/1"
+const resultsVersion = "results/2"
 
 // storeKey is the durable store's key for a canonical key.
 func storeKey(key string) string { return resultsVersion + " " + key }

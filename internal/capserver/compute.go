@@ -140,14 +140,14 @@ func (s *Server) buildBounds(q queryValues) (string, func() ([]byte, error), err
 				if err != nil {
 					return nil, err
 				}
-				del.ExactN, del.ExactRate = exactN, rate
+				del.ExactN, del.ExactRate = exactN, &rate
 			}
 			if mcN > 0 {
 				rate, err := delcap.MonteCarloUniformRate(mcN, pd, mcSamples, rng.New(seed))
 				if err != nil {
 					return nil, err
 				}
-				del.MCN, del.MCSamples, del.MCSeed, del.MCRate = mcN, mcSamples, seed, rate
+				del.MCN, del.MCSamples, del.MCSeed, del.MCRate = mcN, mcSamples, &seed, &rate
 			}
 			resp.Deletion = del
 		}
@@ -300,37 +300,63 @@ func (s *Server) parseSimRun(q queryValues, withPs bool) (simRun, error) {
 
 // run executes the run with the seed derivation of `chansim -inject`:
 // the message from seed+1, the channel from seed and the fault stack
-// from Stream(seed, 2). A non-nil tracer records every use (through a
-// recorder between the stack and the supervisor), the supervision state
-// machine and the fault layers' final counts. Alongside the result it
-// returns the stack's override count.
-func (r simRun) run(tr *obs.Tracer) (syncproto.SupervisedResult, int64, error) {
-	n := r.params.N
+// from Stream(seed, 2). It returns /v1/simulate's body for the run and,
+// when counted, the tallies of a count-only recorder between the stack
+// and the supervisor. /v1/simulate skips the recorder, whose per-use
+// call no field of its body needs.
+func (r simRun) run(counted bool) (SimulateResponse, obs.UseCounts, error) {
+	p := r.params
 	msg := make([]uint32, r.symbols)
 	msgSrc := rng.New(r.seed + 1)
 	for i := range msg {
-		msg[i] = msgSrc.Symbol(n)
+		msg[i] = msgSrc.Symbol(p.N)
 	}
-	base, err := channel.NewDeletionInsertion(r.params, rng.New(r.seed))
+	base, err := channel.NewDeletionInsertion(p, rng.New(r.seed))
 	if err != nil {
-		return syncproto.SupervisedResult{}, 0, err
+		return SimulateResponse{}, obs.UseCounts{}, err
 	}
-	stack, err := r.spec.Build(base, n, rng.NewStream(r.seed, 2))
+	stack, err := r.spec.Build(base, p.N, rng.NewStream(r.seed, 2))
 	if err != nil {
-		return syncproto.SupervisedResult{}, 0, err
+		return SimulateResponse{}, obs.UseCounts{}, err
 	}
-	var ch syncproto.UseChannel = stack
-	if tr != nil {
-		if ch, err = obs.NewChannelRecorder(stack, tr, stack.Injected); err != nil {
-			return syncproto.SupervisedResult{}, 0, err
+	var (
+		ch  syncproto.UseChannel = stack
+		rec *obs.ChannelRecorder
+	)
+	if counted {
+		if rec, err = obs.NewChannelRecorder(stack, nil, stack.Injected); err != nil {
+			return SimulateResponse{}, obs.UseCounts{}, err
 		}
+		ch = rec
 	}
-	res, err := syncproto.RunSupervised(r.proto, ch, n, r.params.Pd, r.delay, syncproto.Supervision(0, tr), msg)
+	res, err := syncproto.RunSupervised(r.proto, ch, p.N, p.Pd, r.delay, syncproto.SupervisorConfig{}, msg)
 	if err != nil {
-		return syncproto.SupervisedResult{}, 0, err
+		return SimulateResponse{}, obs.UseCounts{}, err
 	}
-	stack.EmitSummary(tr)
-	return res, stack.Injected(), nil
+	var counts obs.UseCounts
+	if rec != nil {
+		counts = rec.Counts()
+	}
+	return SimulateResponse{
+		Proto: r.proto, N: p.N, Pd: p.Pd, Pi: p.Pi, Delay: r.delay,
+		Symbols: r.symbols, Seed: r.seed, Inject: r.spec.String(),
+		Status:            res.Status.String(),
+		Uses:              res.Uses,
+		InjectedFaults:    stack.Injected(),
+		SenderOps:         res.SenderOps,
+		Delivered:         res.Delivered,
+		SymbolErrors:      res.SymbolErrors,
+		SkippedSymbols:    res.SkippedSymbols,
+		ErrorRate:         res.ErrorRate(),
+		MutualInfoPerSlot: res.MutualInfoPerSlot,
+		InfoRatePerUse:    res.InfoRatePerUse(),
+		Chunks:            res.Chunks,
+		FailedChunks:      res.FailedChunks,
+		Attempts:          res.Attempts,
+		Retries:           res.Retries,
+		Resyncs:           res.Resyncs,
+		BackoffUses:       res.BackoffUses,
+	}, counts, nil
 }
 
 // buildSimulate serves /v1/simulate: the accounting of one seeded
@@ -345,31 +371,11 @@ func (s *Server) buildSimulate(q queryValues) (string, func() ([]byte, error), e
 	key := fmt.Sprintf("proto=%s&n=%d&pd=%v&pi=%v&delay=%d&symbols=%d&seed=%d&inject=%s",
 		r.proto, p.N, p.Pd, p.Pi, r.delay, r.symbols, r.seed, inject)
 	compute := func() ([]byte, error) {
-		res, injected, err := r.run(nil)
+		body, _, err := r.run(false)
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(SimulateResponse{
-			Proto: r.proto, N: p.N, Pd: p.Pd, Pi: p.Pi, Delay: r.delay,
-			Symbols: r.symbols, Seed: r.seed, Inject: inject,
-			Status:            res.Status.String(),
-			Uses:              res.Uses,
-			InjectedFaults:    injected,
-			SenderOps:         res.SenderOps,
-			Delivered:         res.Delivered,
-			SymbolErrors:      res.SymbolErrors,
-			SkippedSymbols:    res.SkippedSymbols,
-			ErrorRate:         res.ErrorRate(),
-			MutualInfoPerSlot: res.MutualInfoPerSlot,
-			InfoRatePerUse:    res.InfoRatePerUse(),
-			Chunks:            res.Chunks,
-			FailedChunks:      res.FailedChunks,
-			Attempts:          res.Attempts,
-			Retries:           res.Retries,
-			Resyncs:           res.Resyncs,
-			Recoveries:        res.Recoveries,
-			BackoffUses:       res.BackoffUses,
-		})
+		return marshalBody(body)
 	}
 	return key, compute, nil
 }
@@ -401,10 +407,10 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 }
 
 // defaultExperimentSymbols is the /v1/experiments message length by
-// default and also its cap, as with ba_iters: E7's unsupervised naive
-// runs align the whole message with stats.Align, which is quadratic,
-// and a request's deadline bounds only its wait, not the worker it
-// holds. (/v1/simulate and /v1/trace align per chunk, so they keep
+// default and also its cap, as with ba_iters: one request runs every
+// selected table at this length, many protocol runs each, and a
+// request's deadline bounds only its wait, not the worker it holds.
+// (/v1/simulate and /v1/trace run one protocol, so they keep
 // Config.MaxSymbols.)
 const defaultExperimentSymbols = 20000
 

@@ -149,6 +149,36 @@ func TestBoundsDegradedBlock(t *testing.T) {
 	}
 }
 
+// TestDeletionRatesServeZeros checks that the exact and Monte-Carlo
+// fields are served whenever computed, zeros included: at pd=1 both
+// rates are 0, and seed=0 is a Monte-Carlo seed like any other.
+func TestDeletionRatesServeZeros(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		query string
+		seed  float64
+	}{
+		{"n=4&pd=1&exact_n=6&mc_n=6&mc_samples=100", 1},
+		{"n=4&pd=1&exact_n=6&mc_n=6&mc_samples=100&seed=0", 0},
+	} {
+		status, _, body := get(t, ts.URL, "/v1/bounds?"+tc.query)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", tc.query, status, body)
+		}
+		var resp struct {
+			Deletion map[string]float64 `json:"deletion"`
+		}
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		for key, want := range map[string]float64{"exact_rate": 0, "mc_rate": 0, "mc_seed": tc.seed} {
+			if got, ok := resp.Deletion[key]; !ok || got != want {
+				t.Errorf("%s: %s = %v (present %t), want %v", tc.query, key, got, ok, want)
+			}
+		}
+	}
+}
+
 func TestExperimentsRunAndCatalog(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, _, body := get(t, ts.URL, "/v1/experiments")

@@ -17,7 +17,7 @@ import (
 )
 
 // The /v1/sessions surface is the streaming counterpart of /v1/trace:
-// instead of replaying a recorded run offline, clients stream per-use
+// instead of tallying a seeded simulated run, clients stream per-use
 // events into a live per-session estimator (internal/session) and read
 // back the current (Pd, Pi, Ps) estimate, drift status, and — when the
 // estimated point is inside the analytic domain — the capacity bounds

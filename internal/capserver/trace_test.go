@@ -25,7 +25,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if resp.Estimate.Uses == 0 || resp.Events == 0 {
+	if resp.Estimate.Uses == 0 {
 		t.Fatalf("trace recorded nothing: %+v", resp)
 	}
 	if !resp.AssumedAgrees {

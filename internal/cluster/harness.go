@@ -91,17 +91,37 @@ type HarnessOptions struct {
 	Out io.Writer
 }
 
-func (o HarnessOptions) withDefaults() HarnessOptions {
+// size is one count option of a harness; zero selects its default.
+type size struct {
+	name string
+	v    int
+}
+
+// negativeSize returns an error naming the first negative size.
+func negativeSize(sizes ...size) error {
+	for _, s := range sizes {
+		if s.v < 0 {
+			return fmt.Errorf("cluster: %s %d is negative (0 selects the default)", s.name, s.v)
+		}
+	}
+	return nil
+}
+
+// withDefaults fills unset fields and rejects a negative size.
+func (o HarnessOptions) withDefaults() (HarnessOptions, error) {
+	if err := negativeSize(size{"Requests", o.Requests}, size{"Unique", o.Unique}, size{"Workers", o.Workers}); err != nil {
+		return o, err
+	}
 	if len(o.Nodes) == 0 {
 		o.Nodes = []string{"n1", "n2", "n3"}
 	}
-	if o.Requests <= 0 {
+	if o.Requests == 0 {
 		o.Requests = 200
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Unique <= 0 {
+	if o.Unique == 0 {
 		o.Unique = 12
 	}
 	if o.ExactN == 0 {
@@ -110,7 +130,7 @@ func (o HarnessOptions) withDefaults() HarnessOptions {
 	if o.HedgeDelay == 0 {
 		o.HedgeDelay = 5 * time.Millisecond
 	}
-	if o.Workers <= 0 {
+	if o.Workers == 0 {
 		o.Workers = 2
 	}
 	if o.TraceDir != "" {
@@ -119,7 +139,7 @@ func (o HarnessOptions) withDefaults() HarnessOptions {
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
-	return o
+	return o, nil
 }
 
 // NodeCounters is one member's routing counts, keyed by counter family
@@ -320,7 +340,10 @@ const peerBackoff = time.Millisecond
 
 // RunHarness executes a cluster fault-harness run.
 func RunHarness(o HarnessOptions) (*HarnessReport, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	storeDir := o.StoreDir
 	if storeDir == "" {
 		dir, err := os.MkdirTemp("", "capcluster-*")

@@ -45,20 +45,24 @@ type HealthHarnessOptions struct {
 	Out io.Writer
 }
 
-func (o HealthHarnessOptions) withDefaults() HealthHarnessOptions {
+// withDefaults fills unset fields and rejects a negative size.
+func (o HealthHarnessOptions) withDefaults() (HealthHarnessOptions, error) {
+	if err := negativeSize(size{"Jobs", o.Jobs}, size{"RequestsPerTick", o.RequestsPerTick}); err != nil {
+		return o, err
+	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Jobs <= 0 {
+	if o.Jobs == 0 {
 		o.Jobs = 4
 	}
-	if o.RequestsPerTick <= 0 {
+	if o.RequestsPerTick == 0 {
 		o.RequestsPerTick = 12
 	}
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
-	return o
+	return o, nil
 }
 
 // The phase lengths in health ticks: all-healthy baseline, owner
@@ -163,7 +167,10 @@ func (r *HealthReport) Assert(survivors []string) error {
 // RunHealthHarness executes one alert-lifecycle harness run and
 // returns the report plus the surviving member names (Assert's input).
 func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return nil, nil, err
+	}
 	rules, err := health.ParseRules(harnessRules)
 	if err != nil {
 		return nil, nil, err

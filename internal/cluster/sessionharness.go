@@ -67,17 +67,21 @@ type SessionHarnessOptions struct {
 	Out io.Writer
 }
 
-func (o SessionHarnessOptions) withDefaults() SessionHarnessOptions {
+// withDefaults fills unset fields and rejects a negative size.
+func (o SessionHarnessOptions) withDefaults() (SessionHarnessOptions, error) {
+	if err := negativeSize(size{"Sessions", o.Sessions}, size{"Rounds", o.Rounds}, size{"EventsPerBatch", o.EventsPerBatch}); err != nil {
+		return o, err
+	}
 	if len(o.Nodes) == 0 {
 		o.Nodes = []string{"n1", "n2", "n3"}
 	}
-	if o.Sessions <= 0 {
+	if o.Sessions == 0 {
 		o.Sessions = 48
 	}
-	if o.Rounds <= 0 {
+	if o.Rounds == 0 {
 		o.Rounds = 9
 	}
-	if o.EventsPerBatch <= 0 {
+	if o.EventsPerBatch == 0 {
 		o.EventsPerBatch = 40
 	}
 	if o.Seed == 0 {
@@ -86,7 +90,7 @@ func (o SessionHarnessOptions) withDefaults() SessionHarnessOptions {
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
-	return o
+	return o, nil
 }
 
 // SessionHarnessReport aggregates one session-harness run.
@@ -188,7 +192,10 @@ func sessionPlanEvents(seed uint64, i, total int) []session.Event {
 
 // RunSessionHarness executes a session-sharded cluster fault run.
 func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	tb, err := StartTestbed(o.Nodes, func(string, int) ProcConfig {
 		return ProcConfig{
 			Server: capserver.Config{Workers: 2, SessionSweep: -1},

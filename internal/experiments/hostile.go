@@ -106,7 +106,7 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	for i := range msg {
 		msg[i] = msgSrc.Symbol(n)
 	}
-	scfg := syncproto.Supervision(0.9*cleanRate, cfg.Tracer)
+	scfg := syncproto.SupervisorConfig{DegradedRateFloor: 0.9 * cleanRate, Tracer: cfg.Tracer}
 
 	parsed, err := faultinject.ParseSpec(spec)
 	if err != nil {

@@ -67,8 +67,9 @@ type TraceSummary struct {
 	UseCounts
 	// Events is the total number of trace lines read.
 	Events int64
-	// Supervision-layer event counts (0 when the trace has none).
-	Chunks, Attempts, Retries, Resyncs, Recoveries, FailedChunks int64
+	// Supervision totals: the sums of the supervisor's "sup" summary
+	// lines, one per supervised run (0 when the trace has none).
+	Chunks, Attempts, Retries, Resyncs, FailedChunks int64
 	// BackoffUses sums the channel uses burned backing off.
 	BackoffUses int64
 	// Spans aggregates kernel spans by name.
@@ -82,12 +83,16 @@ func (s *TraceSummary) Estimate() Estimate { return s.UseCounts.Estimate() }
 // traceLine is the loose decoding schema for one JSONL line; unknown
 // keys are ignored so the reader stays forward-compatible.
 type traceLine struct {
-	T       string `json:"t"`
-	K       string `json:"k"`
-	Sp      string `json:"sp"`
-	Inj     int    `json:"inj"`
-	Attempt int64  `json:"attempt"`
-	Uses    int64  `json:"uses"`
+	T           string `json:"t"`
+	K           string `json:"k"`
+	Sp          string `json:"sp"`
+	Inj         int    `json:"inj"`
+	Chunks      int64  `json:"chunks"`
+	Attempts    int64  `json:"attempts"`
+	Retries     int64  `json:"retries"`
+	Resyncs     int64  `json:"resyncs"`
+	Failed      int64  `json:"failed"`
+	BackoffUses int64  `json:"backoff_uses"`
 }
 
 // ReadTrace streams a JSONL trace and returns its aggregate summary.
@@ -126,21 +131,13 @@ func ReadTrace(r io.Reader) (*TraceSummary, error) {
 			if ev.Inj != 0 {
 				sum.Injected++
 			}
-		case "chunk":
-			sum.Chunks++
-		case "attempt":
-			sum.Attempts++
-			if ev.Attempt >= 2 {
-				sum.Retries++
-			}
-		case "backoff":
-			sum.BackoffUses += ev.Uses
-		case "resync":
-			sum.Resyncs++
-		case "recover":
-			sum.Recoveries++
-		case "chunkfail":
-			sum.FailedChunks++
+		case "sup":
+			sum.Chunks += ev.Chunks
+			sum.Attempts += ev.Attempts
+			sum.Retries += ev.Retries
+			sum.Resyncs += ev.Resyncs
+			sum.FailedChunks += ev.Failed
+			sum.BackoffUses += ev.BackoffUses
 		case "span":
 			st := sum.Spans[ev.Sp]
 			if st == nil {

@@ -37,14 +37,13 @@
 //     delete / insert / transmit / substitute, plus whether a fault
 //     layer overrode the use — while keeping live event counts.
 //     Protocol layers (syncproto.Supervisor) add chunk, attempt,
-//     backoff, resync and recovery events; kernels add spans
+//     backoff and resync events and a per-run summary; kernels add spans
 //     (Blahut–Arimoto iteration counts, sequential-decoding node
 //     counts).
 //
 //   - Analysis (analyze.go): UseCounts.Estimate() turns observed
 //     event counts into (Pd, Pi, Ps) point estimates with Wilson 95%
 //     confidence intervals, and ReadTrace streams a recorded JSONL
-//     trace back into a TraceSummary, so cmd/tracecap (and the
-//     capserver /v1/trace endpoint) can report assumed-vs-observed
-//     capacity side by side.
+//     trace back into a TraceSummary, so cmd/tracecap can report
+//     assumed-vs-observed capacity side by side.
 package obs

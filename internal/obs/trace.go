@@ -189,7 +189,7 @@ func (t *Tracer) Use(i int64, k string, queued, delivered uint32, deleted, injec
 
 // Event records a named protocol-layer event ({"t":"<name>",...}).
 // Names used by this repository: chunk, attempt, backoff, resync,
-// recover, chunkfail, sup, cell, layer.
+// chunkfail, sup, cell, layer.
 func (t *Tracer) Event(name string, fields ...Field) {
 	if t == nil {
 		return

@@ -123,12 +123,18 @@ func TestTraceRoundTrip(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		rec.Use(uint32(i % 16))
 	}
+	// The supervision totals are the sums of the runs' "sup" summary
+	// lines; the per-event lines beside them are not counted again.
 	tr.Event("chunk", I("chunk", 0), S("proto", "active"))
 	tr.Event("attempt", I("chunk", 0), I("attempt", 1))
 	tr.Event("attempt", I("chunk", 0), I("attempt", 2))
 	tr.Event("backoff", I("uses", 32))
 	tr.Event("resync", I("chunk", 0))
 	tr.Event("chunkfail", I("chunk", 1))
+	tr.Event("sup", S("status", "degraded"), I("chunks", 2), I("attempts", 5), I("retries", 4),
+		I("resyncs", 1), I("failed", 1), I("uses", 900), I("backoff_uses", 96))
+	tr.Event("sup", S("status", "ok"), I("chunks", 1), I("attempts", 1), I("retries", 0),
+		I("resyncs", 0), I("failed", 0), I("uses", 300), I("backoff_uses", 0))
 	tr.Span("seqdecode", I("nodes", 1234))
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -144,8 +150,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if sum.Uses() != 5000 || rec.Uses() != 5000 {
 		t.Errorf("uses %d / %d, want 5000", sum.Uses(), rec.Uses())
 	}
-	if sum.Chunks != 1 || sum.Attempts != 2 || sum.Retries != 1 ||
-		sum.Resyncs != 1 || sum.FailedChunks != 1 || sum.BackoffUses != 32 {
+	if sum.Chunks != 3 || sum.Attempts != 6 || sum.Retries != 4 ||
+		sum.Resyncs != 1 || sum.FailedChunks != 1 || sum.BackoffUses != 96 {
 		t.Errorf("supervision counts off: %+v", sum)
 	}
 	sp := sum.Spans["seqdecode"]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/channel"
-	"repro/internal/stats"
 )
 
 // Naive is the strawman that motivates the whole paper: the sender
@@ -41,8 +40,9 @@ func NewNaiveOver(ch UseChannel, n int) (*Naive, error) {
 
 // Run transmits the message once, with the receiver reading slots
 // positionally. Result.Delivered counts the slots that have a
-// positional counterpart; alignment-based deletion/insertion counts go
-// to SkippedSymbols via the edit-distance trace for diagnostics.
+// positional counterpart; SkippedSymbols counts the deletion and
+// insertion events of the channel's event trace, the misalignment the
+// positional read suffers.
 func (p *Naive) Run(msg []uint32) (Result, error) {
 	if !validSymbols(msg, p.n) {
 		return Result{}, fmt.Errorf("syncproto: message contains symbols outside the %d-bit alphabet", p.n)
@@ -53,7 +53,13 @@ func (p *Naive) Run(msg []uint32) (Result, error) {
 		Uses:           len(trace),
 	}
 	for _, e := range trace {
-		if e != channel.EventInsert {
+		switch e {
+		case channel.EventInsert:
+			res.SkippedSymbols++
+		case channel.EventDelete:
+			res.SkippedSymbols++
+			res.SenderOps++
+		default:
 			res.SenderOps++
 		}
 	}
@@ -65,8 +71,5 @@ func (p *Naive) Run(msg []uint32) (Result, error) {
 	if err := measureSlots(&res, msg, overlap, p.n); err != nil {
 		return Result{}, err
 	}
-	// Diagnostics: how much of the damage is pure misalignment.
-	counts := stats.Align(msg, received)
-	res.SkippedSymbols = counts.Deletions + counts.Insertions
 	return res, nil
 }

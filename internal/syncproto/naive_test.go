@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/obs"
 )
 
 func TestNewNaiveValidation(t *testing.T) {
@@ -57,7 +58,7 @@ func TestNaiveCollapsesUnderDrift(t *testing.T) {
 		t.Fatalf("counter rate %v should stay near capacity", resCounter.InfoRatePerUse())
 	}
 	if resNaive.SkippedSymbols == 0 {
-		t.Fatal("alignment diagnostics should report drift events")
+		t.Fatal("naive run should report deletion and insertion events")
 	}
 }
 
@@ -87,5 +88,27 @@ func TestNaiveSenderOpsExcludeInsertions(t *testing.T) {
 	}
 	if res.Uses <= res.SenderOps {
 		t.Fatal("insertions should add channel uses beyond sender ops")
+	}
+}
+
+// TestNaiveSkipsCountTraceEvents checks that SkippedSymbols is the
+// channel's deletion plus insertion count, as a recorder wrapped
+// around the channel tallies them.
+func TestNaiveSkipsCountTraceEvents(t *testing.T) {
+	rec, err := obs.NewChannelRecorder(mustChannel(t, channel.Params{N: 4, Pd: 0.1, Pi: 0.1}, 13), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := NewNaiveOver(rec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := naive.Run(randomMessage(14, 5000, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rec.Counts()
+	if want := int(c.Deletes + c.Inserts); res.SkippedSymbols != want || want == 0 {
+		t.Errorf("skipped symbols = %d, recorder saw %d deletions + %d insertions", res.SkippedSymbols, c.Deletes, c.Inserts)
 	}
 }

@@ -103,31 +103,33 @@ func (s Status) String() string {
 	}
 }
 
-// SupervisorConfig tunes the supervision loop. The zero value selects
-// workable defaults; all quantities are counted in channel uses or
-// chunks, never wall time, so supervised runs replay byte-identically.
-type SupervisorConfig struct {
-	// ChunkSymbols is the supervision granularity: the message is
+// The supervision policy of every supervised run. All quantities are
+// counted in channel uses or chunks, never wall time, so supervised
+// runs replay byte-identically.
+const (
+	// chunkSymbols is the supervision granularity: the message is
 	// transferred in chunks of this many symbols, each supervised
-	// independently (default 256).
-	ChunkSymbols int
-	// AttemptUses is the per-attempt deadline in channel uses (0 = no
-	// deadline). Requires a UseMeter; attempts exceeding the budget
-	// are aborted and retried.
-	AttemptUses int
-	// MaxAttempts bounds attempts per chunk per protocol (default 3).
-	MaxAttempts int
-	// BackoffBase is the number of uses burned after the first failed
-	// attempt; each further failure doubles it (default 16).
-	BackoffBase int
-	// ErrorThreshold is the chunk symbol-error rate above which the
+	// independently.
+	chunkSymbols = 256
+	// maxAttempts bounds attempts per chunk per protocol.
+	maxAttempts = 4
+	// backoffBase is the number of uses burned after the first failed
+	// attempt; each further failure doubles it.
+	backoffBase = 32
+	// errorThreshold is the chunk symbol-error rate above which the
 	// supervisor falls back from the active protocol to the resync
-	// protocol (default 0.25).
-	ErrorThreshold float64
-	// RecoverAfter is the number of consecutive clean fallback chunks
-	// (error rate <= ErrorThreshold/2) after which the supervisor
-	// returns to the active protocol (0 = stay on the fallback).
-	RecoverAfter int
+	// protocol.
+	errorThreshold = 0.25
+	// attemptChunks is the per-attempt deadline in chunks' worth of
+	// uses: a generous multiple of a clean chunk's cost, so only a
+	// wedged attempt (a long outage window, a drift excursion) is
+	// aborted and retried.
+	attemptChunks = 8
+)
+
+// SupervisorConfig holds the supervision settings that differ between
+// callers; the rest of the policy is fixed (see chunkSymbols).
+type SupervisorConfig struct {
 	// DegradedRateFloor marks the run Degraded when the achieved
 	// information rate (bits per channel use) falls below this floor
 	// (0 = disabled). Callers typically set it from a clean
@@ -138,53 +140,10 @@ type SupervisorConfig struct {
 	DegradedRateFloor float64
 	// Tracer, when non-nil, records the supervision state machine as
 	// structured events: chunk starts (with the protocol phase),
-	// attempts, backoff burns, resyncs, recoveries, abandoned chunks
-	// and a final summary. Every recorded field is a deterministic
-	// count, so supervised traces replay byte-identically.
+	// attempts, backoff burns, resyncs, abandoned chunks and a final
+	// summary. Every recorded field is a deterministic count, so
+	// supervised traces replay byte-identically.
 	Tracer *obs.Tracer
-}
-
-// withDefaults fills unset fields.
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.ChunkSymbols == 0 {
-		c.ChunkSymbols = 256
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 16
-	}
-	if c.ErrorThreshold == 0 {
-		c.ErrorThreshold = 0.25
-	}
-	return c
-}
-
-// validate rejects nonsensical configurations.
-func (c SupervisorConfig) validate() error {
-	if c.ChunkSymbols < 1 {
-		return fmt.Errorf("syncproto: supervisor chunk size %d, want >= 1", c.ChunkSymbols)
-	}
-	if c.AttemptUses < 0 {
-		return fmt.Errorf("syncproto: negative attempt budget %d", c.AttemptUses)
-	}
-	if c.MaxAttempts < 1 {
-		return fmt.Errorf("syncproto: max attempts %d, want >= 1", c.MaxAttempts)
-	}
-	if c.BackoffBase < 0 {
-		return fmt.Errorf("syncproto: negative backoff base %d", c.BackoffBase)
-	}
-	if c.ErrorThreshold < 0 || c.ErrorThreshold > 1 {
-		return fmt.Errorf("syncproto: error threshold %v out of [0,1]", c.ErrorThreshold)
-	}
-	if c.RecoverAfter < 0 {
-		return fmt.Errorf("syncproto: negative recover-after %d", c.RecoverAfter)
-	}
-	if c.DegradedRateFloor < 0 {
-		return fmt.Errorf("syncproto: negative degraded-rate floor %v", c.DegradedRateFloor)
-	}
-	return nil
 }
 
 // SupervisedResult is the aggregate accounting of a supervised run.
@@ -206,8 +165,6 @@ type SupervisedResult struct {
 	Retries int
 	// Resyncs counts active->fallback transitions.
 	Resyncs int
-	// Recoveries counts fallback->active transitions.
-	Recoveries int
 	// FailedChunks is the number of chunks abandoned after every
 	// attempt (their symbols are never delivered).
 	FailedChunks int
@@ -223,17 +180,19 @@ type SupervisedResult struct {
 // reports the honestly achieved rate plus a Status classifying the
 // run.
 //
-// The supervisor state machine (see DESIGN.md §7):
+// The supervisor state machine (see DESIGN.md §7); FALLBACK is final:
 //
 //	ACTIVE   --chunk error rate > threshold-->            FALLBACK
 //	ACTIVE   --attempts exhausted, fallback succeeds-->   FALLBACK
-//	FALLBACK --RecoverAfter consecutive clean chunks-->   ACTIVE
 //	any      --attempts exhausted on both protocols-->    chunk skipped
 type Supervisor struct {
 	cfg    SupervisorConfig
 	active Protocol
 	resync Protocol // fallback; nil = no fallback
 	meter  *UseMeter
+	// attemptUses is the per-attempt deadline in channel uses (0 =
+	// none, without a meter).
+	attemptUses int64
 }
 
 // NewSupervisor builds a supervisor for the active protocol. resync is
@@ -241,26 +200,29 @@ type Supervisor struct {
 // channel; nil disables fallback). meter must be the UseMeter the
 // protocols run over for deadlines and backoff to work; nil disables
 // both (chunking, retry accounting and degradation detection still
-// apply).
+// apply). Each attempt's deadline is attemptChunks chunks' worth of
+// metered uses. DelayedARQ accounts 1+delay uses per send, so its
+// deadline is 1+delay times longer, although the meter sees only the
+// one channel use of each send.
 func NewSupervisor(active, resync Protocol, meter *UseMeter, cfg SupervisorConfig) (*Supervisor, error) {
 	if active == nil {
 		return nil, fmt.Errorf("syncproto: nil protocol")
 	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	s := &Supervisor{cfg: cfg, active: active, resync: resync, meter: meter}
+	if meter != nil {
+		s.attemptUses = attemptChunks * chunkSymbols
+		if d, ok := active.(*DelayedARQ); ok {
+			s.attemptUses *= int64(1 + d.delay)
+		}
 	}
-	if cfg.AttemptUses > 0 && meter == nil {
-		return nil, fmt.Errorf("syncproto: attempt deadline requires a UseMeter")
-	}
-	return &Supervisor{cfg: cfg, active: active, resync: resync, meter: meter}, nil
+	return s, nil
 }
 
 // runAttempt executes one attempt, converting a budget-sentinel panic
 // into ok = false.
 func (s *Supervisor) runAttempt(p Protocol, chunk []uint32) (res Result, ok bool, err error) {
-	if s.meter != nil && s.cfg.AttemptUses > 0 {
-		s.meter.SetBudget(int64(s.cfg.AttemptUses))
+	if s.attemptUses > 0 {
+		s.meter.SetBudget(s.attemptUses)
 		defer s.meter.ClearBudget()
 	}
 	defer func() {
@@ -276,15 +238,15 @@ func (s *Supervisor) runAttempt(p Protocol, chunk []uint32) (res Result, ok bool
 	return res, err == nil, err
 }
 
-// tryChunk drives one chunk through up to MaxAttempts attempts of one
+// tryChunk drives one chunk through up to maxAttempts attempts of one
 // protocol, backing off between failures. Alongside the chunk result
 // it returns the attempt's accounting uses that never touched the
 // channel (DelayedARQ's idle feedback slots), which the meter cannot
 // see but the aggregate Uses must include. chunkIdx labels the trace
 // events.
 func (s *Supervisor) tryChunk(p Protocol, chunk []uint32, chunkIdx int, sup *SupervisedResult) (Result, int, bool, error) {
-	backoff := int64(s.cfg.BackoffBase)
-	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
+	backoff := int64(backoffBase)
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		sup.Attempts++
 		s.cfg.Tracer.Event("attempt", obs.I("chunk", int64(chunkIdx)), obs.I("attempt", int64(attempt+1)))
 		var before int64
@@ -308,13 +270,11 @@ func (s *Supervisor) tryChunk(p Protocol, chunk []uint32, chunkIdx int, sup *Sup
 			return res, idle, true, nil
 		}
 		sup.Retries++
-		if s.meter != nil && backoff > 0 && attempt < s.cfg.MaxAttempts-1 {
+		if s.meter != nil && attempt < maxAttempts-1 {
 			s.meter.Burn(backoff)
 			sup.BackoffUses += backoff
 			s.cfg.Tracer.Event("backoff", obs.I("chunk", int64(chunkIdx)), obs.I("uses", backoff))
-			if backoff <= 1<<30 {
-				backoff *= 2
-			}
+			backoff *= 2
 		}
 	}
 	return Result{}, 0, false, nil
@@ -329,14 +289,13 @@ func (s *Supervisor) Run(msg []uint32) (SupervisedResult, error) {
 		startUses = s.meter.Total()
 	}
 	var (
-		onFallback  bool
-		cleanStreak int
-		miWeighted  float64
-		sumUses     int
-		idleUses    int
+		onFallback bool
+		miWeighted float64
+		sumUses    int
+		idleUses   int
 	)
-	for start := 0; start < len(msg); start += s.cfg.ChunkSymbols {
-		end := start + s.cfg.ChunkSymbols
+	for start := 0; start < len(msg); start += chunkSymbols {
+		end := start + chunkSymbols
 		if end > len(msg) {
 			end = len(msg)
 		}
@@ -346,7 +305,7 @@ func (s *Supervisor) Run(msg []uint32) (SupervisedResult, error) {
 
 		proto := s.active
 		phase := "active"
-		if onFallback && s.resync != nil {
+		if onFallback {
 			proto = s.resync
 			phase = "fallback"
 		}
@@ -364,7 +323,6 @@ func (s *Supervisor) Run(msg []uint32) (SupervisedResult, error) {
 			}
 			if ok {
 				onFallback = true
-				cleanStreak = 0
 				sup.Resyncs++
 				s.cfg.Tracer.Event("resync", obs.I("chunk", int64(chunkIdx)))
 			}
@@ -384,27 +342,11 @@ func (s *Supervisor) Run(msg []uint32) (SupervisedResult, error) {
 		sumUses += res.Uses
 		idleUses += idle
 
-		// Divergence detection and recovery.
-		errRate := res.ErrorRate()
-		if !onFallback {
-			if errRate > s.cfg.ErrorThreshold && s.resync != nil {
-				onFallback = true
-				cleanStreak = 0
-				sup.Resyncs++
-				s.cfg.Tracer.Event("resync", obs.I("chunk", int64(chunkIdx)))
-			}
-		} else {
-			if errRate <= s.cfg.ErrorThreshold/2 {
-				cleanStreak++
-				if s.cfg.RecoverAfter > 0 && cleanStreak >= s.cfg.RecoverAfter {
-					onFallback = false
-					cleanStreak = 0
-					sup.Recoveries++
-					s.cfg.Tracer.Event("recover", obs.I("chunk", int64(chunkIdx)))
-				}
-			} else {
-				cleanStreak = 0
-			}
+		// Divergence detection.
+		if !onFallback && s.resync != nil && res.ErrorRate() > errorThreshold {
+			onFallback = true
+			sup.Resyncs++
+			s.cfg.Tracer.Event("resync", obs.I("chunk", int64(chunkIdx)))
 		}
 	}
 
@@ -425,7 +367,7 @@ func (s *Supervisor) Run(msg []uint32) (SupervisedResult, error) {
 	case sup.Delivered == 0:
 		sup.Status = StatusFailed
 	case sup.Retries > 0 || sup.Resyncs > 0 || sup.FailedChunks > 0,
-		sup.ErrorRate() > s.cfg.ErrorThreshold,
+		sup.ErrorRate() > errorThreshold,
 		s.cfg.DegradedRateFloor > 0 && sup.InfoRatePerUse() < s.cfg.DegradedRateFloor:
 		sup.Status = StatusDegraded
 	default:
@@ -437,7 +379,6 @@ func (s *Supervisor) Run(msg []uint32) (SupervisedResult, error) {
 		obs.I("attempts", int64(sup.Attempts)),
 		obs.I("retries", int64(sup.Retries)),
 		obs.I("resyncs", int64(sup.Resyncs)),
-		obs.I("recoveries", int64(sup.Recoveries)),
 		obs.I("failed", int64(sup.FailedChunks)),
 		obs.I("uses", int64(sup.Uses)),
 		obs.I("backoff_uses", sup.BackoffUses))

@@ -39,7 +39,7 @@ func TestSupervisorCleanRunIsOK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := NewSupervisor(counter, nil, meter, SupervisorConfig{AttemptUses: 4096})
+	sup, err := NewSupervisor(counter, nil, meter, SupervisorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +115,12 @@ func TestSupervisorFailsWhenChannelIsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := NewSupervisor(arq, counter, meter, SupervisorConfig{
-		ChunkSymbols: 64, AttemptUses: 128, MaxAttempts: 2, BackoffBase: 8,
-	})
+	sup, err := NewSupervisor(arq, counter, meter, SupervisorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := superMsg(5, 256, n)
+	const chunks = 2
+	msg := superMsg(5, chunks*chunkSymbols, n)
 	res, err := sup.Run(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,17 +131,48 @@ func TestSupervisorFailsWhenChannelIsDead(t *testing.T) {
 	if res.Delivered != 0 {
 		t.Errorf("delivered %d symbols over a dead channel", res.Delivered)
 	}
-	if res.FailedChunks != 4 {
-		t.Errorf("failed chunks = %d, want 4", res.FailedChunks)
+	if res.FailedChunks != chunks {
+		t.Errorf("failed chunks = %d, want %d", res.FailedChunks, chunks)
 	}
-	// Each chunk: 2 ARQ attempts + 2 fallback attempts, all failed.
-	if res.Attempts != 16 || res.Retries != 16 {
-		t.Errorf("attempts = %d retries = %d, want 16 and 16", res.Attempts, res.Retries)
+	// Each chunk: maxAttempts ARQ attempts + maxAttempts fallback
+	// attempts, all failed.
+	if want := chunks * 2 * maxAttempts; res.Attempts != want || res.Retries != want {
+		t.Errorf("attempts = %d retries = %d, want %d and %d", res.Attempts, res.Retries, want, want)
 	}
-	// One backoff burn of BackoffBase between the two attempts of each
-	// tryChunk pass: 2 passes x 4 chunks x 8 uses.
-	if res.BackoffUses != 64 {
-		t.Errorf("backoff uses = %d, want 64", res.BackoffUses)
+	// Backoff burns 32, 64 and 128 uses between the four attempts of
+	// each protocol pass, two passes per chunk.
+	if want := int64(chunks * 2 * (32 + 64 + 128)); res.BackoffUses != want {
+		t.Errorf("backoff uses = %d, want %d", res.BackoffUses, want)
+	}
+	// Every attempt runs to its deadline of attemptChunks chunks' uses.
+	if want := int64(res.Attempts*attemptChunks*chunkSymbols) + res.BackoffUses; int64(res.Uses) != want {
+		t.Errorf("uses = %d, want %d", res.Uses, want)
+	}
+}
+
+// TestSupervisorDelayedARQDeadline checks that a delayed ARQ attempt
+// gets 1+delay times the deadline: on a dead channel every attempt runs
+// to it.
+func TestSupervisorDelayedARQDeadline(t *testing.T) {
+	const n, delay = 4, 2
+	meter := meteredChannel(t, channel.Params{N: n, Pd: 1}, 4)
+	darq, err := NewDelayedARQOver(meter, n, 0.5, delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := NewSupervisor(darq, nil, meter, SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sup.Run(superMsg(5, chunkSymbols, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusFailed || res.Attempts != maxAttempts {
+		t.Fatalf("status %v after %d attempts, want failed after %d", res.Status, res.Attempts, maxAttempts)
+	}
+	if want := int64(maxAttempts*attemptChunks*chunkSymbols*(1+delay)) + res.BackoffUses; int64(res.Uses) != want {
+		t.Errorf("uses = %d, want %d", res.Uses, want)
 	}
 }
 
@@ -157,7 +187,7 @@ func TestSupervisorResyncsOnDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := NewSupervisor(naive, counter, meter, SupervisorConfig{ChunkSymbols: 512})
+	sup, err := NewSupervisor(naive, counter, meter, SupervisorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,38 +211,6 @@ func TestSupervisorResyncsOnDivergence(t *testing.T) {
 	}
 	if res.InfoRatePerUse() <= 0 {
 		t.Errorf("info rate %v, want > 0", res.InfoRatePerUse())
-	}
-}
-
-func TestSupervisorRecoversAfterCleanStreak(t *testing.T) {
-	const n = 4
-	meter := meteredChannel(t, channel.Params{N: n, Pd: 0.1, Pi: 0.05}, 11)
-	naive, err := NewNaiveOver(meter, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter, err := NewCounterOver(meter, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := NewSupervisor(naive, counter, meter, SupervisorConfig{
-		ChunkSymbols: 256, RecoverAfter: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sup.Run(superMsg(12, 8000, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Naive diverges -> fallback; counter runs clean -> recovery;
-	// naive diverges again -> fallback again. Both transitions must
-	// appear.
-	if res.Recoveries == 0 {
-		t.Errorf("recoveries = 0, want > 0 with RecoverAfter = 2")
-	}
-	if res.Resyncs < 2 {
-		t.Errorf("resyncs = %d, want >= 2 (re-divergence after recovery)", res.Resyncs)
 	}
 }
 
@@ -242,9 +240,7 @@ func TestSupervisorDegradedUnderOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup, err := NewSupervisor(counter, nil, meter, SupervisorConfig{
-			AttemptUses: 4096, DegradedRateFloor: floor,
-		})
+		sup, err := NewSupervisor(counter, nil, meter, SupervisorConfig{DegradedRateFloor: floor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,9 +294,7 @@ func TestSupervisorDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup, err := NewSupervisor(arq, counter, meter, SupervisorConfig{
-			ChunkSymbols: 128, AttemptUses: 1024, MaxAttempts: 3,
-		})
+		sup, err := NewSupervisor(arq, counter, meter, SupervisorConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,21 +331,8 @@ func (panicProtocol) Run([]uint32) (Result, error) { panic("unrelated bug") }
 
 func TestSupervisorConfigErrors(t *testing.T) {
 	meter := meteredChannel(t, channel.Params{N: 4, Pd: 0.1}, 1)
-	counter, err := NewCounterOver(meter, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := NewSupervisor(nil, nil, meter, SupervisorConfig{}); err == nil {
 		t.Error("nil protocol accepted")
-	}
-	if _, err := NewSupervisor(counter, nil, nil, SupervisorConfig{AttemptUses: 100}); err == nil {
-		t.Error("attempt deadline without a meter accepted")
-	}
-	if _, err := NewSupervisor(counter, nil, meter, SupervisorConfig{ErrorThreshold: 2}); err == nil {
-		t.Error("error threshold 2 accepted")
-	}
-	if _, err := NewSupervisor(counter, nil, meter, SupervisorConfig{RecoverAfter: -1}); err == nil {
-		t.Error("negative recover-after accepted")
 	}
 }
 

@@ -42,7 +42,8 @@ type Result struct {
 	// differs from the message symbol at that position.
 	SymbolErrors int
 	// SkippedSymbols counts message symbols the counter protocol
-	// skipped to re-synchronize after insertions (always 0 for ARQ).
+	// skipped to re-synchronize after insertions, and the naive
+	// protocol's deletion and insertion events (always 0 for ARQ).
 	SkippedSymbols int
 	// MutualInfoPerSlot is the empirical mutual information in bits
 	// between the message symbol and the delivered symbol at aligned
