@@ -104,24 +104,23 @@ trace-smoke:
 		| tee "$$tmp/analysis.txt" && \
 	grep -q "agrees with the assumed point" "$$tmp/analysis.txt"
 
-# Tracing gate: a seeded 3-node kill/restart fault run over a shared
-# result store, with request tracing on and per-node trace files
+# Tracing gate: capload's one fault scenario (a traced 3-node cluster
+# over a shared result store, 90 requests, n2 killed before request 30
+# and restarted before request 60) with the per-node trace files
 # written out, then the capstat analyzer over those files. -assert
 # fails the run unless every response is byte-identical to a
-# single-node oracle, the restarted node serves the run's unique points
-# as pure cache traffic (LRU or store, never a recompute), some
-# non-owned key was served from the store where it landed, and the
-# fault machinery actually engaged (hedge, retry and degraded counters
-# all nonzero). The grep is the point of the gate: capstat only prints that
-# line when every chain invariant holds AND the trace-derived
-# accounting equals the routing counters exactly, across the kill and
-# the restart.
+# single-node oracle, the forward, store-local, hedge, retry and
+# degraded counters are all nonzero, no request outside [30, 60) failed
+# over or degraded, the restarted node serves the run's unique points
+# as pure cache traffic (LRU or store, never a recompute), and the
+# spans hold every chain invariant and reconcile with the counters. The
+# grep is the point of the gate: capstat only prints that line when
+# every chain invariant holds AND the trace-derived accounting equals
+# the routing counters exactly, across the kill and the restart, read
+# back from the files alone.
 trace-cluster-smoke:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/capload -mode cluster -cluster n1,n2,n3 \
-		-requests 90 -unique 8 -exact-n 8 \
-		-kill-after 30 -restart-after 60 -assert \
-		-trace-dir "$$tmp" && \
+	$(GO) run ./cmd/capload -mode cluster -assert -trace-dir "$$tmp" && \
 	$(GO) run ./cmd/capstat -counters "$$tmp/counters.json" \
 		"$$tmp"/n1.jsonl "$$tmp"/n2.jsonl "$$tmp"/n3.jsonl \
 		| tee "$$tmp/capstat.txt" && \

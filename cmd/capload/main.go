@@ -11,29 +11,27 @@
 //	capload -selfhost -mode load         # seeded mixed-workload run
 //	capload -addr http://127.0.0.1:8080 -mode load -requests 2000 -c 16
 //
-//	capload -mode cluster -cluster n1,n2,n3 \
-//	        -kill-after 60 -restart-after 130 -assert
-//	                                     # stand up an in-process
-//	                                     # 3-node cluster over a shared
-//	                                     # result store, kill and
-//	                                     # restart a node mid-run,
+//	capload -mode cluster -assert        # the fixed fault scenario: an
+//	                                     # in-process 3-node traced
+//	                                     # cluster over a shared result
+//	                                     # store, 90 requests, n2 killed
+//	                                     # before request 30 and
+//	                                     # restarted before request 60;
 //	                                     # assert byte identity vs a
-//	                                     # single-node oracle and
-//	                                     # post-restart convergence
-//	capload -mode cluster -cluster n1,n2,n3 -trace-dir /tmp/run -assert
-//	                                     # same fault run with request
-//	                                     # tracing on: per-node span
-//	                                     # files + counters.json for
-//	                                     # cmd/capstat, and -assert
-//	                                     # additionally requires the
-//	                                     # trace to reconcile exactly
-//	                                     # with the routing counters
+//	                                     # single-node oracle, the fault
+//	                                     # counters, post-restart
+//	                                     # convergence and exact trace
+//	                                     # reconciliation
+//	capload -mode cluster -trace-dir /tmp/run -assert
+//	                                     # same run, also writing the
+//	                                     # per-node span files and
+//	                                     # counters.json for cmd/capstat
 //
 // The request sequence (endpoints, parameter points, order) is a pure
 // function of -seed, so two runs against equivalent servers issue the
-// same workload; in cluster mode the dispatch choices and the
-// kill/restart schedule are seeded too, so a failing fault run replays
-// bit-for-bit.
+// same workload; in cluster mode the dispatch choices are seeded too,
+// so a failing fault run replays bit-for-bit. Cluster mode reads only
+// -seed, -assert and -trace-dir and refuses every other flag.
 package main
 
 import (
@@ -68,46 +66,39 @@ func run(args []string, out *os.File) error {
 		seed     = fs.Uint64("seed", 1, "request-sequence seed")
 		unique   = fs.Int("unique", 16, "distinct parameter points per endpoint (load mode)")
 		mixFlag  = fs.String("mix", "bounds=0.7,predict=0.2,simulate=0.1", "endpoint weights (load mode)")
-		exactN   = fs.Int("exact-n", 0, "bounds requests carry exact_n=<v> so misses pay real compute (load mode)")
+		exactN   = fs.Int("exact-n", 0, "bounds requests carry exact_n=<v> so misses pay real compute (load mode; 0 = none)")
 		workers  = fs.Int("workers", 0, "selfhost: compute workers (0 = GOMAXPROCS)")
 		queue    = fs.Int("queue", 64, "selfhost: compute queue depth")
 		cacheSz  = fs.Int("cache", 1024, "selfhost: LRU cache entries")
 
-		clusterFlag = fs.String("cluster", "n1,n2,n3", "cluster mode: comma-separated member names")
-		killAfter   = fs.Int("kill-after", 0, "cluster mode: kill a node before this request index (0 = requests/3, negative = no fault)")
-		restart     = fs.Int("restart-after", 0, "cluster mode: restart the killed node before this request index (0 = 2*requests/3, negative = leave it down)")
-		killNode    = fs.String("kill-node", "", "cluster mode: member to kill (default: middle of sorted names)")
-		hedge       = fs.Duration("hedge", 0, "cluster mode: hedge delay (0 = 5ms, negative = no hedging)")
-		storeDir    = fs.String("store", "", "cluster mode: shared result-store directory (default: fresh temp dir)")
-		assert      = fs.Bool("assert", false, "cluster mode: fail on any harness assertion (byte identity, convergence, fault counters)")
-		trace       = fs.Bool("trace", false, "cluster mode: trace every request and reconcile spans against routing counters")
-		traceDir    = fs.String("trace-dir", "", "cluster mode: write per-node trace JSONL and counters.json here for capstat (implies -trace)")
+		assert   = fs.Bool("assert", false, "cluster mode: fail on any harness assertion (byte identity, fault counters, convergence, trace reconciliation)")
+		traceDir = fs.String("trace-dir", "", "cluster mode: write per-node trace JSONL and counters.json here for capstat")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	switch *mode {
-	case "cluster":
-		return runCluster(*clusterFlag, cluster.HarnessOptions{
-			Requests:     *requests,
-			Seed:         *seed,
-			Unique:       *unique,
-			ExactN:       *exactN,
-			KillNode:     *killNode,
-			KillAfter:    *killAfter,
-			RestartAfter: *restart,
-			HedgeDelay:   *hedge,
-			StoreDir:     *storeDir,
-			Workers:      *workers,
-			QueueDepth:   *queue,
-			CacheEntries: *cacheSz,
-			Trace:        *trace,
-			TraceDir:     *traceDir,
-			Out:          out,
-		}, *assert, out)
+	if *mode == "cluster" {
+		var unread []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mode", "seed", "assert", "trace-dir":
+			default:
+				unread = append(unread, "-"+f.Name)
+			}
+		})
+		if len(unread) > 0 {
+			return fmt.Errorf("cluster mode runs one fixed scenario and reads no %s", strings.Join(unread, ", "))
+		}
+		return runCluster(cluster.HarnessOptions{Seed: *seed, TraceDir: *traceDir, Out: out}, *assert, out)
 	}
 
+	// Zero selects a size's default; a negative one is a mistake.
+	for _, name := range []string{"requests", "c", "unique", "exact-n"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s is negative", name, v)
+		}
+	}
 	base := strings.TrimRight(*addr, "/")
 	if *selfhost {
 		if base != "" {
@@ -166,17 +157,8 @@ func run(args []string, out *os.File) error {
 	}
 }
 
-// runCluster drives the multi-node fault harness over the
-// comma-separated member names.
-func runCluster(members string, o cluster.HarnessOptions, assert bool, out *os.File) error {
-	for _, n := range strings.Split(members, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			o.Nodes = append(o.Nodes, n)
-		}
-	}
-	if len(o.Nodes) < 2 {
-		return fmt.Errorf("-cluster %q names fewer than 2 members", members)
-	}
+// runCluster drives the multi-node fault harness scenario.
+func runCluster(o cluster.HarnessOptions, assert bool, out *os.File) error {
 	rep, err := cluster.RunHarness(o)
 	if err != nil {
 		return err
@@ -186,11 +168,7 @@ func runCluster(members string, o cluster.HarnessOptions, assert bool, out *os.F
 		if err := rep.Assert(); err != nil {
 			return err
 		}
-		if rep.Trace != nil {
-			fmt.Fprintln(out, "cluster-assert: byte identity, convergence, fault counters and trace reconciliation all hold")
-		} else {
-			fmt.Fprintln(out, "cluster-assert: byte identity, convergence and fault counters all hold")
-		}
+		fmt.Fprintln(out, "cluster-assert: byte identity, fault counters, convergence and trace reconciliation all hold")
 	}
 	return nil
 }

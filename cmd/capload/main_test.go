@@ -59,6 +59,11 @@ func TestFlagValidation(t *testing.T) {
 		{"-selfhost", "-mode", "warp"},
 		{"-selfhost", "-mode", "load", "-mix", "bogus"},
 		{"-selfhost", "-mode", "load", "-mix", "teleport=1"},
+		// Negative load sizes are refused, not mapped to defaults.
+		{"-selfhost", "-mode", "load", "-requests", "-2"},
+		{"-selfhost", "-mode", "load", "-c", "-2"},
+		{"-selfhost", "-mode", "load", "-unique", "-2"},
+		{"-selfhost", "-mode", "load", "-exact-n", "-2"},
 	}
 	for _, args := range cases {
 		if _, err := captureOut(t, func(f *os.File) error { return run(args, f) }); err == nil {
@@ -87,12 +92,7 @@ func TestClusterModeKillRestart(t *testing.T) {
 		t.Skip("multi-node fault harness")
 	}
 	out, err := captureOut(t, func(f *os.File) error {
-		return run([]string{
-			"-mode", "cluster", "-cluster", "n1,n2,n3",
-			"-requests", "90", "-unique", "8", "-exact-n", "8",
-			"-kill-after", "30", "-restart-after", "60",
-			"-store", t.TempDir(), "-assert",
-		}, f)
+		return run([]string{"-mode", "cluster", "-assert"}, f)
 	})
 	if err != nil {
 		t.Fatalf("cluster run: %v\n%s", err, out)
@@ -107,19 +107,16 @@ func TestClusterModeKillRestart(t *testing.T) {
 	}
 }
 
+// TestClusterFlagValidation: cluster mode runs one fixed scenario, so
+// a load-mode size given with it is refused by name instead of being
+// silently ignored.
 func TestClusterFlagValidation(t *testing.T) {
-	cases := [][]string{
-		{"-mode", "cluster", "-cluster", "solo"},    // < 2 members
-		{"-mode", "cluster", "-kill-node", "ghost"}, // unknown kill target
-		{"-mode", "cluster", "-kill-after", "50", // restart before kill
-			"-restart-after", "10"},
-		{"-mode", "cluster", "-requests", "-5"}, // negative sizes
-		{"-mode", "cluster", "-unique", "-1"},
-		{"-mode", "cluster", "-workers", "-2"},
+	args := []string{"-mode", "cluster", "-requests", "90", "-assert"}
+	out, err := captureOut(t, func(f *os.File) error { return run(args, f) })
+	if err == nil || !strings.Contains(err.Error(), "-requests") {
+		t.Errorf("%v: error %v, want one naming -requests", args, err)
 	}
-	for _, args := range cases {
-		if _, err := captureOut(t, func(f *os.File) error { return run(args, f) }); err == nil {
-			t.Errorf("args %v accepted, want error", args)
-		}
+	if out != "" {
+		t.Errorf("%v: printed %q before refusing", args, out)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -84,6 +85,14 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Zero selects a size's default; a negative one is a mistake, not
+	// another way to say zero. (-session-ttl, -health-tick and
+	// -hedge-delay give negatives a meaning of their own.)
+	for _, name := range []string{"workers", "queue", "cache", "max-symbols", "max-sessions", "timeout"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s is negative", name, v)
+		}
 	}
 	if (*clusterFlag == "") != (*self == "") {
 		return fmt.Errorf("-cluster and -self must be set together")

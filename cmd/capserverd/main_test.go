@@ -65,12 +65,27 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestBadFlags: each case fails before the daemon serves. A negative
+// size is refused, not mapped to a default (or, for -max-sessions, to a
+// cap that refuses every session). The run context is already
+// canceled, so a daemon that wrongly starts drains at once and returns
+// nil.
 func TestBadFlags(t *testing.T) {
-	if err := run(context.Background(), []string{"-addr"}, os.Stderr); err == nil {
-		t.Error("dangling -addr accepted")
-	}
-	if err := run(context.Background(), []string{"-addr", "256.0.0.1:99999"}, os.Stderr); err == nil {
-		t.Error("unlistenable address accepted")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-addr"},
+		{"-addr", "256.0.0.1:99999"},
+		{"-workers", "-1"},
+		{"-queue", "-5"},
+		{"-cache", "-1"},
+		{"-max-symbols", "-1"},
+		{"-max-sessions", "-5"},
+		{"-timeout", "-1s"},
+	} {
+		if err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), os.Stderr); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

@@ -11,12 +11,17 @@
 //	                                             # every -interval
 //	capwatch -target http://host:8080 -once      # one deterministic
 //	                                             # page, then exit (CI)
-//	capwatch -mode harness -assert               # kill/restart a member
-//	                                             # and gate the exact
-//	                                             # healthy -> firing ->
-//	                                             # resolved timeline,
-//	                                             # byte-identical at
-//	                                             # -jobs 1 and -jobs 8
+//	capwatch -mode harness -assert               # the fixed alert
+//	                                             # scenario: 12 requests
+//	                                             # a tick, the probe
+//	                                             # path's owner killed
+//	                                             # and restarted; gate
+//	                                             # the exact healthy ->
+//	                                             # firing -> resolved
+//	                                             # timeline, identical
+//	                                             # at -jobs (default 4)
+//	                                             # and at -jobs 1 (8 if
+//	                                             # -jobs is 1)
 //
 // The harness timeline and the rendered page are pure functions of
 // their inputs: wall-clock timing goes to separate "timing:" lines so
@@ -53,10 +58,9 @@ func run(args []string, out io.Writer) error {
 		once     = fs.Bool("once", false, "watch mode: render one page and exit")
 		count    = fs.Int("count", 0, "watch mode: pages to render before exiting (0 = forever)")
 
-		jobs    = fs.Int("jobs", 4, "harness mode: request send parallelism; the timeline must not depend on it")
-		seed    = fs.Uint64("seed", 1, "harness mode: scenario seed (probe path, and with it the kill target)")
-		reqTick = fs.Int("requests-per-tick", 0, "harness mode: per-tick workload (0 = default 12)")
-		assert  = fs.Bool("assert", false, "harness mode: fail unless the full alert lifecycle and jobs-invariance hold")
+		jobs   = fs.Int("jobs", 4, "harness mode: request send parallelism, at least 1; the timeline must not depend on it")
+		seed   = fs.Uint64("seed", 1, "harness mode: scenario seed (probe path, and with it the kill target)")
+		assert = fs.Bool("assert", false, "harness mode: fail unless the full alert lifecycle and jobs-invariance hold")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,12 +71,7 @@ func run(args []string, out io.Writer) error {
 		return watch(out, *target, *interval, *once, *count)
 
 	case "harness":
-		opts := cluster.HealthHarnessOptions{
-			Jobs:            *jobs,
-			Seed:            *seed,
-			RequestsPerTick: *reqTick,
-			Out:             out,
-		}
+		opts := cluster.HealthHarnessOptions{Seed: *seed, Jobs: *jobs, Out: out}
 		report, survivors, err := cluster.RunHealthHarness(opts)
 		if err != nil {
 			return err

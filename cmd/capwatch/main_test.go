@@ -109,12 +109,12 @@ func TestHarnessSmall(t *testing.T) {
 	}
 }
 
-// TestHarnessFlagValidation checks that a negative harness size is
-// refused before any member starts, not mapped to its default.
+// TestHarnessFlagValidation checks that a send parallelism below 1 is
+// refused before any member starts, not mapped to a default.
 func TestHarnessFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "harness", "-jobs", "-2"},
-		{"-mode", "harness", "-requests-per-tick", "-1"},
+		{"-mode", "harness", "-jobs", "0"},
 	} {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {

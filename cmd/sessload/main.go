@@ -12,18 +12,24 @@
 //	                                  # simulate 10^5 sessions, drift a
 //	                                  # tenth of them, assert
 //	                                  # convergence/detection
-//	sessload -mode cluster -assert    # 3-node sharded cluster: ingest
-//	                                  # through every node, kill and
-//	                                  # restart a session owner
-//	                                  # mid-run, assert single
-//	                                  # ownership, honest 502s during
-//	                                  # the outage, and full recovery
+//	sessload -mode cluster -assert    # the fixed session fault
+//	                                  # scenario: a 3-node sharded
+//	                                  # cluster, 48 sessions x 9 rounds
+//	                                  # x 40 events ingested through
+//	                                  # every node, session owner n2
+//	                                  # killed before round 3 and
+//	                                  # restarted before round 6; assert
+//	                                  # single ownership, honest 502s
+//	                                  # for writes and reads during the
+//	                                  # outage, and every event applied
+//	                                  # exactly once
 //
 // Everything the report prints is a pure function of the flags: the
 // per-session channels, the drift walks, and the batch schedule all
 // derive from -seed, and the output is byte-identical at any -jobs
 // count (wall-clock timing goes to a separate "timing:" line so the
-// deterministic report stays diffable).
+// deterministic report stays diffable). Cluster mode reads only -seed
+// and -assert and refuses every other flag.
 package main
 
 import (
@@ -49,23 +55,16 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("sessload", flag.ContinueOnError)
 	var (
 		mode      = fs.String("mode", "run", "mode: run | cluster")
-		sessions  = fs.Int("sessions", 0, "concurrent simulated sessions (0 = the mode's default: 1000 in run mode, 48 in cluster mode)")
+		sessions  = fs.Int("sessions", 0, "run mode: concurrent simulated sessions (0 = default 1000)")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
-		jobs      = fs.Int("jobs", 0, "worker goroutines (0 = GOMAXPROCS); any value yields byte-identical output")
-		cleanUses = fs.Int("clean-uses", 0, "uses per session before drift onset (0 = default 1200)")
-		driftUses = fs.Int("drift-uses", 0, "uses per drifted session after onset (0 = default 1200)")
-		driftEvr  = fs.Int("drift-every", 0, "every k-th session drifts (0 = default 10, negative = no drift)")
-		inject    = fs.String("inject", "", "faultinject spec for the drift regime (default drift=0.25)")
-		batch     = fs.Int("batch", 0, "events per ingest batch (0 = default 400)")
-		maxDelay  = fs.Int64("max-delay", 0, "assert: max allowed detection delay in uses (0 = drift window)")
-		assert    = fs.Bool("assert", false, "fail on any acceptance bound (convergence, detection, false alarms)")
-
-		clusterFlag = fs.String("cluster", "n1,n2,n3", "cluster mode: comma-separated member names")
-		rounds      = fs.Int("rounds", 0, "cluster mode: batch rounds per session (0 = default 9)")
-		perBatch    = fs.Int("events-per-batch", 0, "cluster mode: events per batch (0 = default 40)")
-		killAfter   = fs.Int("kill-after", 0, "cluster mode: kill a node before this round (0 = rounds/3, negative = no fault)")
-		restart     = fs.Int("restart-after", 0, "cluster mode: restart the killed node before this round (0 = 2*rounds/3, negative = leave it down)")
-		killNode    = fs.String("kill-node", "", "cluster mode: member to kill (default: middle of sorted names)")
+		jobs      = fs.Int("jobs", 0, "run mode: worker goroutines (0 = GOMAXPROCS); any value yields byte-identical output")
+		cleanUses = fs.Int("clean-uses", 0, "run mode: uses per session before drift onset (0 = default 1200)")
+		driftUses = fs.Int("drift-uses", 0, "run mode: uses per drifted session after onset (0 = default 1200)")
+		driftEvr  = fs.Int("drift-every", 0, "run mode: every k-th session drifts (0 = default 10, negative = no drift)")
+		inject    = fs.String("inject", "", "run mode: faultinject spec for the drift regime (default drift=0.25)")
+		batch     = fs.Int("batch", 0, "run mode: events per ingest batch (0 = default 400)")
+		maxDelay  = fs.Int64("max-delay", 0, "run mode: assert's max allowed detection delay in uses (0 = drift window)")
+		assert    = fs.Bool("assert", false, "fail on any acceptance bound (run: convergence, detection, false alarms; cluster: the harness gate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,26 +101,18 @@ func run(args []string, out *os.File) error {
 		return nil
 
 	case "cluster":
-		var names []string
-		for _, n := range strings.Split(*clusterFlag, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
+		var unread []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mode", "seed", "assert":
+			default:
+				unread = append(unread, "-"+f.Name)
 			}
-		}
-		if len(names) < 2 {
-			return fmt.Errorf("-cluster %q names fewer than 2 members", *clusterFlag)
-		}
-		rep, err := cluster.RunSessionHarness(cluster.SessionHarnessOptions{
-			Nodes:          names,
-			Sessions:       *sessions,
-			Rounds:         *rounds,
-			EventsPerBatch: *perBatch,
-			Seed:           *seed,
-			KillNode:       *killNode,
-			KillAfter:      *killAfter,
-			RestartAfter:   *restart,
-			Out:            out,
 		})
+		if len(unread) > 0 {
+			return fmt.Errorf("cluster mode runs one fixed scenario and reads no %s", strings.Join(unread, ", "))
+		}
+		rep, err := cluster.RunSessionHarness(cluster.SessionHarnessOptions{Seed: *seed, Out: out})
 		if err != nil {
 			return err
 		}
@@ -130,7 +121,7 @@ func run(args []string, out *os.File) error {
 			if err := rep.Assert(); err != nil {
 				return err
 			}
-			fmt.Fprintln(out, "cluster-assert: session ownership, outage honesty and recovery all hold")
+			fmt.Fprintln(out, "cluster-assert: session ownership, outage honesty, exactly-once ingest and recovery all hold")
 		}
 		return nil
 

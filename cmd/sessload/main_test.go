@@ -67,13 +67,11 @@ func TestRunModeDeterministic(t *testing.T) {
 func TestFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "warp"},
-		{"-mode", "cluster", "-cluster", "solo"}, // < 2 members
 		{"-mode", "run", "-sessions", "20", "-inject", "bogus=spec"},
 		{"-mode", "run", "-sessions", "-3"},
 		{"-mode", "run", "-sessions", "20", "-batch", "-1"},
-		{"-mode", "cluster", "-sessions", "-3"},
-		{"-mode", "cluster", "-rounds", "-1"},
-		{"-mode", "cluster", "-events-per-batch", "-2"},
+		// Cluster mode runs one fixed scenario and reads no size.
+		{"-mode", "cluster", "-sessions", "48"},
 		// No session drifts, so the detection bound would hold vacuously.
 		{"-mode", "run", "-sessions", "200", "-seed", "7", "-drift-every", "-1", "-assert"},
 	}
@@ -94,8 +92,6 @@ func TestClusterModeKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster run: %v\n%s", err, out)
 	}
-	// Without -sessions, cluster mode runs the harness's own default
-	// size, not run mode's 1000.
 	for _, want := range []string{"killed n2", "restarted n2", "cluster-assert:", "sessions:   48 x 9 rounds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster output missing %q:\n%s", want, out)

@@ -92,7 +92,7 @@ type ResultStore interface {
 // those entries and recomputes them instead of serving bytes this code
 // would not produce. Bump it with any change to a served body.
 // Canonicalize's key, and so ring placement, leaves it out.
-const resultsVersion = "results/2"
+const resultsVersion = "results/3"
 
 // storeKey is the durable store's key for a canonical key.
 func storeKey(key string) string { return resultsVersion + " " + key }

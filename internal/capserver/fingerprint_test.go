@@ -18,7 +18,7 @@ import (
 // recorded under. A change to served bytes must bump resultsVersion
 // (stored bodies are keyed by it) and re-record the digests, so the
 // test fails when either moves alone.
-const fingerprintVersion = "results/2"
+const fingerprintVersion = "results/3"
 
 // fingerprintDigests records, per GOARCH, the SHA-256 of the bodies
 // each probe group serves, in probe order. The Go spec lets a compiler
@@ -29,8 +29,8 @@ var fingerprintDigests = map[string]map[string]string{
 		"ba":          "060c9848c27e692fd14ea521922631237d7543f7aac0581bf52637d6d8e9718e",
 		"bounds":      "7184078b720285ec2adfb0f929b483e5e8830b8a5cebdf5346de3923342cd539",
 		"predict":     "acb02b73cf1b44f85678095e5ba13a2fdee9572e596e5713c9b2f89722010df0",
-		"simulate":    "79097c319c38feba510e1580e2194868f8b7d3c99a6474c689aacb1dacecfc68",
-		"trace":       "4b9a5cd82cd39721995520d612b13188634215afe6d3f19e605c771602f7f765",
+		"simulate":    "1e77fdca0724933bbcedd202bff00f2832c1086ed491759f0858fa64b2735194",
+		"trace":       "d5f3db6842fecc956e39be1cfebe57e1c4afbd7c9471c34ca476bb5039923a8f",
 		"batch":       "46b8a039f4ad99b421b6c20fb20c11d32a19e8212c2bc3b656b7edda09f6f1bb",
 		"experiments": "d12b1f693b1b8f3ddabdba305222cd77017a6f2c22907b4ad143d6c47f819626",
 		"sessions":    "98f7d608ef9c053ad35cc6433037db427583565d4d459aa048e1d3a3cffe51ad",
@@ -79,8 +79,9 @@ func baProbes() []probe {
 }
 
 // supervisedProbes returns one /v1/simulate or /v1/trace request per
-// protocol with a fault spec, plus an ARQ point whose outage fails
-// every attempt of every chunk.
+// protocol with a fault spec, plus an ARQ point and a delayed ARQ point
+// whose outage fails every attempt of every chunk (the delayed point
+// pins its ARQ attempt deadline).
 func supervisedProbes(endpoint string) []probe {
 	var ps []probe
 	for _, q := range []string{
@@ -89,6 +90,7 @@ func supervisedProbes(endpoint string) []probe {
 		"proto=naive&n=4&pd=0.1&pi=0.05&symbols=2000&seed=3&inject=jam%3D0.1",
 		"proto=delayed&n=4&pd=0.1&delay=2&symbols=2000&seed=3&inject=outage%3D0.2",
 		"proto=arq&n=4&pd=0.3&symbols=2000&seed=2&delay=4&inject=outage%3D0.9",
+		"proto=delayed&n=4&pd=0.3&symbols=2000&seed=2&delay=4&inject=outage%3D0.9",
 	} {
 		ps = append(ps, getProbe(endpoint+"?"+q))
 	}

@@ -49,7 +49,7 @@ type SessionSummaryJSON struct {
 func fromSnapshot(snap session.Snapshot) SessionSummaryJSON {
 	return SessionSummaryJSON{
 		ID:            snap.ID,
-		N:             snap.N,
+		N:             session.N,
 		Status:        string(snap.Status),
 		LastUse:       snap.LastUse,
 		Drifts:        snap.Drifts,
@@ -257,7 +257,7 @@ func (s *Server) sessionBounds(r *http.Request, snap session.Snapshot) (bounds j
 		return nil, "", "no events yet"
 	}
 	q := func(p float64) float64 { return math.Round(p*1000) / 1000 }
-	params := channel.Params{N: snap.N, Pd: q(snap.Estimate.Pd), Pi: q(snap.Estimate.Pi), Ps: q(snap.Estimate.Ps)}
+	params := channel.Params{N: session.N, Pd: q(snap.Estimate.Pd), Pi: q(snap.Estimate.Pi), Ps: q(snap.Estimate.Ps)}
 	if err := params.Validate(); err != nil {
 		return nil, "", fmt.Sprintf("estimate outside analytic domain: %v", err)
 	}

@@ -117,7 +117,16 @@ func TestSessionIngestErrors(t *testing.T) {
 	if err := json.Unmarshal(body, &errResp); err != nil || errResp.Line != 2 {
 		t.Fatalf("bad line response %s (err %v), want line 2", body, err)
 	}
-	// The failed batch is atomic: use 2 did not land.
+	// A symbol wider than the session.N-bit alphabet the served bounds
+	// assume: 400 naming its line.
+	wide := `{"u":2,"k":"T","s":15,"r":15}` + "\n" + `{"u":3,"k":"T","s":16,"r":16}` + "\n"
+	status, body = postNDJSON(t, ts.URL, "/v1/sessions/e-1/events", wide)
+	errResp.Line = 0
+	if status != http.StatusBadRequest || json.Unmarshal(body, &errResp) != nil || errResp.Line != 2 ||
+		!strings.Contains(errResp.Error, "16 out of [0, 15]") {
+		t.Fatalf("wide symbol status %d: %s, want 400 naming line 2 and the range", status, body)
+	}
+	// The failed batches are atomic: use 2 did not land.
 	code, _, body := get(t, ts.URL, "/v1/sessions/e-1")
 	var got SessionResponse
 	if code != http.StatusOK || json.Unmarshal(body, &got) != nil || got.LastUse != 1 {

@@ -21,11 +21,11 @@ import (
 )
 
 // This file is the multi-node fault harness behind `capload -mode
-// cluster` and `make trace-cluster-smoke`: it boots an N-node Testbed
-// (every member wired by StartProc, as capserverd wires one, all sharing
-// one casstore directory), replays a seeded workload against it while
-// killing and restarting a node mid-run, and checks the two properties
-// the cluster design promises:
+// cluster` and `make trace-cluster-smoke`: it boots a three-member
+// Testbed (every member wired by StartProc, as capserverd wires one,
+// all sharing one casstore directory), replays a seeded workload
+// against it while killing and restarting a member mid-run, and checks
+// the two properties the cluster design promises:
 //
 //   - byte identity: every response body equals what a single plain
 //     capserver (the oracle) produces for the same path, regardless of
@@ -36,110 +36,52 @@ import (
 //     pure cache traffic (LRU hit or store hit) — the cluster never
 //     recomputes a point it has already computed anywhere.
 //
-// The workload, the per-request dispatch choice, and the kill/restart
-// schedule are pure functions of the options, so a failing run is
+// The scenario is fixed (harnessRequests and computeFault); the seed
+// picks the workload and the per-request dispatch, so a failing run is
 // replayable bit-for-bit.
+
+// harnessNodes are the compute and session harnesses' members.
+var harnessNodes = []string{"n1", "n2", "n3"}
+
+// The compute scenario: 90 requests over 8 points per endpoint, every
+// bounds point carrying exact_n=8, on members with 2 workers each. An
+// exact_n=8 compute takes tens of milliseconds, far above the 5 ms
+// hedge delay, so forwarded cold computes hedge; the hedge delay is
+// above the primary's whole retry budget against a dead peer (sub-ms
+// refusals plus the 1 ms peer backoff), so a dead owner degrades to
+// local compute instead of being absorbed by the hedge.
+const (
+	harnessRequests = 90
+	harnessUnique   = 8
+	harnessExactN   = 8
+	harnessWorkers  = 2
+	harnessHedge    = 5 * time.Millisecond
+	// peerBackoff is every harness member's retry backoff base.
+	peerBackoff = time.Millisecond
+)
+
+// computeFault kills n2 before request 30 and restarts it before
+// request 60.
+var computeFault = fault{node: "n2", kill: 30, restart: 60}
 
 // HarnessOptions configures a cluster fault-harness run.
 type HarnessOptions struct {
-	// Nodes are the member names (default n1, n2, n3).
-	Nodes []string
-	// Requests is the workload length (default 200).
-	Requests int
-	// Seed drives both the request plan and the dispatch sequence
-	// (default 1).
+	// Seed drives both the request plan and the dispatch sequence.
 	Seed uint64
-	// Unique is the number of distinct parameter points per endpoint
-	// (default 12).
-	Unique int
-	// ExactN makes bounds misses pay a real exact-enumeration compute
-	// (default 8, ~40ms — long enough that a forwarded cold compute
-	// always outlives the hedge delay).
-	ExactN int
-	// KillNode is the member to kill (default the second node in
-	// sorted order). Ignored when KillAfter < 0.
-	KillNode string
-	// KillAfter kills KillNode just before issuing this request index
-	// (default Requests/3). Negative disables the fault entirely.
-	KillAfter int
-	// RestartAfter restarts the killed node just before this request
-	// index (default 2*Requests/3). Negative leaves it down.
-	RestartAfter int
-	// HedgeDelay for every node (default 5ms: far below a cold exact
-	// compute, so forwarded cold computes always hedge — but above the
-	// primary's full retry budget against a dead peer (sub-ms refusals
-	// plus the 1ms peer backoff), so a dead owner deterministically
-	// degrades to local compute instead of being absorbed by the
-	// hedge). Negative disables hedging.
-	HedgeDelay time.Duration
-	// StoreDir is the shared result-store directory (default: a fresh
-	// temp directory, removed when the run ends).
-	StoreDir string
-	// Workers, QueueDepth, CacheEntries configure each node's
-	// capserver (defaults: 2, then capserver's 64 and 1024).
-	Workers, QueueDepth, CacheEntries int
-	// Trace turns on request tracing: every incarnation gets its own
-	// tracer (seeded with its generation number, so a restart cannot
-	// replay IDs), and the run ends by analyzing the merged spans and
-	// reconciling them against the routing counters.
-	Trace bool
-	// TraceDir, when set, implies Trace and writes each member's
-	// merged trace to <dir>/<member>.jsonl plus the per-member routing
-	// counters to <dir>/counters.json — the capstat CLI's input.
+	// TraceDir, when set, receives each member's merged trace as
+	// <dir>/<member>.jsonl and the per-member routing counters as
+	// <dir>/counters.json — the capstat CLI's input.
 	TraceDir string
-	// Out receives progress lines (default: discard).
+	// Out receives progress lines (nil: discarded).
 	Out io.Writer
 }
 
-// size is one count option of a harness; zero selects its default.
-type size struct {
-	name string
-	v    int
-}
-
-// negativeSize returns an error naming the first negative size.
-func negativeSize(sizes ...size) error {
-	for _, s := range sizes {
-		if s.v < 0 {
-			return fmt.Errorf("cluster: %s %d is negative (0 selects the default)", s.name, s.v)
-		}
+// orDiscard is w, or io.Discard when w is nil.
+func orDiscard(w io.Writer) io.Writer {
+	if w == nil {
+		return io.Discard
 	}
-	return nil
-}
-
-// withDefaults fills unset fields and rejects a negative size.
-func (o HarnessOptions) withDefaults() (HarnessOptions, error) {
-	if err := negativeSize(size{"Requests", o.Requests}, size{"Unique", o.Unique}, size{"Workers", o.Workers}); err != nil {
-		return o, err
-	}
-	if len(o.Nodes) == 0 {
-		o.Nodes = []string{"n1", "n2", "n3"}
-	}
-	if o.Requests == 0 {
-		o.Requests = 200
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Unique == 0 {
-		o.Unique = 12
-	}
-	if o.ExactN == 0 {
-		o.ExactN = 8
-	}
-	if o.HedgeDelay == 0 {
-		o.HedgeDelay = 5 * time.Millisecond
-	}
-	if o.Workers == 0 {
-		o.Workers = 2
-	}
-	if o.TraceDir != "" {
-		o.Trace = true
-	}
-	if o.Out == nil {
-		o.Out = io.Discard
-	}
-	return o, nil
+	return w
 }
 
 // NodeCounters is one member's routing counts, keyed by counter family
@@ -212,25 +154,25 @@ type Convergence struct {
 
 // HarnessReport aggregates one harness run.
 type HarnessReport struct {
-	Requests     int         `json:"requests"`
 	Failovers    int         `json:"failovers"`
 	Mismatches   int         `json:"mismatches"`
 	Status       map[int]int `json:"-"`
 	DegradedSeen int         `json:"degraded_seen"` // responses carrying X-Capserver-Degraded
 	HedgedSeen   int         `json:"hedged_seen"`   // responses carrying X-Capserver-Hedge
 	ForwardSeen  int         `json:"forward_seen"`  // responses carrying X-Capserver-Peer
-
-	Killed    string `json:"killed,omitempty"`
-	Restarted bool   `json:"restarted"`
+	// OutsideWindow counts the requests outside the kill window that
+	// failed over or came back degraded: with every member up, nothing
+	// should.
+	OutsideWindow int `json:"outside_window"`
 
 	Nodes       map[string]NodeCounters `json:"nodes"`
 	Convergence Convergence             `json:"convergence"`
 
-	// Trace is the capstat verdict over the run's merged spans (traced
-	// runs only), and TraceMismatches its reconciliation against the
-	// routing counters — both must be clean for Assert to pass.
-	Trace           *TraceCheck `json:"trace,omitempty"`
-	TraceMismatches []string    `json:"trace_mismatches,omitempty"`
+	// Trace is the capstat verdict over the run's merged spans, and
+	// TraceMismatches its reconciliation against the routing counters —
+	// both must be clean for Assert to pass.
+	Trace           TraceCheck `json:"trace"`
+	TraceMismatches []string   `json:"trace_mismatches,omitempty"`
 
 	StoreEntries int           `json:"store_entries"`
 	Wall         time.Duration `json:"-"`
@@ -242,7 +184,7 @@ func (r *HarnessReport) Totals() NodeCounters { return sumCounts(r.Nodes) }
 // Format renders the report for humans.
 func (r *HarnessReport) Format(w io.Writer) {
 	fmt.Fprintf(w, "requests:   %d in %v, %d failovers, %d mismatches\n",
-		r.Requests, r.Wall.Round(time.Millisecond), r.Failovers, r.Mismatches)
+		harnessRequests, r.Wall.Round(time.Millisecond), r.Failovers, r.Mismatches)
 	codes := make([]int, 0, len(r.Status))
 	for c := range r.Status {
 		codes = append(codes, c)
@@ -253,74 +195,66 @@ func (r *HarnessReport) Format(w io.Writer) {
 	}
 	fmt.Fprintf(w, "responses:  %d forwarded, %d hedged, %d degraded\n",
 		r.ForwardSeen, r.HedgedSeen, r.DegradedSeen)
-	if r.Killed != "" {
-		fmt.Fprintf(w, "fault:      killed %s (restarted=%v)\n", r.Killed, r.Restarted)
-	}
+	f := computeFault
+	fmt.Fprintf(w, "fault:      killed %s before request %d, restarted before request %d; %d requests outside that window failed over or degraded\n",
+		f.node, f.kill, f.restart, r.OutsideWindow)
 	formatCounts(w, r.Nodes, routeOwned, routeSessionOwned)
-	if r.Trace != nil {
-		fmt.Fprintf(w, "trace:      %d requests, %d spans, %d violations, %d counter mismatches\n",
-			r.Trace.Requests, r.Trace.Spans, len(r.Trace.Violations), len(r.TraceMismatches))
-	}
-	if r.Restarted {
-		c := r.Convergence
-		fmt.Fprintf(w, "convergence: %d paths -> %d store, %d hit, %d recomputed, %d errors\n",
-			c.Paths, c.StoreHits, c.CacheHits, c.Recomputed, c.Errors)
-	}
+	fmt.Fprintf(w, "trace:      %d requests, %d spans, %d violations, %d counter mismatches\n",
+		r.Trace.Requests, r.Trace.Spans, len(r.Trace.Violations), len(r.TraceMismatches))
+	c := r.Convergence
+	fmt.Fprintf(w, "convergence: %d paths -> %d store, %d hit, %d recomputed, %d errors\n",
+		c.Paths, c.StoreHits, c.CacheHits, c.Recomputed, c.Errors)
 	fmt.Fprintf(w, "store:      %d entries\n", r.StoreEntries)
 }
 
 // Assert is the acceptance gate for `capload -mode cluster -assert`:
-// byte identity must hold for every response, the restarted node must
-// be pure cache traffic, a non-owned key already in the shared store
-// must have been served where it landed at least once (every harness
-// run shares one store), and when a node was killed the fault
-// machinery must actually have engaged (hedge, retry and degraded
-// counters all nonzero).
+// byte identity must hold for every response; the fault machinery must
+// have engaged (forward, store-local, hedge, retry and degraded
+// counters all nonzero) and only inside the kill window; the restarted
+// node must be pure cache traffic; and the trace must hold every chain
+// invariant and reconcile exactly with the routing counters.
 func (r *HarnessReport) Assert() error {
 	var fails []string
 	if r.Mismatches != 0 {
 		fails = append(fails, fmt.Sprintf("%d responses differ from the single-node oracle", r.Mismatches))
 	}
+	if r.OutsideWindow != 0 {
+		fails = append(fails, fmt.Sprintf("%d requests outside the kill window [%d, %d) failed over or degraded",
+			r.OutsideWindow, computeFault.kill, computeFault.restart))
+	}
 	t := r.Totals()
-	if t[routes[routeForward].family] == 0 {
-		fails = append(fails, "no request was ever forwarded (dispatch never crossed shards?)")
-	}
-	if t[routes[routeStoreLocal].family] == 0 {
-		fails = append(fails, "no non-owned request was served from the shared store at its origin")
-	}
-	if t[routes[routeHedge].family] == 0 {
-		fails = append(fails, "no hedged request fired")
-	}
-	if r.Killed != "" {
-		if t[routes[routeRetry].family] == 0 {
-			fails = append(fails, "node killed but no peer attempt was retried")
-		}
-		if t[routes[routeDegraded].family] == 0 {
-			fails = append(fails, "node killed but no request degraded to local compute")
+	for _, need := range []struct {
+		route route
+		fail  string
+	}{
+		{routeForward, "no request was ever forwarded (dispatch never crossed shards?)"},
+		{routeStoreLocal, "no non-owned request was served from the shared store at its origin"},
+		{routeHedge, "no hedged request fired"},
+		{routeRetry, "no peer attempt to the killed node was retried"},
+		{routeDegraded, "no request degraded to local compute while its owner was down"},
+	} {
+		if t[routes[need.route].family] == 0 {
+			fails = append(fails, need.fail)
 		}
 	}
-	if r.Restarted {
-		c := r.Convergence
-		if c.Paths == 0 {
-			fails = append(fails, "convergence check ran over zero paths")
-		}
-		if c.Recomputed != 0 {
-			fails = append(fails, fmt.Sprintf("restarted node recomputed %d already-computed points", c.Recomputed))
-		}
-		if c.Errors != 0 {
-			fails = append(fails, fmt.Sprintf("%d convergence probes failed", c.Errors))
-		}
+	c := r.Convergence
+	if c.Paths == 0 {
+		fails = append(fails, "convergence check ran over zero paths")
 	}
-	if r.Trace != nil {
-		if r.Trace.Spans == 0 {
-			fails = append(fails, "tracing was on but no span was recorded")
-		}
-		for _, v := range r.Trace.Violations {
-			fails = append(fails, "trace invariant: "+v)
-		}
-		for _, m := range r.TraceMismatches {
-			fails = append(fails, "trace/counter mismatch: "+m)
-		}
+	if c.Recomputed != 0 {
+		fails = append(fails, fmt.Sprintf("restarted node recomputed %d already-computed points", c.Recomputed))
+	}
+	if c.Errors != 0 {
+		fails = append(fails, fmt.Sprintf("%d convergence probes failed", c.Errors))
+	}
+	if r.Trace.Spans == 0 {
+		fails = append(fails, "no span was recorded")
+	}
+	for _, v := range r.Trace.Violations {
+		fails = append(fails, "trace invariant: "+v)
+	}
+	for _, m := range r.TraceMismatches {
+		fails = append(fails, "trace/counter mismatch: "+m)
 	}
 	if len(fails) > 0 {
 		return fmt.Errorf("cluster: harness assertions failed:\n  %s", strings.Join(fails, "\n  "))
@@ -334,30 +268,15 @@ type traceBuf struct {
 	buf    *bytes.Buffer
 }
 
-// peerBackoff is every harness member's retry backoff base (see
-// HarnessOptions.HedgeDelay).
-const peerBackoff = time.Millisecond
-
-// RunHarness executes a cluster fault-harness run.
+// RunHarness executes the cluster fault-harness scenario.
 func RunHarness(o HarnessOptions) (*HarnessReport, error) {
-	o, err := o.withDefaults()
+	out := orDiscard(o.Out)
+	storeDir, err := os.MkdirTemp("", "capcluster-*")
 	if err != nil {
 		return nil, err
 	}
-	storeDir := o.StoreDir
-	if storeDir == "" {
-		dir, err := os.MkdirTemp("", "capcluster-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		storeDir = dir
-	}
-	srvCfg := capserver.Config{
-		Workers:      o.Workers,
-		QueueDepth:   o.QueueDepth,
-		CacheEntries: o.CacheEntries,
-	}
+	defer os.RemoveAll(storeDir)
+	srvCfg := capserver.Config{Workers: harnessWorkers}
 
 	// The oracle: one plain capserver, no cluster, no store. Its
 	// bodies are the ground truth every cluster response must match.
@@ -376,32 +295,29 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	// traces holds every incarnation's span buffer, in incarnation
 	// order, so the report merges a member's whole history.
 	traces := make(map[string][]traceBuf)
-	tb, err := StartTestbed(o.Nodes, func(name string, incarnation int) ProcConfig {
-		cfg := ProcConfig{
+	tb, err := StartTestbed(harnessNodes, func(name string, incarnation int) ProcConfig {
+		// The incarnation number seeds its trace IDs: a restart resets
+		// the per-node sequence, and a distinct seed is what keeps the
+		// new incarnation's IDs disjoint from the old.
+		t := traceBuf{buf: &bytes.Buffer{}}
+		t.tracer = obs.NewTracer(t.buf)
+		traces[name] = append(traces[name], t)
+		return ProcConfig{
 			Server:   srvCfg,
 			StoreDir: storeDir,
-			Cluster:  Config{HedgeDelay: o.HedgeDelay, PeerBackoff: peerBackoff},
+			Cluster: Config{
+				HedgeDelay:  harnessHedge,
+				PeerBackoff: peerBackoff,
+				Tracer:      t.tracer,
+				TraceSeed:   uint64(incarnation + 1),
+			},
 		}
-		if o.Trace {
-			// The incarnation number seeds its trace IDs: a restart
-			// resets the per-node sequence, and a distinct seed is what
-			// keeps the new incarnation's IDs disjoint from the old.
-			t := traceBuf{buf: &bytes.Buffer{}}
-			t.tracer = obs.NewTracer(t.buf)
-			traces[name] = append(traces[name], t)
-			cfg.Cluster.Tracer = t.tracer
-			cfg.Cluster.TraceSeed = uint64(incarnation + 1)
-		}
-		return cfg
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer tb.Close()
-	fault, err := Fault{Node: o.KillNode, KillAt: o.KillAfter, RestartAt: o.RestartAfter}.resolve(tb.Names, o.Requests)
-	if err != nil {
-		return nil, err
-	}
+	f := computeFault
 
 	oracleBodies := make(map[string][]byte)
 	oracleBody := func(path string) ([]byte, error) {
@@ -425,40 +341,38 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	}
 
 	plan := capserver.PlanPaths(capserver.LoadOptions{
-		Requests: o.Requests,
+		Requests: harnessRequests,
 		Seed:     o.Seed,
-		Unique:   o.Unique,
-		ExactN:   o.ExactN,
+		Unique:   harnessUnique,
+		ExactN:   harnessExactN,
 	})
-	if err := missKillWindow(plan, fault, tb.Proc(fault.Node).Node.Ring(), oracle.Server, o.ExactN); err != nil {
+	if err := missKillWindow(plan, tb.Proc(f.node).Node.Ring(), oracle.Server); err != nil {
 		return nil, err
 	}
 
-	report := &HarnessReport{Requests: len(plan), Status: make(map[int]int)}
+	report := &HarnessReport{Status: make(map[int]int)}
 	dispatch := rng.NewStream(o.Seed, 0xd15)
 	var servedPaths []string
 	seenPath := make(map[string]bool)
 
 	start := time.Now()
 	for i, req := range plan {
-		if fault.killsAt(i) {
-			tb.Kill(fault.Node)
-			report.Killed = fault.Node
-			fmt.Fprintf(o.Out, "request %d: killed %s (%s)\n", i, fault.Node, tb.Proc(fault.Node).Addr)
+		if err := f.advance(tb, i, "request", out); err != nil {
+			return nil, err
 		}
-		if fault.restartsAt(i) {
-			if err := tb.Restart(fault.Node); err != nil {
-				return nil, err
-			}
-			report.Restarted = true
-			fmt.Fprintf(o.Out, "request %d: restarted %s (%s) cold over the shared store\n", i, fault.Node, tb.Proc(fault.Node).Addr)
-		}
-
 		resp, failovers, err := tb.Send(dispatch, http.MethodGet, req.Path, nil)
 		report.Failovers += failovers
+		stray := failovers > 0
+		if err == nil {
+			stray = stray || resp.Header.Get(DegradedHeader) != ""
+		}
+		if stray && !f.downAt(i) {
+			report.OutsideWindow++
+			fmt.Fprintf(out, "request %d: failed over or degraded with every member up\n", i)
+		}
 		if err != nil {
 			report.Mismatches++
-			fmt.Fprintf(o.Out, "request %d: every node refused %s: %v\n", i, req.Path, err)
+			fmt.Fprintf(out, "request %d: every node refused %s: %v\n", i, req.Path, err)
 			continue
 		}
 		body, err := io.ReadAll(resp.Body)
@@ -483,7 +397,7 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		}
 		if resp.StatusCode != http.StatusOK || string(body) != string(want) {
 			report.Mismatches++
-			fmt.Fprintf(o.Out, "request %d: %s: status %d, body diverges from oracle\n", i, req.Path, resp.StatusCode)
+			fmt.Fprintf(out, "request %d: %s: status %d, body diverges from oracle\n", i, req.Path, resp.StatusCode)
 			continue
 		}
 		if !seenPath[req.Path] {
@@ -496,33 +410,31 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	// Convergence: the restarted node, asked directly (pre-routed so
 	// it cannot forward), must serve every path the run computed from
 	// its LRU or the shared store — never by recomputing.
-	if report.Restarted {
-		report.Convergence.Paths = len(servedPaths)
-		for _, path := range servedPaths {
-			hreq, err := http.NewRequest(http.MethodGet, tb.URL(fault.Node)+path, nil)
-			if err != nil {
-				return nil, err
-			}
-			hreq.Header.Set(ForwardedHeader, "harness")
-			resp, err := tb.Client.Do(hreq)
-			if err != nil {
-				report.Convergence.Errors++
-				continue
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				report.Convergence.Errors++
-				continue
-			}
-			switch resp.Header.Get("X-Capserver-Cache") {
-			case "store":
-				report.Convergence.StoreHits++
-			case "hit":
-				report.Convergence.CacheHits++
-			default:
-				report.Convergence.Recomputed++
-			}
+	report.Convergence.Paths = len(servedPaths)
+	for _, path := range servedPaths {
+		hreq, err := http.NewRequest(http.MethodGet, tb.URL(f.node)+path, nil)
+		if err != nil {
+			return nil, err
+		}
+		hreq.Header.Set(ForwardedHeader, "harness")
+		resp, err := tb.Client.Do(hreq)
+		if err != nil {
+			report.Convergence.Errors++
+			continue
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			report.Convergence.Errors++
+			continue
+		}
+		switch resp.Header.Get("X-Capserver-Cache") {
+		case "store":
+			report.Convergence.StoreHits++
+		case "hit":
+			report.Convergence.CacheHits++
+		default:
+			report.Convergence.Recomputed++
 		}
 	}
 
@@ -530,13 +442,11 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	// backoff-waiting retry goroutine can increment its counter and
 	// emit its span microseconds after the client already has the
 	// response, and trace reconciliation demands both sides of every
-	// such pair land in the snapshot. On traced runs the settle bounds
-	// those stragglers (their contexts are canceled; backoffs are
+	// such pair land in the snapshot. The settle bounds those
+	// stragglers (their contexts are canceled; backoffs are
 	// milliseconds); the graceful shutdown then drains every
 	// still-running handler so nothing races the collection.
-	if o.Trace {
-		time.Sleep(300 * time.Millisecond)
-	}
+	time.Sleep(300 * time.Millisecond)
 	if err := tb.Close(); err != nil {
 		return nil, err
 	}
@@ -545,33 +455,30 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 
 	// Merge each member's incarnation traces, analyze, and reconcile
 	// against the counters just read.
-	if o.Trace {
-		merged := make(map[string][]byte, len(tb.Names))
-		var allSpans []obs.ReqSpan
-		for _, name := range tb.Names {
-			var buf bytes.Buffer
-			for _, t := range traces[name] {
-				if err := t.tracer.Flush(); err != nil {
-					return nil, fmt.Errorf("cluster: flushing %s trace: %v", name, err)
-				}
-				buf.Write(t.buf.Bytes())
+	merged := make(map[string][]byte, len(tb.Names))
+	var allSpans []obs.ReqSpan
+	for _, name := range tb.Names {
+		var buf bytes.Buffer
+		for _, t := range traces[name] {
+			if err := t.tracer.Flush(); err != nil {
+				return nil, fmt.Errorf("cluster: flushing %s trace: %v", name, err)
 			}
-			merged[name] = append([]byte(nil), buf.Bytes()...)
-			spans, err := obs.ReadReqSpans(&buf)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: parsing %s trace: %v", name, err)
-			}
-			allSpans = append(allSpans, spans...)
+			buf.Write(t.buf.Bytes())
 		}
-		check := AnalyzeSpans(allSpans)
-		report.Trace = &check
-		report.TraceMismatches = check.Reconcile(report.Nodes)
-		if o.TraceDir != "" {
-			if err := writeTraceDir(o.TraceDir, merged, report.Nodes); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(o.Out, "trace: wrote %d per-node files and counters.json to %s\n", len(merged), o.TraceDir)
+		merged[name] = append([]byte(nil), buf.Bytes()...)
+		spans, err := obs.ReadReqSpans(&buf)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: parsing %s trace: %v", name, err)
 		}
+		allSpans = append(allSpans, spans...)
+	}
+	report.Trace = AnalyzeSpans(allSpans)
+	report.TraceMismatches = report.Trace.Reconcile(report.Nodes)
+	if o.TraceDir != "" {
+		if err := writeTraceDir(o.TraceDir, merged, report.Nodes); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "trace: wrote %d per-node files and counters.json to %s\n", len(merged), o.TraceDir)
 	}
 
 	if n, err := tb.Proc(tb.Names[0]).Store.Len(); err == nil {
@@ -589,7 +496,8 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 // owner. A fresh point is a store miss that must, which is what makes
 // the run exercise retry and degraded compute. srv canonicalizes the
 // paths.
-func missKillWindow(plan []capserver.PlannedRequest, f Fault, ring *Ring, srv *capserver.Server, exactN int) error {
+func missKillWindow(plan []capserver.PlannedRequest, ring *Ring, srv *capserver.Server) error {
+	f := computeFault
 	canon := func(path string) (string, bool) {
 		req, err := http.NewRequest(http.MethodGet, path, nil)
 		if err != nil {
@@ -609,19 +517,16 @@ func missKillWindow(plan []capserver.PlannedRequest, f Fault, ring *Ring, srv *c
 		if !f.downAt(i) {
 			continue
 		}
-		if key, ok := canon(req.Path); !ok || ring.Owner(key) != f.Node {
+		if key, ok := canon(req.Path); !ok || ring.Owner(key) != f.node {
 			continue
 		}
 		for ; ; j++ {
 			if j == grid {
-				return fmt.Errorf("cluster: no fresh bounds point owned by %s for the kill window", f.Node)
+				return fmt.Errorf("cluster: no fresh bounds point owned by %s for the kill window", f.node)
 			}
-			path := fmt.Sprintf("/v1/bounds?n=6&pd=%g&pi=0.05", float64(j)/grid)
-			if exactN > 0 {
-				path += fmt.Sprintf("&exact_n=%d", exactN)
-			}
+			path := fmt.Sprintf("/v1/bounds?n=6&pd=%g&pi=0.05&exact_n=%d", float64(j)/grid, harnessExactN)
 			key, ok := canon(path)
-			if ok && !used[key] && ring.Owner(key) == f.Node {
+			if ok && !used[key] && ring.Owner(key) == f.node {
 				used[key] = true
 				plan[i] = capserver.PlannedRequest{Endpoint: "bounds", Path: path}
 				break

@@ -32,38 +32,19 @@ import (
 // HealthHarnessOptions configures an alert-lifecycle harness run.
 type HealthHarnessOptions struct {
 	// Seed varies the probe path, and with it which member owns the
-	// path and gets killed (default 1).
+	// path and gets killed.
 	Seed uint64
-	// Jobs is the per-tick request send parallelism (default 4). The
-	// timeline must not depend on it; the smoke gate runs two levels
+	// Jobs is the per-tick request send parallelism, at least 1. The
+	// timeline must not depend on it; the -assert gate runs two levels
 	// and diffs.
 	Jobs int
-	// RequestsPerTick is the per-tick workload (default 12), spread
-	// round-robin over the live members.
-	RequestsPerTick int
-	// Out receives progress lines (default: discard).
+	// Out receives progress lines (nil: discarded).
 	Out io.Writer
 }
 
-// withDefaults fills unset fields and rejects a negative size.
-func (o HealthHarnessOptions) withDefaults() (HealthHarnessOptions, error) {
-	if err := negativeSize(size{"Jobs", o.Jobs}, size{"RequestsPerTick", o.RequestsPerTick}); err != nil {
-		return o, err
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Jobs == 0 {
-		o.Jobs = 4
-	}
-	if o.RequestsPerTick == 0 {
-		o.RequestsPerTick = 12
-	}
-	if o.Out == nil {
-		o.Out = io.Discard
-	}
-	return o, nil
-}
+// requestsPerTick is the per-tick workload, spread round-robin over the
+// live members.
+const requestsPerTick = 12
 
 // The phase lengths in health ticks: all-healthy baseline, owner
 // down, owner restarted.
@@ -91,10 +72,8 @@ type HealthReport struct {
 	Ticks    int `json:"ticks"`
 	Requests int `json:"requests"`
 	Errors   int `json:"errors"`
-	// Killed is the member that owned the probe path and was killed;
-	// Restarted reports that it came back.
-	Killed    string `json:"killed"`
-	Restarted bool   `json:"restarted"`
+	// Killed is the member that owned the probe path and was killed.
+	Killed string `json:"killed"`
 	// Timeline is the merged member-side transition log, one line per
 	// state change, in (tick, node) order — the artifact the -jobs
 	// byte-identity gate diffs.
@@ -115,8 +94,8 @@ type HealthReport struct {
 func (r *HealthReport) Format(w io.Writer) {
 	fmt.Fprintf(w, "ticks:     %d (%d requests, %d errors) in %v\n",
 		r.Ticks, r.Requests, r.Errors, r.Wall.Round(time.Millisecond))
-	fmt.Fprintf(w, "fault:     killed %s (restarted=%v), owned-local %d -> reset seen=%v\n",
-		r.Killed, r.Restarted, r.PreKillOwned, r.SawReset)
+	fmt.Fprintf(w, "fault:     killed %s before tick %d, restarted before tick %d; owned-local %d -> reset seen=%v\n",
+		r.Killed, warmTicks, warmTicks+deadTicks, r.PreKillOwned, r.SawReset)
 	fmt.Fprintf(w, "timeline:\n")
 	for _, line := range r.Timeline {
 		fmt.Fprintf(w, "  %s\n", line)
@@ -167,10 +146,10 @@ func (r *HealthReport) Assert(survivors []string) error {
 // RunHealthHarness executes one alert-lifecycle harness run and
 // returns the report plus the surviving member names (Assert's input).
 func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
-	o, err := o.withDefaults()
-	if err != nil {
-		return nil, nil, err
+	if o.Jobs < 1 {
+		return nil, nil, fmt.Errorf("cluster: Jobs %d: want at least 1", o.Jobs)
 	}
+	out := orDiscard(o.Out)
 	rules, err := health.ParseRules(harnessRules)
 	if err != nil {
 		return nil, nil, err
@@ -243,7 +222,7 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 		sem := make(chan struct{}, o.Jobs)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
-		for i := 0; i < o.RequestsPerTick; i++ {
+		for i := 0; i < requestsPerTick; i++ {
 			url := tb.URL(live[i%len(live)]) + path
 			wg.Add(1)
 			sem <- struct{}{}
@@ -299,21 +278,16 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 		}
 	}
 
-	fault := Fault{Node: killName, KillAt: warmTicks, RestartAt: warmTicks + deadTicks}
+	f := fault{node: killName, kill: warmTicks, restart: warmTicks + deadTicks}
+	fmt.Fprintf(out, "probe %s is owned by %s\n", path, killName)
 	total := warmTicks + deadTicks + recoveryTicks
 	start := time.Now()
 	for tick := 0; tick < total; tick++ {
-		if fault.killsAt(tick) {
+		if tick == f.kill {
 			report.PreKillOwned = lastOwned
-			tb.Kill(killName)
-			fmt.Fprintf(o.Out, "tick %d: killed %s (%s), owner of %s\n", tick, killName, tb.Proc(killName).Addr, path)
 		}
-		if fault.restartsAt(tick) {
-			if err := tb.Restart(killName); err != nil {
-				return nil, nil, err
-			}
-			report.Restarted = true
-			fmt.Fprintf(o.Out, "tick %d: restarted %s (%s) with fresh counters\n", tick, killName, tb.Proc(killName).Addr)
+		if err := f.advance(tb, tick, "tick", out); err != nil {
+			return nil, nil, err
 		}
 		sendTick()
 		for _, name := range tb.Names {

@@ -15,7 +15,7 @@ func TestHealthHarnessLifecycle(t *testing.T) {
 	}
 	run := func(jobs int) (*HealthReport, []string) {
 		t.Helper()
-		report, survivors, err := RunHealthHarness(HealthHarnessOptions{Jobs: jobs})
+		report, survivors, err := RunHealthHarness(HealthHarnessOptions{Seed: 1, Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

@@ -17,7 +17,7 @@ import (
 
 // This file is the session-sharded counterpart of the fault harness in
 // harness.go, behind `sessload -mode cluster` (cmd/sessload's
-// TestClusterModeKillRestart): it boots an N-node Testbed, streams
+// TestClusterModeKillRestart): it boots a three-member Testbed, streams
 // per-session event batches through whichever node the seeded client
 // picks (the routers forward each batch to the session's ring owner),
 // kills and restarts the owner of a slice of the sessions mid-run, and
@@ -31,74 +31,37 @@ import (
 //     stale twin elsewhere (the no-degrade discipline of
 //     Node.routeSession);
 //   - recovery: after the owner restarts, clients resume their event
-//     streams (use indices keep climbing past the outage) and every
-//     session completes its full planned stream.
+//     streams (use indices keep climbing past the outage), every
+//     session completes its full planned stream, and every event is
+//     applied exactly once.
 //
 // Session state is in-memory by design — the estimator is a live
 // tally, not a durable log — so a restarted owner serves resumed
 // sessions with post-restart counts. The harness therefore asserts on
 // the use cursor (monotone, client-driven, survives the outage), not
-// on event totals.
+// on per-session event totals.
+
+// The session scenario: 48 sessions each post one 40-event batch per
+// round for 9 rounds, 17,280 events in all.
+const (
+	harnessSessions = 48
+	harnessRounds   = 9
+	harnessBatch    = 40
+)
+
+// sessionFault kills n2 before round 3 and restarts it before round 6.
+var sessionFault = fault{node: "n2", kill: 3, restart: 6}
 
 // SessionHarnessOptions configures a session fault-harness run.
 type SessionHarnessOptions struct {
-	// Nodes are the member names (default n1, n2, n3).
-	Nodes []string
-	// Sessions is the concurrent session count (default 48).
-	Sessions int
-	// Rounds is the number of batch rounds: every session posts one
-	// batch per round (default 9).
-	Rounds int
-	// EventsPerBatch sizes each NDJSON batch (default 40).
-	EventsPerBatch int
-	// Seed drives the event streams and the client's node picks
-	// (default 1).
+	// Seed drives the event streams and the client's node picks.
 	Seed uint64
-	// KillNode is the member to kill (default the middle node in
-	// sorted order). Ignored when KillAfter < 0.
-	KillNode string
-	// KillAfter kills KillNode just before this round (default
-	// Rounds/3). Negative disables the fault.
-	KillAfter int
-	// RestartAfter restarts the killed node just before this round
-	// (default 2*Rounds/3). Negative leaves it down.
-	RestartAfter int
-	// Out receives progress lines (default: discard).
+	// Out receives progress lines (nil: discarded).
 	Out io.Writer
-}
-
-// withDefaults fills unset fields and rejects a negative size.
-func (o SessionHarnessOptions) withDefaults() (SessionHarnessOptions, error) {
-	if err := negativeSize(size{"Sessions", o.Sessions}, size{"Rounds", o.Rounds}, size{"EventsPerBatch", o.EventsPerBatch}); err != nil {
-		return o, err
-	}
-	if len(o.Nodes) == 0 {
-		o.Nodes = []string{"n1", "n2", "n3"}
-	}
-	if o.Sessions == 0 {
-		o.Sessions = 48
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 9
-	}
-	if o.EventsPerBatch == 0 {
-		o.EventsPerBatch = 40
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Out == nil {
-		o.Out = io.Discard
-	}
-	return o, nil
 }
 
 // SessionHarnessReport aggregates one session-harness run.
 type SessionHarnessReport struct {
-	Sessions       int `json:"sessions"`
-	Rounds         int `json:"rounds"`
-	EventsPerBatch int `json:"events_per_batch"`
-
 	// Applied counts events acknowledged by an owner; Unavailable
 	// counts batch posts refused because the owner was down (502 or
 	// transport failure at every member); Replayed counts batches the
@@ -108,8 +71,11 @@ type SessionHarnessReport struct {
 	Unavailable int   `json:"unavailable"`
 	Replayed    int   `json:"replayed"`
 
-	Killed    string `json:"killed,omitempty"`
-	Restarted bool   `json:"restarted"`
+	// OutageReads counts the reads of the dead owner's sessions sent
+	// through a live member during the outage, and OutageRefused those
+	// that answered 502.
+	OutageReads   int `json:"outage_reads"`
+	OutageRefused int `json:"outage_refused"`
 
 	// Incomplete counts sessions whose event stream did not finish;
 	// ReadMismatches counts final reads that disagreed across nodes or
@@ -127,12 +93,10 @@ func (r *SessionHarnessReport) Totals() NodeCounters { return sumCounts(r.Nodes)
 // Format renders the report for humans.
 func (r *SessionHarnessReport) Format(w io.Writer) {
 	fmt.Fprintf(w, "sessions:   %d x %d rounds x %d events (%d applied) in %v\n",
-		r.Sessions, r.Rounds, r.EventsPerBatch, r.Applied, r.Wall.Round(time.Millisecond))
-	fmt.Fprintf(w, "fault:      unavailable=%d replayed=%d", r.Unavailable, r.Replayed)
-	if r.Killed != "" {
-		fmt.Fprintf(w, " killed=%s restarted=%v", r.Killed, r.Restarted)
-	}
-	fmt.Fprintln(w)
+		harnessSessions, harnessRounds, harnessBatch, r.Applied, r.Wall.Round(time.Millisecond))
+	f := sessionFault
+	fmt.Fprintf(w, "fault:      killed %s before round %d, restarted before round %d; unavailable=%d replayed=%d outage_reads=%d (%d answered 502)\n",
+		f.node, f.kill, f.restart, r.Unavailable, r.Replayed, r.OutageReads, r.OutageRefused)
 	fmt.Fprintf(w, "final:      incomplete=%d read_mismatches=%d\n", r.Incomplete, r.ReadMismatches)
 	formatCounts(w, r.Nodes, routeSessionOwned, numRoutes)
 }
@@ -147,13 +111,20 @@ func (r *SessionHarnessReport) Assert() error {
 	if t[routes[routeSessionForward].family] == 0 {
 		fails = append(fails, "no session batch was ever forwarded (sharding never crossed nodes?)")
 	}
-	if r.Killed != "" {
-		if r.Unavailable == 0 {
-			fails = append(fails, "node killed but no session batch was refused as unavailable")
-		}
-		if t[routes[routeSessionPeerError].family] == 0 {
-			fails = append(fails, "node killed but no session forward failed toward it")
-		}
+	if r.Unavailable == 0 {
+		fails = append(fails, "no session batch was refused as unavailable while its owner was down")
+	}
+	if t[routes[routeSessionPeerError].family] == 0 {
+		fails = append(fails, "no session forward failed toward the killed node")
+	}
+	if want := int64(harnessSessions * harnessRounds * harnessBatch); r.Applied != want || r.Replayed != 0 {
+		fails = append(fails, fmt.Sprintf("applied %d events with %d replayed batches, want %d applied exactly once", r.Applied, r.Replayed, want))
+	}
+	if r.OutageReads == 0 || r.OutageRefused != r.OutageReads {
+		fails = append(fails, fmt.Sprintf("%d of %d reads of the dead owner's sessions answered 502, want all of at least one", r.OutageRefused, r.OutageReads))
+	}
+	if retries := t[routes[routeSessionRetry].family]; retries != int64(r.OutageReads) {
+		fails = append(fails, fmt.Sprintf("%d session retries, want one per outage read (%d)", retries, r.OutageReads))
 	}
 	if r.Incomplete != 0 {
 		fails = append(fails, fmt.Sprintf("%d sessions did not complete their event streams", r.Incomplete))
@@ -168,7 +139,7 @@ func (r *SessionHarnessReport) Assert() error {
 }
 
 // sessionPlanEvents builds session i's full deterministic event
-// stream: Rounds*EventsPerBatch uses with seeded kinds and symbols.
+// stream: total uses with seeded kinds and 4-bit symbols.
 func sessionPlanEvents(seed uint64, i, total int) []session.Event {
 	src := rng.NewStream(seed, uint64(0x5e55)+uint64(i))
 	events := make([]session.Event, total)
@@ -190,15 +161,13 @@ func sessionPlanEvents(seed uint64, i, total int) []session.Event {
 	return events
 }
 
-// RunSessionHarness executes a session-sharded cluster fault run.
+// RunSessionHarness executes the session-sharded cluster fault
+// scenario.
 func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
-	o, err := o.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	tb, err := StartTestbed(o.Nodes, func(string, int) ProcConfig {
+	out := orDiscard(o.Out)
+	tb, err := StartTestbed(harnessNodes, func(string, int) ProcConfig {
 		return ProcConfig{
-			Server: capserver.Config{Workers: 2, SessionSweep: -1},
+			Server: capserver.Config{Workers: harnessWorkers, SessionSweep: -1},
 			// Sessions never hedge; compute traffic is absent here.
 			Cluster: Config{HedgeDelay: -1, PeerBackoff: peerBackoff},
 		}
@@ -207,104 +176,118 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 		return nil, err
 	}
 	defer tb.Close()
-	fault, err := Fault{Node: o.KillNode, KillAt: o.KillAfter, RestartAt: o.RestartAfter}.resolve(tb.Names, o.Rounds)
-	if err != nil {
-		return nil, err
-	}
+	f := sessionFault
+	ring := tb.Proc(f.node).Node.Ring()
 
-	report := &SessionHarnessReport{Sessions: o.Sessions, Rounds: o.Rounds, EventsPerBatch: o.EventsPerBatch}
+	report := &SessionHarnessReport{}
 	dispatch := rng.NewStream(o.Seed, 0x5d15)
 
-	total := o.Rounds * o.EventsPerBatch
-	plans := make([][]session.Event, o.Sessions)
-	cursors := make([]int, o.Sessions) // next un-acknowledged event index
-	ids := make([]string, o.Sessions)
+	const total = harnessRounds * harnessBatch
+	plans := make([][]session.Event, harnessSessions)
+	cursors := make([]int, harnessSessions) // next un-acknowledged event index
+	ids := make([]string, harnessSessions)
 	for i := range plans {
 		plans[i] = sessionPlanEvents(o.Seed, i, total)
 		ids[i] = fmt.Sprintf("hs-%d-%04d", o.Seed, i)
 	}
 
-	// postBatch sends session i's next EventsPerBatch events through a
-	// seeded node pick (rotating past dead listeners) and advances the
-	// cursor on success. A 409 means an earlier ambiguous failure
-	// actually landed: the owner's cursor is ahead, so resync from its
-	// answer. Returns false when the owner was unreachable.
-	postBatch := func(i int) (bool, error) {
+	// postBatch sends session i's next batch through a seeded node pick
+	// (rotating past dead listeners) and advances the cursor on
+	// success. A 409 means an earlier ambiguous failure actually
+	// landed: the owner's cursor is ahead, so resync from its answer.
+	postBatch := func(i int) error {
 		if cursors[i] >= total {
-			return true, nil
+			return nil
 		}
-		end := cursors[i] + o.EventsPerBatch
-		if end > total {
-			end = total
-		}
+		end := min(cursors[i]+harnessBatch, total)
 		var buf bytes.Buffer
 		if err := session.EncodeEvents(&buf, plans[i][cursors[i]:end]); err != nil {
-			return false, err
+			return err
 		}
 		resp, _, err := tb.Send(dispatch, http.MethodPost, "/v1/sessions/"+ids[i]+"/events", buf.Bytes())
 		if err != nil {
 			report.Unavailable++
-			return false, nil
+			return nil
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			report.Unavailable++
-			return false, nil
+			return nil
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
 			var ack capserver.SessionIngestResponse
 			if err := json.Unmarshal(body, &ack); err != nil {
-				return false, fmt.Errorf("session %s: bad ingest ack: %v", ids[i], err)
+				return fmt.Errorf("session %s: bad ingest ack: %v", ids[i], err)
 			}
 			report.Applied += int64(ack.Applied)
 			cursors[i] = end
-			return true, nil
 		case http.StatusConflict:
 			// The batch (or part of it) landed during an ambiguous
 			// failure; trust the owner's cursor and move past it.
 			report.Replayed++
 			cursors[i] = end
-			return true, nil
 		case http.StatusBadGateway, http.StatusServiceUnavailable:
 			report.Unavailable++
-			return false, nil
 		default:
-			return false, fmt.Errorf("session %s: unexpected ingest status %d: %s", ids[i], resp.StatusCode, body)
+			return fmt.Errorf("session %s: unexpected ingest status %d: %s", ids[i], resp.StatusCode, body)
 		}
+		return nil
 	}
 
-	start := time.Now()
-	for round := 0; round < o.Rounds; round++ {
-		if fault.killsAt(round) {
-			tb.Kill(fault.Node)
-			report.Killed = fault.Node
-			fmt.Fprintf(o.Out, "round %d: killed %s (%s)\n", round, fault.Node, tb.Proc(fault.Node).Addr)
+	// get reads one session through one member.
+	get := func(node, id string) (int, []byte, error) {
+		resp, err := tb.Client.Get(tb.URL(node) + "/v1/sessions/" + id)
+		if err != nil {
+			return 0, nil, err
 		}
-		if fault.restartsAt(round) {
-			if err := tb.Restart(fault.Node); err != nil {
-				return nil, err
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, body, err
+	}
+
+	var live []string
+	for _, name := range tb.Names {
+		if name != f.node {
+			live = append(live, name)
+		}
+	}
+	start := time.Now()
+	for round := 0; round < harnessRounds; round++ {
+		if err := f.advance(tb, round, "round", out); err != nil {
+			return nil, err
+		}
+		if round == f.kill {
+			// Every session the dead node owns, read through a live
+			// member, answers 502: the router retries the owner once and
+			// never serves a twin.
+			for _, id := range ids {
+				if ring.Owner(SessionRingKey+id) != f.node {
+					continue
+				}
+				status, _, err := get(live[report.OutageReads%len(live)], id)
+				report.OutageReads++
+				if err == nil && status == http.StatusBadGateway {
+					report.OutageRefused++
+				}
 			}
-			report.Restarted = true
-			fmt.Fprintf(o.Out, "round %d: restarted %s (%s)\n", round, fault.Node, tb.Proc(fault.Node).Addr)
 		}
 		for i := range plans {
-			if _, err := postBatch(i); err != nil {
+			if err := postBatch(i); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	// Drain: sessions that lost rounds to the outage finish their
-	// streams against the restarted owner. Bounded, and only useful
-	// when the owner came back.
-	for pass := 0; pass < 2*o.Rounds; pass++ {
+	// streams against the restarted owner.
+	for pass := 0; pass < 2*harnessRounds; pass++ {
 		pending := 0
 		for i := range plans {
 			if cursors[i] < total {
 				pending++
-				if _, err := postBatch(i); err != nil {
+				if err := postBatch(i); err != nil {
 					return nil, err
 				}
 			}
@@ -325,14 +308,12 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 	// legitimately differs between a cache miss and the hit it seeds),
 	// and the owner's cursor must sit at the end of the planned stream.
 	readVia := func(nodeIdx, sessIdx int) (map[string]json.RawMessage, error) {
-		resp, err := tb.Client.Get(tb.URL(tb.Names[nodeIdx%len(tb.Names)]) + "/v1/sessions/" + ids[sessIdx])
+		status, body, err := get(tb.Names[nodeIdx%len(tb.Names)], ids[sessIdx])
 		if err != nil {
 			return nil, err
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		if status != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", status, body)
 		}
 		var m map[string]json.RawMessage
 		if err := json.Unmarshal(body, &m); err != nil {
@@ -346,20 +327,20 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 		b, errB := readVia(i+1, i)
 		if errA != nil || errB != nil {
 			report.ReadMismatches++
-			fmt.Fprintf(o.Out, "session %s: final read failed: %v / %v\n", ids[i], errA, errB)
+			fmt.Fprintf(out, "session %s: final read failed: %v / %v\n", ids[i], errA, errB)
 			continue
 		}
 		ab, _ := json.Marshal(a)
 		bb, _ := json.Marshal(b)
 		if !bytes.Equal(ab, bb) {
 			report.ReadMismatches++
-			fmt.Fprintf(o.Out, "session %s: reads diverge across nodes\n", ids[i])
+			fmt.Fprintf(out, "session %s: reads diverge across nodes\n", ids[i])
 			continue
 		}
 		var lastUse int64
 		if err := json.Unmarshal(a["last_use"], &lastUse); err != nil || lastUse != int64(total) {
 			report.ReadMismatches++
-			fmt.Fprintf(o.Out, "session %s: cursor at %d, want %d\n", ids[i], lastUse, total)
+			fmt.Fprintf(out, "session %s: cursor at %d, want %d\n", ids[i], lastUse, total)
 		}
 	}
 

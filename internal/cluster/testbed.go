@@ -5,9 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"slices"
 	"sort"
 	"time"
 
@@ -147,44 +147,29 @@ func (tb *Testbed) Close() error {
 	return errors.Join(errs...)
 }
 
-// Fault is a kill/restart schedule over a run's steps (requests,
-// rounds or ticks): Node is killed just before step KillAt and
-// restarted just before step RestartAt. A negative KillAt disables the
-// fault; a negative RestartAt leaves the node down.
-type Fault struct {
-	Node              string
-	KillAt, RestartAt int
+// fault is a kill/restart schedule over a run's steps (requests,
+// rounds or ticks): node is killed just before step kill and restarted
+// just before step restart.
+type fault struct {
+	node          string
+	kill, restart int
 }
-
-// resolve fills a harness's unset kill options for a run of steps
-// over the sorted member names — the middle member, killed at steps/3
-// and restarted at 2*steps/3 — and validates them.
-func (f Fault) resolve(names []string, steps int) (Fault, error) {
-	if f.KillAt == 0 {
-		f.KillAt = steps / 3
-	}
-	if f.RestartAt == 0 {
-		f.RestartAt = 2 * steps / 3
-	}
-	if f.KillAt >= 0 && f.RestartAt >= 0 && f.RestartAt <= f.KillAt {
-		return f, fmt.Errorf("cluster: -restart-after (%d) must exceed -kill-after (%d)", f.RestartAt, f.KillAt)
-	}
-	if f.Node == "" {
-		f.Node = names[len(names)/2]
-	}
-	if !slices.Contains(names, f.Node) {
-		return f, fmt.Errorf("cluster: kill node %q is not a member", f.Node)
-	}
-	return f, nil
-}
-
-func (f Fault) killsAt(step int) bool { return f.KillAt >= 0 && step == f.KillAt }
 
 // downAt reports whether the node is down during step.
-func (f Fault) downAt(step int) bool {
-	return f.KillAt >= 0 && step >= f.KillAt && (f.RestartAt < 0 || step < f.RestartAt)
-}
+func (f fault) downAt(step int) bool { return step >= f.kill && step < f.restart }
 
-func (f Fault) restartsAt(step int) bool {
-	return f.KillAt >= 0 && f.RestartAt >= 0 && step == f.RestartAt
+// advance applies the schedule before step: it kills or restarts the
+// node when step is due and logs that on out, naming the step with unit.
+func (f fault) advance(tb *Testbed, step int, unit string, out io.Writer) error {
+	switch step {
+	case f.kill:
+		tb.Kill(f.node)
+		fmt.Fprintf(out, "%s %d: killed %s (%s)\n", unit, step, f.node, tb.Proc(f.node).Addr)
+	case f.restart:
+		if err := tb.Restart(f.node); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "%s %d: restarted %s (%s)\n", unit, step, f.node, tb.Proc(f.node).Addr)
+	}
+	return nil
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// TestHarnessesLeaveNoGoroutines: every harness shuts down every
-// incarnation it started, killed ones included, so worker pools,
+// TestHarnessesLeaveNoGoroutines: every harness scenario shuts down
+// every incarnation it started, killed ones included, so worker pools,
 // session janitors, serve loops and client connections end with it.
 func TestHarnessesLeaveNoGoroutines(t *testing.T) {
 	if testing.Short() {
@@ -15,15 +15,15 @@ func TestHarnessesLeaveNoGoroutines(t *testing.T) {
 	}
 	for name, run := range map[string]func() error{
 		"RunHarness": func() error {
-			_, err := RunHarness(HarnessOptions{Requests: 30, Unique: 4, ExactN: 6})
+			_, err := RunHarness(HarnessOptions{Seed: 1})
 			return err
 		},
 		"RunSessionHarness": func() error {
-			_, err := RunSessionHarness(SessionHarnessOptions{Sessions: 12, Rounds: 3})
+			_, err := RunSessionHarness(SessionHarnessOptions{Seed: 1})
 			return err
 		},
 		"RunHealthHarness": func() error {
-			_, _, err := RunHealthHarness(HealthHarnessOptions{})
+			_, _, err := RunHealthHarness(HealthHarnessOptions{Seed: 1, Jobs: 4})
 			return err
 		},
 	} {

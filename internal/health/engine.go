@@ -199,8 +199,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Ring exposes the snapshot ring for read-side queries (capwatch's
-// latency timelines reuse the engine's retained snapshots).
+// Ring exposes the engine's snapshot ring for read-side queries.
 func (e *Engine) Ring() *Ring {
 	return e.ring
 }

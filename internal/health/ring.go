@@ -7,9 +7,11 @@
 // serialized artifact.
 //
 // The package deliberately imports only internal/obs: capserver and
-// cluster build on it, never the other way around, so the monitor-side
-// engine in cmd/capwatch can evaluate the very same rules against
-// federated snapshots parsed off the wire.
+// cluster build on it, never the other way around, so an engine outside
+// any member can evaluate the very same rules against metrics parsed
+// off the wire. The one such engine is the alert-lifecycle harness's
+// monitor (internal/cluster), which scrapes a member's /metrics;
+// cmd/capwatch runs no engine and renders the members' own verdicts.
 package health
 
 import "repro/internal/obs"

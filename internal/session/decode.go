@@ -29,9 +29,9 @@ type Event struct {
 	Injected bool
 }
 
-// MaxSymbol bounds wire symbols to the widest channel alphabet the
-// system serves (16-bit, matching capserver's MaxSymbols ceiling).
-const MaxSymbol = 1<<16 - 1
+// MaxSymbol is the largest wire symbol: a session's alphabet is N bits
+// wide, and the bounds served for it hold only for that alphabet.
+const MaxSymbol = 1<<N - 1
 
 // MaxLineBytes bounds one NDJSON line; a use event is ~50 bytes, so
 // 4 KiB is generous while keeping hostile input from ballooning the

@@ -131,7 +131,7 @@ func TestOnlineMatchesBatchBitExact(t *testing.T) {
 			raw := recordTrace(t, tc.params, tc.inject, tc.uses, tc.seed)
 			events := eventsFromTrace(t, raw)
 
-			sess, err := New("prop", Config{N: tc.params.N})
+			sess, err := New("prop", Config{})
 			if err != nil {
 				t.Fatalf("session: %v", err)
 			}

@@ -50,9 +50,6 @@ type LoadConfig struct {
 	Ingest func(id string, events []Event) (Snapshot, error)
 }
 
-// loadN is the simulated channels' symbol width in bits.
-const loadN = 4
-
 // withDefaults fills unset fields.
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Sessions == 0 {
@@ -157,7 +154,6 @@ func Run(cfg LoadConfig) (*Report, error) {
 	}
 	if cfg.Ingest == nil {
 		store, err := NewStore(StoreConfig{
-			Session:     Config{N: loadN},
 			MaxSessions: cfg.Sessions + 1,
 		})
 		if err != nil {
@@ -224,7 +220,7 @@ func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 	// for the change point. onDetect sees every post-batch snapshot, so
 	// the recorded delay is the detector's actual firing use, not a
 	// batch boundary.
-	stack, err := spec.Build(ch, loadN, faultSrc)
+	stack, err := spec.Build(ch, N, faultSrc)
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -253,7 +249,7 @@ func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 func plantParams(src *rng.Source) channel.Params {
 	in := func(lo, hi float64) float64 { return lo + (hi-lo)*src.Float64() }
 	return channel.Params{
-		N:  loadN,
+		N:  N,
 		Pd: in(0.02, 0.12),
 		Pi: in(0.02, 0.10),
 		Ps: in(0.01, 0.08),
@@ -279,7 +275,7 @@ type feeder struct {
 // next generates one event.
 func (f *feeder) next() Event {
 	if !f.haveQueued {
-		f.queued = f.symSrc.Symbol(loadN)
+		f.queued = f.symSrc.Symbol(N)
 		f.haveQueued = true
 	}
 	u := f.ch.Use(f.queued)

@@ -82,7 +82,7 @@ func TestWireContract(t *testing.T) {
 		{"min int64", `{"u":-9223372036854775808,"k":"T","s":3,"r":3}`, true, Event{},
 			"use index -9223372036854775808 < 1"},
 		{"empty object", `{}`, true, Event{}, `missing use index "u"`},
-		{"symbol range", `{"u":1,"k":"T","s":65536,"r":65536}`, true, Event{}, `symbol "s" = 65536 out of`},
+		{"symbol range", `{"u":1,"k":"T","s":16,"r":16}`, true, Event{}, `symbol "s" = 16 out of [0, 15]`},
 		{"lowercase kind", `{"u":1,"k":"t","s":3,"r":3}`, false, Event{}, `unknown event kind "t"`},
 		{"overflow", `{"u":9223372036854775808,"k":"T","s":3,"r":3}`, false, Event{}, "cannot unmarshal number"},
 		{"leading zero", `{"u":01,"k":"T","s":3,"r":3}`, false, Event{}, "invalid character '1'"},

@@ -46,31 +46,25 @@ import (
 	"repro/internal/obs"
 )
 
+// N is every session's symbol width in bits: a session estimates a
+// channel over 2^N symbols, the decoder accepts no wider symbol
+// (MaxSymbol), and the capacity bounds served for it assume N.
+const N = 4
+
 // Config tunes one session. The zero value selects workable defaults.
 type Config struct {
-	// N is the symbol width in bits (default 4). It is fixed at session
-	// creation; later batches must agree.
-	N int
 	// Detector tunes the change-point detector.
 	Detector DetectorConfig
 }
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.N == 0 {
-		c.N = 4
-	}
 	c.Detector = c.Detector.withDefaults()
 	return c
 }
 
 // validate rejects unusable configurations.
-func (c Config) validate() error {
-	if c.N < 1 || c.N > 16 {
-		return fmt.Errorf("session: symbol width N = %d out of [1,16]", c.N)
-	}
-	return c.Detector.validate()
-}
+func (c Config) validate() error { return c.Detector.validate() }
 
 // Session is one live channel-estimation session: an online estimator
 // plus a drift detector, fed strictly increasing use events. It is not
@@ -95,9 +89,6 @@ func New(id string, cfg Config) (*Session, error) {
 
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }
-
-// N returns the session's symbol width in bits.
-func (s *Session) N() int { return s.cfg.N }
 
 // LastUse returns the highest use index applied so far (0 before the
 // first event).
@@ -129,7 +120,6 @@ func (s *Session) Detector() *Detector { return &s.det }
 // safe to use after the session itself has moved on or been evicted.
 type Snapshot struct {
 	ID     string
-	N      int
 	Counts obs.UseCounts
 	// Estimate is the live obs.Estimate at snapshot time.
 	Estimate obs.Estimate
@@ -149,7 +139,6 @@ type Snapshot struct {
 func (s *Session) Snapshot() Snapshot {
 	return Snapshot{
 		ID:            s.id,
-		N:             s.cfg.N,
 		Counts:        s.est.Counts(),
 		Estimate:      s.est.Estimate(),
 		LastUse:       s.est.LastUse(),

@@ -201,9 +201,8 @@ type Supervisor struct {
 // protocols run over for deadlines and backoff to work; nil disables
 // both (chunking, retry accounting and degradation detection still
 // apply). Each attempt's deadline is attemptChunks chunks' worth of
-// metered uses. DelayedARQ accounts 1+delay uses per send, so its
-// deadline is 1+delay times longer, although the meter sees only the
-// one channel use of each send.
+// metered uses for every protocol: the meter counts channel uses, so
+// DelayedARQ's idle feedback slots do not draw on it.
 func NewSupervisor(active, resync Protocol, meter *UseMeter, cfg SupervisorConfig) (*Supervisor, error) {
 	if active == nil {
 		return nil, fmt.Errorf("syncproto: nil protocol")
@@ -211,9 +210,6 @@ func NewSupervisor(active, resync Protocol, meter *UseMeter, cfg SupervisorConfi
 	s := &Supervisor{cfg: cfg, active: active, resync: resync, meter: meter}
 	if meter != nil {
 		s.attemptUses = attemptChunks * chunkSymbols
-		if d, ok := active.(*DelayedARQ); ok {
-			s.attemptUses *= int64(1 + d.delay)
-		}
 	}
 	return s, nil
 }

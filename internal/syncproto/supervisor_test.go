@@ -151,8 +151,10 @@ func TestSupervisorFailsWhenChannelIsDead(t *testing.T) {
 }
 
 // TestSupervisorDelayedARQDeadline checks that a delayed ARQ attempt
-// gets 1+delay times the deadline: on a dead channel every attempt runs
-// to it.
+// gets the ARQ attempt deadline, attemptChunks chunks' worth of metered
+// uses: the meter counts only sends, so scaling the deadline by 1+delay
+// would give a delayed attempt 1+delay times the sends. On a dead
+// channel every attempt runs to it.
 func TestSupervisorDelayedARQDeadline(t *testing.T) {
 	const n, delay = 4, 2
 	meter := meteredChannel(t, channel.Params{N: n, Pd: 1}, 4)
@@ -171,7 +173,7 @@ func TestSupervisorDelayedARQDeadline(t *testing.T) {
 	if res.Status != StatusFailed || res.Attempts != maxAttempts {
 		t.Fatalf("status %v after %d attempts, want failed after %d", res.Status, res.Attempts, maxAttempts)
 	}
-	if want := int64(maxAttempts*attemptChunks*chunkSymbols*(1+delay)) + res.BackoffUses; int64(res.Uses) != want {
+	if want := int64(maxAttempts*attemptChunks*chunkSymbols) + res.BackoffUses; int64(res.Uses) != want {
 		t.Errorf("uses = %d, want %d", res.Uses, want)
 	}
 }
