@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke bench bench-sessions
+.PHONY: ci fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke bench bench-sessions
 
-ci: fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke sessions-smoke
+ci: fmt vet build test race fuzz-smoke bench-smoke experiments-digest trace-smoke trace-cluster-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -81,17 +81,6 @@ experiments-digest:
 		echo "experiments-digest: experiments -seed 1 stdout md5 $$got, recorded $(EXPERIMENTS_MD5)"; exit 1; \
 	fi; \
 	echo "experiments-digest: $$got matches"
-
-# Session gate: a seeded in-process drift run, 2000 streaming
-# sessions, every tenth switching to an injected drift regime halfway
-# through; -assert fails unless the online estimators converge to the
-# planted parameters, the change-point detector flags the drift inside
-# the drift window (i.e. before the equivalent offline analysis window
-# closes), and clean-phase false alarms stay under 2%. The cluster leg
-# (an owner killed and restarted mid-run) is cmd/sessload's
-# TestClusterModeKillRestart under `make test`.
-sessions-smoke:
-	$(GO) run ./cmd/sessload -mode run -sessions 2000 -seed 11 -assert
 
 # Observability gate: record a seeded channel-use trace with chansim,
 # re-estimate (Pd, Pi, Ps) from it with tracecap, and assert the

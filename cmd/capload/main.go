@@ -93,8 +93,9 @@ func run(args []string, out *os.File) error {
 		return runCluster(cluster.HarnessOptions{Seed: *seed, TraceDir: *traceDir, Out: out}, *assert, out)
 	}
 
-	// Zero selects a size's default; a negative one is a mistake.
-	for _, name := range []string{"requests", "c", "unique", "exact-n"} {
+	// Zero selects a size's default; a negative one is a mistake (and
+	// would make capserver.New panic under -selfhost).
+	for _, name := range []string{"requests", "c", "unique", "exact-n", "workers", "queue", "cache"} {
 		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return fmt.Errorf("-%s %s is negative", name, v)
 		}

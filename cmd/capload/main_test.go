@@ -64,6 +64,10 @@ func TestFlagValidation(t *testing.T) {
 		{"-selfhost", "-mode", "load", "-c", "-2"},
 		{"-selfhost", "-mode", "load", "-unique", "-2"},
 		{"-selfhost", "-mode", "load", "-exact-n", "-2"},
+		// So are negative selfhost server sizes.
+		{"-selfhost", "-mode", "load", "-workers", "-2"},
+		{"-selfhost", "-mode", "load", "-queue", "-2"},
+		{"-selfhost", "-mode", "load", "-cache", "-2"},
 	}
 	for _, args := range cases {
 		if _, err := captureOut(t, func(f *os.File) error { return run(args, f) }); err == nil {

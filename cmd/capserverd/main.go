@@ -69,8 +69,8 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		drain   = fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		maxSym  = fs.Int("max-symbols", 200000, "largest simulate/trace message length served (experiments cap at 20000)")
 
-		sessTTL = fs.Duration("session-ttl", 0, "evict streaming sessions idle this long (0 = default 15m, negative = never)")
-		maxSess = fs.Int("max-sessions", 0, "cap on concurrently live streaming sessions (0 = default 1<<20)")
+		sessTTL = fs.Duration("session-ttl", 0, "evict streaming sessions idle this long (0 = default 15m, negative = never evict)")
+		maxSess = fs.Int("max-sessions", 0, "cap on concurrently live streaming sessions (0 = default 1<<20, negative = refused)")
 
 		healthTick  = fs.Duration("health-tick", 5*time.Second, "alert-engine sampling interval (0 or negative = no background ticks)")
 		healthRules = fs.String("health-rules", "", "alert rule file (empty = built-in default rules; see internal/health)")

@@ -9,9 +9,13 @@
 // Modes:
 //
 //	sessload -mode run -sessions 100000 -assert
-//	                                  # simulate 10^5 sessions, drift a
-//	                                  # tenth of them, assert
-//	                                  # convergence/detection
+//	                                  # the fixed drift scenario over
+//	                                  # 10^5 sessions: 1200 clean uses
+//	                                  # each, every 10th session then
+//	                                  # 1200 uses under drift=0.25, in
+//	                                  # batches of 400; assert
+//	                                  # convergence and detection within
+//	                                  # the 1200-use drift window
 //	sessload -mode cluster -assert    # the fixed session fault
 //	                                  # scenario: a 3-node sharded
 //	                                  # cluster, 48 sessions x 9 rounds
@@ -24,12 +28,14 @@
 //	                                  # outage, and every event applied
 //	                                  # exactly once
 //
-// Everything the report prints is a pure function of the flags: the
-// per-session channels, the drift walks, and the batch schedule all
-// derive from -seed, and the output is byte-identical at any -jobs
-// count (wall-clock timing goes to a separate "timing:" line so the
-// deterministic report stays diffable). Cluster mode reads only -seed
-// and -assert and refuses every other flag.
+// Everything the report prints is a pure function of -sessions and
+// -seed: the per-session channels and the drift walks derive from
+// -seed, and the output is byte-identical at any -jobs count
+// (wall-clock timing goes to a separate "timing:" line so the
+// deterministic report stays diffable). Run mode reads only -sessions,
+// -seed, -jobs and -assert; the scenario's sizes are constants of
+// internal/session. Cluster mode reads only -seed and -assert and
+// refuses every other flag.
 package main
 
 import (
@@ -54,17 +60,11 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("sessload", flag.ContinueOnError)
 	var (
-		mode      = fs.String("mode", "run", "mode: run | cluster")
-		sessions  = fs.Int("sessions", 0, "run mode: concurrent simulated sessions (0 = default 1000)")
-		seed      = fs.Uint64("seed", 1, "simulation seed")
-		jobs      = fs.Int("jobs", 0, "run mode: worker goroutines (0 = GOMAXPROCS); any value yields byte-identical output")
-		cleanUses = fs.Int("clean-uses", 0, "run mode: uses per session before drift onset (0 = default 1200)")
-		driftUses = fs.Int("drift-uses", 0, "run mode: uses per drifted session after onset (0 = default 1200)")
-		driftEvr  = fs.Int("drift-every", 0, "run mode: every k-th session drifts (0 = default 10, negative = no drift)")
-		inject    = fs.String("inject", "", "run mode: faultinject spec for the drift regime (default drift=0.25)")
-		batch     = fs.Int("batch", 0, "run mode: events per ingest batch (0 = default 400)")
-		maxDelay  = fs.Int64("max-delay", 0, "run mode: assert's max allowed detection delay in uses (0 = drift window)")
-		assert    = fs.Bool("assert", false, "fail on any acceptance bound (run: convergence, detection, false alarms; cluster: the harness gate)")
+		mode     = fs.String("mode", "run", "mode: run | cluster")
+		sessions = fs.Int("sessions", 0, "run mode: concurrent simulated sessions (0 = default 1000)")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		jobs     = fs.Int("jobs", 0, "run mode: worker goroutines (0 = GOMAXPROCS); any value yields byte-identical output")
+		assert   = fs.Bool("assert", false, "fail on any acceptance bound (run: convergence, detection, false alarms; cluster: the harness gate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,19 +72,8 @@ func run(args []string, out *os.File) error {
 
 	switch *mode {
 	case "run":
-		cfg := session.LoadConfig{
-			Sessions:       *sessions,
-			Seed:           *seed,
-			Jobs:           *jobs,
-			CleanUses:      *cleanUses,
-			DriftUses:      *driftUses,
-			DriftEvery:     *driftEvr,
-			Inject:         *inject,
-			Batch:          *batch,
-			MaxDetectDelay: *maxDelay,
-		}
 		start := time.Now()
-		rep, err := session.Run(cfg)
+		rep, err := session.Run(session.LoadConfig{Sessions: *sessions, Seed: *seed, Jobs: *jobs})
 		if err != nil {
 			return err
 		}

@@ -111,12 +111,8 @@ func (s *Server) handleBoundsBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
 
 	results := make([]BatchPointResult, len(req.Points))
 	var wg sync.WaitGroup

@@ -98,7 +98,8 @@ const resultsVersion = "results/3"
 func storeKey(key string) string { return resultsVersion + " " + key }
 
 // Config tunes the serving core. The zero value selects workable
-// defaults.
+// defaults. A negative size or timeout is a caller's mistake, not
+// another way to say zero: New panics naming the field.
 type Config struct {
 	// Workers is the number of compute workers (default GOMAXPROCS).
 	Workers int
@@ -125,7 +126,8 @@ type Config struct {
 	Store ResultStore
 
 	// SessionTTL evicts sessions idle this long from the /v1/sessions
-	// store (default 15m). Negative disables eviction.
+	// store (default 15m). Negative disables eviction. Both meanings
+	// belong to session.StoreConfig.TTL, which receives it unchanged.
 	SessionTTL time.Duration
 	// SessionSweep is the idle-eviction sweep interval (default 1m).
 	// Negative disables the janitor goroutine; tests drive
@@ -148,21 +150,41 @@ type Config struct {
 	HealthRules []*health.Rule
 }
 
+// negativeField names the first size or timeout set below zero, or
+// returns "".
+func (c Config) negativeField() string {
+	switch {
+	case c.Workers < 0:
+		return "Workers"
+	case c.QueueDepth < 0:
+		return "QueueDepth"
+	case c.CacheEntries < 0:
+		return "CacheEntries"
+	case c.RequestTimeout < 0:
+		return "RequestTimeout"
+	case c.MaxSymbols < 0:
+		return "MaxSymbols"
+	case c.MaxSessions < 0:
+		return "MaxSessions"
+	}
+	return ""
+}
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
+	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
-	if c.CacheEntries <= 0 {
+	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
 	}
-	if c.RequestTimeout <= 0 {
+	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.MaxSymbols <= 0 {
+	if c.MaxSymbols == 0 {
 		c.MaxSymbols = 200000
 	}
 	if c.SessionSweep == 0 {
@@ -193,8 +215,13 @@ type Server struct {
 	stopHealth func()
 }
 
-// New builds a Server with the given configuration.
+// New builds a Server with the given configuration. It panics on a
+// negative size or timeout, since it cannot return an error; flag
+// parsers refuse such values first.
 func New(cfg Config) *Server {
+	if name := cfg.negativeField(); name != "" {
+		panic(fmt.Sprintf("capserver: negative Config.%s", name))
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
@@ -279,12 +306,8 @@ func (s *Server) handleCompute(endpoint string, build buildFunc) http.HandlerFun
 			s.finish(w, endpoint, start, http.StatusBadRequest, errorBody(err), "")
 			return
 		}
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
 		body, source, timing, err := s.do(ctx, endpoint, endpoint+"?"+key, compute)
 		if r.Header.Get(obs.TraceHeader) != "" {
 			// The request is part of a cluster trace: expose the

@@ -394,3 +394,32 @@ func TestComputeErrorNotCached(t *testing.T) {
 		t.Error("failed computation was cached; retry should lead a fresh flight")
 	}
 }
+
+// TestNewRefusesNegativeSizes pins that a negative size or timeout is
+// refused by name instead of turning into a default or, for
+// MaxSessions, into a cap that answers every first ingest with 503.
+func TestNewRefusesNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Workers", Config{Workers: -1}},
+		{"QueueDepth", Config{QueueDepth: -1}},
+		{"CacheEntries", Config{CacheEntries: -1}},
+		{"RequestTimeout", Config{RequestTimeout: -time.Second}},
+		{"MaxSymbols", Config{MaxSymbols: -1}},
+		{"MaxSessions", Config{MaxSessions: -5}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Config."+tc.field) {
+					t.Errorf("panic %q, want one naming Config.%s", msg, tc.field)
+				}
+			}()
+			tc.cfg.SessionSweep = -1
+			srv := New(tc.cfg)
+			srv.Shutdown(context.Background())
+		})
+	}
+}

@@ -126,18 +126,14 @@ func (s *Server) Sessions() *session.Store { return s.sessions }
 // rather than in newMetrics: the serving-core metrics page is golden-
 // tested as a fixed set, and the session families are additive.
 func (s *Server) initSessions() {
-	ttl := s.cfg.SessionTTL
-	if ttl < 0 {
-		ttl = 0
-	}
 	store, err := session.NewStore(session.StoreConfig{
-		TTL:         ttl,
+		TTL:         s.cfg.SessionTTL,
 		MaxSessions: s.cfg.MaxSessions,
 		Metrics:     session.NewMetrics(s.metrics.Registry()),
 	})
 	if err != nil {
-		// Unreachable: every field above is either defaulted or
-		// sanitized, and the zero session.Config validates.
+		// Unreachable: New has refused a negative MaxSessions, the
+		// store's only error.
 		panic(fmt.Sprintf("capserver: session store: %v", err))
 	}
 	s.sessions = store
@@ -270,12 +266,8 @@ func (s *Server) sessionBounds(r *http.Request, snap session.Snapshot) (bounds j
 	if err != nil {
 		return nil, "", fmt.Sprintf("estimate outside analytic domain: %v", err)
 	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
 	body, src, _, err := s.do(ctx, "bounds", "bounds?"+key, compute)
 	if err != nil {
 		// The snapshot is still good; report why the enrichment is

@@ -275,3 +275,13 @@ func TestSessionCanonicalizeExcluded(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeSessionTTLReachesStore pins capserverd's "negative =
+// never": the server hands a negative SessionTTL to the session store
+// unchanged, and the store never evicts at a negative TTL.
+func TestNegativeSessionTTLReachesStore(t *testing.T) {
+	srv, _ := newTestServer(t, Config{SessionSweep: -1, SessionTTL: -1})
+	if ttl := srv.Sessions().TTL(); ttl >= 0 {
+		t.Fatalf("session store TTL %v, want negative", ttl)
+	}
+}

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/channel"
@@ -25,93 +24,52 @@ const (
 	StatusResync Status = "resync"
 )
 
-// DetectorConfig tunes the change-point detector. The zero value
-// selects defaults sized for per-use event streams in the paper's
-// parameter regime (rates of a few percent, sessions of 10^3–10^5
-// uses).
-type DetectorConfig struct {
-	// Warmup is the number of uses over which each baseline is learned
-	// (default 512). Larger warmup gives tighter baselines and fewer
-	// false alarms but delays arming.
-	Warmup int64
-	// Delta is the minimum absolute up-shift the CUSUM is tuned for
-	// (default 0.08). The actual up alternative is rate-relative,
-	// max(2·p0, p0+Delta): a doubling of a common event rate and a
-	// Delta-sized jump of a rare one are both "the designed shift".
+// The detector's tuning, sized for per-use event streams in the
+// paper's parameter regime (rates of a few percent, sessions of
+// 10^3–10^5 uses).
+const (
+	// warmup is the number of uses over which each baseline is
+	// learned. Larger warmup gives tighter baselines and fewer false
+	// alarms but delays arming.
+	warmup = 512
+	// delta is the minimum absolute up-shift the CUSUM is tuned for.
+	// The actual up alternative is rate-relative,
+	// max(2·p0, p0+delta): a doubling of a common event rate and a
+	// delta-sized jump of a rare one are both "the designed shift".
 	// The down alternative is always a halving, p0/2 — an additive
 	// down-shift of a rare event would clamp to ~0 and make every
 	// non-event weak positive evidence, which turns long gaps between
 	// events into false alarms. Smaller shifts than the design point
 	// are still detected, just later.
-	Delta float64
-	// Threshold is the CUSUM decision threshold h in nats (default 8).
-	// Raising it trades detection delay for fewer false alarms; at the
-	// defaults an injected shift of the design size fires within a few
-	// hundred uses while stationary streams of 10^4 uses fire at well
-	// under the 1% level (measured, not just the classical e^h ARL
+	delta = 0.08
+	// threshold is the CUSUM decision threshold h in nats. Raising it
+	// trades detection delay for fewer false alarms; at this tuning an
+	// injected shift of the design size fires within a few hundred
+	// uses while stationary streams of 10^4 uses fire at well under
+	// the 1% level (measured, not just the classical e^h ARL
 	// heuristic — baseline estimation noise is the real driver, which
-	// is what Guard absorbs).
-	Threshold float64
-	// Guard widens the null hypotheses by this many standard errors of
-	// the warmup baseline estimate (default 2.5). A CUSUM armed from an
-	// estimated baseline inherits that estimate's noise: a baseline
-	// underestimated by 2 SE turns the in-control drift of the up-CUSUM
-	// nearly flat and fires spuriously. Testing against p0 ± Guard·SE
-	// instead of p0 makes "in control" mean "within the warmup
-	// window's own uncertainty", which empirically cuts per-stream
-	// false alarms by an order of magnitude at the cost of ignoring
-	// shifts smaller than the guard band.
-	Guard float64
-	// MinP clamps baseline rates away from 0 and 1 (default 1e-3) so
-	// the log-likelihood increments stay finite when the warmup window
+	// is what guard absorbs).
+	threshold = 8
+	// guard widens the null hypotheses by this many standard errors
+	// of the warmup baseline estimate. A CUSUM armed from an estimated
+	// baseline inherits that estimate's noise: a baseline
+	// underestimated by 2 SE turns the in-control drift of the
+	// up-CUSUM nearly flat and fires spuriously. Testing against
+	// p0 ± guard·SE instead of p0 makes "in control" mean "within the
+	// warmup window's own uncertainty", which empirically cuts
+	// per-stream false alarms by an order of magnitude at the cost of
+	// ignoring shifts smaller than the guard band.
+	guard = 2.5
+	// minP clamps baseline rates away from 0 and 1 so the
+	// log-likelihood increments stay finite when the warmup window
 	// observed no events of a stream.
-	MinP float64
-}
-
-// withDefaults fills unset fields.
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Warmup == 0 {
-		c.Warmup = 512
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.08
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 8
-	}
-	if c.Guard == 0 {
-		c.Guard = 2.5
-	}
-	if c.MinP == 0 {
-		c.MinP = 1e-3
-	}
-	return c
-}
-
-// validate rejects unusable configurations.
-func (c DetectorConfig) validate() error {
-	if c.Warmup < 1 {
-		return fmt.Errorf("session: detector warmup %d < 1", c.Warmup)
-	}
-	if !(c.Delta > 0 && c.Delta < 0.5) {
-		return fmt.Errorf("session: detector delta %v out of (0, 0.5)", c.Delta)
-	}
-	if !(c.Threshold > 0) || math.IsInf(c.Threshold, 0) {
-		return fmt.Errorf("session: detector threshold %v must be positive and finite", c.Threshold)
-	}
-	if !(c.Guard > 0) || c.Guard > 10 {
-		return fmt.Errorf("session: detector guard %v out of (0, 10]", c.Guard)
-	}
-	if !(c.MinP > 0 && c.MinP < 0.5) {
-		return fmt.Errorf("session: detector min-p %v out of (0, 0.5)", c.MinP)
-	}
-	return nil
-}
+	minP = 1e-3
+)
 
 // cusum is one two-sided Bernoulli CUSUM over a 0/1 indicator stream.
 // During warmup it only tallies; once armed, each observation x adds
 // the log-likelihood ratio of the shifted-rate hypothesis against the
-// baseline to two one-sided statistics (rate up to max(2·p0, p0+Delta),
+// baseline to two one-sided statistics (rate up to max(2·p0, p0+delta),
 // rate down to p0/2), each floored at zero (the classical CUSUM
 // recursion). Crossing the threshold on either side is a change point.
 // State is six float64s and three int64s — O(1) regardless of stream
@@ -129,33 +87,33 @@ type cusum struct {
 
 // observe feeds one indicator observation, arming after warmup uses
 // and reporting whether a change point fired.
-func (s *cusum) observe(x int64, cfg DetectorConfig) bool {
+func (s *cusum) observe(x int64) bool {
 	if !s.armed {
 		s.seen++
 		s.ones += x
-		if s.seen >= cfg.Warmup {
-			s.arm(cfg)
+		if s.seen >= warmup {
+			s.arm()
 		}
 		return false
 	}
 	s.up = math.Max(0, s.up+s.lrUp[x])
 	s.down = math.Max(0, s.down+s.lrDown[x])
-	return s.up > cfg.Threshold || s.down > cfg.Threshold
+	return s.up > threshold || s.down > threshold
 }
 
 // arm fixes the baseline from the warmup tallies and precomputes the
 // increment tables. Each side tests its alternative against a
-// guard-banded null (p0 ± Guard standard errors of the warmup
-// estimate) rather than p0 itself; see DetectorConfig.Guard.
-func (s *cusum) arm(cfg DetectorConfig) {
+// guard-banded null (p0 ± guard standard errors of the warmup
+// estimate) rather than p0 itself; see guard.
+func (s *cusum) arm() {
 	clamp := func(p float64) float64 {
-		return math.Min(1-cfg.MinP, math.Max(cfg.MinP, p))
+		return math.Min(1-minP, math.Max(minP, p))
 	}
 	p0 := clamp(float64(s.ones) / float64(s.seen))
 	se := math.Sqrt(p0 * (1 - p0) / float64(s.seen))
-	nullUp := clamp(p0 + cfg.Guard*se)
-	p1 := clamp(math.Max(2*nullUp, nullUp+cfg.Delta))
-	nullDown := clamp(p0 - cfg.Guard*se)
+	nullUp := clamp(p0 + guard*se)
+	p1 := clamp(math.Max(2*nullUp, nullUp+delta))
+	nullDown := clamp(p0 - guard*se)
 	p2 := clamp(nullDown / 2)
 	// log L(x|p1)/L(x|nullUp) for x in {0,1}; likewise p2 vs nullDown.
 	// When the clamp collapses an alternative onto its null (baseline
@@ -185,7 +143,6 @@ func (s *cusum) reset() { *s = cusum{} }
 // rather than polluted by the old regime. Status reads
 // warmup -> ok -> (drift) -> resync -> ok.
 type Detector struct {
-	cfg        DetectorConfig
 	pd, pi, ps cusum
 	inResync   bool
 	drifts     int64
@@ -211,9 +168,6 @@ type StreamStats struct {
 	ArmedUses int64
 }
 
-// init prepares the detector (cfg must already have defaults applied).
-func (d *Detector) init(cfg DetectorConfig) { d.cfg = cfg }
-
 // Observe feeds one event's kind at the given use index.
 func (d *Detector) Observe(kind channel.EventKind, use int64) {
 	del, ins, sub := int64(0), int64(0), int64(0)
@@ -229,7 +183,7 @@ func (d *Detector) Observe(kind channel.EventKind, use int64) {
 		if s.armed {
 			st.ArmedUses++
 		}
-		if !s.observe(x, d.cfg) {
+		if !s.observe(x) {
 			return false
 		}
 		st.Fires++

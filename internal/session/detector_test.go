@@ -32,11 +32,7 @@ func feedRates(d *Detector, src *rng.Source, start int64, n int, pd, pi, ps floa
 
 func newTestDetector(t *testing.T) *Detector {
 	t.Helper()
-	sess, err := New("det", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess.Detector()
+	return New("det").Detector()
 }
 
 // TestDetectorLifecycle pins the warmup -> ok -> resync -> ok status
@@ -117,24 +113,31 @@ func TestDetectorCatchesEachStream(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDetectorConfigValidate rejects unusable tunings.
-func TestDetectorConfigValidate(t *testing.T) {
-	bad := []DetectorConfig{
-		{Warmup: -1},
-		{Delta: 0.7},
-		{Delta: -0.1},
-		{Threshold: -3},
-		{MinP: 0.9},
-	}
-	// withDefaults only fills zero-valued fields, so each invalid value
-	// survives into validation and New must reject it.
-	for _, cfg := range bad {
-		if _, err := New("bad", Config{Detector: cfg}); err == nil {
-			t.Fatalf("config %+v accepted", cfg)
+	// A warmup with no insertions puts the pi baseline on the minP
+	// clamp. From there each insertion adds log(p1/nullUp) ≈ 2.93 nats
+	// to the up-CUSUM, so the third consecutive insertion is the first
+	// to cross the threshold of 8 (with a clamp of 2e-3, three add up
+	// to only 7.6).
+	t.Run("pi up from clamp", func(t *testing.T) {
+		d := newTestDetector(t)
+		use := int64(0)
+		for ; use < warmup; use++ {
+			d.Observe(channel.EventTransmit, use+1)
 		}
-	}
+		if d.Status() != StatusOK {
+			t.Fatalf("status %q after an all-transmit warmup, want ok", d.Status())
+		}
+		for i := 1; i <= 3; i++ {
+			use++
+			d.Observe(channel.EventInsert, use)
+			if fired := d.Drifts() > 0; fired != (i == 3) {
+				t.Fatalf("insertion %d of a burst: fired=%v, want fired only at the third", i, fired)
+			}
+		}
+		if d.LastChangeUse() != warmup+3 {
+			t.Fatalf("change point at use %d, want %d", d.LastChangeUse(), warmup+3)
+		}
+	})
 }
 
 // TestDetectorAllDeleteStream pins the ps-stream exemption: a stream

@@ -131,10 +131,7 @@ func TestOnlineMatchesBatchBitExact(t *testing.T) {
 			raw := recordTrace(t, tc.params, tc.inject, tc.uses, tc.seed)
 			events := eventsFromTrace(t, raw)
 
-			sess, err := New("prop", Config{})
-			if err != nil {
-				t.Fatalf("session: %v", err)
-			}
+			sess := New("prop")
 			var running obs.UseCounts
 			for i, ev := range events {
 				if err := sess.Apply(ev); err != nil {
@@ -206,10 +203,7 @@ func TestOnlineMatchesBatchQuick(t *testing.T) {
 
 // TestSessionRejectsOutOfOrder pins the ordering contract.
 func TestSessionRejectsOutOfOrder(t *testing.T) {
-	sess, err := New("ord", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := New("ord")
 	for _, u := range []int64{1, 2, 5} {
 		if err := sess.Apply(Event{Use: u, Kind: channel.EventTransmit}); err != nil {
 			t.Fatalf("apply use %d: %v", u, err)

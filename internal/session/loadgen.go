@@ -12,12 +12,27 @@ import (
 	"repro/internal/rng"
 )
 
+// The one drift scenario every sessload run plays: each session
+// streams cleanUses uses of its planted channel, and every
+// driftEvery-th session (index % driftEvery == 0) then streams
+// driftUses more through the faultinject stack driftSpec builds, so
+// the run exercises both convergence (clean phase) and change-point
+// detection (drift phase). Events go to the sink in batches of
+// batchUses, and Assert requires every drift to be detected within
+// maxDetectDelay uses of onset: inside the drift window, i.e. before
+// an offline analysis of that window would even close.
+const (
+	cleanUses      = 1200
+	driftUses      = 1200
+	driftEvery     = 10
+	driftSpec      = "drift=0.25"
+	batchUses      = 400
+	maxDetectDelay = driftUses
+)
+
 // LoadConfig tunes one sessload run: Sessions independent simulated
 // channels, each with planted (Pd, Pi, Ps) drawn from seeded ranges,
-// streamed through the session layer in batches. Every DriftEvery-th
-// session switches to a fault-injected regime halfway through, so the
-// run exercises both convergence (clean phase) and change-point
-// detection (drift phase).
+// streamed through the session layer in the fixed drift scenario.
 type LoadConfig struct {
 	// Sessions is the number of concurrent simulated sessions
 	// (default 1000; make bench-sessions uses 10^5).
@@ -29,22 +44,6 @@ type LoadConfig struct {
 	// independent, so concurrency never changes results, only wall
 	// time.
 	Jobs int
-	// CleanUses and DriftUses are the per-session use counts of the
-	// clean and (for drift sessions) injected phases (defaults 1200).
-	CleanUses, DriftUses int
-	// DriftEvery marks every k-th session (index % k == 0) as a drift
-	// session (0 means the default 10; a negative value disables
-	// drift).
-	DriftEvery int
-	// Inject is the faultinject spec wrapped around drift sessions'
-	// channels for the drift phase (default "drift=0.25").
-	Inject string
-	// Batch is the events-per-ingest batch size (default 400).
-	Batch int
-	// MaxDetectDelay bounds the accepted drift-detection delay in uses
-	// (default DriftUses: detection must land inside the drift window,
-	// i.e. before an offline analysis of that window would even close).
-	MaxDetectDelay int64
 	// Ingest overrides the sink. The default sink is a Store that Run
 	// builds.
 	Ingest func(id string, events []Event) (Snapshot, error)
@@ -60,24 +59,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Jobs <= 0 {
 		c.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if c.CleanUses == 0 {
-		c.CleanUses = 1200
-	}
-	if c.DriftUses == 0 {
-		c.DriftUses = 1200
-	}
-	if c.DriftEvery == 0 {
-		c.DriftEvery = 10
-	}
-	if c.Inject == "" {
-		c.Inject = "drift=0.25"
-	}
-	if c.Batch == 0 {
-		c.Batch = 400
-	}
-	if c.MaxDetectDelay == 0 {
-		c.MaxDetectDelay = int64(c.DriftUses)
 	}
 	return c
 }
@@ -116,8 +97,6 @@ type Outcome struct {
 type Report struct {
 	Seed                    uint64
 	Sessions, DriftSessions int
-	CleanUses, DriftUses    int
-	Inject                  string
 	EventsTotal             int64
 	// Converged counts sessions whose clean-phase estimate contained
 	// the planted parameters.
@@ -134,21 +113,18 @@ type Report struct {
 	// sorted by session index.
 	Errors   int
 	Failures []string
-	// MaxDetectDelay echoes the configured bound for Assert.
-	MaxDetectDelay int64
 }
 
 // Run executes the load. Results are deterministic for a fixed
-// (Seed, Sessions, CleanUses, DriftUses, DriftEvery, Inject, Batch)
-// tuple regardless of Jobs: every session derives its own rng streams
-// from (Seed, index) and outcomes aggregate in index order.
+// (Seed, Sessions) pair regardless of Jobs: every session derives its
+// own rng streams from (Seed, index) and outcomes aggregate in index
+// order.
 func Run(cfg LoadConfig) (*Report, error) {
-	if cfg.Sessions < 0 || cfg.CleanUses < 0 || cfg.DriftUses < 0 || cfg.Batch < 0 {
-		return nil, fmt.Errorf("session: negative load size (sessions %d, clean uses %d, drift uses %d, batch %d)",
-			cfg.Sessions, cfg.CleanUses, cfg.DriftUses, cfg.Batch)
+	if cfg.Sessions < 0 {
+		return nil, fmt.Errorf("session: negative session count %d", cfg.Sessions)
 	}
 	cfg = cfg.withDefaults()
-	spec, err := faultinject.ParseSpec(cfg.Inject)
+	spec, err := faultinject.ParseSpec(driftSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +163,7 @@ func Run(cfg LoadConfig) (*Report, error) {
 // runSession simulates one session end to end.
 func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 	out := Outcome{Index: i, ID: SessionID(cfg.Seed, i)}
-	out.Drift = cfg.DriftEvery > 0 && i%cfg.DriftEvery == 0 && len(spec) > 0
+	out.Drift = i%driftEvery == 0
 	// The session's master stream: splitmix64 of (Seed, index) seeds a
 	// xoshiro stream, split into independent param/symbol/fault
 	// sources. Nothing here touches global state, so sessions are
@@ -200,10 +176,10 @@ func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 		out.Err = err.Error()
 		return out
 	}
-	f := &feeder{ch: ch, symSrc: symSrc, batch: cfg.Batch}
+	f := &feeder{ch: ch, symSrc: symSrc}
 
 	// Clean phase: feed, then check convergence to the planted truth.
-	snap, err := f.feed(cfg.Ingest, out.ID, cfg.CleanUses, nil)
+	snap, err := f.feed(cfg.Ingest, out.ID, cleanUses, nil)
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -228,7 +204,7 @@ func runSession(cfg LoadConfig, spec faultinject.Spec, i int) Outcome {
 	f.ch = stack
 	f.injected = stack.Injected
 	driftStart := f.use
-	final, err := f.feed(cfg.Ingest, out.ID, cfg.DriftUses, func(s Snapshot) {
+	final, err := f.feed(cfg.Ingest, out.ID, driftUses, func(s Snapshot) {
 		if !out.Detected && s.Drifts > out.CleanDrifts {
 			out.Detected = true
 			out.Delay = s.LastChangeUse - driftStart
@@ -268,7 +244,6 @@ type feeder struct {
 	queued     uint32
 	haveQueued bool
 	use        int64
-	batch      int
 	buf        []Event
 }
 
@@ -301,17 +276,17 @@ func (f *feeder) next() Event {
 	return ev
 }
 
-// feed streams uses more events in Batch-sized flushes, invoking
+// feed streams uses more events in batchUses-sized flushes, invoking
 // onFlush (when non-nil) with each post-ingest snapshot, and returns
 // the final one.
 func (f *feeder) feed(ingest func(string, []Event) (Snapshot, error), id string, uses int, onFlush func(Snapshot)) (Snapshot, error) {
 	if cap(f.buf) == 0 {
-		f.buf = make([]Event, 0, f.batch)
+		f.buf = make([]Event, 0, batchUses)
 	}
 	var snap Snapshot
 	for done := 0; done < uses; {
 		f.buf = f.buf[:0]
-		for len(f.buf) < f.batch && done < uses {
+		for len(f.buf) < batchUses && done < uses {
 			f.buf = append(f.buf, f.next())
 			done++
 		}
@@ -328,14 +303,7 @@ func (f *feeder) feed(ingest func(string, []Event) (Snapshot, error), id string,
 
 // buildReport aggregates outcomes in index order.
 func buildReport(cfg LoadConfig, outcomes []Outcome) *Report {
-	r := &Report{
-		Seed:           cfg.Seed,
-		Sessions:       cfg.Sessions,
-		CleanUses:      cfg.CleanUses,
-		DriftUses:      cfg.DriftUses,
-		Inject:         cfg.Inject,
-		MaxDetectDelay: cfg.MaxDetectDelay,
-	}
+	r := &Report{Seed: cfg.Seed, Sessions: cfg.Sessions}
 	var delaySum int64
 	for i := range outcomes {
 		o := &outcomes[i]
@@ -374,12 +342,12 @@ func buildReport(cfg LoadConfig, outcomes []Outcome) *Report {
 }
 
 // Format writes the deterministic run report: every line is a pure
-// function of the seed and configuration, so diffing two runs is the
+// function of the seed and session count, so diffing two runs is the
 // byte-identity gate. Wall-clock figures deliberately do not appear
 // here; cmd/sessload prints those separately as "timing:" lines.
 func (r *Report) Format(w io.Writer) {
 	fmt.Fprintf(w, "sessload seed=%d sessions=%d drift=%d clean_uses=%d drift_uses=%d inject=%q\n",
-		r.Seed, r.Sessions, r.DriftSessions, r.CleanUses, r.DriftUses, r.Inject)
+		r.Seed, r.Sessions, r.DriftSessions, cleanUses, driftUses, driftSpec)
 	fmt.Fprintf(w, "events: %d\n", r.EventsTotal)
 	fmt.Fprintf(w, "converged: %d/%d (%.4f)\n", r.Converged, r.Sessions, ratio(r.Converged, r.Sessions))
 	fmt.Fprintf(w, "detected: %d/%d missed: %d max_delay: %d mean_delay: %.1f\n",
@@ -402,7 +370,7 @@ func ratio(k, n int) float64 {
 // Assert applies the smoke-gate acceptance bounds: no failed sessions,
 // ≥80% joint-CI convergence (three simultaneous 95% intervals give
 // ~86% expected joint coverage), at least one drift session, injected
-// drift detected within MaxDetectDelay uses of onset, and clean-phase
+// drift detected within maxDetectDelay uses of onset, and clean-phase
 // false alarms under 2%.
 // Misses get a 0.1% budget, symmetric with the false-alarm budget: the
 // drift layer is a reflected random walk, and across 10^4+ sessions a
@@ -424,8 +392,8 @@ func (r *Report) Assert() error {
 		return fmt.Errorf("sessload: %d/%d drift sessions undetected (budget %d)",
 			r.Missed, r.DriftSessions, budget)
 	}
-	if r.MaxDelay > r.MaxDetectDelay {
-		return fmt.Errorf("sessload: max detection delay %d uses exceeds bound %d", r.MaxDelay, r.MaxDetectDelay)
+	if r.MaxDelay > maxDetectDelay {
+		return fmt.Errorf("sessload: max detection delay %d uses exceeds bound %d", r.MaxDelay, maxDetectDelay)
 	}
 	if got := ratio(r.FalsePositives, r.Sessions); got > 0.02 {
 		return fmt.Errorf("sessload: false-positive fraction %.4f > 0.02", got)

@@ -31,8 +31,8 @@ func TestLoadRunAsserts(t *testing.T) {
 	// The acceptance criterion: detection lands inside the drift
 	// window, i.e. before an offline analysis of that window could even
 	// begin.
-	if rep.MaxDelay >= int64(rep.DriftUses) {
-		t.Fatalf("max detection delay %d not inside the %d-use drift window", rep.MaxDelay, rep.DriftUses)
+	if rep.MaxDelay >= driftUses {
+		t.Fatalf("max detection delay %d not inside the %d-use drift window", rep.MaxDelay, driftUses)
 	}
 }
 

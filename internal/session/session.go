@@ -51,41 +51,17 @@ import (
 // (MaxSymbol), and the capacity bounds served for it assume N.
 const N = 4
 
-// Config tunes one session. The zero value selects workable defaults.
-type Config struct {
-	// Detector tunes the change-point detector.
-	Detector DetectorConfig
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	c.Detector = c.Detector.withDefaults()
-	return c
-}
-
-// validate rejects unusable configurations.
-func (c Config) validate() error { return c.Detector.validate() }
-
 // Session is one live channel-estimation session: an online estimator
 // plus a drift detector, fed strictly increasing use events. It is not
 // safe for concurrent use; the Store serializes access per session.
 type Session struct {
 	id  string
-	cfg Config
 	est Estimator
 	det Detector
 }
 
 // New creates a session.
-func New(id string, cfg Config) (*Session, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	s := &Session{id: id, cfg: cfg}
-	s.det.init(cfg.Detector)
-	return s, nil
-}
+func New(id string) *Session { return &Session{id: id} }
 
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }

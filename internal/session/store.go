@@ -18,22 +18,22 @@ var ErrNotFound = errors.New("session: not found")
 // maxBatchEvents bounds the events one ingest batch may carry.
 const maxBatchEvents = 1 << 16
 
+// storeShards is the lock-shard count, a power of two so shardFor can
+// mask the hash.
+const storeShards = 128
+
 // StoreConfig tunes a Store. The zero value selects production-shaped
 // defaults.
 type StoreConfig struct {
-	// Session configures new sessions (symbol width, detector tuning).
-	Session Config
-	// TTL evicts sessions idle this long (default 15m). EvictIdle
-	// applies it; the store itself never spawns goroutines, so owners
-	// control sweep cadence (capserver runs a janitor ticker).
+	// TTL evicts sessions idle this long (0 selects 15m; a negative
+	// TTL never evicts). EvictIdle applies it; the store itself never
+	// spawns goroutines, so owners control sweep cadence (capserver
+	// runs a janitor ticker).
 	TTL time.Duration
-	// MaxSessions caps live sessions (default 1 << 20). Ingest for a
-	// new ID beyond the cap fails with ErrTooManySessions; existing
-	// sessions keep ingesting.
+	// MaxSessions caps live sessions (default 1 << 20; NewStore
+	// refuses a negative cap). Ingest for a new ID beyond the cap
+	// fails with ErrTooManySessions; existing sessions keep ingesting.
 	MaxSessions int
-	// Shards is the lock-shard count (default 128, rounded up to a
-	// power of two).
-	Shards int
 	// Now supplies the clock (default time.Now; tests inject a fake to
 	// make TTL eviction deterministic).
 	Now func() time.Time
@@ -49,12 +49,6 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 1 << 20
-	}
-	if c.Shards == 0 {
-		c.Shards = 128
-	}
-	for c.Shards&(c.Shards-1) != 0 {
-		c.Shards++
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -84,7 +78,7 @@ type storeShard struct {
 // TTL eviction returns it.
 type Store struct {
 	cfg    StoreConfig
-	shards []storeShard
+	shards [storeShards]storeShard
 	// count tracks live sessions under its own lock so the MaxSessions
 	// check does not scan shards.
 	countMu sync.Mutex
@@ -93,15 +87,11 @@ type Store struct {
 
 // NewStore builds a store.
 func NewStore(cfg StoreConfig) (*Store, error) {
+	if cfg.MaxSessions < 0 {
+		return nil, fmt.Errorf("session: negative MaxSessions %d", cfg.MaxSessions)
+	}
 	cfg = cfg.withDefaults()
-	cfg.Session = cfg.Session.withDefaults()
-	if err := cfg.Session.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.TTL < 0 {
-		return nil, fmt.Errorf("session: negative TTL %v", cfg.TTL)
-	}
-	s := &Store{cfg: cfg, shards: make([]storeShard, cfg.Shards)}
+	s := &Store{cfg: cfg}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*entry)
 	}
@@ -112,7 +102,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 // Metrics returns the store's instrument set.
 func (s *Store) Metrics() *Metrics { return s.cfg.Metrics }
 
-// TTL returns the idle-eviction threshold.
+// TTL returns the idle-eviction threshold; negative means never.
 func (s *Store) TTL() time.Duration { return s.cfg.TTL }
 
 // ValidateID accepts session IDs safe for URL paths and ring keys:
@@ -139,7 +129,7 @@ func ValidateID(id string) error {
 // shardFor picks the lock shard for an ID. The ring's stable fnv hash
 // is reused; only even distribution matters here.
 func (s *Store) shardFor(id string) *storeShard {
-	return &s.shards[fnvShard(id)&(uint64(len(s.shards))-1)]
+	return &s.shards[fnvShard(id)&(storeShards-1)]
 }
 
 // Ingest decodes one NDJSON batch and applies it to the session,
@@ -175,13 +165,7 @@ func (s *Store) IngestEvents(id string, events []Event) (int, Snapshot, error) {
 			s.cfg.Metrics.Rejected.Inc()
 			return 0, Snapshot{}, err
 		}
-		sess, err := New(id, s.cfg.Session)
-		if err != nil {
-			s.release(1)
-			s.cfg.Metrics.Rejected.Inc()
-			return 0, Snapshot{}, err
-		}
-		e = &entry{sess: sess}
+		e = &entry{sess: New(id)}
 		sh.m[id] = e
 		s.cfg.Metrics.Created.Inc()
 	}
@@ -305,9 +289,10 @@ func (s *Store) List(afterID string, limit int) ([]Snapshot, string) {
 }
 
 // EvictIdle removes every session idle for at least the TTL and
-// returns how many were reclaimed. TTL 0 keeps sessions forever.
+// returns how many were reclaimed. A negative TTL keeps sessions
+// forever.
 func (s *Store) EvictIdle() int {
-	if s.cfg.TTL == 0 {
+	if s.cfg.TTL < 0 {
 		return 0
 	}
 	cutoff := s.cfg.Now().Add(-s.cfg.TTL)

@@ -120,6 +120,10 @@ func TestStoreMaxSessions(t *testing.T) {
 	if _, _, err := s.IngestEvents("s0", transmits(2, 1)); err != nil {
 		t.Fatalf("existing session blocked at cap: %v", err)
 	}
+	// A negative cap is a mistake, not a cap that refuses every session.
+	if _, err := NewStore(StoreConfig{MaxSessions: -5}); err == nil {
+		t.Fatal("NewStore accepted MaxSessions -5")
+	}
 }
 
 func TestStoreTTLEviction(t *testing.T) {
@@ -150,6 +154,24 @@ func TestStoreTTLEviction(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Fatalf("len %d, want 1", s.Len())
+	}
+}
+
+// TestStoreNegativeTTLNeverEvicts pins the "never" meaning of a
+// negative TTL: a session idle for a day survives the sweep.
+func TestStoreNegativeTTLNeverEvicts(t *testing.T) {
+	clock := newFakeClock()
+	s := newTestStore(t, StoreConfig{TTL: -1, Now: clock.Now})
+	if s.TTL() >= 0 {
+		t.Fatalf("TTL %v, want negative", s.TTL())
+	}
+	s.IngestEvents("idle", transmits(1, 1))
+	clock.Advance(24 * time.Hour)
+	if n := s.EvictIdle(); n != 0 {
+		t.Fatalf("evicted %d sessions with a negative TTL", n)
+	}
+	if _, err := s.Get("idle"); err != nil {
+		t.Fatalf("idle session lost: %v", err)
 	}
 }
 
