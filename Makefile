@@ -30,7 +30,7 @@ race:
 
 # 10 seconds per native fuzz target, 110 seconds in all: the
 # Definition 1 trace invariants, the fault-spec grammar, the session
-# NDJSON decoder, the decoder's canonical-subset scanner against its
+# NDJSON decoder, the decoder's fused exact-layout tier against its
 # encoding/json reference, the result-store entry decoder, the cluster
 # membership flag, the federation's parse of a member's metrics
 # exposition, the alert-rule file parser, capstat's request-span
@@ -53,14 +53,15 @@ fuzz-smoke:
 # One iteration of the serial/parallel batch benchmarks, of each
 # remaining kernel's set against its reference (Blahut-Arimoto, the
 # Monte-Carlo embedding count with its draw-cost floor, the session
-# NDJSON decoder) and of the plain channel-transmit and convolutional
-# decoder benchmarks, as a smoke test that the benchmarks themselves
-# still run, and the bench/ module, a separate Go module that `./...`
-# never builds.
+# NDJSON decoder, with its pooled Store.Ingest path), of the plain
+# channel-transmit and convolutional decoder benchmarks and of the
+# result store's Put and Get, as a smoke test that the benchmarks
+# themselves still run, and the bench/ module, a separate Go module
+# that `./...` never builds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch)$$' -benchtime 1x \
-		./internal/infotheory ./internal/coding/conv ./internal/channel ./internal/delcap ./internal/session
+	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch|Put|Get)$$' -benchtime 1x \
+		./internal/infotheory ./internal/coding/conv ./internal/channel ./internal/delcap ./internal/session ./internal/cluster/casstore
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Experiment-table gate: the md5 of `experiments -seed 1` stdout must

@@ -81,6 +81,7 @@ func TestFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "warp"},
 		{"-mode", "run", "-sessions", "-3"},
+		{"-mode", "run", "-jobs", "-3"},
 		// Cluster mode runs one fixed scenario and reads no size.
 		{"-mode", "cluster", "-sessions", "48"},
 	}

@@ -1,6 +1,7 @@
 package capserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +12,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/channel"
 	"repro/internal/rng"
+	"repro/internal/session"
 )
 
 // This file is the load harness: a deterministic request generator
@@ -392,15 +395,19 @@ func smokeSessions(baseURL string, client *http.Client) error {
 		}
 		_ = resp.Body.Close()
 	}
-	var batch strings.Builder
-	for i := int64(1); i <= 64; i++ {
-		kind, rest := "T", fmt.Sprintf(`"s":3,"r":3`)
-		if i%16 == 0 {
-			kind, rest = "D", `"s":3`
+	events := make([]session.Event, 64)
+	for i := range events {
+		ev := session.Event{Use: last + int64(i) + 1, Kind: channel.EventTransmit, Sent: 3, Received: 3}
+		if (i+1)%16 == 0 {
+			ev.Kind, ev.Received = channel.EventDelete, 0
 		}
-		fmt.Fprintf(&batch, `{"u":%d,"k":%q,%s}`+"\n", last+i, kind, rest)
+		events[i] = ev
 	}
-	resp, err := client.Post(baseURL+"/v1/sessions/"+id+"/events", "application/x-ndjson", strings.NewReader(batch.String()))
+	var batch bytes.Buffer
+	if err := session.EncodeEvents(&batch, events); err != nil {
+		return fmt.Errorf("encoding the smoke session batch: %w", err)
+	}
+	resp, err := client.Post(baseURL+"/v1/sessions/"+id+"/events", "application/x-ndjson", &batch)
 	if err != nil {
 		return fmt.Errorf("POST /v1/sessions/%s/events: %w", id, err)
 	}

@@ -245,3 +245,51 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 		t.Fatal("empty dir accepted")
 	}
 }
+
+// benchBody is the size of a cold-grid point's response body.
+var benchBody = bytes.Repeat([]byte("7"), 700)
+
+// BenchmarkPut times writing a new entry: every iteration puts a key
+// the fresh store has not seen, so each is a create, write and rename.
+func BenchmarkPut(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bounds?n=4&pd=0.%06d&pf=0.01", i)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(benchBody)))
+	b.ResetTimer()
+	for _, key := range keys {
+		s.Put(key, benchBody)
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.Puts != int64(b.N) || st.PutErrors != 0 {
+		b.Fatalf("stats %+v after %d puts", st, b.N)
+	}
+}
+
+// BenchmarkGet times reading back an entry through the page cache:
+// the iterations cycle over 1024 distinct entries put beforehand.
+func BenchmarkGet(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bounds?n=4&pd=0.%06d&pf=0.01", i)
+		s.Put(keys[i], benchBody)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(benchBody)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if body, ok := s.Get(keys[i%len(keys)]); !ok || len(body) != len(benchBody) {
+			b.Fatalf("get %d: ok=%v, %d bytes", i, ok, len(body))
+		}
+	}
+}

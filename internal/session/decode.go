@@ -6,8 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"strings"
+	"sync"
 
 	"repro/internal/channel"
 )
@@ -66,13 +65,15 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 //
 // The accepted language is whatever the encoding/json line decoder in
 // reference.go accepts; that decoder is the spec. Decoding runs in two
-// layers: a syntax layer yields a fields value, and validate applies
-// every semantic check. The fast syntax layer, scanCanonical, handles
-// only the canonical subset EncodeEvents emits, without reflection or
-// allocation; any other line is re-decoded by the reference, which
-// therefore produces every syntax error message.
+// tiers. The fused tier, decodeExact, takes only the exact layout
+// EncodeEvents writes, the layout of every producer in this module; it
+// parses and checks such a line in one pass, without reflection or
+// allocation. Every other line, and every line the reference would
+// reject, is decoded by the reference, which parses into a fields
+// value and hands it to validate; so the reference produces every
+// error message.
 
-// fields is one event line after the syntax layer: raw values with
+// fields is one event line as the reference parsed it: raw values with
 // presence flags, before any semantic check.
 type fields struct {
 	u, s, r, inj                   int64
@@ -80,142 +81,94 @@ type fields struct {
 	hasU, hasK, hasS, hasR, hasInj bool
 }
 
-// kindCodes holds the wire kind letters; the scanner slices its kind
-// strings out of it so that a canonical line allocates nothing.
-const kindCodes = "TSDI"
-
-// decodeLine strictly decodes one NDJSON line into an Event: the
-// canonical-subset scanner when it applies, the reference otherwise.
+// decodeLine strictly decodes one NDJSON line into an Event: the fused
+// tier when the line is in the exact layout and valid, the reference
+// otherwise.
 func decodeLine(line []byte) (Event, error) {
-	if f, ok := scanCanonical(line); ok {
-		return validate(f)
+	if ev, ok := decodeExact(line); ok {
+		return ev, nil
 	}
 	return decodeLineReference(line)
 }
 
-// scanCanonical parses line if it lies in the canonical subset of the
-// wire language: exactly one JSON object with JSON whitespace between
-// tokens, the exact lowercase keys u, k, s, r and inj each at most
-// once, integer values with no fraction, exponent or leading zero that
-// fit an int64, and for k a one-letter unescaped T, S, D or I. ok is
-// false for every other line — including ones the reference accepts,
-// such as uppercase or duplicate keys, null, escapes and "1.0" — so
-// the caller falls back to the reference.
-func scanCanonical(line []byte) (f fields, ok bool) {
-	i := skipSpace(line, 0)
-	if i == len(line) || line[i] != '{' {
-		return f, false
+// decodeExact decodes line if it is in the exact layout EncodeEvents
+// writes,
+//
+//	{"u":U,"k":"K"[,"s":S][,"r":R][,"inj":J]}
+//
+// with the keys in this order, no whitespace, each integer
+// non-negative, without a leading zero and at most 18 digits long (so
+// it fits an int64), and if it passes every check validate applies:
+// use ≥ 1, "s" present unless K is I, "r" present unless K is D,
+// symbols in [0, MaxSymbol], and r = s for T but not for S. ok is false
+// for every other line, including lines the reference accepts (any
+// other key order, whitespace, a 19-digit use) and every line validate
+// would reject, so that the reference decodes it.
+func decodeExact(line []byte) (ev Event, ok bool) {
+	n := len(line)
+	if n < 5 || string(line[:5]) != `{"u":` {
+		return Event{}, false
 	}
-	i = skipSpace(line, i+1)
-	if i < len(line) && line[i] == '}' {
-		return f, skipSpace(line, i+1) == len(line)
+	var i int
+	if ev.Use, i, ok = exactInt(line, 5); !ok || ev.Use < 1 ||
+		n < i+8 || string(line[i:i+6]) != `,"k":"` || line[i+7] != '"' {
+		return Event{}, false
 	}
-	for {
-		if i == len(line) || line[i] != '"' {
-			return f, false
-		}
-		end := i + 1
-		for end < len(line) && line[end] != '"' {
-			end++
-		}
-		if end == len(line) {
-			return f, false
-		}
-		key := line[i+1 : end]
-		i = skipSpace(line, end+1)
-		if i == len(line) || line[i] != ':' {
-			return f, false
-		}
-		i = skipSpace(line, i+1)
-		var v *int64
-		var seen *bool
-		switch string(key) {
-		case "u":
-			v, seen = &f.u, &f.hasU
-		case "s":
-			v, seen = &f.s, &f.hasS
-		case "r":
-			v, seen = &f.r, &f.hasR
-		case "inj":
-			v, seen = &f.inj, &f.hasInj
-		case "k":
-			if f.hasK || i+3 > len(line) || line[i] != '"' || line[i+2] != '"' {
-				return f, false
-			}
-			c := strings.IndexByte(kindCodes, line[i+1])
-			if c < 0 {
-				return f, false
-			}
-			f.k, f.hasK = kindCodes[c:c+1], true
-			i += 3
-		default:
-			return f, false
-		}
-		if v != nil {
-			if *seen {
-				return f, false
-			}
-			if *v, i, ok = scanInt(line, i); !ok {
-				return f, false
-			}
-			*seen = true
-		}
-		i = skipSpace(line, i)
-		if i == len(line) {
-			return f, false
-		}
-		if line[i] == '}' {
-			return f, skipSpace(line, i+1) == len(line)
-		}
-		if line[i] != ',' {
-			return f, false
-		}
-		i = skipSpace(line, i+1)
+	if ev.Kind, ok = KindFromCode(string(line[i+6 : i+7])); !ok {
+		return Event{}, false
 	}
+	i += 8
+	var v int64
+	if ev.Kind != channel.EventInsert {
+		if n < i+5 || string(line[i:i+5]) != `,"s":` {
+			return Event{}, false
+		}
+		if v, i, ok = exactInt(line, i+5); !ok || v > MaxSymbol {
+			return Event{}, false
+		}
+		ev.Sent = uint32(v)
+	}
+	if ev.Kind != channel.EventDelete {
+		if n < i+5 || string(line[i:i+5]) != `,"r":` {
+			return Event{}, false
+		}
+		if v, i, ok = exactInt(line, i+5); !ok || v > MaxSymbol {
+			return Event{}, false
+		}
+		ev.Received = uint32(v)
+	}
+	if n >= i+7 && string(line[i:i+7]) == `,"inj":` {
+		if v, i, ok = exactInt(line, i+7); !ok {
+			return Event{}, false
+		}
+		ev.Injected = v != 0
+	}
+	if i != n-1 || line[i] != '}' ||
+		ev.Kind == channel.EventTransmit && ev.Received != ev.Sent ||
+		ev.Kind == channel.EventSubstitute && ev.Received == ev.Sent {
+		return Event{}, false
+	}
+	return ev, true
 }
 
-// skipSpace returns the index of the first non-JSON-whitespace byte of
-// b at or after i.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
+// exactInt parses the non-negative decimal integer at line[i:],
+// returning its value and the index after it. ok is false unless it
+// has 1 to 18 digits and no leading zero.
+func exactInt(line []byte, i int) (v int64, next int, ok bool) {
+	start := i
+	for ; i < len(line) && line[i] >= '0' && line[i] <= '9'; i++ {
+		v = v*10 + int64(line[i]-'0')
 	}
-	return i
-}
-
-// scanInt parses the optionally negative decimal integer at b[i:],
-// returning its value and the index after it. A leading 0 is the
-// whole integer, so "01" leaves "1" for the caller to reject; ok is
-// false on no digits or int64 overflow.
-func scanInt(b []byte, i int) (v int64, next int, ok bool) {
-	neg := i < len(b) && b[i] == '-'
-	limit := uint64(math.MaxInt64)
-	if neg {
-		i++
-		limit++
-	}
-	if i == len(b) || b[i] < '0' || b[i] > '9' {
+	if n := i - start; n == 0 || n > 18 || n > 1 && line[start] == '0' {
 		return 0, i, false
 	}
-	if b[i] == '0' {
-		return 0, i + 1, true
-	}
-	var mag uint64
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		d := uint64(b[i] - '0')
-		if mag > (limit-d)/10 {
-			return 0, i, false
-		}
-		mag = mag*10 + d
-	}
-	if neg {
-		return int64(-mag), i, true
-	}
-	return int64(mag), i, true
+	return v, i, true
 }
 
-// validate applies the semantic checks every decoded line must pass,
-// whichever syntax layer produced it.
+// validate applies the semantic checks to a line the reference parsed;
+// decodeExact makes the same checks inline, and leaves every line
+// validate would reject to the reference, so the messages come from
+// here.
 func validate(f fields) (Event, error) {
 	if !f.hasU {
 		return Event{}, fmt.Errorf("missing use index \"u\"")
@@ -283,20 +236,55 @@ func symbol(name string, v int64) (uint32, error) {
 // carrying the first bad line number; limit > 0 bounds the number of
 // events accepted. DecodeBatch never panics on hostile input.
 //
-// Canonical lines take the allocation-free scanner; every other line,
-// and so every syntax error, goes through the encoding/json reference.
-// Both give identical events and errors (FuzzDecodeBatchDiff).
+// A line in the exact layout EncodeEvents writes takes the fused,
+// allocation-free decoder; every other line, and so every error, goes
+// through the encoding/json reference. Both give identical events and
+// errors (FuzzDecodeBatchDiff).
 func DecodeBatch(r io.Reader, after int64, limit int) ([]Event, error) {
-	return decodeBatch(r, after, limit, decodeLine)
+	sc := getScratch()
+	defer putScratch(sc)
+	return decodeBatch(r, after, limit, sc.line, nil, decodeLine)
 }
 
-// decodeBatch is the batch framing shared by DecodeBatch and
-// decodeBatchReference: line splitting, blank-line skipping, the use
-// cursor, the event limit and first-bad-line error reporting.
-func decodeBatch(r io.Reader, after int64, limit int, decode func([]byte) (Event, error)) ([]Event, error) {
+// batchScratch is the memory a batch decode can reuse: the scanner's
+// line buffer and the decoded events.
+type batchScratch struct {
+	line   []byte
+	events []Event
+}
+
+// maxPooledEvents is the largest event capacity a pooled scratch
+// keeps. Producers send batches of tens to hundreds of events; the
+// slice of one batch at the maxBatchEvents cap (2 MiB) is dropped
+// rather than pinned in the pool.
+const maxPooledEvents = 4096
+
+// scratchPool recycles batch scratch between decodes.
+var scratchPool = sync.Pool{New: func() any {
+	return &batchScratch{line: make([]byte, MaxLineBytes)}
+}}
+
+// getScratch takes batch scratch from the pool.
+func getScratch() *batchScratch { return scratchPool.Get().(*batchScratch) }
+
+// putScratch returns sc to the pool, without an event slice grown past
+// maxPooledEvents.
+func putScratch(sc *batchScratch) {
+	if cap(sc.events) > maxPooledEvents {
+		sc.events = nil
+	}
+	scratchPool.Put(sc)
+}
+
+// decodeBatch is the batch framing shared by DecodeBatch, Store.Ingest
+// and decodeBatchReference: line splitting, blank-line skipping, the
+// use cursor, the event limit and first-bad-line error reporting. It
+// scans lines in buf (allocating one if buf has no capacity) and
+// appends the events to events[:0]. On error the events are nil.
+func decodeBatch(r io.Reader, after int64, limit int, buf []byte, events []Event, decode func([]byte) (Event, error)) ([]Event, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1024), MaxLineBytes)
-	var events []Event
+	sc.Buffer(buf, MaxLineBytes)
+	events = events[:0]
 	prev := after
 	line := 0
 	for sc.Scan() {

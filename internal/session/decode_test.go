@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -173,8 +174,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// TestDecodeLineZeroAlloc pins the scanner's cost contract: a
-// canonical line of any kind decodes without a heap allocation.
+// TestDecodeLineZeroAlloc pins the fused decoder's cost contract: an
+// exact-layout line of any kind decodes without a heap allocation.
 func TestDecodeLineZeroAlloc(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeEvents(&buf, []Event{
@@ -201,27 +202,42 @@ func TestDecodeLineZeroAlloc(t *testing.T) {
 
 var decodeSink []Event
 
-// BenchmarkDecodeBatch times one 256-event batch through the fast
-// decoder and through the encoding/json reference.
-func BenchmarkDecodeBatch(b *testing.B) {
+// exactBatches renders n consecutive 256-event batches in the exact
+// layout, batch k's uses following batch k-1's: the shape of the
+// session-stream benchmark's posts.
+func exactBatches(tb testing.TB, n int) [][]byte {
+	tb.Helper()
+	bodies := make([][]byte, n)
 	events := make([]Event, 256)
-	for i := range events {
-		ev := Event{Use: int64(i + 1), Kind: channel.EventKind(i%4 + 1), Sent: uint32(i % 7), Received: uint32(i % 7)}
-		switch ev.Kind {
-		case channel.EventSubstitute:
-			ev.Received = ev.Sent + 1
-		case channel.EventDelete:
-			ev.Received = 0
-		case channel.EventInsert:
-			ev.Sent = 0
+	for k := range bodies {
+		for i := range events {
+			ev := Event{Use: int64(k*len(events) + i + 1), Kind: channel.EventKind(i%4 + 1), Sent: uint32(i % 7), Received: uint32(i % 7)}
+			switch ev.Kind {
+			case channel.EventSubstitute:
+				ev.Received = ev.Sent + 1
+			case channel.EventDelete:
+				ev.Received = 0
+			case channel.EventInsert:
+				ev.Sent = 0
+			}
+			events[i] = ev
 		}
-		events[i] = ev
+		var buf bytes.Buffer
+		if err := EncodeEvents(&buf, events); err != nil {
+			tb.Fatal(err)
+		}
+		bodies[k] = buf.Bytes()
 	}
-	var buf bytes.Buffer
-	if err := EncodeEvents(&buf, events); err != nil {
-		b.Fatal(err)
-	}
-	body := buf.Bytes()
+	return bodies
+}
+
+// BenchmarkDecodeBatch times one 256-event batch through the fast
+// decoder, through the encoding/json reference, and through
+// Store.Ingest, which decodes into pooled scratch and applies the
+// events to an open session.
+func BenchmarkDecodeBatch(b *testing.B) {
+	bodies := exactBatches(b, 64)
+	body := bodies[0]
 	for _, bc := range []struct {
 		name   string
 		decode func(io.Reader, int64, int) ([]Event, error)
@@ -231,11 +247,33 @@ func BenchmarkDecodeBatch(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
 				got, err := bc.decode(bytes.NewReader(body), 0, 0)
-				if err != nil || len(got) != len(events) {
+				if err != nil || len(got) != 256 {
 					b.Fatalf("decoded %d events: %v", len(got), err)
 				}
 				decodeSink = got
 			}
 		})
 	}
+	b.Run("ingest", func(b *testing.B) {
+		s, err := NewStore(StoreConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var rd bytes.Reader
+		var id string
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			// Each session takes the batches in order, so every ingest
+			// lands above its cursor; one in len(bodies) opens a session.
+			k := i % len(bodies)
+			if k == 0 {
+				id = "bench-" + strconv.Itoa(i)
+			}
+			rd.Reset(bodies[k])
+			if n, _, err := s.Ingest(id, &rd); err != nil || n != 256 {
+				b.Fatalf("ingested %d events: %v", n, err)
+			}
+		}
+	})
 }

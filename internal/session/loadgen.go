@@ -40,9 +40,9 @@ type LoadConfig struct {
 	// Seed drives every random choice; a fixed seed makes the whole
 	// run byte-identical at any Jobs count.
 	Seed uint64
-	// Jobs is the worker count (default GOMAXPROCS). Sessions are
-	// independent, so concurrency never changes results, only wall
-	// time.
+	// Jobs is the worker count (0 selects GOMAXPROCS; Run refuses a
+	// negative count). Sessions are independent, so concurrency never
+	// changes results, only wall time.
 	Jobs int
 	// Ingest overrides the sink. The default sink is a Store that Run
 	// builds.
@@ -57,7 +57,7 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Jobs <= 0 {
+	if c.Jobs == 0 {
 		c.Jobs = runtime.GOMAXPROCS(0)
 	}
 	return c
@@ -122,6 +122,9 @@ type Report struct {
 func Run(cfg LoadConfig) (*Report, error) {
 	if cfg.Sessions < 0 {
 		return nil, fmt.Errorf("session: negative session count %d", cfg.Sessions)
+	}
+	if cfg.Jobs < 0 {
+		return nil, fmt.Errorf("session: negative job count %d", cfg.Jobs)
 	}
 	cfg = cfg.withDefaults()
 	spec, err := faultinject.ParseSpec(driftSpec)

@@ -8,10 +8,10 @@ import (
 )
 
 // This file retains the encoding/json line decoder. It is the spec of
-// the wire language: DecodeBatch's canonical-subset scanner must agree
-// with it on every input (FuzzDecodeBatchDiff), and every line outside
-// that subset is decoded here. Keep it dumb — its value is being
-// obviously what encoding/json does.
+// the wire language: DecodeBatch's fused exact-layout decoder must
+// agree with it on every input (FuzzDecodeBatchDiff), and every line
+// outside that layout, or invalid, is decoded here. Keep it dumb — its
+// value is being obviously what encoding/json does.
 
 // wireEvent is the reflection target for one event line. Pointer
 // fields distinguish absent (or null) from zero.
@@ -60,5 +60,5 @@ func decodeLineReference(line []byte) (Event, error) {
 // decodeBatchReference is DecodeBatch with every line decoded by the
 // reference: the oracle of the differential tests and benchmarks.
 func decodeBatchReference(r io.Reader, after int64, limit int) ([]Event, error) {
-	return decodeBatch(r, after, limit, decodeLineReference)
+	return decodeBatch(r, after, limit, nil, nil, decodeLineReference)
 }

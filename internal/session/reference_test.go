@@ -44,8 +44,8 @@ func diffDecode(t *testing.T, data []byte) {
 
 // TestWireContract pins the accepted wire language at its edges. Every
 // row must decode identically on both paths; fast says whether the
-// canonical scanner handles the (trimmed) line itself rather than
-// falling back, so the subset boundary is pinned too.
+// fused decoder takes the (trimmed) line itself rather than leaving it
+// to the reference, so the exact-layout boundary is pinned too.
 func TestWireContract(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,9 +56,9 @@ func TestWireContract(t *testing.T) {
 	}{
 		{"canonical", `{"u":1,"k":"T","s":3,"r":3}`, true,
 			Event{Use: 1, Kind: channel.EventTransmit, Sent: 3, Received: 3}, ""},
-		{"whitespace between tokens", "{ \"u\" :\t2 ,\r\"k\": \"S\" , \"s\":3,\"r\" : 4 }", true,
+		{"whitespace between tokens", "{ \"u\" :\t2 ,\r\"k\": \"S\" , \"s\":3,\"r\" : 4 }", false,
 			Event{Use: 2, Kind: channel.EventSubstitute, Sent: 3, Received: 4}, ""},
-		{"any key order", `{"r":0,"s":0,"k":"T","u":5}`, true,
+		{"any key order", `{"r":0,"s":0,"k":"T","u":5}`, false,
 			Event{Use: 5, Kind: channel.EventTransmit}, ""},
 		{"uppercase keys match", `{"U":1,"K":"T","S":3,"R":3}`, false,
 			Event{Use: 1, Kind: channel.EventTransmit, Sent: 3, Received: 3}, ""},
@@ -74,15 +74,24 @@ func TestWireContract(t *testing.T) {
 			Event{Use: 1, Kind: channel.EventInsert, Received: 2, Injected: true}, ""},
 		{"zero inj does not", `{"u":1,"k":"D","s":2,"inj":0}`, true,
 			Event{Use: 1, Kind: channel.EventDelete, Sent: 2}, ""},
-		{"max int64 use", `{"u":9223372036854775807,"k":"D","s":2}`, true,
+		{"max int64 use", `{"u":9223372036854775807,"k":"D","s":2}`, false,
 			Event{Use: 1<<63 - 1, Kind: channel.EventDelete, Sent: 2}, ""},
 		{"trailing nbsp trimmed", "{\"u\":1,\"k\":\"T\",\"s\":3,\"r\":3}\u00a0", true,
 			Event{Use: 1, Kind: channel.EventTransmit, Sent: 3, Received: 3}, ""},
-		{"minus zero", `{"u":-0,"k":"T","s":3,"r":3}`, true, Event{}, "use index 0 < 1"},
-		{"min int64", `{"u":-9223372036854775808,"k":"T","s":3,"r":3}`, true, Event{},
+		{"18-digit use", `{"u":999999999999999999,"k":"D","s":2}`, true,
+			Event{Use: 999999999999999999, Kind: channel.EventDelete, Sent: 2}, ""},
+		{"19-digit use", `{"u":1000000000000000001,"k":"D","s":2}`, false,
+			Event{Use: 1000000000000000001, Kind: channel.EventDelete, Sent: 2}, ""},
+		{"inj before r", `{"u":1,"k":"T","s":3,"inj":1,"r":3}`, false,
+			Event{Use: 1, Kind: channel.EventTransmit, Sent: 3, Received: 3, Injected: true}, ""},
+		{"minus zero", `{"u":-0,"k":"T","s":3,"r":3}`, false, Event{}, "use index 0 < 1"},
+		{"min int64", `{"u":-9223372036854775808,"k":"T","s":3,"r":3}`, false, Event{},
 			"use index -9223372036854775808 < 1"},
-		{"empty object", `{}`, true, Event{}, `missing use index "u"`},
-		{"symbol range", `{"u":1,"k":"T","s":16,"r":16}`, true, Event{}, `symbol "s" = 16 out of [0, 15]`},
+		{"empty object", `{}`, false, Event{}, `missing use index "u"`},
+		{"symbol range", `{"u":1,"k":"T","s":16,"r":16}`, false, Event{}, `symbol "s" = 16 out of [0, 15]`},
+		{"two-letter kind", `{"u":1,"k":"TT","s":3,"r":3}`, false, Event{}, `unknown event kind "TT"`},
+		{"leading zero in s", `{"u":1,"k":"T","s":03,"r":3}`, false, Event{}, "invalid character '3'"},
+		{"missing brace", `{"u":1,"k":"T","s":3,"r":3`, false, Event{}, "unexpected EOF"},
 		{"lowercase kind", `{"u":1,"k":"t","s":3,"r":3}`, false, Event{}, `unknown event kind "t"`},
 		{"overflow", `{"u":9223372036854775808,"k":"T","s":3,"r":3}`, false, Event{}, "cannot unmarshal number"},
 		{"leading zero", `{"u":01,"k":"T","s":3,"r":3}`, false, Event{}, "invalid character '1'"},
@@ -93,8 +102,8 @@ func TestWireContract(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, fast := scanCanonical(bytes.TrimSpace([]byte(tc.in))); fast != tc.fast {
-				t.Errorf("scanCanonical handles line: %v, want %v", fast, tc.fast)
+			if _, fast := decodeExact(bytes.TrimSpace([]byte(tc.in))); fast != tc.fast {
+				t.Errorf("decodeExact takes line: %v, want %v", fast, tc.fast)
 			}
 			for _, path := range []struct {
 				name   string
@@ -117,13 +126,10 @@ func TestWireContract(t *testing.T) {
 	}
 }
 
-// randomOkLine renders a valid event for the given use, in a random
-// spelling the reference accepts: shuffled keys, JSON whitespace, and
-// sometimes a non-canonical form (uppercase key, escaped kind, null
-// for an absent symbol, a duplicate key the last copy of which is
-// right).
-func randomOkLine(r *rand.Rand, use int64) string {
-	kind := kindCodes[r.Intn(len(kindCodes))]
+// okParts returns the fields of a valid event for the given use, in
+// the exact layout's key order.
+func okParts(r *rand.Rand, use int64) []string {
+	kind := "TSDI"[r.Intn(4)]
 	sent := r.Intn(8)
 	recv := sent
 	if kind == 'S' {
@@ -143,8 +149,28 @@ func randomOkLine(r *rand.Rand, use int64) string {
 	case 0:
 		parts = append(parts, `"inj":1`)
 	case 1:
-		parts = append(parts, fmt.Sprintf(`"inj":%d`, r.Intn(3)-1))
+		parts = append(parts, fmt.Sprintf(`"inj":%d`, r.Intn(3)))
 	}
+	return parts
+}
+
+// exactLine joins parts in the exact layout EncodeEvents writes.
+func exactLine(parts []string) string {
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// randomOkLine renders a valid event for the given use: one time in
+// four in the exact layout, otherwise in a random spelling the
+// reference accepts: shuffled keys, JSON whitespace, and sometimes a
+// non-canonical form (uppercase key, escaped kind, null for an absent
+// symbol, a duplicate key the last copy of which is right, a negative
+// inj).
+func randomOkLine(r *rand.Rand, use int64) string {
+	parts := okParts(r, use)
+	if r.Intn(4) == 0 {
+		return exactLine(parts)
+	}
+	kind := parts[1][5]
 	r.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
 	for i, p := range parts {
 		switch {
@@ -164,15 +190,42 @@ func randomOkLine(r *rand.Rand, use int64) string {
 		if kind == 'D' {
 			parts = append(parts, `"r":null`)
 		}
+	case 2:
+		parts = append(parts, `"inj":-1`)
 	}
 	sep := []string{",", " , ", ",\t"}[r.Intn(3)]
 	return "{" + strings.Join(parts, sep) + "}"
 }
 
-// randomBadLine renders a line the reference usually rejects: a valid
-// line with a field malformed, out of range, unknown or null, cut
-// short, or followed by junk.
+// randomBadLine renders a line the reference usually rejects. Half the
+// time it is an exact-layout line mutated at the fused decoder's
+// edges: a leading zero in s, a 19-digit u, -0, inj moved before r (the
+// reference accepts that one), a two-letter kind or a missing closing
+// brace. Otherwise it is a valid line in any spelling with a field
+// malformed, out of range, unknown or null, cut short, or followed by
+// junk.
 func randomBadLine(r *rand.Rand, use int64) string {
+	if r.Intn(2) == 0 {
+		parts := okParts(r, use)
+		line := exactLine(parts)
+		switch r.Intn(6) {
+		case 0:
+			return strings.Replace(line, `"s":`, `"s":0`, 1)
+		case 1:
+			parts[0] = fmt.Sprintf(`"u":%d`, 1e18+use)
+		case 2:
+			parts[0] = `"u":-0`
+		case 3:
+			if p := parts[len(parts)-1]; strings.HasPrefix(p, `"inj":`) {
+				parts[len(parts)-2], parts[len(parts)-1] = p, parts[len(parts)-2]
+			}
+		case 4:
+			return strings.Replace(line, `"k":"`, `"k":"T`, 1)
+		default:
+			return line[:len(line)-1]
+		}
+		return exactLine(parts)
+	}
 	line := randomOkLine(r, use)
 	switch r.Intn(12) {
 	case 0:
@@ -243,6 +296,12 @@ func FuzzDecodeBatchDiff(f *testing.F) {
 		`{"u":1,"k":"T","s":3,"r":3}` + "\r\n" + `{"u":1,"k":"T","s":3,"r":3}`,
 		`{}`,
 		`{"u":1,"k":"T","s":3,"r":3,}`,
+		`{"u":1,"k":"T","s":03,"r":3}`,
+		`{"u":999999999999999999,"k":"T","s":3,"r":3}`,
+		`{"u":1000000000000000001,"k":"T","s":3,"r":3}`,
+		`{"u":1,"k":"T","s":3,"inj":1,"r":3}`,
+		`{"u":1,"k":"TT","s":3,"r":3}`,
+		`{"u":1,"k":"T","s":3,"r":3`,
 	} {
 		f.Add([]byte(seed + "\n"))
 	}
@@ -267,13 +326,14 @@ func TestDecodeBatchDiffGenerated(t *testing.T) {
 			accepted++
 		}
 		for _, line := range bytes.Split(data, []byte("\n")) {
-			if _, ok := scanCanonical(line); ok {
+			if _, ok := decodeExact(line); ok {
 				fast++
 			}
 		}
 	}
-	// Non-vacuity: the generator must reach both outcomes and the scanner.
+	// Non-vacuity: the generator must reach both outcomes and the fused
+	// decoder.
 	if accepted == 0 || rejected == 0 || fast == 0 {
-		t.Fatalf("generated %d accepted, %d rejected batches, %d canonical lines", accepted, rejected, fast)
+		t.Fatalf("generated %d accepted, %d rejected batches, %d exact-layout lines", accepted, rejected, fast)
 	}
 }

@@ -134,19 +134,23 @@ func (s *Store) shardFor(id string) *storeShard {
 
 // Ingest decodes one NDJSON batch and applies it to the session,
 // creating the session on first contact. The batch is decoded before
-// any lock is taken (a slow client never blocks other sessions), then
-// applied atomically: either every event lands or none do. Returns the
-// number of events applied and the post-apply snapshot.
+// any lock is taken (a slow client never blocks other sessions), into
+// pooled scratch that IngestEvents does not retain, then applied
+// atomically: either every event lands or none do. Returns the number
+// of events applied and the post-apply snapshot.
 func (s *Store) Ingest(id string, r io.Reader) (int, Snapshot, error) {
 	if err := ValidateID(id); err != nil {
 		s.cfg.Metrics.Rejected.Inc()
 		return 0, Snapshot{}, err
 	}
-	events, err := DecodeBatch(r, 0, maxBatchEvents)
+	sc := getScratch()
+	defer putScratch(sc)
+	events, err := decodeBatch(r, 0, maxBatchEvents, sc.line, sc.events, decodeLine)
 	if err != nil {
 		s.cfg.Metrics.Rejected.Inc()
 		return 0, Snapshot{}, err
 	}
+	sc.events = events
 	return s.IngestEvents(id, events)
 }
 

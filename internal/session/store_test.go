@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -281,5 +282,48 @@ func TestStoreConcurrentIngest(t *testing.T) {
 	}
 	if got := s.Metrics().Events.Value(); got != goroutines*batches*5 {
 		t.Fatalf("events counter %d, want %d", got, goroutines*batches*5)
+	}
+}
+
+// TestStoreIngestAllocs pins the pooled ingest path: once the pool is
+// warm, ingesting a 256-event exact-layout batch into an open session
+// makes at most one allocation.
+func TestStoreIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and sync.Pool drops items under it; run without -race")
+	}
+	const runs = 100
+	// One batch opens the session; AllocsPerRun makes one warm-up call
+	// before its runs.
+	bodies := exactBatches(t, runs+2)
+	s := newTestStore(t, StoreConfig{})
+	var rd bytes.Reader
+	next := 0
+	ingest := func() {
+		rd.Reset(bodies[next])
+		next++
+		if n, _, err := s.Ingest("steady", &rd); err != nil || n != 256 {
+			t.Fatalf("batch %d: applied %d events: %v", next, n, err)
+		}
+	}
+	ingest()
+	if allocs := testing.AllocsPerRun(runs, ingest); allocs > 1 {
+		t.Fatalf("%.1f allocations per steady-state ingest, want at most 1", allocs)
+	}
+}
+
+// TestPutScratchDropsOversizedEvents checks that the pool keeps the
+// event slice of an ordinary batch but not one grown toward the
+// 65,536-event batch cap.
+func TestPutScratchDropsOversizedEvents(t *testing.T) {
+	for _, tc := range []struct {
+		capacity int
+		kept     bool
+	}{{256, true}, {maxPooledEvents, true}, {maxPooledEvents + 1, false}, {maxBatchEvents, false}} {
+		sc := &batchScratch{events: make([]Event, 0, tc.capacity)}
+		putScratch(sc)
+		if kept := sc.events != nil; kept != tc.kept {
+			t.Errorf("capacity %d: kept %v, want %v", tc.capacity, kept, tc.kept)
+		}
 	}
 }
