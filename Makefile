@@ -29,8 +29,9 @@ race:
 	$(GO) test -race ./...
 
 # 10 seconds per native fuzz target, 110 seconds in all: the
-# Definition 1 trace invariants, the fault-spec grammar, the session
-# NDJSON decoder, the decoder's fused exact-layout tier against its
+# Definition 1 trace invariants, the fault-spec grammar (every spec it
+# accepts round-trips and builds a fault stack), the session NDJSON
+# decoder, the decoder's fused exact-layout tier against its
 # encoding/json reference, the result-store entry decoder, the cluster
 # membership flag, the federation's parse of a member's metrics
 # exposition, the alert-rule file parser, capstat's request-span

@@ -171,21 +171,24 @@ func run(args []string) (err error) {
 	)
 	switch *proto {
 	case "arq", "counter", "naive", "delayed":
-		if *inject == "" && *pd == 1 && *proto != "naive" {
-			return fmt.Errorf("-pd 1 deletes every use, so unsupervised %s never delivers a symbol and never returns; add -inject to run it under supervision", *proto)
-		}
 		// The ARQ analyses assume a deletion-only, noiseless channel;
 		// hostility is injected on top of it.
 		chParams := params
 		if *proto == "arq" || *proto == "delayed" {
-			chParams.Pi, chParams.Ps = 0, 0
+			if *pi != 0 {
+				return fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", *proto, *pi)
+			}
+			chParams.Ps = 0
+		}
+		if *inject == "" && *pd == 1 && *proto != "naive" {
+			return fmt.Errorf("-pd 1 deletes every use, so unsupervised %s never delivers a symbol and never returns; add -inject to run it under supervision", *proto)
 		}
 		ch, cerr := channel.NewDeletionInsertion(chParams, rng.New(*seed))
 		if cerr != nil {
 			return cerr
 		}
 		var (
-			use      syncproto.UseChannel = ch
+			use      channel.UseChannel = ch
 			spec     faultinject.Spec
 			stack    *faultinject.Stack
 			injected func() int64
@@ -206,7 +209,7 @@ func run(args []string) (err error) {
 			use = sink.rec
 		}
 		if stack != nil {
-			sres, rerr := syncproto.RunSupervised(*proto, use, *n, chParams.Pd, *delay,
+			sres, rerr := syncproto.RunSupervised(*proto, use, *n, *delay,
 				syncproto.SupervisorConfig{Tracer: sink.tracer}, msg)
 			if rerr != nil {
 				return rerr
@@ -215,7 +218,7 @@ func run(args []string) (err error) {
 			printSupervised(*proto, spec, *n, sres, stack.Injected())
 			return sink.close()
 		}
-		p, cerr := syncproto.NewProtocol(*proto, use, *n, chParams.Pd, *delay)
+		p, cerr := syncproto.NewProtocol(*proto, use, *n, *delay)
 		if cerr != nil {
 			return cerr
 		}

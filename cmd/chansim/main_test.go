@@ -121,6 +121,12 @@ func TestRunInjected(t *testing.T) {
 			want: []string{"supervision status:  failed"},
 		},
 		{
+			name: "delayed dead channel",
+			args: []string{"-proto", "delayed", "-n", "4", "-pd", "1", "-symbols", "500",
+				"-inject", "outage=0.1"},
+			want: []string{"protocol:            delayed (supervised)", "supervision status:  failed"},
+		},
+		{
 			name: "delayed drift",
 			args: []string{"-proto", "delayed", "-n", "4", "-pd", "0.1", "-delay", "1",
 				"-symbols", "2000", "-inject", "drift=0.1"},
@@ -160,6 +166,10 @@ func TestRunErrors(t *testing.T) {
 		{"-proto", "arq", "-n", "4", "-pd", "1", "-symbols", "10"},
 		{"-proto", "counter", "-n", "4", "-pd", "1", "-symbols", "10"},
 		{"-proto", "delayed", "-n", "4", "-pd", "1", "-symbols", "10"},
+		// The ARQ analyses assume a deletion-only channel, as
+		// /v1/simulate does.
+		{"-proto", "arq", "-n", "4", "-pd", "0.2", "-pi", "0.1", "-symbols", "5000", "-seed", "3"},
+		{"-proto", "delayed", "-n", "4", "-pd", "0.2", "-pi", "0.1", "-symbols", "5000", "-seed", "3"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {

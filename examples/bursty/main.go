@@ -58,7 +58,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	counter, err := syncproto.NewCounterOver(ch, bp.N)
+	counter, err := syncproto.NewCounter(ch, bp.N)
 	if err != nil {
 		return err
 	}

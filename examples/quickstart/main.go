@@ -46,7 +46,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	arq, err := syncproto.NewARQ(ch)
+	arq, err := syncproto.NewARQ(ch, params.N, 0)
 	if err != nil {
 		return err
 	}

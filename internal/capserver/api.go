@@ -96,7 +96,7 @@ type PredictResponse struct {
 	Pi    float64 `json:"pi"`
 	Delay int     `json:"delay,omitempty"`
 	// PredictedRatePerUse is the analytic information rate in bits per
-	// channel use (DelayedARQ.PredictedRate for proto=delayed).
+	// channel use (N(1-Pd)/(1+delay) for proto=delayed).
 	PredictedRatePerUse float64 `json:"predicted_rate_per_use"`
 	// PaperNormRate is the Theorem 5 normalization where it differs
 	// from the per-use accounting (proto=counter).

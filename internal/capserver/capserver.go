@@ -5,7 +5,8 @@
 //     (package core), optional exact/Monte-Carlo deletion-channel rates
 //     (package delcap) and Blahut–Arimoto cross-checks (infotheory);
 //   - GET /v1/predict      analytic protocol rate prediction
-//     (syncproto, including DelayedARQ.PredictedRate);
+//     (package core: N(1-Pd) for ARQ, divided by 1+delay for ARQ with
+//     a feedback delay, and the Theorem 5 counter rates);
 //   - GET /v1/simulate     seeded, fault-injected supervised protocol
 //     runs (channel + faultinject + syncproto.Supervisor);
 //   - GET /v1/trace        the same run with every channel use

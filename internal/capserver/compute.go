@@ -168,9 +168,9 @@ func (s *Server) buildBounds(q queryValues) (string, func() ([]byte, error), err
 }
 
 // buildPredict serves /v1/predict: the analytic rate a protocol is
-// predicted to achieve at a parameter point — Theorem 3 for ARQ, the
-// Theorem 5 counter rates, and DelayedARQ.PredictedRate for the
-// delayed-feedback ARQ.
+// predicted to achieve at a parameter point — Theorem 3's N(1-Pd) for
+// ARQ, the Theorem 5 counter rates, and N(1-Pd)/(1+delay) for ARQ with
+// a feedback delay.
 func (s *Server) buildPredict(q queryValues) (string, func() ([]byte, error), error) {
 	proto := q.Get("proto")
 	switch proto {
@@ -215,26 +215,19 @@ func (s *Server) buildPredict(q queryValues) (string, func() ([]byte, error), er
 		}
 		resp := PredictResponse{Proto: proto, N: n, Pd: pd, Pi: pi, Bounds: FromBounds(b)}
 		switch proto {
-		case "arq":
+		case "arq", "delayed":
 			rate, err := core.FeedbackDeletionCapacity(params)
 			if err != nil {
 				return nil, err
+			}
+			if proto == "delayed" {
+				resp.Delay = delay
+				rate /= float64(1 + delay)
 			}
 			resp.PredictedRatePerUse = rate
 		case "counter":
 			resp.PredictedRatePerUse = b.LowerPerUse
 			resp.PaperNormRate = b.LowerT5
-		case "delayed":
-			ch, err := channel.NewDeletionInsertion(params, rng.New(1))
-			if err != nil {
-				return nil, err
-			}
-			darq, err := syncproto.NewDelayedARQ(ch, delay)
-			if err != nil {
-				return nil, err
-			}
-			resp.Delay = delay
-			resp.PredictedRatePerUse = darq.PredictedRate()
 		}
 		return marshalBody(resp)
 	}
@@ -320,7 +313,7 @@ func (r simRun) run(counted bool) (SimulateResponse, obs.UseCounts, error) {
 		return SimulateResponse{}, obs.UseCounts{}, err
 	}
 	var (
-		ch  syncproto.UseChannel = stack
+		ch  channel.UseChannel = stack
 		rec *obs.ChannelRecorder
 	)
 	if counted {
@@ -329,7 +322,7 @@ func (r simRun) run(counted bool) (SimulateResponse, obs.UseCounts, error) {
 		}
 		ch = rec
 	}
-	res, err := syncproto.RunSupervised(r.proto, ch, p.N, p.Pd, r.delay, syncproto.SupervisorConfig{}, msg)
+	res, err := syncproto.RunSupervised(r.proto, ch, p.N, r.delay, syncproto.SupervisorConfig{}, msg)
 	if err != nil {
 		return SimulateResponse{}, obs.UseCounts{}, err
 	}

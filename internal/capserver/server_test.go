@@ -99,6 +99,12 @@ func TestValidationRejectsAtBoundary(t *testing.T) {
 		"/v1/simulate?proto=arq&pi=0.2",
 		"/v1/simulate?proto=counter&inject=meteor%3D0.5",
 		"/v1/simulate?proto=counter&inject=outage%3D2",
+		// A drift bound of 0.5 or more parses as a magnitude but
+		// cannot build: the extra Pd and Pi would sum to 1 or more.
+		"/v1/simulate?proto=counter&n=4&pd=0.1&symbols=2000&inject=drift%3D0.6",
+		"/v1/simulate?proto=counter&inject=drift%3D0.5",
+		"/v1/trace?proto=counter&n=4&pd=0.1&symbols=2000&inject=drift%3D0.6",
+		"/v1/trace?proto=counter&inject=drift%3D0.5",
 		"/v1/experiments?id=E999",
 		"/v1/experiments?id=E1&quanta=99999999",
 		"/v1/experiments?id=E7&symbols=20001",
@@ -118,6 +124,30 @@ func TestValidationRejectsAtBoundary(t *testing.T) {
 	}
 }
 
+// TestRunsOverDeadChannelFail checks that ARQ, with or without a
+// feedback delay, over a channel that deletes every use is a completed
+// supervised run whose status is failed, on both run endpoints.
+func TestRunsOverDeadChannelFail(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, proto := range []string{"arq", "delayed"} {
+		for _, endpoint := range []string{"/v1/simulate", "/v1/trace"} {
+			p := endpoint + "?proto=" + proto + "&n=4&pd=1&symbols=500"
+			status, _, body := get(t, ts.URL, p)
+			if status != http.StatusOK {
+				t.Errorf("%s: status %d, want 200 (body %s)", p, status, body)
+				continue
+			}
+			var resp SimulateResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != "failed" {
+				t.Errorf("%s: status %q, want failed", p, resp.Status)
+			}
+		}
+	}
+}
+
 func TestPredictDelayedMatchesFormula(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, _, body := get(t, ts.URL, "/v1/predict?proto=delayed&n=4&pd=0.25&delay=2")
@@ -128,7 +158,7 @@ func TestPredictDelayedMatchesFormula(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	// DelayedARQ.PredictedRate: N(1-Pd)/(1+delay) = 4*0.75/3 = 1.
+	// N(1-Pd)/(1+delay) = 4*0.75/3 = 1.
 	if resp.PredictedRatePerUse != 1 {
 		t.Errorf("predicted rate %v, want 1", resp.PredictedRatePerUse)
 	}

@@ -105,6 +105,14 @@ type Use struct {
 	Consumed bool
 }
 
+// UseChannel is the per-use channel surface: one Definition 1 event
+// per call. DeletionInsertion and Bursty implement it, and so does
+// every wrapper over one (a fault-injection layer, a recorder, a
+// protocol's use meter), so any such stack can drive a protocol.
+type UseChannel interface {
+	Use(queued uint32) Use
+}
+
 // DeletionInsertion is the paper's Definition 1 channel.
 type DeletionInsertion struct {
 	params Params
@@ -162,7 +170,7 @@ func (c *DeletionInsertion) Transmit(input []uint32) (received []uint32, trace [
 // consumed, and returns the received sequence and the per-use event
 // trace. Transmitting through a wrapper, such as an obs.ChannelRecorder,
 // lets the wrapper observe every use.
-func TransmitUses(ch interface{ Use(uint32) Use }, input []uint32) (received []uint32, trace []EventKind) {
+func TransmitUses(ch UseChannel, input []uint32) (received []uint32, trace []EventKind) {
 	received = make([]uint32, 0, len(input))
 	trace = make([]EventKind, 0, len(input)+4)
 	for i := 0; i < len(input); {

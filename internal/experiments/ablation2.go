@@ -43,7 +43,7 @@ func A4Burstiness(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		counter, err := syncproto.NewCounterOver(ch, bp.N)
+		counter, err := syncproto.NewCounter(ch, bp.N)
 		if err != nil {
 			return Table{}, err
 		}
@@ -86,13 +86,17 @@ func A5FeedbackDelay(cfg Config) (Table, error) {
 		},
 	}
 	p := channel.Params{N: 4, Pd: 0.2}
+	capacity, err := core.FeedbackDeletionCapacity(p)
+	if err != nil {
+		return Table{}, err
+	}
 	msg := randomMessage(cfg.Seed+503, cfg.Symbols/2, 4)
 	for _, delay := range []int{0, 1, 2, 4, 8} {
 		ch, err := channel.NewDeletionInsertion(p, rng.New(cfg.Seed+uint64(delay)))
 		if err != nil {
 			return Table{}, err
 		}
-		arq, err := syncproto.NewDelayedARQ(ch, delay)
+		arq, err := syncproto.NewARQ(ch, p.N, delay)
 		if err != nil {
 			return Table{}, err
 		}
@@ -102,7 +106,7 @@ func A5FeedbackDelay(cfg Config) (Table, error) {
 		}
 		t.Uses += int64(res.Uses)
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(delay), f4(arq.PredictedRate()), f4(res.InfoRatePerUse()),
+			fmt.Sprint(delay), f4(capacity / float64(1+delay)), f4(res.InfoRatePerUse()),
 			fmt.Sprint(res.SymbolErrors),
 		})
 	}

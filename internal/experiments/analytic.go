@@ -96,7 +96,7 @@ func E2FeedbackARQ(cfg Config) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			arq, err := syncproto.NewARQ(ch)
+			arq, err := syncproto.NewARQ(ch, n, 0)
 			if err != nil {
 				return Table{}, err
 			}
@@ -145,7 +145,7 @@ func E3CounterProtocol(cfg Config) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			counter, err := syncproto.NewCounter(ch)
+			counter, err := syncproto.NewCounter(ch, n)
 			if err != nil {
 				return Table{}, err
 			}

@@ -157,13 +157,13 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	// meter, attributing each use to the stack's injected-override
 	// count. The recorder is wrapped in only when tracing, so the
 	// disabled hot path is the bare stack.
-	var ch syncproto.UseChannel = stack
+	var ch channel.UseChannel = stack
 	if cfg.Tracer != nil {
 		if ch, err = obs.NewChannelRecorder(stack, cfg.Tracer, stack.Injected); err != nil {
 			return syncproto.SupervisedResult{}, err
 		}
 	}
-	res, err := syncproto.RunSupervised(proto, ch, n, params.Pd, delay, scfg, msg)
+	res, err := syncproto.RunSupervised(proto, ch, n, delay, scfg, msg)
 	if err != nil {
 		return res, err
 	}

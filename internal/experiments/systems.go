@@ -34,7 +34,7 @@ func E7CommonEvents(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		arq, err := syncproto.NewARQ(ch)
+		arq, err := syncproto.NewARQ(ch, n, 0)
 		if err != nil {
 			return Table{}, err
 		}
@@ -63,7 +63,7 @@ func E7CommonEvents(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		naive, err := syncproto.NewNaive(naiveCh)
+		naive, err := syncproto.NewNaive(naiveCh, n)
 		if err != nil {
 			return Table{}, err
 		}

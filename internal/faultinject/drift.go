@@ -8,99 +8,70 @@ import (
 	"repro/internal/rng"
 )
 
-// DriftConfig describes slow parameter drift: extra deletion and
-// insertion probabilities that random-walk within [0, MaxPd] and
-// [0, MaxPi], reflecting at the bounds. The wrapped channel keeps its
-// own parameters; the layer's drifting probabilities are superimposed,
-// so the composed channel's effective Pd(t)/Pi(t) wander around the
+// Drift bounds: the extra Pd and Pi each walk in [0, bound], and
+// their sum, at most 2·bound, must stay below 1, so a bound lies in
+// (0, driftLimit). Each use moves each walk by bound/driftSteps: the
+// walk crosses its range in a few hundred uses, slow against a
+// protocol run.
+const (
+	driftLimit = 0.5
+	driftSteps = 25
+)
+
+// Drift is the parameter-drift fault layer: extra deletion and
+// insertion probabilities that random-walk within [0, bound],
+// reflecting at the ends. The wrapped channel keeps its own
+// parameters; the layer's drifting probabilities are superimposed, so
+// the composed channel's effective Pd(t)/Pi(t) wander around the
 // nominal values both parties believe in.
-type DriftConfig struct {
-	// MaxPd and MaxPi bound the extra deletion and insertion
-	// probabilities. MaxPd + MaxPi must stay below 1.
-	MaxPd, MaxPi float64
-	// Step is the per-use random-walk step magnitude (0 < Step <= max
-	// bound). Zero selects max/25: the walk crosses its range in a few
-	// hundred uses, slow against a protocol run.
-	Step float64
-	// N is the symbol width, needed to draw inserted symbols.
-	N int
-}
-
-// validate checks the configuration and fills the Step default.
-func (c DriftConfig) validate() (DriftConfig, error) {
-	for _, v := range []struct {
-		name string
-		val  float64
-	}{{"MaxPd", c.MaxPd}, {"MaxPi", c.MaxPi}} {
-		if math.IsNaN(v.val) || v.val < 0 || v.val >= 1 {
-			return c, fmt.Errorf("faultinject: drift %s = %v out of [0,1)", v.name, v.val)
-		}
-	}
-	if c.MaxPd+c.MaxPi >= 1 {
-		return c, fmt.Errorf("faultinject: drift MaxPd + MaxPi = %v, want < 1", c.MaxPd+c.MaxPi)
-	}
-	if c.MaxPd+c.MaxPi == 0 {
-		return c, fmt.Errorf("faultinject: drift with MaxPd = MaxPi = 0 injects nothing")
-	}
-	if c.N < 1 || c.N > 16 {
-		return c, fmt.Errorf("faultinject: drift symbol width %d out of [1,16]", c.N)
-	}
-	bound := math.Max(c.MaxPd, c.MaxPi)
-	if c.Step == 0 {
-		c.Step = bound / 25
-	}
-	if math.IsNaN(c.Step) || c.Step <= 0 || c.Step > bound {
-		return c, fmt.Errorf("faultinject: drift step %v out of (0,%v]", c.Step, bound)
-	}
-	return c, nil
-}
-
-// Drift is the parameter-drift fault layer.
 type Drift struct {
-	inner            UseChannel
-	cfg              DriftConfig
+	inner            channel.UseChannel
+	n                int
+	bound, step      float64
 	extraPd, extraPi float64
 	src              *rng.Source
 	injected         int64
 }
 
-// NewDrift wraps inner with random-walking extra deletion/insertion
-// probabilities. Both walks start at half their bound.
-func NewDrift(inner UseChannel, cfg DriftConfig, src *rng.Source) (*Drift, error) {
+// NewDrift wraps inner with random-walking extra deletion and insertion
+// probabilities, each bounded by bound in (0, 0.5). Both walks start
+// at half the bound. n is the symbol width of the inserted symbols.
+func NewDrift(inner channel.UseChannel, bound float64, n int, src *rng.Source) (*Drift, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("faultinject: nil inner channel")
 	}
 	if src == nil {
 		return nil, fmt.Errorf("faultinject: nil randomness source")
 	}
-	cfg, err := cfg.validate()
-	if err != nil {
-		return nil, err
+	if math.IsNaN(bound) || bound <= 0 || bound >= driftLimit {
+		return nil, fmt.Errorf("faultinject: drift bound %v out of (0,%v)", bound, driftLimit)
+	}
+	if n < 1 || n > 16 {
+		return nil, fmt.Errorf("faultinject: drift symbol width %d out of [1,16]", n)
 	}
 	return &Drift{
 		inner:   inner,
-		cfg:     cfg,
-		extraPd: cfg.MaxPd / 2,
-		extraPi: cfg.MaxPi / 2,
+		n:       n,
+		bound:   bound,
+		step:    bound / driftSteps,
+		extraPd: bound / 2,
+		extraPi: bound / 2,
 		src:     src,
 	}, nil
 }
 
-// walk advances one random-walk coordinate, reflecting at [0, max].
-func (d *Drift) walk(x, max float64) float64 {
-	if max == 0 {
-		return 0
-	}
+// walk advances one random-walk coordinate, reflecting at [0, bound].
+func (d *Drift) walk(x float64) float64 {
 	if d.src.Bool(0.5) {
-		x += d.cfg.Step
+		x += d.step
 	} else {
-		x -= d.cfg.Step
+		x -= d.step
 	}
 	if x < 0 {
 		x = -x
 	}
-	if x > max {
-		x = 2*max - x
+	if x > d.bound {
+		x = 2*d.bound - x
 	}
 	return x
 }
@@ -115,12 +86,12 @@ func (d *Drift) Use(queued uint32) channel.Use {
 		out = channel.Use{Kind: channel.EventDelete, Consumed: true}
 	case u < d.extraPd+d.extraPi:
 		d.injected++
-		out = channel.Use{Kind: channel.EventInsert, Delivered: d.src.Symbol(d.cfg.N)}
+		out = channel.Use{Kind: channel.EventInsert, Delivered: d.src.Symbol(d.n)}
 	default:
 		out = d.inner.Use(queued)
 	}
-	d.extraPd = d.walk(d.extraPd, d.cfg.MaxPd)
-	d.extraPi = d.walk(d.extraPi, d.cfg.MaxPi)
+	d.extraPd = d.walk(d.extraPd)
+	d.extraPi = d.walk(d.extraPi)
 	return out
 }
 

@@ -6,15 +6,20 @@
 // parties. Real synchronization-error channels are neither: parameters
 // drift, the medium goes away for whole windows, bystanders jam it,
 // and shared state gets stuck. Each layer in this package wraps any
-// per-use channel (channel.DeletionInsertion, channel.Bursty, or
+// channel.UseChannel (channel.DeletionInsertion, channel.Bursty, or
 // another layer) and superimposes one hostile regime:
 //
 //   - Outage: windows during which every use is a deletion (Pd -> 1);
 //   - Drift: extra deletion/insertion probabilities that random-walk
-//     within validated bounds;
-//   - Jam: bursts during which insertions spike (Pi -> JamConfig.Pi);
+//     within a bound below 0.5;
+//   - Jam: bursts during which insertions spike (Pi -> 0.5);
 //   - Stuck: windows during which the delivered value is frozen at the
 //     last delivered symbol (a stuck-at fault).
+//
+// Each layer's constructor takes its one magnitude (a window layer's
+// long-run in-window fraction, the drift bound), plus the symbol width
+// where it inserts symbols. Everything else about a layer, such as its
+// mean window length, is a named constant beside it.
 //
 // All layers draw their randomness from explicit *rng.Source values,
 // so a fault pattern is a pure function of its seed: experiments
@@ -31,17 +36,10 @@ import (
 	"repro/internal/rng"
 )
 
-// UseChannel is the per-use channel surface the middleware wraps and
-// implements. It is structurally identical to syncproto.UseChannel, so
-// any wrapped channel can be handed straight to a protocol.
-type UseChannel interface {
-	Use(queued uint32) channel.Use
-}
-
 // Layer is a fault-injection middleware: a channel that also reports
 // how often it overrode the wrapped channel's behaviour.
 type Layer interface {
-	UseChannel
+	channel.UseChannel
 	// Injected returns the number of uses this layer overrode (forced
 	// a deletion/insertion, froze a value, ...).
 	Injected() int64
@@ -60,15 +58,11 @@ type gate struct {
 	src           *rng.Source
 }
 
-// newGate builds a gate with the given long-run in-window fraction and
-// mean window length in uses. fraction must lie in [0, 1) and
-// meanLength must be >= 1.
+// newGate builds a gate with the given long-run in-window fraction, in
+// [0, 1), and mean window length in uses, one of the layers' constants.
 func newGate(fraction, meanLength float64, src *rng.Source) (*gate, error) {
 	if math.IsNaN(fraction) || fraction < 0 || fraction >= 1 {
 		return nil, fmt.Errorf("faultinject: window fraction %v out of [0,1)", fraction)
-	}
-	if math.IsNaN(meanLength) || meanLength < 1 {
-		return nil, fmt.Errorf("faultinject: mean window length %v, want >= 1", meanLength)
 	}
 	if src == nil {
 		return nil, fmt.Errorf("faultinject: nil randomness source")

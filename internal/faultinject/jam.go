@@ -2,80 +2,56 @@ package faultinject
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/channel"
 	"repro/internal/rng"
 )
 
-// JamConfig describes jamming bursts: windows during which a bystander
-// floods the medium, so insertions spike to the given probability.
-type JamConfig struct {
-	// Fraction is the long-run fraction of uses spent inside a burst,
-	// in [0, 1).
-	Fraction float64
-	// MeanLength is the mean burst length in uses (>= 1). Zero selects
-	// the default of 20 uses.
-	MeanLength float64
-	// Pi is the insertion probability while a burst is active, in
-	// (0, 1]. Zero selects the default of 0.5.
-	Pi float64
-	// N is the symbol width, needed to draw inserted symbols.
-	N int
-}
-
-// validate checks the configuration and fills defaults.
-func (c JamConfig) validate() (JamConfig, error) {
-	if c.MeanLength == 0 {
-		c.MeanLength = 20
-	}
-	if c.Pi == 0 {
-		c.Pi = 0.5
-	}
-	if math.IsNaN(c.Pi) || c.Pi <= 0 || c.Pi > 1 {
-		return c, fmt.Errorf("faultinject: jam Pi = %v out of (0,1]", c.Pi)
-	}
-	if c.N < 1 || c.N > 16 {
-		return c, fmt.Errorf("faultinject: jam symbol width %d out of [1,16]", c.N)
-	}
-	return c, nil
-}
+// Jamming bursts: a bystander floods the medium for jamMeanLength uses
+// on average, and each use inside a burst inserts with probability
+// jamPi, far above any nominal Pi, while the wrapped channel still
+// serves the rest of the burst.
+const (
+	jamMeanLength = 20
+	jamPi         = 0.5
+)
 
 // Jam is the insertion-burst fault layer.
 type Jam struct {
-	inner    UseChannel
-	cfg      JamConfig
+	inner    channel.UseChannel
+	n        int
 	gate     *gate
 	src      *rng.Source
 	injected int64
 }
 
-// NewJam wraps inner with jamming bursts drawn from src.
-func NewJam(inner UseChannel, cfg JamConfig, src *rng.Source) (*Jam, error) {
+// NewJam wraps inner with jamming bursts drawn from src, covering the
+// long-run fraction of uses in [0, 1). n is the symbol width of the
+// inserted symbols.
+func NewJam(inner channel.UseChannel, fraction float64, n int, src *rng.Source) (*Jam, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("faultinject: nil inner channel")
 	}
 	if src == nil {
 		return nil, fmt.Errorf("faultinject: nil randomness source")
 	}
-	cfg, err := cfg.validate()
-	if err != nil {
-		return nil, err
+	if n < 1 || n > 16 {
+		return nil, fmt.Errorf("faultinject: jam symbol width %d out of [1,16]", n)
 	}
-	g, err := newGate(cfg.Fraction, cfg.MeanLength, src.Split())
+	g, err := newGate(fraction, jamMeanLength, src.Split())
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: jam: %w", err)
 	}
-	return &Jam{inner: inner, cfg: cfg, gate: g, src: src}, nil
+	return &Jam{inner: inner, n: n, gate: g, src: src}, nil
 }
 
-// Use inserts a uniform garbage symbol with probability cfg.Pi during
+// Use inserts a uniform garbage symbol with probability jamPi during
 // a burst and defers to the wrapped channel otherwise. Insertions do
 // not consume the queued symbol, matching Definition 1.
 func (j *Jam) Use(queued uint32) channel.Use {
-	if j.gate.step() && j.src.Bool(j.cfg.Pi) {
+	if j.gate.step() && j.src.Bool(jamPi) {
 		j.injected++
-		return channel.Use{Kind: channel.EventInsert, Delivered: j.src.Symbol(j.cfg.N)}
+		return channel.Use{Kind: channel.EventInsert, Delivered: j.src.Symbol(j.n)}
 	}
 	return j.inner.Use(queued)
 }

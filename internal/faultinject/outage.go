@@ -7,40 +7,27 @@ import (
 	"repro/internal/rng"
 )
 
-// OutageConfig describes total-loss windows: while a window is open
-// the channel behaves as if Pd = 1, deleting every queued symbol
-// without consulting the wrapped channel.
-type OutageConfig struct {
-	// Fraction is the long-run fraction of uses spent in outage,
-	// in [0, 1).
-	Fraction float64
-	// MeanLength is the mean outage window length in uses (>= 1).
-	// Zero selects the default of 50 uses.
-	MeanLength float64
-}
+// outageMeanLength is the mean outage window length in uses: runs of
+// tens of deletions, which an i.i.d. Pd makes vanishingly rare, yet
+// short against a supervised attempt's deadline of 2048 uses.
+const outageMeanLength = 50
 
-// withDefaults fills unset fields.
-func (c OutageConfig) withDefaults() OutageConfig {
-	if c.MeanLength == 0 {
-		c.MeanLength = 50
-	}
-	return c
-}
-
-// Outage is the total-loss fault layer.
+// Outage is the total-loss fault layer: while a window is open the
+// channel behaves as if Pd = 1, deleting every queued symbol without
+// consulting the wrapped channel.
 type Outage struct {
-	inner    UseChannel
+	inner    channel.UseChannel
 	gate     *gate
 	injected int64
 }
 
-// NewOutage wraps inner with outage windows drawn from src.
-func NewOutage(inner UseChannel, cfg OutageConfig, src *rng.Source) (*Outage, error) {
+// NewOutage wraps inner with outage windows drawn from src, covering
+// the long-run fraction of uses in [0, 1).
+func NewOutage(inner channel.UseChannel, fraction float64, src *rng.Source) (*Outage, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("faultinject: nil inner channel")
 	}
-	cfg = cfg.withDefaults()
-	g, err := newGate(cfg.Fraction, cfg.MeanLength, src)
+	g, err := newGate(fraction, outageMeanLength, src)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: outage: %w", err)
 	}

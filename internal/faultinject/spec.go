@@ -13,13 +13,13 @@ import (
 )
 
 // Spec is a parsed -inject flag: an ordered list of fault layers, each
-// with one magnitude. The compact grammar keeps command lines and
-// experiment configs readable; programmatic callers wanting full
-// control use the layer constructors directly.
+// with one magnitude, the one setting its layer constructor takes.
+// The compact grammar keeps command lines and experiment configs
+// readable.
 //
 // Grammar: comma- or semicolon-separated items of the form kind=value,
 // where kind is one of outage, drift, jam, stuck, and value is the
-// layer's magnitude:
+// layer's magnitude, in (0, 1), or in (0, 0.5) for drift:
 //
 //	outage=F  outage windows covering long-run fraction F of uses
 //	drift=M   extra Pd and Pi each random-walking in [0, M]
@@ -71,6 +71,9 @@ func ParseSpec(s string) (Spec, error) {
 		if math.IsNaN(v) || v <= 0 || v >= 1 {
 			return nil, fmt.Errorf("faultinject: spec item %q: magnitude must be in (0,1)", item)
 		}
+		if kind == "drift" && v >= driftLimit {
+			return nil, fmt.Errorf("faultinject: spec item %q: drift magnitude must be in (0,%v)", item, driftLimit)
+		}
 		spec = append(spec, SpecItem{Kind: kind, Value: v})
 	}
 	return spec, nil
@@ -88,7 +91,7 @@ func (s Spec) String() string {
 // Stack is a built spec: the outermost channel plus the individual
 // layers for inspection.
 type Stack struct {
-	top    UseChannel
+	top    channel.UseChannel
 	layers []Layer
 }
 
@@ -121,7 +124,7 @@ func (st *Stack) EmitSummary(tr *obs.Tracer) {
 // layer's randomness from an independent split of src. Symbol width n
 // is needed by insertion-generating layers. An empty spec returns a
 // stack that is a transparent view of inner.
-func (s Spec) Build(inner UseChannel, n int, src *rng.Source) (*Stack, error) {
+func (s Spec) Build(inner channel.UseChannel, n int, src *rng.Source) (*Stack, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("faultinject: nil inner channel")
 	}
@@ -136,13 +139,13 @@ func (s Spec) Build(inner UseChannel, n int, src *rng.Source) (*Stack, error) {
 		)
 		switch it.Kind {
 		case "outage":
-			l, err = NewOutage(st.top, OutageConfig{Fraction: it.Value}, src.Split())
+			l, err = NewOutage(st.top, it.Value, src.Split())
 		case "drift":
-			l, err = NewDrift(st.top, DriftConfig{MaxPd: it.Value, MaxPi: it.Value, N: n}, src.Split())
+			l, err = NewDrift(st.top, it.Value, n, src.Split())
 		case "jam":
-			l, err = NewJam(st.top, JamConfig{Fraction: it.Value, N: n}, src.Split())
+			l, err = NewJam(st.top, it.Value, n, src.Split())
 		case "stuck":
-			l, err = NewStuck(st.top, StuckConfig{Fraction: it.Value}, src.Split())
+			l, err = NewStuck(st.top, it.Value, src.Split())
 		default:
 			err = fmt.Errorf("faultinject: unknown fault kind %q", it.Kind)
 		}

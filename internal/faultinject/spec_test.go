@@ -31,7 +31,8 @@ func TestParseSpecEmpty(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	for _, s := range []string{"outage", "outage=", "outage=x", "outage=0", "outage=1", "outage=-0.1", "outage=NaN", "flood=0.2"} {
+	for _, s := range []string{"outage", "outage=", "outage=x", "outage=0", "outage=1", "outage=-0.1", "outage=NaN", "flood=0.2",
+		"drift=0.5", "drift=0.6"} {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q): expected error", s)
 		}
@@ -116,9 +117,10 @@ func TestSpecBuildEmptyIsTransparent(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec pins two properties: the parser never panics on
-// arbitrary input, and every accepted spec round-trips through its
-// String rendering unchanged.
+// FuzzParseSpec pins three properties: the parser never panics on
+// arbitrary input, every accepted spec round-trips through its String
+// rendering unchanged, and every accepted spec builds over a valid
+// channel, so a spec that parses never fails later, inside a run.
 func FuzzParseSpec(f *testing.F) {
 	f.Add("outage=0.2;jam=0.1")
 	f.Add("drift=0.05, stuck=0.9")
@@ -126,6 +128,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("outage=1e-3")
 	f.Add("flood=0.2")
 	f.Add("outage=0.2;;,")
+	f.Add("drift=0.6")
+	f.Add("drift=5e-324")
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := ParseSpec(s)
 		if err != nil {
@@ -137,6 +141,9 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(spec, again) {
 			t.Fatalf("round-trip changed spec: %+v -> %q -> %+v", spec, spec.String(), again)
+		}
+		if _, err := spec.Build(cleanChannel(t, 1), 4, rng.New(1)); err != nil {
+			t.Fatalf("accepted spec %q failed to build: %v", s, err)
 		}
 	})
 }

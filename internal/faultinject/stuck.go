@@ -7,44 +7,31 @@ import (
 	"repro/internal/rng"
 )
 
-// StuckConfig describes stuck-at windows: the shared medium keeps
-// reporting the last value it delivered (a wedged shared variable or a
-// saturated sensor), regardless of what the sender queues.
-type StuckConfig struct {
-	// Fraction is the long-run fraction of uses spent stuck, in [0, 1).
-	Fraction float64
-	// MeanLength is the mean stuck window length in uses (>= 1). Zero
-	// selects the default of 20 uses.
-	MeanLength float64
-}
+// stuckMeanLength is the mean stuck window length in uses: a wedged
+// value outlives many consecutive symbols.
+const stuckMeanLength = 20
 
-// withDefaults fills unset fields.
-func (c StuckConfig) withDefaults() StuckConfig {
-	if c.MeanLength == 0 {
-		c.MeanLength = 20
-	}
-	return c
-}
-
-// Stuck is the stuck-at fault layer. The underlying event process
-// (deletions, insertions, consumption) is untouched; only the
+// Stuck is the stuck-at fault layer: the shared medium keeps reporting
+// the last value it delivered (a wedged shared variable or a saturated
+// sensor), regardless of what the sender queues. The underlying event
+// process (deletions, insertions, consumption) is untouched; only the
 // delivered value is frozen, so a transmit whose frozen value differs
 // from the queued symbol surfaces as a substitution.
 type Stuck struct {
-	inner    UseChannel
+	inner    channel.UseChannel
 	gate     *gate
 	held     uint32
 	haveHeld bool
 	injected int64
 }
 
-// NewStuck wraps inner with stuck-at windows drawn from src.
-func NewStuck(inner UseChannel, cfg StuckConfig, src *rng.Source) (*Stuck, error) {
+// NewStuck wraps inner with stuck-at windows drawn from src, covering
+// the long-run fraction of uses in [0, 1).
+func NewStuck(inner channel.UseChannel, fraction float64, src *rng.Source) (*Stuck, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("faultinject: nil inner channel")
 	}
-	cfg = cfg.withDefaults()
-	g, err := newGate(cfg.Fraction, cfg.MeanLength, src)
+	g, err := newGate(fraction, stuckMeanLength, src)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: stuck: %w", err)
 	}

@@ -6,13 +6,6 @@ import (
 	"repro/internal/channel"
 )
 
-// UseChannel is the per-use channel surface the recorder wraps and
-// implements; it is structurally identical to syncproto.UseChannel and
-// faultinject.UseChannel, so a recorder slots anywhere in a stack.
-type UseChannel interface {
-	Use(queued uint32) channel.Use
-}
-
 // UseCounts tallies Definition 1 events observed on a channel.
 type UseCounts struct {
 	// Transmits counts clean transmissions, Substitutes transmissions
@@ -46,7 +39,7 @@ func (c *UseCounts) Add(other UseCounts) {
 //
 // Like the channels it wraps, a recorder serves one goroutine.
 type ChannelRecorder struct {
-	inner    UseChannel
+	inner    channel.UseChannel
 	tr       *Tracer
 	injected func() int64 // cumulative injection count of the stack, nil = none
 	lastInj  int64
@@ -57,7 +50,7 @@ type ChannelRecorder struct {
 // NewChannelRecorder wraps inner. tr may be nil (count-only mode).
 // injected, when non-nil, is polled after every use to attribute
 // fault-layer overrides (pass faultinject's Stack.Injected).
-func NewChannelRecorder(inner UseChannel, tr *Tracer, injected func() int64) (*ChannelRecorder, error) {
+func NewChannelRecorder(inner channel.UseChannel, tr *Tracer, injected func() int64) (*ChannelRecorder, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("obs: nil inner channel")
 	}

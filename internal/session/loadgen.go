@@ -238,9 +238,7 @@ func plantParams(src *rng.Source) channel.Params {
 // feeder drives one simulated channel and streams its events in
 // batches.
 type feeder struct {
-	ch interface {
-		Use(queued uint32) channel.Use
-	}
+	ch         channel.UseChannel
 	injected   func() int64
 	lastInj    int64
 	symSrc     *rng.Source

@@ -22,36 +22,17 @@ import (
 // message symbol unless an insertion filled it (wrong with probability
 // α = 1 - 2^-N), i.e. exactly the Figure 5 converted channel.
 type Counter struct {
-	ch UseChannel
+	ch channel.UseChannel
 	n  int
 }
 
-// UseChannel is the per-use channel surface the interactive protocols
-// need: one Definition 1 event per call. Both the i.i.d.
-// channel.DeletionInsertion and the Markov-modulated channel.Bursty
-// satisfy it.
-type UseChannel interface {
-	Use(queued uint32) channel.Use
-}
-
-// NewCounter returns the protocol bound to a deletion–insertion
-// channel (any Pd, Pi; Ps adds ordinary substitutions on top of the
-// converted channel's insertion noise).
-func NewCounter(ch *channel.DeletionInsertion) (*Counter, error) {
-	if ch == nil {
-		return nil, fmt.Errorf("syncproto: nil channel")
-	}
-	return &Counter{ch: ch, n: ch.Params().N}, nil
-}
-
-// NewCounterOver returns the protocol over any per-use channel with
-// n-bit symbols (for example a bursty channel).
-func NewCounterOver(ch UseChannel, n int) (*Counter, error) {
-	if ch == nil {
-		return nil, fmt.Errorf("syncproto: nil channel")
-	}
-	if n < 1 || n > 16 {
-		return nil, fmt.Errorf("syncproto: symbol width %d out of [1,16]", n)
+// NewCounter returns the protocol over a per-use channel with n-bit
+// symbols: any Pd and Pi, with Ps adding ordinary substitutions on top
+// of the converted channel's insertion noise. The channel may be
+// bursty or fault-injected.
+func NewCounter(ch channel.UseChannel, n int) (*Counter, error) {
+	if err := checkChannel(ch, n); err != nil {
+		return nil, err
 	}
 	return &Counter{ch: ch, n: n}, nil
 }

@@ -16,7 +16,7 @@ func ExampleARQ() {
 		fmt.Println("error:", err)
 		return
 	}
-	arq, err := syncproto.NewARQ(ch)
+	arq, err := syncproto.NewARQ(ch, 4, 0)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

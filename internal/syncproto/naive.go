@@ -14,26 +14,15 @@ import (
 // message grows — quantifying why non-synchronous channels cannot be
 // treated as synchronous ones.
 type Naive struct {
-	ch UseChannel
+	ch channel.UseChannel
 	n  int
 }
 
-// NewNaive returns the protocol bound to a deletion–insertion channel.
-func NewNaive(ch *channel.DeletionInsertion) (*Naive, error) {
-	if ch == nil {
-		return nil, fmt.Errorf("syncproto: nil channel")
-	}
-	return &Naive{ch: ch, n: ch.Params().N}, nil
-}
-
-// NewNaiveOver returns the protocol over any per-use channel with
-// n-bit symbols (for example a fault-injected stack).
-func NewNaiveOver(ch UseChannel, n int) (*Naive, error) {
-	if ch == nil {
-		return nil, fmt.Errorf("syncproto: nil channel")
-	}
-	if n < 1 || n > 16 {
-		return nil, fmt.Errorf("syncproto: symbol width %d out of [1,16]", n)
+// NewNaive returns the protocol over a per-use channel with n-bit
+// symbols.
+func NewNaive(ch channel.UseChannel, n int) (*Naive, error) {
+	if err := checkChannel(ch, n); err != nil {
+		return nil, err
 	}
 	return &Naive{ch: ch, n: n}, nil
 }

@@ -8,13 +8,16 @@ import (
 )
 
 func TestNewNaiveValidation(t *testing.T) {
-	if _, err := NewNaive(nil); err == nil {
-		t.Fatal("expected nil channel error")
+	if _, err := NewNaive(nil, 4); err == nil {
+		t.Error("expected nil channel error")
+	}
+	if _, err := NewNaive(mustChannel(t, channel.Params{N: 4}, 1), 17); err == nil {
+		t.Error("expected symbol width error")
 	}
 }
 
 func TestNaiveCleanChannelIsPerfect(t *testing.T) {
-	naive, err := NewNaive(mustChannel(t, channel.Params{N: 4}, 1))
+	naive, err := NewNaive(mustChannel(t, channel.Params{N: 4}, 1), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestNaiveCollapsesUnderDrift(t *testing.T) {
 	// the counter protocol on the same channel parameters stays near
 	// capacity.
 	p := channel.Params{N: 4, Pd: 0.05, Pi: 0.05}
-	naive, err := NewNaive(mustChannel(t, p, 3))
+	naive, err := NewNaive(mustChannel(t, p, 3), p.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestNaiveCollapsesUnderDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter, err := NewCounter(mustChannel(t, p, 5))
+	counter, err := NewCounter(mustChannel(t, p, 5), p.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestNaiveCollapsesUnderDrift(t *testing.T) {
 }
 
 func TestNaiveRejectsInvalidSymbols(t *testing.T) {
-	naive, err := NewNaive(mustChannel(t, channel.Params{N: 2}, 7))
+	naive, err := NewNaive(mustChannel(t, channel.Params{N: 2}, 7), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestNaiveRejectsInvalidSymbols(t *testing.T) {
 
 func TestNaiveSenderOpsExcludeInsertions(t *testing.T) {
 	p := channel.Params{N: 2, Pi: 0.3}
-	naive, err := NewNaive(mustChannel(t, p, 9))
+	naive, err := NewNaive(mustChannel(t, p, 9), p.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestNaiveSkipsCountTraceEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NewNaiveOver(rec, 4)
+	naive, err := NewNaive(rec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

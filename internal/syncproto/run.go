@@ -1,26 +1,30 @@
 package syncproto
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/channel"
+)
 
 // NewProtocol returns the named channel-backed protocol over ch with
-// n-bit symbols: "arq", "counter", "naive" or "delayed". nominalPd and
-// delay configure DelayedARQ and are ignored by the others. It is the
-// one name-to-protocol switch behind chansim, /v1/simulate, /v1/trace
-// and E13; the caveats of the Over constructors apply.
-func NewProtocol(name string, ch UseChannel, n int, nominalPd float64, delay int) (Protocol, error) {
+// n-bit symbols: "arq", "counter", "naive" or "delayed" (ARQ with the
+// given feedback delay, which the others ignore). It is the one
+// name-to-protocol switch behind chansim, /v1/simulate, /v1/trace and
+// E13.
+func NewProtocol(name string, ch channel.UseChannel, n, delay int) (Protocol, error) {
 	var (
 		p   Protocol
 		err error
 	)
 	switch name {
 	case "arq":
-		p, err = NewARQOver(ch, n)
+		p, err = NewARQ(ch, n, 0)
 	case "counter":
-		p, err = NewCounterOver(ch, n)
+		p, err = NewCounter(ch, n)
 	case "naive":
-		p, err = NewNaiveOver(ch, n)
+		p, err = NewNaive(ch, n)
 	case "delayed":
-		p, err = NewDelayedARQOver(ch, n, nominalPd, delay)
+		p, err = NewARQ(ch, n, delay)
 	default:
 		return nil, fmt.Errorf("syncproto: unknown protocol %q (want arq, counter, naive or delayed)", name)
 	}
@@ -34,16 +38,16 @@ func NewProtocol(name string, ch UseChannel, n int, nominalPd float64, delay int
 // over ch under the supervision policy, with cfg's rate floor and
 // tracer. ch is wrapped in a UseMeter, and a Counter over the same
 // meter is the resync fallback.
-func RunSupervised(name string, ch UseChannel, n int, nominalPd float64, delay int, cfg SupervisorConfig, msg []uint32) (SupervisedResult, error) {
+func RunSupervised(name string, ch channel.UseChannel, n, delay int, cfg SupervisorConfig, msg []uint32) (SupervisedResult, error) {
 	meter, err := NewUseMeter(ch)
 	if err != nil {
 		return SupervisedResult{}, err
 	}
-	active, err := NewProtocol(name, meter, n, nominalPd, delay)
+	active, err := NewProtocol(name, meter, n, delay)
 	if err != nil {
 		return SupervisedResult{}, err
 	}
-	resync, err := NewCounterOver(meter, n)
+	resync, err := NewCounter(meter, n)
 	if err != nil {
 		return SupervisedResult{}, err
 	}

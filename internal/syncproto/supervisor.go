@@ -8,8 +8,7 @@ import (
 )
 
 // Protocol is any synchronization protocol runner in this package:
-// Naive, ARQ, DelayedARQ, Counter, CommonEvent and SyncVar all
-// satisfy it.
+// Naive, ARQ, Counter, CommonEvent and SyncVar all satisfy it.
 type Protocol interface {
 	Run(msg []uint32) (Result, error)
 }
@@ -27,13 +26,13 @@ type budgetExhausted struct{}
 // turns "deadline" into a channel-use quantity rather than wall time,
 // keeping supervised runs deterministic.
 type UseMeter struct {
-	inner  UseChannel
+	inner  channel.UseChannel
 	total  int64
 	budget int64 // remaining uses this attempt; < 0 means unlimited
 }
 
 // NewUseMeter wraps inner with an unlimited budget.
-func NewUseMeter(inner UseChannel) (*UseMeter, error) {
+func NewUseMeter(inner channel.UseChannel) (*UseMeter, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("syncproto: nil channel")
 	}
@@ -202,7 +201,7 @@ type Supervisor struct {
 // both (chunking, retry accounting and degradation detection still
 // apply). Each attempt's deadline is attemptChunks chunks' worth of
 // metered uses for every protocol: the meter counts channel uses, so
-// DelayedARQ's idle feedback slots do not draw on it.
+// a delayed ARQ's idle feedback slots do not draw on it.
 func NewSupervisor(active, resync Protocol, meter *UseMeter, cfg SupervisorConfig) (*Supervisor, error) {
 	if active == nil {
 		return nil, fmt.Errorf("syncproto: nil protocol")
@@ -237,7 +236,7 @@ func (s *Supervisor) runAttempt(p Protocol, chunk []uint32) (res Result, ok bool
 // tryChunk drives one chunk through up to maxAttempts attempts of one
 // protocol, backing off between failures. Alongside the chunk result
 // it returns the attempt's accounting uses that never touched the
-// channel (DelayedARQ's idle feedback slots), which the meter cannot
+// channel (a delayed ARQ's idle feedback slots), which the meter cannot
 // see but the aggregate Uses must include. chunkIdx labels the trace
 // events.
 func (s *Supervisor) tryChunk(p Protocol, chunk []uint32, chunkIdx int, sup *SupervisedResult) (Result, int, bool, error) {

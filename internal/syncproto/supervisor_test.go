@@ -35,7 +35,7 @@ func meteredChannel(t *testing.T, params channel.Params, seed uint64) *UseMeter 
 func TestSupervisorCleanRunIsOK(t *testing.T) {
 	const n = 4
 	meter := meteredChannel(t, channel.Params{N: n, Pd: 0.1, Pi: 0.05}, 1)
-	counter, err := NewCounterOver(meter, n)
+	counter, err := NewCounter(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSupervisorMatchesUnsupervisedOnCleanChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewCounterOver(plainCh, n)
+	plain, err := NewCounter(plainCh, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSupervisorMatchesUnsupervisedOnCleanChannel(t *testing.T) {
 	}
 
 	meter := meteredChannel(t, params, 7)
-	counter, err := NewCounterOver(meter, n)
+	counter, err := NewCounter(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestSupervisorFailsWhenChannelIsDead(t *testing.T) {
 	// Pd = 1: nothing is ever delivered; every protocol attempt must
 	// hit its deadline and the run must end Failed, not hang.
 	meter := meteredChannel(t, channel.Params{N: n, Pd: 1}, 4)
-	arq, err := NewARQOver(meter, n)
+	arq, err := NewARQ(meter, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter, err := NewCounterOver(meter, n)
+	counter, err := NewCounter(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSupervisorFailsWhenChannelIsDead(t *testing.T) {
 func TestSupervisorDelayedARQDeadline(t *testing.T) {
 	const n, delay = 4, 2
 	meter := meteredChannel(t, channel.Params{N: n, Pd: 1}, 4)
-	darq, err := NewDelayedARQOver(meter, n, 0.5, delay)
+	darq, err := NewARQ(meter, n, delay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestSupervisorDelayedARQDeadline(t *testing.T) {
 func TestSupervisorResyncsOnDivergence(t *testing.T) {
 	const n = 4
 	meter := meteredChannel(t, channel.Params{N: n, Pd: 0.1, Pi: 0.05}, 9)
-	naive, err := NewNaiveOver(meter, n)
+	naive, err := NewNaive(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter, err := NewCounterOver(meter, n)
+	counter, err := NewCounter(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +226,9 @@ func TestSupervisorDegradedUnderOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ch UseChannel = base
+		var ch channel.UseChannel = base
 		if outageFraction > 0 {
-			out, err := faultinject.NewOutage(base, faultinject.OutageConfig{Fraction: outageFraction}, rng.New(14))
+			out, err := faultinject.NewOutage(base, outageFraction, rng.New(14))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestSupervisorDegradedUnderOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counter, err := NewCounterOver(meter, n)
+		counter, err := NewCounter(meter, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,11 +288,11 @@ func TestSupervisorDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arq, err := NewARQOver(meter, n)
+		arq, err := NewARQ(meter, n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counter, err := NewCounterOver(meter, n)
+		counter, err := NewCounter(meter, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestSupervisorConfigErrors(t *testing.T) {
 
 func TestSupervisorEmptyMessage(t *testing.T) {
 	meter := meteredChannel(t, channel.Params{N: 4, Pd: 0.1}, 1)
-	counter, err := NewCounterOver(meter, 4)
+	counter, err := NewCounter(meter, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

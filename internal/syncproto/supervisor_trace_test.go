@@ -15,11 +15,11 @@ func tracedDeadRun(t *testing.T) (SupervisedResult, []byte) {
 	t.Helper()
 	const n = 4
 	meter := meteredChannel(t, channel.Params{N: n, Pd: 1}, 4)
-	arq, err := NewARQOver(meter, n)
+	arq, err := NewARQ(meter, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter, err := NewCounterOver(meter, n)
+	counter, err := NewCounter(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestSupervisorTraceMatchesResult(t *testing.T) {
 func TestSupervisorTraceResync(t *testing.T) {
 	const n = 4
 	meter := meteredChannel(t, channel.Params{N: n, Pd: 0.1, Pi: 0.05}, 11)
-	naive, err := NewNaiveOver(meter, n)
+	naive, err := NewNaive(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter, err := NewCounterOver(meter, n)
+	counter, err := NewCounter(meter, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,8 @@
 //
 //   - the resend-until-acknowledged ARQ protocol of Theorem 3, which
 //     achieves the erasure-channel capacity of a deletion channel with
-//     perfect feedback;
+//     perfect feedback, and with a feedback delay measures a
+//     mechanism's own overhead on top of that capacity (Section 4.4);
 //   - the counter protocol of Theorem 5 / Appendix A, which converts a
 //     deletion–insertion channel with perfect feedback into the M-ary
 //     symmetric "converted channel" of Figure 5;
@@ -16,7 +17,9 @@
 // deterministic randomness and reports enough accounting (channel uses,
 // sender operations, delivered slots, errors, empirical mutual
 // information) to compare measured rates against the analytic bounds in
-// package core.
+// package core. The channel-backed protocols (ARQ, Counter, Naive) have
+// one constructor each, over any channel.UseChannel and its symbol
+// width: a plain, bursty or fault-injected channel alike.
 package syncproto
 
 import (

@@ -28,19 +28,16 @@ func mustChannel(t *testing.T, p channel.Params, seed uint64) *channel.DeletionI
 }
 
 func TestNewARQValidation(t *testing.T) {
-	if _, err := NewARQ(nil); err == nil {
+	if _, err := NewARQ(nil, 2, 0); err == nil {
 		t.Error("expected error for nil channel")
 	}
-	if _, err := NewARQ(mustChannel(t, channel.Params{N: 2, Pi: 0.1}, 1)); err == nil {
-		t.Error("expected error for insertion channel")
-	}
-	if _, err := NewARQ(mustChannel(t, channel.Params{N: 2, Ps: 0.1}, 1)); err == nil {
-		t.Error("expected error for noisy channel")
+	if _, err := NewARQ(mustChannel(t, channel.Params{N: 2}, 1), 0, 0); err == nil {
+		t.Error("expected error for symbol width")
 	}
 }
 
 func TestARQDeliversExactly(t *testing.T) {
-	arq, err := NewARQ(mustChannel(t, channel.Params{N: 4, Pd: 0.3}, 2))
+	arq, err := NewARQ(mustChannel(t, channel.Params{N: 4, Pd: 0.3}, 2), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +59,7 @@ func TestARQAchievesErasureCapacity(t *testing.T) {
 	// use must approach N*(1-Pd).
 	for _, pd := range []float64{0, 0.1, 0.25, 0.5} {
 		p := channel.Params{N: 4, Pd: pd}
-		arq, err := NewARQ(mustChannel(t, p, 4))
+		arq, err := NewARQ(mustChannel(t, p, 4), p.N, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +81,7 @@ func TestARQAchievesErasureCapacity(t *testing.T) {
 }
 
 func TestARQRejectsInvalidSymbols(t *testing.T) {
-	arq, err := NewARQ(mustChannel(t, channel.Params{N: 2}, 6))
+	arq, err := NewARQ(mustChannel(t, channel.Params{N: 2}, 6), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +90,129 @@ func TestARQRejectsInvalidSymbols(t *testing.T) {
 	}
 }
 
-func TestNewCounterValidation(t *testing.T) {
-	if _, err := NewCounter(nil); err == nil {
+// delayedRate is the rate ARQ with a feedback delay achieves,
+// N(1-Pd)/(1+delay) (experiment A5).
+func delayedRate(t *testing.T, p channel.Params, delay int) float64 {
+	t.Helper()
+	capacity, err := core.FeedbackDeletionCapacity(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return capacity / float64(1+delay)
+}
+
+func TestNewDelayedARQValidation(t *testing.T) {
+	if _, err := NewARQ(nil, 2, 1); err == nil {
 		t.Error("expected error for nil channel")
+	}
+	if _, err := NewARQ(mustChannel(t, channel.Params{N: 2}, 1), 2, -1); err == nil {
+		t.Error("expected error for negative feedback delay")
+	}
+	if _, err := NewARQ(mustChannel(t, channel.Params{N: 2}, 1), 2, 1); err != nil {
+		t.Errorf("delay 1 over a deletion channel: %v", err)
+	}
+}
+
+func TestDelayedARQMatchesPrediction(t *testing.T) {
+	p := channel.Params{N: 4, Pd: 0.2}
+	msg := randomMessage(4, 10000, 4)
+	for _, delay := range []int{1, 3, 9} {
+		a, err := NewARQ(mustChannel(t, p, uint64(5+delay)), p.N, delay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := delayedRate(t, p, delay)
+		got := res.InfoRatePerUse()
+		if math.Abs(got-want)/want > 0.05 {
+			t.Errorf("delay %d: rate %v, predicted %v", delay, got, want)
+		}
+	}
+}
+
+// TestDelayedARQSoakPredictionAccuracy is the long-run version of the
+// prediction check: at 100k symbols per cell the finite-sample noise is
+// small enough that a systematic accounting bug anywhere in the
+// (1+delay)-use bookkeeping — not just bad luck — is what a >5%
+// deviation from N(1-Pd)/(1+delay) would mean. Skipped under -short.
+func TestDelayedARQSoakPredictionAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test: ~1M simulated uses per cell")
+	}
+	const symbols = 100000
+	for _, pd := range []float64{0.1, 0.3} {
+		p := channel.Params{N: 4, Pd: pd}
+		for _, delay := range []int{0, 1, 2, 4, 8} {
+			msg := randomMessage(uint64(31+delay), symbols, 4)
+			a, err := NewARQ(mustChannel(t, p, uint64(17+delay)), p.N, delay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.Run(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := delayedRate(t, p, delay)
+			got := res.InfoRatePerUse()
+			if dev := math.Abs(got-want) / want; dev > 0.05 {
+				t.Errorf("pd %.1f delay %d: measured %.4f vs predicted %.4f (%.1f%% off, want <= 5%%)",
+					pd, delay, got, want, 100*dev)
+			}
+			if res.SymbolErrors != 0 {
+				t.Errorf("pd %.1f delay %d: %d symbol errors, ARQ must be error-free",
+					pd, delay, res.SymbolErrors)
+			}
+		}
+	}
+}
+
+func TestDelayedARQRateDecreasesWithDelay(t *testing.T) {
+	p := channel.Params{N: 4, Pd: 0.1}
+	msg := randomMessage(6, 5000, 4)
+	prev := math.Inf(1)
+	for _, delay := range []int{0, 2, 5} {
+		a, err := NewARQ(mustChannel(t, p, 7), p.N, delay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rate := res.InfoRatePerUse()
+		if rate >= prev {
+			t.Fatalf("rate did not decrease with delay %d: %v >= %v", delay, rate, prev)
+		}
+		prev = rate
+	}
+}
+
+func TestDelayedARQRejectsInvalidSymbols(t *testing.T) {
+	a, err := NewARQ(mustChannel(t, channel.Params{N: 2}, 9), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run([]uint32{4}); err == nil {
+		t.Fatal("expected alphabet error")
+	}
+}
+
+func TestNewCounterValidation(t *testing.T) {
+	if _, err := NewCounter(nil, 4); err == nil {
+		t.Error("expected error for nil channel")
+	}
+	if _, err := NewCounter(mustChannel(t, channel.Params{N: 4}, 1), 17); err == nil {
+		t.Error("expected error for symbol width")
 	}
 }
 
 func TestCounterDeletionOnlyMatchesARQ(t *testing.T) {
 	// With Pi = 0 the counter protocol reduces to ARQ behaviour.
 	p := channel.Params{N: 4, Pd: 0.2}
-	c, err := NewCounter(mustChannel(t, p, 7))
+	c, err := NewCounter(mustChannel(t, p, 7), p.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +234,7 @@ func TestCounterInducedSubstitutionRate(t *testing.T) {
 	// Appendix A: the converted channel's substitution probability per
 	// delivered slot is alpha*Pi/(1-Pd) under per-use accounting.
 	p := channel.Params{N: 4, Pd: 0.2, Pi: 0.1}
-	c, err := NewCounter(mustChannel(t, p, 9))
+	c, err := NewCounter(mustChannel(t, p, 9), p.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +259,7 @@ func TestCounterMeasuredRateMatchesPerUseBound(t *testing.T) {
 		{0.1, 0.05}, {0.2, 0.1}, {0.3, 0.2},
 	} {
 		p := channel.Params{N: 4, Pd: tc.pd, Pi: tc.pi}
-		c, err := NewCounter(mustChannel(t, p, 11))
+		c, err := NewCounter(mustChannel(t, p, 11), p.N)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +292,7 @@ func TestCounterSenderOpNormalization(t *testing.T) {
 	// sits near the printed bound (within the small substitution-rate
 	// difference documented in DESIGN.md).
 	p := channel.Params{N: 8, Pd: 0.15, Pi: 0.08}
-	c, err := NewCounter(mustChannel(t, p, 13))
+	c, err := NewCounter(mustChannel(t, p, 13), p.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +312,7 @@ func TestCounterSenderOpNormalization(t *testing.T) {
 }
 
 func TestCounterRejectsInvalidSymbols(t *testing.T) {
-	c, err := NewCounter(mustChannel(t, channel.Params{N: 2}, 15))
+	c, err := NewCounter(mustChannel(t, channel.Params{N: 2}, 15), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
