@@ -28,22 +28,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# 10 seconds per native fuzz target, 110 seconds in all: the
+# 10 seconds per native fuzz target, 120 seconds in all: the
 # Definition 1 trace invariants, the fault-spec grammar (every spec it
 # accepts round-trips and builds a fault stack), the session NDJSON
 # decoder, the decoder's fused exact-layout tier against its
-# encoding/json reference, the result-store entry decoder, the cluster
-# membership flag, the federation's parse of a member's metrics
-# exposition, the alert-rule file parser, capstat's request-span
-# reader, the router's canonical key over a raw query and the bounds
-# batch body against the GET it stands for. Regressions the unit
-# corpus misses show up here first.
+# encoding/json reference, the result-store entry decoder, the result
+# store over arbitrary segment files, the cluster membership flag, the
+# federation's parse of a member's metrics exposition, the alert-rule
+# file parser, capstat's request-span reader, the router's canonical
+# key over a raw query and the bounds batch body against the GET it
+# stands for. Regressions the unit corpus misses show up here first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 10s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/faultinject
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchDiff$$' -fuzztime 10s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/cluster/casstore
+	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s ./internal/cluster/casstore
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMembership$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsSnapshot$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 10s ./internal/health
@@ -56,12 +57,12 @@ fuzz-smoke:
 # Monte-Carlo embedding count with its draw-cost floor, the session
 # NDJSON decoder, with its pooled Store.Ingest path), of the plain
 # channel-transmit and convolutional decoder benchmarks and of the
-# result store's Put and Get, as a smoke test that the benchmarks
+# result store's Put, Get and miss, as a smoke test that the benchmarks
 # themselves still run, and the bench/ module, a separate Go module
 # that `./...` never builds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch|Put|Get)$$' -benchtime 1x \
+	$(GO) test -run '^$$' -bench '^Benchmark(BlahutArimotoMSC|DriftViterbi|SequentialStack|Transmit|BinaryTransmit|MonteCarlo|DecodeBatch|Put|Get|GetMiss)$$' -benchtime 1x \
 		./internal/infotheory ./internal/coding/conv ./internal/channel ./internal/delcap ./internal/session ./internal/cluster/casstore
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

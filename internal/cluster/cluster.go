@@ -10,9 +10,10 @@
 //     canonicalized request keyspace (the exact cache-key strings
 //     capserver.Canonicalize produces);
 //   - casstore (subpackage): a content-addressed on-disk result store
-//     with atomic write-rename semantics, plugged into capserver's
-//     ResultStore hook — nodes sharing a store directory can all serve
-//     any cached point, and a restarted node warm-starts from disk;
+//     of append-only segments, one writer each, indexed by slot tables
+//     every node maps shared, plugged into capserver's ResultStore
+//     hook — nodes sharing a store directory can all serve any cached
+//     point, and a restarted node warm-starts from disk;
 //   - Node: the per-process router. Owned keys serve locally, and so
 //     do non-owned keys the shared store already holds; other
 //     non-owned keys forward to the owner over HTTP with a hedged
