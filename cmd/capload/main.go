@@ -18,10 +18,12 @@
 //	                                     # before request 30 and
 //	                                     # restarted before request 60;
 //	                                     # assert byte identity vs a
-//	                                     # single-node oracle, the fault
-//	                                     # counters, post-restart
-//	                                     # convergence and exact trace
-//	                                     # reconciliation
+//	                                     # single-node oracle, a client
+//	                                     # failover, the fault counters,
+//	                                     # a non-empty store,
+//	                                     # post-restart convergence,
+//	                                     # spans from n2 and exact
+//	                                     # trace reconciliation
 //	capload -mode cluster -trace-dir /tmp/run -assert
 //	                                     # same run, also writing the
 //	                                     # per-node span files and
@@ -129,7 +131,7 @@ func run(args []string, out *os.File) error {
 
 	switch *mode {
 	case "smoke":
-		if err := capserver.Smoke(base, nil); err != nil {
+		if err := capserver.Smoke(base); err != nil {
 			return err
 		}
 		fmt.Fprintln(out, "smoke: every endpoint returned 200 with valid JSON")

@@ -91,19 +91,23 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
+// TestClusterModeKillRestart is capload's one cluster run, with the
+// per-member trace files written out for capstat (whose
+// TestRunReconcilesCleanTrace pins that CLI's text).
 func TestClusterModeKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fault harness")
 	}
+	dir := t.TempDir()
 	out, err := captureOut(t, func(f *os.File) error {
-		return run([]string{"-mode", "cluster", "-assert"}, f)
+		return run([]string{"-mode", "cluster", "-assert", "-trace-dir", dir}, f)
 	})
 	if err != nil {
 		t.Fatalf("cluster run: %v\n%s", err, out)
 	}
 	for _, want := range []string{
 		"killed n2", "restarted n2", "0 mismatches",
-		"convergence:", "cluster-assert:",
+		"convergence:", "trace: wrote 3 per-node files", "cluster-assert:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster output missing %q:\n%s", want, out)

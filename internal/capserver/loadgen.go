@@ -44,8 +44,6 @@ type LoadOptions struct {
 	// ExactN, when > 0, adds exact_n=<v> to every bounds request so
 	// cache misses pay a real computation (delcap exact enumeration).
 	ExactN int
-	// Client overrides the HTTP client (default: 30s timeout).
-	Client *http.Client
 }
 
 // withDefaults fills unset fields.
@@ -64,9 +62,6 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	}
 	if len(o.Mix) == 0 {
 		o.Mix = map[string]float64{"bounds": 0.7, "predict": 0.2, "simulate": 0.1}
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return o
 }
@@ -267,11 +262,19 @@ func endpointURL(ep string, variant int, o LoadOptions) string {
 
 // RunLoad executes a load run and aggregates the report. The request
 // sequence is deterministic in the seed; workers consume it in order.
+//
+// The run has its own transport and closes its connections when it
+// ends. Concurrent workers can leave a connection the transport dialed
+// but never sent on, and a server's graceful Shutdown waits 5 s for
+// such a connection before it counts it as idle.
 func RunLoad(o LoadOptions) (*LoadReport, error) {
 	o = o.withDefaults()
 	if o.BaseURL == "" {
 		return nil, fmt.Errorf("capserver: load run needs a base URL")
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Timeout: 30 * time.Second, Transport: transport}
 	plan := planRequests(o)
 	report := &LoadReport{
 		Status:     make(map[int]int),
@@ -288,7 +291,7 @@ func RunLoad(o LoadOptions) (*LoadReport, error) {
 			defer wg.Done()
 			for req := range work {
 				t0 := time.Now()
-				resp, err := o.Client.Get(req.url)
+				resp, err := client.Get(req.url)
 				lat := time.Since(t0)
 				mu.Lock()
 				report.Total++
@@ -330,10 +333,8 @@ func RunLoad(o LoadOptions) (*LoadReport, error) {
 // Smoke exercises every endpoint once and verifies a 200 status and a
 // well-formed JSON body (`capload -selfhost -mode smoke`, run by
 // cmd/capload's TestSelfhostSmoke).
-func Smoke(baseURL string, client *http.Client) error {
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
+func Smoke(baseURL string) error {
+	client := &http.Client{Timeout: 60 * time.Second}
 	checks := []struct {
 		path string
 		json bool

@@ -1,7 +1,12 @@
 package capserver
 
 import (
+	"context"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -114,9 +119,46 @@ func TestRunLoadMixedWorkload(t *testing.T) {
 	}
 }
 
+// TestRunLoadClosesItsConnections: every connection the server
+// accepted during a run is closed within 1 s of RunLoad's return, so a
+// graceful Shutdown right after the run has none to wait for.
+func TestRunLoadClosesItsConnections(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Shutdown(context.Background())
+	var mu sync.Mutex
+	open := make(map[net.Conn]bool)
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(c net.Conn, state http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch state {
+		case http.StateNew:
+			open[c] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	if _, err := RunLoad(LoadOptions{BaseURL: ts.URL, Requests: 40, Concurrency: 4, Seed: 1, Unique: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		mu.Lock()
+		n := len(open)
+		mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open 1 s after RunLoad returned", n)
+		}
+	}
+}
+
 func TestSmokeAgainstLiveServer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	if err := Smoke(ts.URL, nil); err != nil {
+	if err := Smoke(ts.URL); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // This file is the multi-node fault harness behind `capload -mode
-// cluster` and `make trace-cluster-smoke`: it boots a three-member
+// cluster` and TestHarnessKillRestartRun: it boots a three-member
 // Testbed (every member wired by StartProc, as capserverd wires one,
 // all sharing one casstore directory), replays a seeded workload
 // against it while killing and restarting a member mid-run, and checks
@@ -209,14 +209,19 @@ func (r *HarnessReport) Format(w io.Writer) {
 
 // Assert is the acceptance gate for `capload -mode cluster -assert`:
 // byte identity must hold for every response; the fault machinery must
-// have engaged (forward, store-local, hedge, retry and degraded
-// counters all nonzero) and only inside the kill window; the restarted
-// node must be pure cache traffic; and the trace must hold every chain
-// invariant and reconcile exactly with the routing counters.
+// have engaged (a client failover, and forward, store-local, hedge,
+// retry and degraded counters all nonzero) and only inside the kill
+// window; the shared store must hold entries, and the restarted node
+// must be pure cache traffic; and the trace must hold spans from the
+// killed member and every chain invariant, and reconcile exactly with
+// the routing counters.
 func (r *HarnessReport) Assert() error {
 	var fails []string
 	if r.Mismatches != 0 {
 		fails = append(fails, fmt.Sprintf("%d responses differ from the single-node oracle", r.Mismatches))
+	}
+	if r.Failovers == 0 {
+		fails = append(fails, "no client failover despite a dead member in the dispatch rotation")
 	}
 	if r.OutsideWindow != 0 {
 		fails = append(fails, fmt.Sprintf("%d requests outside the kill window [%d, %d) failed over or degraded",
@@ -237,6 +242,9 @@ func (r *HarnessReport) Assert() error {
 			fails = append(fails, need.fail)
 		}
 	}
+	if r.StoreEntries == 0 {
+		fails = append(fails, "the shared store is empty after the run")
+	}
 	c := r.Convergence
 	if c.Paths == 0 {
 		fails = append(fails, "convergence check ran over zero paths")
@@ -249,6 +257,10 @@ func (r *HarnessReport) Assert() error {
 	}
 	if r.Trace.Spans == 0 {
 		fails = append(fails, "no span was recorded")
+	}
+	// The killed member's two incarnations merge under one name.
+	if len(r.Trace.PerNode[computeFault.node]) == 0 {
+		fails = append(fails, fmt.Sprintf("no span from the killed member %s", computeFault.node))
 	}
 	for _, v := range r.Trace.Violations {
 		fails = append(fails, "trace invariant: "+v)

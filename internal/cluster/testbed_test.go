@@ -6,48 +6,31 @@ import (
 	"time"
 )
 
-// TestHarnessesLeaveNoGoroutines: every harness scenario shuts down
-// every incarnation it started, killed ones included, so worker pools,
-// session janitors, serve loops and client connections end with it.
-func TestHarnessesLeaveNoGoroutines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-node harnesses")
+// leakFree runs fn, which makes harness runs, and fails t unless every
+// goroutine they started ends: a harness shuts down every incarnation
+// it started, killed ones included, so worker pools, session janitors,
+// serve loops and client connections end with it. The count settles
+// first (two readings 50 ms apart agree); after fn it has 5 s to fall
+// back to within 2 of that, or the test fails with every stack.
+func leakFree(t *testing.T, fn func()) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		time.Sleep(50 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
 	}
-	for name, run := range map[string]func() error{
-		"RunHarness": func() error {
-			_, err := RunHarness(HarnessOptions{Seed: 1})
-			return err
-		},
-		"RunSessionHarness": func() error {
-			_, err := RunSessionHarness(SessionHarnessOptions{Seed: 1})
-			return err
-		},
-		"RunHealthHarness": func() error {
-			_, _, err := RunHealthHarness(HealthHarnessOptions{Seed: 1, Jobs: 4})
-			return err
-		},
-	} {
-		// Settled: two readings 50ms apart agree.
-		before := runtime.NumGoroutine()
-		for i := 0; i < 20; i++ {
-			time.Sleep(50 * time.Millisecond)
-			n := runtime.NumGoroutine()
-			if n == before {
-				break
-			}
-			before = n
-		}
-		if err := run(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		after := runtime.NumGoroutine()
-		for deadline := time.Now().Add(5 * time.Second); after > before+2 && time.Now().Before(deadline); {
-			time.Sleep(20 * time.Millisecond)
-			after = runtime.NumGoroutine()
-		}
-		if after > before+2 {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%s left %d goroutines running:\n%s", name, after-before, buf[:runtime.Stack(buf, true)])
-		}
+	fn()
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before+2 && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before+2 {
+		buf := make([]byte, 1<<20)
+		t.Errorf("harness runs left %d goroutines running:\n%s", after-before, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -227,32 +226,6 @@ func TestE10ShapeOverestimateFactor(t *testing.T) {
 	}
 }
 
-func TestAllRunsEveryExperiment(t *testing.T) {
-	results, err := Run(context.Background(), fastConfig(), Registry(), RunOptions{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := Tables(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 13 {
-		t.Fatalf("got %d tables, want 13", len(tables))
-	}
-	ids := map[string]bool{}
-	for _, tab := range tables {
-		ids[tab.ID] = true
-		if len(tab.Rows) == 0 {
-			t.Errorf("%s has no rows", tab.ID)
-		}
-	}
-	for i := 1; i <= 13; i++ {
-		if !ids["E"+strconv.Itoa(i)] {
-			t.Errorf("missing experiment E%d", i)
-		}
-	}
-}
-
 func TestE11ShapeRatesBracketed(t *testing.T) {
 	tab, err := E11DeletionRates(fastConfig())
 	if err != nil {
@@ -302,26 +275,6 @@ func TestE12ShapeCountermeasuresDegrade(t *testing.T) {
 	lastRow := len(tab.Rows) - 1
 	if pd := cell(t, tab, lastRow, "est.Pd"); pd < 0.15 {
 		t.Errorf("PMiss=0.3 row estimated Pd = %v, want substantial", pd)
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	results, err := Run(context.Background(), Config{Symbols: 2000, CodedSymbols: 60, Quanta: 20000, Seed: 1},
-		AblationRegistry(), RunOptions{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := Tables(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 5 {
-		t.Fatalf("got %d ablation tables, want 5", len(tables))
-	}
-	for _, tab := range tables {
-		if len(tab.Rows) == 0 {
-			t.Errorf("%s has no rows", tab.ID)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,9 @@ func formatAll(t *testing.T, results []Result) []byte {
 // TestRunnerParallelMatchesSerial is the determinism guarantee: the
 // emitted tables, ablations included, are byte-identical regardless of
 // worker count, because every experiment draws from its own seed
-// stream and no table prints a measured time.
+// stream and no table prints a measured time. The serial run is also
+// the batch's one completeness check: every E1–E13 and A1–A5 table
+// has rows, and every channel experiment reports its uses.
 func TestRunnerParallelMatchesSerial(t *testing.T) {
 	exps := append(Registry(), AblationRegistry()...)
 	serial, err := Run(context.Background(), runnerConfig(), exps, RunOptions{Jobs: 1})
@@ -49,6 +52,33 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 	a, b := formatAll(t, serial), formatAll(t, parallel)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("parallel output differs from serial output:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+	}
+
+	rows := map[string]int{}
+	uses := map[string]int64{}
+	for _, r := range serial {
+		rows[r.Table.ID] = len(r.Table.Rows)
+		uses[r.Experiment.ID] = r.Uses
+	}
+	if len(rows) != 18 {
+		t.Errorf("got %d tables, want 13 experiments and 5 ablations", len(rows))
+	}
+	for i := 1; i <= 13; i++ {
+		if id := "E" + strconv.Itoa(i); rows[id] == 0 {
+			t.Errorf("%s is missing or has no rows", id)
+		}
+	}
+	for i := 1; i <= 5; i++ {
+		if id := "A" + strconv.Itoa(i); rows[id] == 0 {
+			t.Errorf("%s is missing or has no rows", id)
+		}
+	}
+	// The experiments that drive a channel register their uses, so the
+	// summary's uses/sec is meaningful for them.
+	for _, id := range []string{"E1", "E2", "E3", "E6", "E7", "E8", "E9", "E11", "E12"} {
+		if uses[id] <= 0 {
+			t.Errorf("%s reports %d channel uses, want > 0", id, uses[id])
+		}
 	}
 }
 
@@ -301,24 +331,6 @@ func TestRunnerNoRetryAfterCancel(t *testing.T) {
 	}
 	if results[0].Err == nil {
 		t.Error("canceled crashed attempt reported no error")
-	}
-}
-
-// TestExperimentsReportUses ensures the simulation-heavy experiments
-// register their work metric, so the summary's uses/sec is meaningful.
-func TestExperimentsReportUses(t *testing.T) {
-	results, err := Run(context.Background(), runnerConfig(), Registry(),
-		RunOptions{Jobs: 4, Only: []string{"E1", "E2", "E3", "E6", "E7", "E8", "E9", "E11", "E12"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Experiment.ID, r.Err)
-		}
-		if r.Uses <= 0 {
-			t.Errorf("%s reports %d channel uses, want > 0", r.Experiment.ID, r.Uses)
-		}
 	}
 }
 

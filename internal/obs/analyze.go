@@ -46,8 +46,9 @@ func (c UseCounts) Estimate() Estimate {
 }
 
 // Contains reports whether the given assumed parameters fall inside
-// the estimate's confidence intervals, the agreement check the
-// trace-smoke gate asserts. NaN assumptions never agree.
+// the estimate's confidence intervals: tracecap's agreement verdict,
+// which cmd/chansim's TestRunObservabilityOutputs asserts on a trace
+// chansim wrote. NaN assumptions never agree.
 func (e Estimate) Contains(pd, pi, ps float64) bool {
 	in := func(v, lo, hi float64) bool { return !math.IsNaN(v) && v >= lo && v <= hi }
 	return in(pd, e.PdLo, e.PdHi) && in(pi, e.PiLo, e.PiHi) && in(ps, e.PsLo, e.PsHi)
