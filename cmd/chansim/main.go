@@ -171,19 +171,19 @@ func run(args []string) (err error) {
 	)
 	switch *proto {
 	case "arq", "counter", "naive", "delayed":
-		// The ARQ analyses assume a deletion-only, noiseless channel;
-		// hostility is injected on top of it.
-		chParams := params
-		if *proto == "arq" || *proto == "delayed" {
-			if *pi != 0 {
-				return fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", *proto, *pi)
-			}
-			chParams.Ps = 0
+		arq := *proto == "arq" || *proto == "delayed"
+		if arq && *pi != 0 {
+			return fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", *proto, *pi)
 		}
 		if *inject == "" && *pd == 1 && *proto != "naive" {
 			return fmt.Errorf("-pd 1 deletes every use, so unsupervised %s never delivers a symbol and never returns; add -inject to run it under supervision", *proto)
 		}
-		ch, cerr := channel.NewDeletionInsertion(chParams, rng.New(*seed))
+		// -ps applies to every protocol, as on /v1/trace. ARQ resends
+		// each substituted symbol, so at ps = 1 it would never finish.
+		if *inject == "" && *ps == 1 && arq {
+			return fmt.Errorf("-ps 1 substitutes every delivered symbol, so unsupervised %s resends forever and never returns; add -inject to run it under supervision", *proto)
+		}
+		ch, cerr := channel.NewDeletionInsertion(params, rng.New(*seed))
 		if cerr != nil {
 			return cerr
 		}

@@ -166,6 +166,10 @@ func TestRunErrors(t *testing.T) {
 		{"-proto", "arq", "-n", "4", "-pd", "1", "-symbols", "10"},
 		{"-proto", "counter", "-n", "4", "-pd", "1", "-symbols", "10"},
 		{"-proto", "delayed", "-n", "4", "-pd", "1", "-symbols", "10"},
+		// ARQ resends every substituted symbol, so unsupervised it
+		// would never return over a channel that substitutes them all.
+		{"-proto", "arq", "-n", "4", "-pd", "0.1", "-ps", "1", "-symbols", "10"},
+		{"-proto", "delayed", "-n", "4", "-pd", "0.1", "-ps", "1", "-symbols", "10"},
 		// The ARQ analyses assume a deletion-only channel, as
 		// /v1/simulate does.
 		{"-proto", "arq", "-n", "4", "-pd", "0.2", "-pi", "0.1", "-symbols", "5000", "-seed", "3"},
@@ -341,7 +345,9 @@ func TestRunInjectedHonoursPs(t *testing.T) {
 // TestRunInjectedMatchesSimulate holds chansim -inject and /v1/simulate
 // to one run: the same parameters give the same report, rendered from
 // the served body, for every protocol and several fault stacks. Each
-// side derives its message, channel and fault seeds itself.
+// side derives its message, channel and fault seeds itself. At ps > 0
+// the served side is /v1/trace, whose body opens with /v1/simulate's
+// body for the run with ps applied (/v1/simulate ignores ps).
 func TestRunInjectedMatchesSimulate(t *testing.T) {
 	srv := capserver.New(capserver.Config{Workers: 1})
 	t.Cleanup(func() {
@@ -349,42 +355,53 @@ func TestRunInjectedMatchesSimulate(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
+	type point struct{ proto, ps, spec string }
+	var points []point
 	for _, proto := range []string{"arq", "counter", "naive", "delayed"} {
+		for _, spec := range []string{"outage=0.2", "jam=0.1", "drift=0.1;stuck=0.3"} {
+			points = append(points, point{proto, "0", spec})
+		}
+	}
+	points = append(points, point{"arq", "0.3", "outage=0.2"}, point{"delayed", "0.3", "outage=0.2"})
+	for _, p := range points {
 		pi := "0.05"
-		if proto == "arq" || proto == "delayed" {
+		if p.proto == "arq" || p.proto == "delayed" {
 			pi = "0"
 		}
-		for _, spec := range []string{"outage=0.2", "jam=0.1", "drift=0.1;stuck=0.3"} {
-			q := url.Values{"proto": {proto}, "n": {"4"}, "pd": {"0.1"}, "pi": {pi}, "delay": {"2"},
-				"symbols": {"2000"}, "seed": {"3"}, "inject": {spec}}
-			w := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/simulate?"+q.Encode(), nil))
-			if w.Code != http.StatusOK {
-				t.Fatalf("%s %s: status %d: %s", proto, spec, w.Code, w.Body)
-			}
-			var resp capserver.SimulateResponse
-			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-				t.Fatal(err)
-			}
-			parsed, err := faultinject.ParseSpec(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			served := supervisedFrom(t, resp)
-			want, _ := capture(t, func() error {
-				printSupervised(proto, parsed, 4, served, resp.InjectedFaults)
-				return nil
-			})
-			got, err := capture(t, func() error {
-				return run([]string{"-proto", proto, "-n", "4", "-pd", "0.1", "-pi", pi, "-delay", "2",
-					"-symbols", "2000", "-seed", "3", "-inject", spec})
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("%s %s: chansim -inject reports\n%s\n/v1/simulate serves\n%s", proto, spec, got, want)
-			}
+		q := url.Values{"proto": {p.proto}, "n": {"4"}, "pd": {"0.1"}, "pi": {pi}, "delay": {"2"},
+			"symbols": {"2000"}, "seed": {"3"}, "inject": {p.spec}}
+		path := "/v1/simulate?"
+		if p.ps != "0" {
+			q.Set("ps", p.ps)
+			path = "/v1/trace?"
+		}
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path+q.Encode(), nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s ps=%s %s: status %d: %s", p.proto, p.ps, p.spec, w.Code, w.Body)
+		}
+		var resp capserver.TraceResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := faultinject.ParseSpec(p.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := supervisedFrom(t, resp.SimulateResponse)
+		want, _ := capture(t, func() error {
+			printSupervised(p.proto, parsed, 4, served, resp.InjectedFaults)
+			return nil
+		})
+		got, err := capture(t, func() error {
+			return run([]string{"-proto", p.proto, "-n", "4", "-pd", "0.1", "-pi", pi, "-ps", p.ps, "-delay", "2",
+				"-symbols", "2000", "-seed", "3", "-inject", p.spec})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s ps=%s %s: chansim -inject reports\n%s\n%s serves\n%s", p.proto, p.ps, p.spec, got, strings.TrimSuffix(path, "?"), want)
 		}
 	}
 }

@@ -67,7 +67,11 @@ type DeletionRatesJSON struct {
 	MCN           int      `json:"mc_n,omitempty"`
 	MCSamples     int      `json:"mc_samples,omitempty"`
 	MCSeed        *uint64  `json:"mc_seed,omitempty"`
-	MCRate        *float64 `json:"mc_rate,omitempty"`
+	// MCRate is delcap.MonteCarloUniformRate's estimate of I(X^n;Y)/n,
+	// clamped at 0 when the sampled estimate is negative. Near pd = 1
+	// the true rate is near 0 and the clamp cuts off the lower half of
+	// the estimate's spread, so the served value is biased upward there.
+	MCRate *float64 `json:"mc_rate,omitempty"`
 }
 
 // BlahutArimotoJSON is the converted-channel capacity recomputed by

@@ -184,9 +184,9 @@ func TestBatchBackpressure(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Distinct slow computations occupy the worker and the queue.
-			// exact_n=10 computes for ~200ms, several times the sleep
+			// exact_n=11 computes for ~200ms, several times the sleep
 			// below, so both are still in the pool when the batch lands.
-			get(t, ts.URL, fmt.Sprintf("/v1/bounds?n=6&pd=0.%d&exact_n=10", 31+i))
+			get(t, ts.URL, fmt.Sprintf("/v1/bounds?n=6&pd=0.%d&exact_n=11", 31+i))
 		}(i)
 	}
 	time.Sleep(50 * time.Millisecond) // let both reach the pool
@@ -252,7 +252,7 @@ func TestSubSecondRetryAfterClamp(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=9", 50+i)
+			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=10", 50+i)
 			status, hdr, _ := get(t, ts.URL, path)
 			if status == http.StatusTooManyRequests {
 				mu.Lock()

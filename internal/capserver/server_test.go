@@ -242,9 +242,9 @@ func TestExperimentsRunAndCatalog(t *testing.T) {
 func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	const clients = 24
-	// exact_n=9 keeps the computation slow enough (~50ms) that every
+	// exact_n=10 keeps the computation slow enough (~50ms) that every
 	// client arrives while it is in flight or freshly cached.
-	const path = "/v1/bounds?n=6&pd=0.2&pi=0.05&exact_n=9"
+	const path = "/v1/bounds?n=6&pd=0.2&pi=0.05&exact_n=10"
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -321,7 +321,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 			defer wg.Done()
 			// Distinct pd per client: no two requests share a cache
 			// line or a flight, so each needs its own pool slot.
-			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=9", 10+i)
+			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=10", 10+i)
 			status, hdr, _ := get(t, ts.URL, path)
 			mu.Lock()
 			counts[status]++

@@ -44,16 +44,17 @@ import (
 var harnessNodes = []string{"n1", "n2", "n3"}
 
 // The compute scenario: 90 requests over 8 points per endpoint, every
-// bounds point carrying exact_n=8, on members with 2 workers each. An
-// exact_n=8 compute takes tens of milliseconds, far above the 5 ms
-// hedge delay, so forwarded cold computes hedge; the hedge delay is
-// above the primary's whole retry budget against a dead peer (sub-ms
-// refusals plus the 1 ms peer backoff), so a dead owner degrades to
-// local compute instead of being absorbed by the hedge.
+// bounds point carrying exact_n=9, on members with 2 workers each. An
+// exact_n=9 compute takes 10-20 ms on a 2-vCPU VM, above the 5 ms
+// hedge delay, so forwarded cold computes hedge (an exact_n=8 compute
+// takes about 3 ms, and at that size 4 of 10 runs fired no hedge); the
+// hedge delay is above the primary's whole retry budget against a dead
+// peer (sub-ms refusals plus the 1 ms peer backoff), so a dead owner
+// degrades to local compute instead of being absorbed by the hedge.
 const (
 	harnessRequests = 90
 	harnessUnique   = 8
-	harnessExactN   = 8
+	harnessExactN   = 9
 	harnessWorkers  = 2
 	harnessHedge    = 5 * time.Millisecond
 	// peerBackoff is every harness member's retry backoff base.

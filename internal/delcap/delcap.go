@@ -52,18 +52,46 @@ func checkLengths(n, m int) error {
 
 // embeddingCount is EmbeddingCount's kernel for lengths in [0, 20]. It
 // runs the reference dynamic program (dp[j] = embeddings of y[:j] in
-// the processed prefix of x) on a stack array and updates only the
+// the processed prefix of x) in one of two exact forms, chosen by the
+// number of deletions d = n-m. Counts are exact integers, so both give
+// dp[m] identical to the full program's for every (x, y).
+//
+// For d <= 3 the states that can still reach dp[m] are the four that
+// skip k = 0..3 bits of x, held as four 16-bit lanes of one word: after
+// bit i, lane k is dp[i+1-k]. Bit i moves lane k-1 into lane k (x's bit
+// skipped) and adds lane k to itself where y's bit i-k equals x's
+// (bit used), one shift, mask and add for all four. A lane never
+// exceeds C(i+1, k) <= C(20, 3) = 1140, so no lane carries into the
+// next. A state never loses a skip, so lanes above d never reach lane d
+// and the skips past lane 3 shifted out of the word are not needed.
+// Bits of y at or above m only feed states whose prefix is already
+// longer than m, which never reach lane d either, so y may carry any
+// bits there.
+//
+// For d > 3 it runs the program on a stack array and updates only the
 // feasible band: after bit i, j <= i+1 (no longer prefix fits in i+1
 // bits, so those states are still 0 and their update would add 0), and
 // j >= m-(n-1-i) (with n-1-i bits left, a shorter prefix can never grow
 // to length m, so those states are never read on the way to dp[m]; the
 // lower edge rises by one per bit, so every in-band update reads an
-// in-band or dp[0] state of the previous bit). Counts are exact
-// integers, so dp[m] is identical to the full program's for every
-// (x, y).
+// in-band or dp[0] state of the previous bit).
 func embeddingCount(x uint32, n int, y uint32, m int) int64 {
 	if m > n {
 		return 0
+	}
+	if d := n - m; d <= 3 {
+		// x and y shift right once per bit, so at bit i their bit 0 is
+		// their bit i. w's bit k is y's bit i-k, and eq's bit k is 1
+		// where that equals x's bit i (x&1-1 is all ones for a 0 bit of
+		// x and zero for a 1 bit).
+		f, w := uint64(1), uint64(0)
+		for i := 0; i < n; i++ {
+			w = w<<1 | uint64(y&1)
+			eq := w ^ (uint64(x&1) - 1)
+			f = f<<16 + f&laneMask[eq&15]
+			x, y = x>>1, y>>1
+		}
+		return int64(f >> uint(16*d) & 0xffff)
 	}
 	var dp [21]int64
 	dp[0] = 1
@@ -77,6 +105,19 @@ func embeddingCount(x uint32, n int, y uint32, m int) int64 {
 	}
 	return dp[m]
 }
+
+// laneMask[eq] has embeddingCount's lane k (bits 16k to 16k+15) all
+// ones where bit k of eq is set, and zero elsewhere.
+var laneMask = func() (t [16]uint64) {
+	for eq := range t {
+		for k := 0; k < 4; k++ {
+			if eq>>k&1 == 1 {
+				t[eq] |= 0xffff << uint(16*k)
+			}
+		}
+	}
+	return t
+}()
 
 // ExactUniformRate computes I(X^n; Y)/n in bits for the binary
 // deletion channel with i.i.d. uniform inputs of blocklength n, by
@@ -156,8 +197,12 @@ func checkExact(n int, pd float64) error {
 // per bit one 53-bit draw compared against rng.ProbThreshold(pd), which
 // decides as rng.Bool(pd) does on the same draw (and, as Bool does,
 // draws nothing at pd == 0). P(y|x) multiplies the count by per-call
-// tables of the same math.Pow values in the reference's order, so the
-// estimate and the source's position afterwards are bit-identical.
+// tables of the same math.Pow values in the reference's order, and a
+// sample without deletions has y = x and count 1. A call sees few
+// distinct (deletions, count) pairs, so it takes math.Log2 of each
+// pair's product once and subtracts the stored value, summing samples in
+// the reference's order. The estimate and the source's position
+// afterwards are therefore bit-identical.
 func MonteCarloUniformRate(n int, pd float64, samples int, src *rng.Source) (float64, error) {
 	if err := checkMonteCarlo(n, pd, samples, src); err != nil {
 		return 0, err
@@ -175,6 +220,11 @@ func MonteCarloUniformRate(n int, pd float64, samples int, src *rng.Source) (flo
 		keep[k] = math.Pow(1-pd, float64(k))
 	}
 	thr := rng.ProbThreshold(pd)
+	// log2P[d][cnt] is math.Log2 of P(y|x) for d deletions and count
+	// cnt, filled on first use; 0 marks an entry not yet filled (or
+	// log2 P = 0, which costs only a recomputation). Larger counts, and
+	// products that are not positive, take the direct path.
+	var log2P [21][logCounts]float64
 
 	// Sampled H(Y|X) = -E[log2 p(y|x)].
 	var hYX float64
@@ -190,7 +240,19 @@ func MonteCarloUniformRate(n int, pd float64, samples int, src *rng.Source) (flo
 				}
 			}
 		}
-		if pyx := float64(embeddingCount(x, n, y, m)) * del[n-m] * keep[m]; pyx > 0 {
+		d, cnt := n-m, int64(1) // no deletion: y = x, embedded once
+		if d > 0 {
+			cnt = embeddingCount(x, n, y, m)
+		}
+		if cnt < logCounts {
+			lg := &log2P[d][cnt]
+			if *lg == 0 {
+				if pyx := float64(cnt) * del[d] * keep[m]; pyx > 0 {
+					*lg = math.Log2(pyx)
+				}
+			}
+			hYX -= *lg
+		} else if pyx := float64(cnt) * del[d] * keep[m]; pyx > 0 {
 			hYX -= math.Log2(pyx)
 		}
 	}
@@ -202,6 +264,11 @@ func MonteCarloUniformRate(n int, pd float64, samples int, src *rng.Source) (flo
 	}
 	return rate, nil
 }
+
+// logCounts bounds the embedding counts MonteCarloUniformRate keeps
+// log2 P(y|x) for: at n = 12 and pd up to 0.22 all but a few percent of
+// samples count fewer embeddings.
+const logCounts = 64
 
 // checkMonteCarlo validates MonteCarloUniformRate's arguments.
 func checkMonteCarlo(n int, pd float64, samples int, src *rng.Source) error {

@@ -1,16 +1,22 @@
 package delcap
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// TestEmbeddingCountMatchesReference compares the banded stack kernel
-// with the full reference program: exhaustively over every (x, y, m)
-// for n <= 10, including m > n and outputs that are not subsequences of
-// x, then on random pairs up to n = 20.
+// TestEmbeddingCountMatchesReference compares the kernel with the full
+// reference program: exhaustively over every (x, y, m) for n <= 10,
+// including m > n and outputs that are not subsequences of x, then on
+// random pairs up to n = 20. The random pairs reach both of the
+// kernel's programs: keeping a random subset of x's bits mostly deletes
+// more than three, while deleting 0-3 bits of x, or drawing any y of
+// length n-3 to n (its bits above m random too), takes the lane
+// program.
 func TestEmbeddingCountMatchesReference(t *testing.T) {
 	check := func(x uint32, n int, y uint32, m int) int64 {
 		t.Helper()
@@ -61,6 +67,27 @@ func TestEmbeddingCountMatchesReference(t *testing.T) {
 				if gen.Bit() == 1 {
 					y |= (x >> uint(i) & 1) << uint(m)
 					m++
+				}
+			}
+		}
+		check(x, n, y, m)
+	}
+	for k := 0; k < 20000; k++ {
+		n := 11 + gen.Intn(10)
+		x := gen.Symbol(n)
+		m := n - gen.Intn(4)
+		y := gen.Symbol(32)
+		if k%2 == 0 {
+			// Delete n-m distinct bits of x, so the count is positive.
+			var drop uint32
+			for bits.OnesCount32(drop) < n-m {
+				drop |= 1 << uint(gen.Intn(n))
+			}
+			y = 0
+			for i, j := 0, 0; i < n; i++ {
+				if drop>>uint(i)&1 == 0 {
+					y |= (x >> uint(i) & 1) << uint(j)
+					j++
 				}
 			}
 		}
@@ -118,6 +145,12 @@ func TestMonteCarloMatchesReferenceBitExact(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		cases = append(cases, tc{n: 12, pd: 0.02 + 0.2*gen.Float64(), samples: 2000, seed: uint64(k + 1)})
 	}
+	// n = 20 at low pd, where nearly every count takes the lane program,
+	// and at pd 0.5, where most counts exceed the log table and take the
+	// direct math.Log2 path.
+	for k, pd := range []float64{0.01, 0.03, 0.06, 0.5} {
+		cases = append(cases, tc{n: 20, pd: pd, samples: 1000, seed: uint64(k + 9)})
+	}
 	for _, c := range cases {
 		src, ref := rng.New(c.seed), rng.New(c.seed)
 		got, err := MonteCarloUniformRate(c.n, c.pd, c.samples, src)
@@ -174,17 +207,24 @@ func drawFloor(n int, pd float64, samples int, src *rng.Source) (float64, error)
 }
 
 // BenchmarkMonteCarlo times the cold-grid Monte-Carlo shape through the
-// kernel, the reference and the draw floor.
+// kernel, the reference and the draw floor, at the low, middle and high
+// end of cold-grid's pd range: the kernel's count takes its banded
+// program for samples with more than three deletions, and the share of
+// those grows with pd.
 func BenchmarkMonteCarlo(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		fn   func(int, float64, int, *rng.Source) (float64, error)
 	}{{"kernel", MonteCarloUniformRate}, {"reference", monteCarloUniformRateReference}, {"floor", drawFloor}} {
 		b.Run(bc.name, func(b *testing.B) {
-			src := rng.New(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rateSink, _ = bc.fn(12, 0.12, 2000, src)
+			for _, pd := range []float64{0.02, 0.12, 0.22} {
+				b.Run(fmt.Sprintf("pd=%v", pd), func(b *testing.B) {
+					src := rng.New(1)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						rateSink, _ = bc.fn(12, pd, 2000, src)
+					}
+				})
 			}
 		})
 	}

@@ -39,17 +39,21 @@ func New(seed uint64) *Source {
 }
 
 // Uint64 returns the next value in the stream.
+//
+// The step works on local copies of the state words and stores them
+// back once: that keeps its inline cost under gc's budget, so hot loops
+// draw without a call (TestUint64Inlines pins it).
 func (r *Source) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
 
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 
 	return result
 }
