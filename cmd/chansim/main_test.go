@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/capserver"
 	"repro/internal/faultinject"
@@ -148,7 +149,12 @@ func TestRunInjected(t *testing.T) {
 	}
 }
 
+// TestRunErrors checks that each command is refused. Some would run
+// forever if their refusal were dropped, so each case has a deadline:
+// a run still going after it fails the test with its arguments instead
+// of hanging to go test's timeout.
 func TestRunErrors(t *testing.T) {
+	const deadline = 5 * time.Second
 	cases := [][]string{
 		{"-proto", "bogus"},
 		{"-proto", "arq", "-pd", "1.5"},
@@ -176,7 +182,22 @@ func TestRunErrors(t *testing.T) {
 		{"-proto", "delayed", "-n", "4", "-pd", "0.2", "-pi", "0.1", "-symbols", "5000", "-seed", "3"},
 	}
 	for _, args := range cases {
-		if _, err := capture(t, func() error { return run(args) }); err == nil {
+		running := false
+		_, err := capture(t, func() error {
+			done := make(chan error, 1)
+			go func() { done <- run(args) }()
+			select {
+			case err := <-done:
+				return err
+			case <-time.After(deadline):
+				running = true
+				return nil
+			}
+		})
+		if running {
+			t.Fatalf("args %v: still running after %v, want an immediate refusal", args, deadline)
+		}
+		if err == nil {
 			t.Errorf("args %v: expected error", args)
 		}
 	}

@@ -163,10 +163,50 @@ func (s *Server) handleBoundsBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := marshalBody(resp)
-	if err != nil {
-		s.finish(w, endpoint, start, http.StatusInternalServerError, errorBody(err), "")
-		return
+	s.finish(w, endpoint, start, http.StatusOK, batchBody(resp), "")
+}
+
+// batchBody returns marshalBody(resp)'s bytes without re-scanning the
+// points' results: each result is a body the bounds endpoint rendered
+// with encoding/json, so it is already compact and escaped and is
+// copied as it is. Error strings go through json.Marshal, which
+// keeps encoding/json's HTML and invalid-UTF-8 escaping; the fields
+// follow BatchResponse's and BatchPointResult's order and omitempty
+// tags. The handler always has at least one result, so Results is
+// never nil (which json.Marshal would render as null).
+func batchBody(resp BatchResponse) []byte {
+	size := 64
+	for _, pr := range resp.Results {
+		size += 48 + len(pr.Result) + len(pr.Error)
 	}
-	s.finish(w, endpoint, start, http.StatusOK, body, "")
+	buf := make([]byte, 0, size)
+	buf = append(buf, `{"points":`...)
+	buf = strconv.AppendInt(buf, int64(resp.Points), 10)
+	buf = append(buf, `,"succeeded":`...)
+	buf = strconv.AppendInt(buf, int64(resp.Succeeded), 10)
+	buf = append(buf, `,"failed":`...)
+	buf = strconv.AppendInt(buf, int64(resp.Failed), 10)
+	buf = append(buf, `,"results":[`...)
+	for i, pr := range resp.Results {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, `{"ok":`...)
+		buf = strconv.AppendBool(buf, pr.OK)
+		if len(pr.Result) > 0 {
+			buf = append(buf, `,"result":`...)
+			buf = append(buf, pr.Result...)
+		}
+		if pr.Error != "" {
+			// A string always marshals.
+			msg, _ := json.Marshal(pr.Error)
+			buf = append(buf, `,"error":`...)
+			buf = append(buf, msg...)
+		}
+		if pr.Retryable {
+			buf = append(buf, `,"retryable":true`...)
+		}
+		buf = append(buf, '}')
+	}
+	return append(buf, "]}\n"...)
 }

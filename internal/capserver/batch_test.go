@@ -9,7 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/rng"
 )
 
 // postJSON posts a body to a path and returns status, headers and body.
@@ -144,6 +145,85 @@ func TestBatchPartialFailureEnvelope(t *testing.T) {
 	}
 }
 
+// TestBatchBodyMatchesMarshal is the differential test for the
+// appended envelope: on generated envelopes, batchBody's bytes must
+// equal marshalBody's. Points mix successes (served bounds bodies and
+// marshaled values whose strings needed escaping), validation failures
+// and retryable rejections, with error strings that need encoding/json's
+// HTML, quote, control-character, U+2028/U+2029 and invalid-UTF-8
+// handling, up to a full 256-point envelope.
+func TestBatchBodyMatchesMarshal(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var results []json.RawMessage
+	for _, path := range []string{
+		"/v1/bounds?n=4&pd=0.2",
+		"/v1/bounds?n=6&pd=0.1&pi=0.05&exact_n=6&mc_n=8&mc_samples=200&ba=1",
+	} {
+		status, _, body := get(t, ts.URL, path)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, status, body)
+		}
+		results = append(results, bytes.TrimSpace(body))
+	}
+	for _, v := range []any{
+		map[string]string{"note": "<a href=\"x\">&amp;</a> \u2028\u2029 \xff"},
+		[]float64{1e-21, 0.1, 123456789, -0.5},
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, b)
+	}
+	errs := []string{
+		`parameter n must be in [1,16], got "17"`,
+		"<script>alert(1)</script> & more",
+		"quote \" backslash \\ tab \t newline \n",
+		"separators \u2028 and \u2029",
+		"invalid \xff\xfe UTF-8 \xc3",
+		"control \x00\x01\x1f\x7f",
+		"unicode é 😀",
+	}
+	gen := rng.New(34)
+	envelope := func(points int) BatchResponse {
+		resp := BatchResponse{Points: points, Results: make([]BatchPointResult, points)}
+		for i := range resp.Results {
+			switch gen.Intn(3) {
+			case 0:
+				resp.Results[i] = BatchPointResult{OK: true, Result: results[gen.Intn(len(results))]}
+				resp.Succeeded++
+			case 1:
+				resp.Results[i] = BatchPointResult{Error: errs[gen.Intn(len(errs))]}
+				resp.Failed++
+			default:
+				resp.Results[i] = BatchPointResult{Error: errQueueFull.Error(), Retryable: true}
+				resp.Failed++
+			}
+		}
+		return resp
+	}
+	check := func(resp BatchResponse) {
+		t.Helper()
+		want, err := marshalBody(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := batchBody(resp); !bytes.Equal(got, want) {
+			t.Fatalf("batchBody:\n%s\nmarshalBody:\n%s", got, want)
+		}
+	}
+	for points := 1; points <= 8; points++ {
+		for k := 0; k < 50; k++ {
+			check(envelope(points))
+		}
+	}
+	check(envelope(maxBatchPoints))
+	// Fields the handler never sets together still follow the tags.
+	check(BatchResponse{Points: 2, Succeeded: 1, Failed: 1, Results: []BatchPointResult{
+		{OK: true, Result: results[0], Error: errs[1], Retryable: true}, {},
+	}})
+}
+
 func TestBatchValidationRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	overLimit := `{"points":[` + strings.Repeat(`{"n":4},`, maxBatchPoints) + `{"n":4}]}`
@@ -171,7 +251,8 @@ func TestBatchValidationRejects(t *testing.T) {
 // single requests, then posts a batch of fresh points: every point is
 // rejected by the queue, so the whole batch is a 429 with Retry-After.
 func TestBatchBackpressure(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	// Computations of n=6 points park in the store's Put until release.
+	srv, ts, st := newParkedServer(t, Config{Workers: 1, QueueDepth: 1}, "?n=6&")
 	// A point computed before the pool saturates is served from the
 	// cache while fresh points are rejected: hits never wait on the pool.
 	const cached = "/v1/bounds?n=4&pd=0.44"
@@ -183,13 +264,15 @@ func TestBatchBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct slow computations occupy the worker and the queue.
-			// exact_n=11 computes for ~200ms, several times the sleep
-			// below, so both are still in the pool when the batch lands.
-			get(t, ts.URL, fmt.Sprintf("/v1/bounds?n=6&pd=0.%d&exact_n=11", 31+i))
+			// Distinct parked computations occupy the worker and the
+			// queue until release.
+			get(t, ts.URL, fmt.Sprintf("/v1/bounds?n=6&pd=0.%d", 31+i))
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond) // let both reach the pool
+	st.awaitParked(t)
+	if !waitFor(func() bool { return srv.pool.depth() == 1 }) {
+		t.Fatal("the second computation never reached the queue")
+	}
 
 	status, hdr, body := postJSON(t, ts.URL, "/v1/bounds:batch",
 		`{"points":[{"n":4,"pd":0.41},{"n":4,"pd":0.42},{"n":4,"pd":0.43}]}`)
@@ -203,6 +286,7 @@ func TestBatchBackpressure(t *testing.T) {
 		t.Errorf("cached point under saturation: status %d, cache %q, want 200 hit (body %s)",
 			status, hdr.Get("X-Capserver-Cache"), body)
 	}
+	st.release()
 	wg.Wait()
 
 	// Once the pool drains, the batch succeeds — possibly over two
@@ -240,7 +324,9 @@ func TestBatchBackpressure(t *testing.T) {
 // (which clients read as retry-immediately, defeating the backpressure
 // the header exists to apply).
 func TestSubSecondRetryAfterClamp(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	// The first computation parks in the store's Put and holds the only
+	// worker until a rejection has come back.
+	srv, ts, st := newParkedServer(t, Config{Workers: 1, QueueDepth: 1}, "")
 	const clients = 12
 	var (
 		wg         sync.WaitGroup
@@ -252,7 +338,7 @@ func TestSubSecondRetryAfterClamp(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=10", 50+i)
+			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d", 50+i)
 			status, hdr, _ := get(t, ts.URL, path)
 			if status == http.StatusTooManyRequests {
 				mu.Lock()
@@ -262,6 +348,8 @@ func TestSubSecondRetryAfterClamp(t *testing.T) {
 			}
 		}(i)
 	}
+	waitFor(func() bool { return srv.Metrics().QueueRejected() > 0 })
+	st.release()
 	wg.Wait()
 	if rejections == 0 {
 		t.Fatal("no 429s out of 12 clients on a depth-1 queue")

@@ -30,6 +30,62 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// parkingStore is a ResultStore whose Put parks, for every key that
+// contains park, until release: the worker writing that body through
+// stays busy, so a test can fill the pool or hold a flight open without
+// depending on how long a computation takes. Other keys, and every key
+// once released, pass straight through; Get always misses.
+type parkingStore struct {
+	park          string
+	parked, gate  chan struct{}
+	enter, unpark sync.Once
+}
+
+// newParkedServer starts a test server whose result store parks the
+// keys holding park (every key for ""). Cleanup releases the store
+// before the server shuts down, so a failed test leaves no worker
+// parked.
+func newParkedServer(t *testing.T, cfg Config, park string) (*Server, *httptest.Server, *parkingStore) {
+	t.Helper()
+	st := &parkingStore{park: park, parked: make(chan struct{}), gate: make(chan struct{})}
+	cfg.Store = st
+	srv, ts := newTestServer(t, cfg)
+	t.Cleanup(st.release) // cleanups run last-in first-out
+	return srv, ts, st
+}
+
+func (s *parkingStore) Get(string) ([]byte, bool) { return nil, false }
+
+func (s *parkingStore) Put(key string, _ []byte) {
+	if strings.Contains(key, s.park) {
+		s.enter.Do(func() { close(s.parked) })
+		<-s.gate
+	}
+}
+
+func (s *parkingStore) release() { s.unpark.Do(func() { close(s.gate) }) }
+
+// awaitParked waits until a worker is parked in Put.
+func (s *parkingStore) awaitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-s.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no computation reached the result store")
+	}
+}
+
+// waitFor polls cond until it holds or 10 s pass, and reports whether
+// it held.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // get fetches a path and returns status, headers and body.
 func get(t *testing.T, base, path string) (int, http.Header, []byte) {
 	t.Helper()
@@ -240,11 +296,11 @@ func TestExperimentsRunAndCatalog(t *testing.T) {
 // computation and receive byte-identical bodies. Run under -race by
 // the `make race` gate.
 func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
+	// The computation parks in the store's Put, so every client arrives
+	// while it is in flight, however long the computation itself takes.
+	srv, ts, st := newParkedServer(t, Config{}, "")
 	const clients = 24
-	// exact_n=10 keeps the computation slow enough (~50ms) that every
-	// client arrives while it is in flight or freshly cached.
-	const path = "/v1/bounds?n=6&pd=0.2&pi=0.05&exact_n=10"
+	const path = "/v1/bounds?n=6&pd=0.2&pi=0.05"
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -258,6 +314,11 @@ func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
 			bodies[i] = body
 		}(i)
 	}
+	// Release the flight once every other client has joined it; if one
+	// never does, the counts below say so.
+	st.awaitParked(t)
+	waitFor(func() bool { return srv.Metrics().CacheShared() == clients-1 })
+	st.release()
 	wg.Wait()
 	for i := 1; i < clients; i++ {
 		if !bytes.Equal(bodies[0], bodies[i]) {
@@ -307,7 +368,10 @@ func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 // Retry-After (not block, not crash), and the server must keep serving
 // afterwards.
 func TestQueueFullBackpressure(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	// The first computation parks in the store's Put and holds the only
+	// worker, so the burst overflows the depth-1 queue however long a
+	// computation takes; it is released once a rejection has come back.
+	srv, ts, st := newParkedServer(t, Config{Workers: 1, QueueDepth: 1}, "")
 	const clients = 12
 	var (
 		wg         sync.WaitGroup
@@ -321,7 +385,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 			defer wg.Done()
 			// Distinct pd per client: no two requests share a cache
 			// line or a flight, so each needs its own pool slot.
-			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d&exact_n=10", 10+i)
+			path := fmt.Sprintf("/v1/bounds?n=6&pd=0.%02d", 10+i)
 			status, hdr, _ := get(t, ts.URL, path)
 			mu.Lock()
 			counts[status]++
@@ -331,6 +395,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 			mu.Unlock()
 		}(i)
 	}
+	waitFor(func() bool { return srv.Metrics().QueueRejected() > 0 })
+	st.release()
 	wg.Wait()
 	if counts[200]+counts[429] != clients {
 		t.Fatalf("status counts %v, want only 200s and 429s totalling %d", counts, clients)

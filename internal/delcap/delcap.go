@@ -56,42 +56,48 @@ func checkLengths(n, m int) error {
 // number of deletions d = n-m. Counts are exact integers, so both give
 // dp[m] identical to the full program's for every (x, y).
 //
-// For d <= 3 the states that can still reach dp[m] are the four that
-// skip k = 0..3 bits of x, held as four 16-bit lanes of one word: after
-// bit i, lane k is dp[i+1-k]. Bit i moves lane k-1 into lane k (x's bit
-// skipped) and adds lane k to itself where y's bit i-k equals x's
-// (bit used), one shift, mask and add for all four. A lane never
-// exceeds C(i+1, k) <= C(20, 3) = 1140, so no lane carries into the
-// next. A state never loses a skip, so lanes above d never reach lane d
-// and the skips past lane 3 shifted out of the word are not needed.
-// Bits of y at or above m only feed states whose prefix is already
-// longer than m, which never reach lane d either, so y may carry any
-// bits there.
+// When d is below the lane count of n's layout (laneLayout), the states
+// that can still reach dp[m] are those that skip k = 0..d bits of x,
+// held as lanes of one word: after bit i, lane k is dp[i+1-k]. Bit i
+// moves lane k-1 into lane k (x's bit skipped) and adds lane k to
+// itself where y's bit i-k equals x's (bit used), one shift, mask and
+// add for all lanes. Lane k never exceeds C(i+1, k), which the layout's
+// width holds for every lane up to the count, so no lane that reaches
+// the count carries. A state never loses a skip, so lanes above d never
+// reach lane d, and neither do the skips shifted out of the word. Bits
+// of y at or above m only feed states whose prefix is already longer
+// than m, which never reach lane d either, so y may carry any bits
+// there.
 //
-// For d > 3 it runs the program on a stack array and updates only the
-// feasible band: after bit i, j <= i+1 (no longer prefix fits in i+1
-// bits, so those states are still 0 and their update would add 0), and
-// j >= m-(n-1-i) (with n-1-i bits left, a shorter prefix can never grow
-// to length m, so those states are never read on the way to dp[m]; the
-// lower edge rises by one per bit, so every in-band update reads an
-// in-band or dp[0] state of the previous bit).
+// For more deletions it runs the program on a stack array and updates
+// only the feasible band: after bit i, j <= i+1 (no longer prefix fits
+// in i+1 bits, so those states are still 0 and their update would add
+// 0), and j >= m-(n-1-i) (with n-1-i bits left, a shorter prefix can
+// never grow to length m, so those states are never read on the way to
+// dp[m]; the lower edge rises by one per bit, so every in-band update
+// reads an in-band or dp[0] state of the previous bit).
 func embeddingCount(x uint32, n int, y uint32, m int) int64 {
 	if m > n {
 		return 0
 	}
-	if d := n - m; d <= 3 {
+	l := &wideLanes
+	if n <= 12 {
+		l = &narrowLanes
+	}
+	if d := n - m; d < l.lanes {
 		// x and y shift right once per bit, so at bit i their bit 0 is
 		// their bit i. w's bit k is y's bit i-k, and eq's bit k is 1
 		// where that equals x's bit i (x&1-1 is all ones for a 0 bit of
 		// x and zero for a 1 bit).
 		f, w := uint64(1), uint64(0)
+		width, mask := l.width&63, &l.mask
 		for i := 0; i < n; i++ {
 			w = w<<1 | uint64(y&1)
 			eq := w ^ (uint64(x&1) - 1)
-			f = f<<16 + f&laneMask[eq&15]
+			f = f<<width + f&mask[eq&63]
 			x, y = x>>1, y>>1
 		}
-		return int64(f >> uint(16*d) & 0xffff)
+		return int64(f >> (width * uint(d)) & (1<<width - 1))
 	}
 	var dp [21]int64
 	dp[0] = 1
@@ -106,18 +112,33 @@ func embeddingCount(x uint32, n int, y uint32, m int) int64 {
 	return dp[m]
 }
 
-// laneMask[eq] has embeddingCount's lane k (bits 16k to 16k+15) all
-// ones where bit k of eq is set, and zero elsewhere.
-var laneMask = func() (t [16]uint64) {
-	for eq := range t {
-		for k := 0; k < 4; k++ {
+// laneLayout is one packing of embeddingCount's lanes into a word:
+// lanes lanes of width bits, lane k at bits width·k onwards. mask[eq]
+// is all ones over lane k where bit k of eq is set, for k below lanes,
+// and zero elsewhere.
+type laneLayout struct {
+	width uint
+	lanes int
+	mask  [64]uint64
+}
+
+// narrowLanes serves n <= 12: lane k <= C(12, k) <= C(12, 5) = 792
+// fits 10 bits, so six lanes count up to five deletions. wideLanes
+// serves n <= 20: C(20, 3) = 1140 fits 16 bits, and four lanes count up
+// to three.
+var narrowLanes, wideLanes = newLaneLayout(10, 6), newLaneLayout(16, 4)
+
+func newLaneLayout(width uint, lanes int) (l laneLayout) {
+	l.width, l.lanes = width, lanes
+	for eq := range l.mask {
+		for k := 0; k < lanes; k++ {
 			if eq>>k&1 == 1 {
-				t[eq] |= 0xffff << uint(16*k)
+				l.mask[eq] |= (1<<width - 1) << (width * uint(k))
 			}
 		}
 	}
-	return t
-}()
+	return l
+}
 
 // ExactUniformRate computes I(X^n; Y)/n in bits for the binary
 // deletion channel with i.i.d. uniform inputs of blocklength n, by
@@ -194,11 +215,13 @@ func checkExact(n int, pd float64) error {
 //
 // The sampling loop allocates nothing and draws exactly what the
 // reference draws, in the same order: Uint64n(2^n) for the input, then
-// per bit one 53-bit draw compared against rng.ProbThreshold(pd), which
-// decides as rng.Bool(pd) does on the same draw (and, as Bool does,
-// draws nothing at pd == 0). P(y|x) multiplies the count by per-call
-// tables of the same math.Pow values in the reference's order, and a
-// sample without deletions has y = x and count 1. A call sees few
+// the n per-bit coins as one rng.BoolMask against
+// rng.ProbThreshold(pd), whose bit i is rng.Bool(pd) on the i-th draw
+// (and, as Bool does, nothing is drawn at pd == 0). A sample without
+// deletions has y = x and count 1; otherwise y is x's kept bits, packed
+// four at a time through nibbleKeep. P(y|x) multiplies the count by
+// per-call tables of the same math.Pow values in the reference's
+// order. A call sees few
 // distinct (deletions, count) pairs, so it takes math.Log2 of each
 // pair's product once and subtracts the stored value, summing samples in
 // the reference's order. The estimate and the source's position
@@ -231,19 +254,20 @@ func MonteCarloUniformRate(n int, pd float64, samples int, src *rng.Source) (flo
 	for s := 0; s < samples; s++ {
 		x := uint32(src.Uint64n(1 << uint(n)))
 		y, m := x, n
+		cnt := int64(1) // no deletion: y = x, embedded once
 		if pd > 0 {
-			y, m = 0, 0
-			for i := 0; i < n; i++ {
-				if src.Uint64()>>11 >= thr {
-					y |= (x >> uint(i) & 1) << uint(m)
-					m++
+			if gone := uint32(src.BoolMask(n, thr)); gone != 0 {
+				kept := ^gone & (1<<uint(n) - 1)
+				y, m = 0, 0
+				for i := 0; i < n; i += 4 {
+					e := nibbleKeep[kept>>uint(i)&15][x>>uint(i)&15]
+					y |= uint32(e&15) << uint(m)
+					m += int(e >> 4)
 				}
+				cnt = embeddingCount(x, n, y, m)
 			}
 		}
-		d, cnt := n-m, int64(1) // no deletion: y = x, embedded once
-		if d > 0 {
-			cnt = embeddingCount(x, n, y, m)
-		}
+		d := n - m
 		if cnt < logCounts {
 			lg := &log2P[d][cnt]
 			if *lg == 0 {
@@ -264,6 +288,25 @@ func MonteCarloUniformRate(n int, pd float64, samples int, src *rng.Source) (flo
 	}
 	return rate, nil
 }
+
+// nibbleKeep[k][v] packs the bits of the 4-bit value v that the 4-bit
+// mask k keeps into its low nibble, in order, and holds their number in
+// its high nibble.
+var nibbleKeep = func() (t [16][16]uint8) {
+	for k := range t {
+		for v := range t[k] {
+			var packed, kept uint8
+			for b := 0; b < 4; b++ {
+				if k>>b&1 == 1 {
+					packed |= uint8(v>>b&1) << kept
+					kept++
+				}
+			}
+			t[k][v] = kept<<4 | packed
+		}
+	}
+	return t
+}()
 
 // logCounts bounds the embedding counts MonteCarloUniformRate keeps
 // log2 P(y|x) for: at n = 12 and pd up to 0.22 all but a few percent of

@@ -11,12 +11,13 @@ import (
 
 // TestEmbeddingCountMatchesReference compares the kernel with the full
 // reference program: exhaustively over every (x, y, m) for n <= 10,
-// including m > n and outputs that are not subsequences of x, then on
-// random pairs up to n = 20. The random pairs reach both of the
-// kernel's programs: keeping a random subset of x's bits mostly deletes
-// more than three, while deleting 0-3 bits of x, or drawing any y of
-// length n-3 to n (its bits above m random too), takes the lane
-// program.
+// including m > n and outputs that are not subsequences of x, and over
+// every (x, y) with four and five deletions at n = 11 and 12, the most
+// the ten-bit lanes hold; then on random pairs up to n = 20. The random
+// pairs reach both of the kernel's programs: keeping a random subset of
+// x's bits mostly deletes more than the lanes hold, while deleting few
+// bits of x, or drawing any y (its bits above m random too) a few bits
+// shorter than x, takes the lane program.
 func TestEmbeddingCountMatchesReference(t *testing.T) {
 	check := func(x uint32, n int, y uint32, m int) int64 {
 		t.Helper()
@@ -47,8 +48,21 @@ func TestEmbeddingCountMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	for n := 11; n <= 12; n++ {
+		for x := uint32(0); x < 1<<uint(n); x++ {
+			for m := n - 5; m <= n-4; m++ {
+				for y := uint32(0); y < 1<<uint(m); y++ {
+					check(x, n, y, m)
+				}
+			}
+		}
+	}
 	if zeros == 0 || positive == 0 {
 		t.Fatalf("exhaustive sweep is one-sided: %d zero and %d positive counts", zeros, positive)
+	}
+	// The largest count a ten-bit lane holds: seven zeros in twelve.
+	if got := check(0, 12, 0, 7); got != 792 {
+		t.Fatalf("EmbeddingCount(0, 12, 0, 7) = %d, want C(12, 5) = 792", got)
 	}
 
 	gen := rng.New(20)
@@ -76,6 +90,29 @@ func TestEmbeddingCountMatchesReference(t *testing.T) {
 		n := 11 + gen.Intn(10)
 		x := gen.Symbol(n)
 		m := n - gen.Intn(4)
+		y := gen.Symbol(32)
+		if k%2 == 0 {
+			// Delete n-m distinct bits of x, so the count is positive.
+			var drop uint32
+			for bits.OnesCount32(drop) < n-m {
+				drop |= 1 << uint(gen.Intn(n))
+			}
+			y = 0
+			for i, j := 0, 0; i < n; i++ {
+				if drop>>uint(i)&1 == 0 {
+					y |= (x >> uint(i) & 1) << uint(j)
+					j++
+				}
+			}
+		}
+		check(x, n, y, m)
+	}
+	// Up to five deletions at n <= 12, and four at n = 13, the first
+	// length that keeps the four sixteen-bit lanes.
+	for k := 0; k < 20000; k++ {
+		n := 5 + gen.Intn(9)
+		m := n - 4 - gen.Intn(2)
+		x := gen.Symbol(n)
 		y := gen.Symbol(32)
 		if k%2 == 0 {
 			// Delete n-m distinct bits of x, so the count is positive.
@@ -151,6 +188,13 @@ func TestMonteCarloMatchesReferenceBitExact(t *testing.T) {
 	for k, pd := range []float64{0.01, 0.03, 0.06, 0.5} {
 		cases = append(cases, tc{n: 20, pd: pd, samples: 1000, seed: uint64(k + 9)})
 	}
+	// n = 12 where four and five deletions are common, the most the
+	// ten-bit lanes hold, and n = 13, the first length on sixteen-bit
+	// lanes.
+	for k, pd := range []float64{0.3, 0.45} {
+		cases = append(cases, tc{n: 12, pd: pd, samples: 2000, seed: uint64(k + 13)})
+		cases = append(cases, tc{n: 13, pd: pd / 2, samples: 2000, seed: uint64(k + 15)})
+	}
 	for _, c := range cases {
 		src, ref := rng.New(c.seed), rng.New(c.seed)
 		got, err := MonteCarloUniformRate(c.n, c.pd, c.samples, src)
@@ -190,9 +234,9 @@ func TestMonteCarloZeroAlloc(t *testing.T) {
 
 var rateSink float64
 
-// drawFloor replays the estimator's random draws alone — one input word
-// and one rng.Bool coin per bit, per sample — as the floor the kernel is
-// stated against.
+// drawFloor replays the reference's random draws alone — one input word
+// and one rng.Bool coin per bit, per sample — as the service benchmark's
+// delcap.mc_floor_ratio does.
 func drawFloor(n int, pd float64, samples int, src *rng.Source) (float64, error) {
 	var sink uint64
 	for s := 0; s < samples; s++ {
@@ -206,16 +250,33 @@ func drawFloor(n int, pd float64, samples int, src *rng.Source) (float64, error)
 	return float64(sink), nil
 }
 
+// maskFloor replays the kernel's random draws alone — one input word
+// and one deletion mask per sample — as the floor the kernel can reach.
+func maskFloor(n int, pd float64, samples int, src *rng.Source) (float64, error) {
+	var sink uint64
+	thr := rng.ProbThreshold(pd)
+	for s := 0; s < samples; s++ {
+		sink += src.Uint64n(1 << uint(n))
+		sink += src.BoolMask(n, thr)
+	}
+	return float64(sink), nil
+}
+
 // BenchmarkMonteCarlo times the cold-grid Monte-Carlo shape through the
-// kernel, the reference and the draw floor, at the low, middle and high
-// end of cold-grid's pd range: the kernel's count takes its banded
-// program for samples with more than three deletions, and the share of
-// those grows with pd.
+// kernel, the reference and two draw floors, at the low, middle and
+// high end of cold-grid's pd range: the kernel's count takes its banded
+// program for samples with more than five deletions, and the share of
+// those grows with pd. floor draws one rng.Bool per bit, as the
+// service benchmark's delcap.mc_floor_ratio does; maskfloor draws what
+// the kernel draws, one mask per sample.
 func BenchmarkMonteCarlo(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		fn   func(int, float64, int, *rng.Source) (float64, error)
-	}{{"kernel", MonteCarloUniformRate}, {"reference", monteCarloUniformRateReference}, {"floor", drawFloor}} {
+	}{
+		{"kernel", MonteCarloUniformRate}, {"reference", monteCarloUniformRateReference},
+		{"floor", drawFloor}, {"maskfloor", maskFloor},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for _, pd := range []float64{0.02, 0.12, 0.22} {
 				b.Run(fmt.Sprintf("pd=%v", pd), func(b *testing.B) {

@@ -35,11 +35,17 @@ func (c *DMC) outputDist(px, py []float64) {
 // hold 2·len(py) entries and is clobbered: its two halves hold the
 // logs of diag and off over py. A zero cell's half is all 0, so
 // symmetricSums skips that cell's terms where the reference's p > 0
-// guard does.
+// guard does. Where py[y] has the bits of py[y-1], y's two logs are
+// math.Log2 of the same operands as y-1's, so they are copied: px
+// starts uniform, so py comes in runs of equal values.
 func (c *DMC) divergences(py, logs, d []float64) {
 	m := len(py)
 	ld, lo := logs[:m:m], logs[m:2*m:2*m]
 	for y, q := range py {
+		if y > 0 && math.Float64bits(q) == math.Float64bits(py[y-1]) {
+			ld[y], lo[y] = ld[y-1], lo[y-1]
+			continue
+		}
 		ld[y], lo[y] = 0, 0
 		if c.diag > 0 {
 			ld[y] = math.Log2(c.diag / q)

@@ -3,6 +3,7 @@ package infotheory
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -158,6 +159,89 @@ func TestCapacityMatchesReferenceBitExact(t *testing.T) {
 	}
 	// n = 12, the largest converted channel the service solves, once.
 	checkMSCBitExact(t, 4096, 0.3, baRun{1e-300, 2})
+}
+
+// TestCapacityOneAllocation pins the implicit solve's cost contract:
+// with its scratch pooled, a solve of cold-grid's largest converted
+// channel allocates only the input law it returns.
+func TestCapacityOneAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and sync.Pool drops items under it; run without -race")
+	}
+	c, err := MSC(256, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := c.Capacity(1e-9, 2000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%.1f allocations per solve, want 1", allocs)
+	}
+}
+
+// TestCapacityConcurrentMatchesSerial solves converted channels of
+// several sizes from concurrent goroutines, so solves take pooled
+// scratch that another solve of another size left dirty, and requires
+// each result to match a serial solve to the last bit. Run it under
+// go test -race -count=10 after touching the pool.
+func TestCapacityConcurrentMatchesSerial(t *testing.T) {
+	sizes := []int{2, 5, 64, 129, 256, 512}
+	runs := []baRun{{1e-9, 2000}, {1e-300, 5}}
+	type solve struct {
+		m   int
+		run baRun
+	}
+	var solves []solve
+	want := map[solve]CapacityResult{}
+	for _, m := range sizes {
+		c, err := MSC(m, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range runs {
+			s := solve{m, r}
+			if want[s], err = c.Capacity(r.tol, r.maxIter); err != nil {
+				t.Fatal(err)
+			}
+			solves = append(solves, s)
+		}
+	}
+	// Each worker walks the solves from its own offset, so at any time
+	// the workers solve different sizes.
+	const workers = 4
+	at := func(w, k int) solve { return solves[(k+3*w)%len(solves)] }
+	got := make([][]CapacityResult, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(solves); k++ {
+				s := at(w, k)
+				c, err := MSC(s.m, 0.3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := c.Capacity(s.run.tol, s.run.maxIter)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], res)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for k, res := range got[w] {
+			s := at(w, k)
+			sameResult(t, fmt.Sprintf("worker %d solve %d (M=%d, tol %v)", w, k, s.m, s.run.tol), res, want[s])
+		}
+	}
 }
 
 // TestNonNegativeInvariants is the property test for the shared clamp:

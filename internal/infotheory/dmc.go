@@ -3,6 +3,7 @@ package infotheory
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // DMC is a discrete memoryless channel given by its transition matrix:
@@ -130,9 +131,16 @@ func (c *DMC) Capacity(tol float64, maxIter int) (CapacityResult, error) {
 	for x := range px {
 		px[x] = 1 / float64(m)
 	}
-	d := make([]float64, m) // per-input divergence D(W(.|x) || py)
-	py := make([]float64, m)
-	logs := make([]float64, 2*m)
+	// d (per-input divergence D(W(.|x) || py)), py and the 2·m log
+	// table are scratch: every iteration overwrites all of them, so a
+	// pooled buffer from an earlier solve serves as it is.
+	sp := baScratch.Get().(*[]float64)
+	defer baScratch.Put(sp)
+	if cap(*sp) < 4*m {
+		*sp = make([]float64, 4*m)
+	}
+	buf := (*sp)[:4*m]
+	d, py, logs := buf[:m:m], buf[m:2*m:2*m], buf[2*m:]
 
 	var res CapacityResult
 	for iter := 1; iter <= maxIter; iter++ {
@@ -162,9 +170,13 @@ func (c *DMC) Capacity(tol float64, maxIter int) (CapacityResult, error) {
 		}
 	}
 	res.Capacity = nonNegative(res.Capacity)
-	res.Input = append([]float64(nil), px...)
+	res.Input = px
 	return res, nil
 }
+
+// baScratch holds Capacity's per-solve scratch between solves, so a
+// solve allocates only the input law it returns.
+var baScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // BSC returns the binary symmetric channel with crossover probability p.
 func BSC(p float64) (*DMC, error) {

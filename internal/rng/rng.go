@@ -18,44 +18,81 @@ import (
 // Source is a deterministic pseudo-random number generator.
 // It is not safe for concurrent use; create one Source per goroutine.
 type Source struct {
-	s [4]uint64
+	s state
+}
+
+// state is xoshiro256**'s four state words, in fields so that a local
+// copy lives in registers.
+type state struct {
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a Source seeded from the given seed. Distinct seeds yield
 // statistically independent streams.
 func New(seed uint64) *Source {
-	var src Source
 	// splitmix64 expansion of the seed into the 256-bit state, as
 	// recommended by the xoshiro authors. Guarantees a nonzero state.
+	var w [4]uint64
 	x := seed
-	for i := range src.s {
+	for i := range w {
 		x += 0x9e3779b97f4a7c15
 		z := x
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		src.s[i] = z ^ (z >> 31)
+		w[i] = z ^ (z >> 31)
 	}
-	return &src
+	return &Source{s: state{w[0], w[1], w[2], w[3]}}
 }
 
 // Uint64 returns the next value in the stream.
 //
-// The step works on local copies of the state words and stores them
-// back once: that keeps its inline cost under gc's budget, so hot loops
-// draw without a call (TestUint64Inlines pins it).
+// The step works on a copy of the state words and stores them back
+// once: that keeps its inline cost under gc's budget, so hot loops draw
+// without a call (TestUint64Inlines pins it).
 func (r *Source) Uint64() uint64 {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	result := bits.RotateLeft64(s1*5, 7) * 9
+	v, s := r.s.step()
+	r.s = s
+	return v
+}
 
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
+// step is one xoshiro256** step: the output for state s and the state
+// after it.
+func (s state) step() (uint64, state) {
+	v := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return v, s
+}
 
-	return result
+// BoolMask draws n words and returns a mask whose bit i is set exactly
+// when Uint64()>>11 < thr on the i-th of n successive Uint64 calls, and
+// leaves the source where those n calls leave it. With
+// thr = ProbThreshold(p) for p in (0, 1), bit i is therefore Bool(p) on
+// the same draw: one call stands for n Bool coins. The state stays in
+// registers for the whole loop and each bit is set without a branch:
+// v>>11 is below 2^53 and thr at most 2^53, so the top bit of
+// v>>11 - thr is the comparison. It panics unless 0 <= n <= 64.
+func (r *Source) BoolMask(n int, thr uint64) uint64 {
+	if n < 0 || n > 64 {
+		panic("rng: BoolMask width out of range [0,64]")
+	}
+	s := r.s
+	var mask uint64
+	for i := 0; i < n; i++ {
+		var v uint64
+		v, s = s.step()
+		// Each bit enters at the top and moves down one place per
+		// later draw, so the i-th ends at bit 64-n+i (at n = 0 the
+		// final shift is by 64, which gives 0).
+		mask = mask>>1 | (v>>11-thr)&(1<<63)
+	}
+	r.s = s
+	return mask >> (64 - uint(n))
 }
 
 // Float64 returns a uniform value in [0, 1).

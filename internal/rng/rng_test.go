@@ -38,10 +38,11 @@ func TestUint64KnownAnswers(t *testing.T) {
 }
 
 // TestUint64Inlines builds the package with -gcflags=-m and requires gc
-// to report the step inlinable: hot loops (the Monte-Carlo deletion
-// rate draws 13 times per sample) depend on drawing without a call, and
-// an edit that pushes the step over the inlining budget costs them
-// silently otherwise.
+// to report the step inlinable: hot loops (Uint64n, which the
+// Monte-Carlo deletion rate calls once per sample, and every Bool and
+// Float64 caller) depend on drawing without a call, and an edit that
+// pushes the step over the inlining budget costs them silently
+// otherwise.
 func TestUint64Inlines(t *testing.T) {
 	out, err := exec.Command("go", "build", "-gcflags=-m", ".").CombinedOutput()
 	if err != nil {
@@ -49,6 +50,57 @@ func TestUint64Inlines(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "can inline (*Source).Uint64\n") {
 		t.Fatalf("gc does not inline (*Source).Uint64; -gcflags=-m=2 gives the cost. Compiler output:\n%s", out)
+	}
+}
+
+// TestBoolMaskMatchesUint64 is BoolMask's known-answer test: on two
+// seeds, for each width and threshold, the mask must equal n successive
+// Uint64()>>11 < thr comparisons and leave the source where those n
+// calls leave it. The thresholds cover both ends (no bit, every bit),
+// the smallest and largest that split the draws, and one in between.
+func TestBoolMaskMatchesUint64(t *testing.T) {
+	for _, seed := range []uint64{1, 42} {
+		for _, n := range []int{0, 1, 12, 20, 64} {
+			for _, thr := range []uint64{0, 1, ProbThreshold(0.12), 1<<53 - 1, 1 << 53} {
+				src, ref := New(seed), New(seed)
+				got := src.BoolMask(n, thr)
+				var want uint64
+				for i := 0; i < n; i++ {
+					if ref.Uint64()>>11 < thr {
+						want |= 1 << uint(i)
+					}
+				}
+				if got != want {
+					t.Fatalf("seed %d: BoolMask(%d, %d) = %#x, want %#x", seed, n, thr, got, want)
+				}
+				if a, b := src.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("seed %d: BoolMask(%d, %d) left the source elsewhere", seed, n, thr)
+				}
+			}
+		}
+	}
+	// Bit i is Bool(p) on the same draw.
+	src, ref := New(7), New(7)
+	for k := 0; k < 100; k++ {
+		mask := src.BoolMask(12, ProbThreshold(0.12))
+		for i := 0; i < 12; i++ {
+			if got, want := mask>>uint(i)&1 == 1, ref.Bool(0.12); got != want {
+				t.Fatalf("mask %d bit %d: %v, Bool %v", k, i, got, want)
+			}
+		}
+	}
+}
+
+func TestBoolMaskPanicsOutOfRange(t *testing.T) {
+	for _, n := range []int{-1, 65} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BoolMask(%d, 1) did not panic", n)
+				}
+			}()
+			New(1).BoolMask(n, 1)
+		}()
 	}
 }
 
